@@ -463,13 +463,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="guarded-action protocol specs: print, diff, verify",
         description=(
             "Work with the declarative guarded-action transition specs "
-            "(repro.spec) that the engines derive their commit tables "
-            "from.  By default prints the spec table(s); --diff shows "
+            "(repro.spec) that the model checker holds the engines to.  "
+            "By default prints the spec table(s); --diff shows "
             "rule-level differences between two protocols; --verify "
-            "validates the spec, re-derives the flat engines' commit "
-            "tables, and runs a spec-checked exhaustive exploration "
-            "that fails on any engine/spec divergence.  See "
-            "docs/SPECS.md."
+            "validates the spec and runs a spec-checked exhaustive "
+            "exploration that fails on any engine/spec divergence.  "
+            "See docs/SPECS.md."
         ),
     )
     spec.add_argument(
@@ -502,9 +501,8 @@ def build_parser() -> argparse.ArgumentParser:
     spec.add_argument(
         "--verify",
         action="store_true",
-        help="validate the spec(s), check the flat engines' derived "
-        "commit tables, and run a spec-checked exhaustive exploration "
-        "(exit 1 on any engine/spec divergence)",
+        help="validate the spec(s) and run a spec-checked exhaustive "
+        "exploration (exit 1 on any engine/spec divergence)",
     )
     spec.add_argument(
         "--nodes",
@@ -1287,24 +1285,6 @@ def _command_spec(args: argparse.Namespace) -> int:
             print(f"{protocol}: spec INVALID: {error}")
             failures += 1
             continue
-        # The flat engines derive their commit tables from the spec at
-        # import; re-derive here and make the agreement explicit.
-        derived = spec_mod.commit_table(protocol)
-        flat_tables = {
-            "snooping": "repro.ring.flatsnooping",
-            "directory": "repro.ring.flatdirectory",
-        }
-        if protocol in flat_tables:
-            import importlib
-
-            module = importlib.import_module(flat_tables[protocol])
-            if tuple(module.COMMIT_TRANSITIONS) != derived:
-                print(
-                    f"{protocol}: flat COMMIT_TRANSITIONS diverges "
-                    "from the spec"
-                )
-                failures += 1
-                continue
         report = check.explore(
             protocol,
             nodes=args.nodes,
@@ -1316,7 +1296,8 @@ def _command_spec(args: argparse.Namespace) -> int:
         if report.ok:
             print(
                 f"{protocol}: spec valid, {len(protocol_spec.rules)} "
-                f"rules, {len(derived)} commits; engine/spec agree on "
+                f"rules, {len(spec_mod.commit_table(protocol))} commits; "
+                f"engine/spec agree on "
                 f"{report.states} states "
                 f"({args.nodes}p/{args.lines}l"
                 f"{', no races' if args.no_races else ''})"

@@ -24,7 +24,6 @@ from repro.core.results import ModelInputs, SimulationResult
 from repro.obs import Histograms
 from repro.proc.processor import TraceProcessor
 from repro.ring.directory import DirectoryRingSystem
-from repro.ring.flatring import spawn_trace_processor
 from repro.ring.hierarchical import HierarchicalRingSystem
 from repro.ring.linkedlist import LinkedListRingSystem
 from repro.ring.snooping import SnoopingRingSystem
@@ -158,7 +157,7 @@ def run_simulation(
             for node, stream in enumerate(traces)
         ]
         for warmer in warmers:
-            spawn_trace_processor(sim, warmer, name=f"warm{warmer.node}")
+            sim.spawn(warmer.run(), name=f"warm{warmer.node}")
         sim.run()
         reset_engine_statistics(engine)
         window_start = sim.now
@@ -180,7 +179,7 @@ def run_simulation(
         for node, stream in enumerate(traces)
     ]
     for processor in processors:
-        spawn_trace_processor(sim, processor, name=f"cpu{processor.node}")
+        sim.spawn(processor.run(), name=f"cpu{processor.node}")
     sim.run()
     finalize = getattr(monitor, "finalize", None)
     if finalize is not None:

@@ -139,9 +139,9 @@ def _kernel_workloads(quick: bool):
         # The paper's scalability regime: a saturated large snooping
         # ring, where per-revolution polling used to dominate.
         ("simulate.mp3d.snooping.64p", 64, Protocol.SNOOPING, 800 * scale),
-        # Beyond the paper's largest system: rings where per-event
-        # dispatch overhead (generator resumption vs flat tables) is
-        # the dominant simulator cost.  Fewer refs per processor keep
+        # Beyond the paper's largest system: rings where the kernel's
+        # per-event cost (one generator resumption per wakeup) is the
+        # dominant simulator cost.  Fewer refs per processor keep
         # total work bounded; the rings are still fully contended.
         ("simulate.mp3d.snooping.128p", 128, Protocol.SNOOPING, 300 * scale),
         (

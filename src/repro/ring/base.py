@@ -30,8 +30,6 @@ from repro.memory.cache import AccessOutcome, DirectMappedCache
 from repro.memory.states import CacheState
 from repro.ring.scheduler import SlotGrant, SlotScheduler
 from repro.ring.slots import SlotType
-from repro.ring import flatring
-from repro.sim.flatcore import flatcore_enabled
 from repro.sim.kernel import Simulator
 from repro.sim.queues import ReadWriteLock
 
@@ -47,12 +45,6 @@ class ProtocolError(RuntimeError):
 
 class RingSystemBase:
     """Caches + banks + slotted ring shared by all three ring protocols."""
-
-    #: Flat dispatch table for this engine's transactions (a list of
-    #: :mod:`repro.ring.flatring` handlers), or ``None`` when only the
-    #: coroutine form exists.  Set by the snooping and directory
-    #: subclasses; engines without a table still use flat snoop timers.
-    FLAT_TABLE = None
 
     def __init__(self, sim: Simulator, config: SystemConfig) -> None:
         self.sim = sim
@@ -84,14 +76,6 @@ class RingSystemBase:
         #: hardware snooper identifies itself; the simulator needs the
         #: identity to route the response.
         self._dirty_node: Dict[int, int] = {}
-        #: Flat-core gating: snoop timers flatten for every ring
-        #: engine; whole transactions only where a dispatch table
-        #: exists (snooping, directory).
-        self._flat_timers = flatcore_enabled()
-        self._flat = self._flat_timers and type(self).FLAT_TABLE is not None
-        #: Free lists of pooled flat machines (any role) and timers.
-        self._flat_pool: List[flatring.RingMachine] = []
-        self._timer_pool: List[flatring.FlatTimer] = []
 
     # ------------------------------------------------------------------
     # Timing helpers
@@ -256,11 +240,6 @@ class RingSystemBase:
     # ------------------------------------------------------------------
     def schedule_invalidate(self, node: int, address: int, at_cycle: int) -> None:
         """Invalidate ``node``'s copy when the probe passes it."""
-        if self._flat_timers:
-            flatring.spawn_snoop_timer(
-                self, flatring.INVALIDATE_TABLE, "inv", node, address, at_cycle
-            )
-            return
         self.sim.spawn(
             self._deferred_invalidate(node, address, at_cycle),
             name=f"inv:n{node}",
@@ -272,11 +251,6 @@ class RingSystemBase:
 
     def schedule_downgrade(self, node: int, address: int, at_cycle: int) -> None:
         """Downgrade ``node``'s WE copy to RS when the probe passes."""
-        if self._flat_timers:
-            flatring.spawn_snoop_timer(
-                self, flatring.DOWNGRADE_TABLE, "dgr", node, address, at_cycle
-            )
-            return
         self.sim.spawn(
             self._deferred_downgrade(node, address, at_cycle),
             name=f"dgr:n{node}",
@@ -312,13 +286,9 @@ class RingSystemBase:
         self.caches[node].evict(victim_address)
         self.caches[node].stats.writebacks += state is CacheState.WE
         if state is CacheState.WE:
-            if self._flat:
-                flatring.spawn_writeback(self, node, victim_address)
-            else:
-                self.sim.spawn(
-                    self.writeback(node, victim_address),
-                    name=f"wb:n{node}",
-                )
+            self.sim.spawn(
+                self.writeback(node, victim_address), name=f"wb:n{node}"
+            )
             return victim_address
         self.on_clean_eviction(node, victim_address)
         return None
@@ -335,20 +305,6 @@ class RingSystemBase:
     def writeback(self, node: int, address: int) -> Step:
         """Background write-back of a WE victim (subclass provides)."""
         raise NotImplementedError
-
-    # Flat write-back hooks: protocol-specific pieces of the shared
-    # flat machine in :mod:`repro.ring.flatring` (engines with a
-    # FLAT_TABLE provide them).
-    def _flat_wb_owned(self, node: int, address: int, block: int) -> bool:
-        """Whether ``node`` still write-owns ``block`` (guard check)."""
-        raise NotImplementedError
-
-    def _flat_wb_clear(self, block: int) -> None:
-        """Commit a completed write-back in the ownership metadata."""
-        raise NotImplementedError
-
-    def _flat_swb_note(self, node: int, block: int) -> None:
-        """Telemetry hook after a sharing write-back's bank access."""
 
     def fill(self, node: int, address: int, state: CacheState) -> None:
         """Install the block; the victim was handled by prepare_victim.

@@ -33,7 +33,6 @@ from repro.memory.cache import AccessOutcome
 from repro.memory.directory_store import FullMapDirectory
 from repro.memory.states import CacheState
 from repro.ring.base import ProtocolError, RingSystemBase, Step
-from repro.ring.flatdirectory import DIRECTORY_TABLE
 from repro.sim.kernel import Simulator
 
 __all__ = ["DirectoryRingSystem"]
@@ -43,8 +42,6 @@ class DirectoryRingSystem(RingSystemBase):
     """The paper's full-map directory protocol on the slotted ring."""
 
     protocol = Protocol.DIRECTORY
-    #: Flat state-machine port of this engine (repro.ring.flatdirectory).
-    FLAT_TABLE = DIRECTORY_TABLE
 
     def __init__(self, sim: Simulator, config: SystemConfig) -> None:
         super().__init__(sim, config)
@@ -335,18 +332,6 @@ class DirectoryRingSystem(RingSystemBase):
             self.stats.record_miss(
                 MissClass.REMOTE_CLEAN, latency, traversals
             )
-
-    # ------------------------------------------------------------------
-    # Flat write-back hooks (protocol pieces of the shared flat machine)
-    # ------------------------------------------------------------------
-    def _flat_wb_owned(self, node: int, address: int, block: int) -> bool:
-        entry = self.directory_for(address).peek(block)
-        return entry is not None and entry.dirty and entry.owner == node
-
-    def _flat_wb_clear(self, block: int) -> None:
-        self.directories[
-            self.address_map.home_of(block * self.config.block_size)
-        ].clear(block)
 
     # ------------------------------------------------------------------
     # Background block traffic

@@ -24,7 +24,6 @@ from repro.memory.cache import AccessOutcome
 from repro.memory.directory_store import DirtyBitDirectory
 from repro.memory.states import CacheState
 from repro.ring.base import ProtocolError, RingSystemBase, Step
-from repro.ring.flatsnooping import SNOOPING_TABLE
 from repro.sim.kernel import Simulator
 
 __all__ = ["SnoopingRingSystem"]
@@ -34,8 +33,6 @@ class SnoopingRingSystem(RingSystemBase):
     """The paper's snooping protocol on the slotted ring."""
 
     protocol = Protocol.SNOOPING
-    #: Flat state-machine port of this engine (repro.ring.flatsnooping).
-    FLAT_TABLE = SNOOPING_TABLE
 
     def __init__(self, sim: Simulator, config: SystemConfig) -> None:
         super().__init__(sim, config)
@@ -278,30 +275,6 @@ class SnoopingRingSystem(RingSystemBase):
         self.stats.record_upgrade(
             self.sim.now - start_ps, traversals=1, had_sharers=bool(sharers)
         )
-
-    # ------------------------------------------------------------------
-    # Flat write-back hooks (protocol pieces of the shared flat machine)
-    # ------------------------------------------------------------------
-    def _flat_wb_owned(self, node: int, address: int, block: int) -> bool:
-        return (
-            self.dirty_bits.is_dirty(block)
-            and self._dirty_node.get(block) == node
-        )
-
-    def _flat_wb_clear(self, block: int) -> None:
-        self.dirty_bits.clear_dirty(block)
-        self._dirty_node.pop(block, None)
-
-    def _flat_swb_note(self, node: int, block: int) -> None:
-        tracer = self.sim.tracer
-        if tracer is not None:
-            tracer.instant(
-                self.sim.now,
-                self.trace_category,
-                "sharing-writeback",
-                f"node{node}",
-                block=f"{block:#x}",
-            )
 
     # ------------------------------------------------------------------
     # Background block traffic

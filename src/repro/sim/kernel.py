@@ -160,12 +160,7 @@ class Relay:
 
 
 class Process:
-    """A running simulation process wrapping a generator body.
-
-    ``body`` may also be ``None``: that marks a *flat* state-machine
-    process (see :mod:`repro.sim.flatcore`), which the event loop
-    drives by table dispatch instead of generator resumption.
-    """
+    """A running simulation process wrapping a generator body."""
 
     __slots__ = (
         "body",
@@ -177,19 +172,17 @@ class Process:
         "_sim",
     )
 
-    def __init__(
-        self, body: Optional[ProcessBody], name: str, sim: "Simulator"
-    ) -> None:
+    def __init__(self, body: ProcessBody, name: str, sim: "Simulator") -> None:
         self.body = body
         self.name = name
         self.alive = True
         self.result: Any = None
         #: Completion event, created lazily on first ``done`` access.
-        #: Most processes (every pooled flat machine, every background
-        #: write-back) are never joined, so the eager per-process
-        #: ``Event`` was pure allocation churn.  Laziness is invisible:
-        #: event creation draws no sequence numbers, and firing an
-        #: event nobody waits on schedules nothing.
+        #: Most processes (every memory-bank service timer, every
+        #: background write-back) are never joined, so the eager
+        #: per-process ``Event`` was pure allocation churn.  Laziness
+        #: is invisible: event creation draws no sequence numbers, and
+        #: firing an event nobody waits on schedules nothing.
         self._done_event: Optional[Event] = None
         self._sim = sim
         #: Wake-validity token: every heap entry records the token at
@@ -263,22 +256,6 @@ class Simulator:
             tracer.process_spawn(self.now, process.name)
         return process
 
-    def activate(self, process: Process) -> Process:
-        """Start (or restart) an already-constructed process record.
-
-        The flat-core entry point: pooled :class:`~repro.sim.flatcore.
-        FlatProcess` records are reset and re-activated instead of
-        being reallocated per task.  Scheduling behaviour is identical
-        to :meth:`spawn` -- one heap entry at the current time.
-        """
-        process.alive = True
-        self._active_processes += 1
-        self._schedule(self.now, process, None)
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.process_spawn(self.now, process.name)
-        return process
-
     def timeout(self, delay: int) -> Timeout:
         """Create a delay request for ``yield`` (delay in picoseconds).
 
@@ -342,8 +319,7 @@ class Simulator:
             return
         process.alive = False
         process._wake_token += 1
-        if process.body is not None:
-            process.body.close()
+        process.body.close()
         heap = self._heap
         pending = sum(1 for entry in heap if entry[3] is process)
         if pending:
@@ -365,122 +341,6 @@ class Simulator:
         if tracer is not None:
             tracer.process_finish(self.now, process.name)
 
-    def _step(self) -> None:
-        """Process exactly one heap entry (reference implementation).
-
-        :meth:`run` inlines this loop for speed; this method is kept
-        as the single-step form the tests and debugging sessions use.
-        Behaviour must stay identical to the inlined loop.
-        """
-        when, _, token, process, value = heapq.heappop(self._heap)
-        if when < self.now:
-            raise SimulationError("time went backwards")
-        self.now = when
-        self.events_processed += 1
-        if not process.alive or token != process._wake_token:
-            self.cancelled_wakes += token != process._wake_token
-            return
-        if type(value) is Relay:
-            # Silent hop: draw the sequence number the polling wake
-            # would have used here, without resuming the process.
-            self.relay_hops += 1
-            nxt = when + value.step
-            seq = next(self._sequence)
-            if nxt >= value.final:
-                entry = (value.final, seq, token, process, None)
-            else:
-                entry = (nxt, seq, token, process, value)
-            heapq.heappush(self._heap, entry)
-            return
-        if process.body is None:
-            self._flat_dispatch(process, value, token)
-            return
-        try:
-            request = process.body.send(value)
-        except StopIteration as stop:
-            process.alive = False
-            process.result = stop.value
-            self._active_processes -= 1
-            done_event = process._done_event
-            if done_event is not None:
-                done_event.succeed(stop.value)
-            tracer = self.tracer
-            if tracer is not None:
-                tracer.process_finish(self.now, process.name)
-            return
-        if isinstance(request, Timeout):
-            self._schedule(self.now + request.delay, process, None)
-        elif isinstance(request, Event):
-            request._add_waiter(process)
-        elif isinstance(request, Process):
-            request.done._add_waiter(process)
-        elif isinstance(request, Relay):
-            if request.first < self.now:
-                raise SimulationError(
-                    f"relay first hop {request.first} is in the past "
-                    f"(now={self.now})"
-                )
-            value = None if request.first >= request.final else request
-            self._schedule(request.first, process, value)
-        else:
-            raise SimulationError(
-                f"process {process.name!r} yielded unsupported request "
-                f"{request!r}; yield a Timeout, Event or Process"
-            )
-
-    def _flat_dispatch(self, process: Process, value: Any, token: int) -> None:
-        """Drive one wakeup of a flat state-machine process.
-
-        Reference implementation of the flat branch inlined in
-        :meth:`run` -- behaviour must stay identical.  Handlers are
-        dispatched by the process's int state until one issues a
-        kernel request (opcode >= 0); ``OP_CONTINUE`` chains states
-        without touching the heap, exactly like straight-line code
-        between two yields of the generator form.
-        """
-        table = process.table
-        op = table[process.state](process, value)
-        while op < 0:
-            op = process.table[process.state](process, None)
-        if op == 0:  # OP_TIMEOUT
-            self._schedule_at(
-                self.now + process.f_delay, token, process, None
-            )
-        elif op == 1:  # OP_EVENT
-            event = process.f_event
-            process.f_event = None
-            event._add_waiter(process)
-        elif op == 2:  # OP_RELAY
-            relay = process.f_relay
-            first = relay.first
-            if first < self.now:
-                raise SimulationError(
-                    f"relay first hop {first} is in the past "
-                    f"(now={self.now})"
-                )
-            self._schedule_at(
-                first,
-                token,
-                process,
-                relay if first < relay.final else None,
-            )
-        else:  # OP_DONE
-            process.alive = False
-            self._active_processes -= 1
-            done_event = process._done_event
-            if done_event is not None:
-                done_event.succeed(process.result)
-            tracer = self.tracer
-            if tracer is not None:
-                tracer.process_finish(self.now, process.name)
-
-    def _schedule_at(
-        self, when: int, token: int, process: Process, value: Any
-    ) -> None:
-        heapq.heappush(
-            self._heap, (when, next(self._sequence), token, process, value)
-        )
-
     def run(self, until: Optional[int] = None) -> int:
         """Run until the event heap drains (or past time ``until``).
 
@@ -499,10 +359,9 @@ class Simulator:
           :class:`ValueError` instead of silently rewinding the clock
           (which would corrupt every pending-event invariant).
 
-        The loop body is :meth:`_step` inlined with every per-event
-        attribute lookup hoisted into locals; the simulator spends the
-        bulk of each run here, and the method-call + lookup overhead
-        was a measurable fraction of total wall time.
+        Every per-event attribute lookup is hoisted into locals: the
+        simulator spends the bulk of each run here, and the method-call
+        + lookup overhead was a measurable fraction of total wall time.
         """
         if until is not None and until < self.now:
             raise ValueError(
@@ -550,60 +409,8 @@ class Simulator:
                             (nxt, next_seq(), token, process, value),
                         )
                     continue
-                body = process.body
-                if body is None:
-                    # Flat state-machine process: indexed table
-                    # dispatch, preallocated request fields, small-int
-                    # opcodes -- no request objects, no generator
-                    # frame, no StopIteration control flow.
-                    op = process.table[process.state](process, value)
-                    while op < 0:  # OP_CONTINUE: chain states inline
-                        op = process.table[process.state](process, None)
-                    if op == 0:  # OP_TIMEOUT
-                        heappush(
-                            heap,
-                            (
-                                now + process.f_delay,
-                                next_seq(),
-                                token,
-                                process,
-                                None,
-                            ),
-                        )
-                    elif op == 1:  # OP_EVENT
-                        event = process.f_event
-                        process.f_event = None
-                        event._add_waiter(process)
-                    elif op == 2:  # OP_RELAY
-                        relay = process.f_relay
-                        first = relay.first
-                        if first < now:
-                            raise SimulationError(
-                                f"relay first hop {first} is in the past "
-                                f"(now={now})"
-                            )
-                        heappush(
-                            heap,
-                            (
-                                first,
-                                next_seq(),
-                                token,
-                                process,
-                                relay if first < relay.final else None,
-                            ),
-                        )
-                    else:  # OP_DONE
-                        process.alive = False
-                        self._active_processes -= 1
-                        done_event = process._done_event
-                        if done_event is not None:
-                            done_event.succeed(process.result)
-                        tracer = self.tracer
-                        if tracer is not None:
-                            tracer.process_finish(now, process.name)
-                    continue
                 try:
-                    request = body.send(value)
+                    request = process.body.send(value)
                 except StopIteration as stop:
                     process.alive = False
                     process.result = stop.value
@@ -647,15 +454,6 @@ class Simulator:
                         ),
                     )
                 elif request_type is Process:
-                    request.done._add_waiter(process)
-                elif isinstance(request, Timeout):
-                    self._schedule(now + request.delay, process, None)
-                elif isinstance(request, Event):
-                    request._add_waiter(process)
-                elif isinstance(request, Relay):
-                    value = None if request.first >= request.final else request
-                    self._schedule(request.first, process, value)
-                elif isinstance(request, Process):
                     request.done._add_waiter(process)
                 else:
                     raise SimulationError(

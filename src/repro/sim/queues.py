@@ -10,7 +10,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque, Generator, Optional, Tuple
 
-from repro.sim.flatcore import OP_DONE, OP_TIMEOUT, FlatProcess, flatcore_enabled
 from repro.sim.kernel import Event, SimulationError, Simulator
 
 __all__ = ["Store", "Resource", "FifoServer"]
@@ -196,45 +195,6 @@ class ReadWriteLock:
             event.succeed(self._sim.now)
 
 
-def _service_sleep(timer: "_ServiceTimer", value) -> int:
-    timer.f_delay = timer.when - timer._sim.now
-    timer.state = 1
-    return OP_TIMEOUT
-
-
-def _service_complete(timer: "_ServiceTimer", value) -> int:
-    server = timer.server
-    server._pending -= 1
-    event = timer.event
-    timer.event = None
-    event.succeed(timer._sim.now)
-    server._timers.append(timer)
-    return OP_DONE
-
-
-_SERVICE_TABLE = [_service_sleep, _service_complete]
-
-
-class _ServiceTimer(FlatProcess):
-    """Flat replacement for :meth:`FifoServer._fire_at`.
-
-    One of these fires per request -- for memory banks that is one per
-    miss -- so the coroutine form's per-request generator, process and
-    name-string allocations were pure churn.  Instances are pooled on
-    the owning server and reused across requests.
-    """
-
-    __slots__ = ("server", "event", "when")
-
-    def __init__(self, sim: Simulator, server: "FifoServer") -> None:
-        FlatProcess.__init__(
-            self, sim, _SERVICE_TABLE, name=f"{server.name}:svc"
-        )
-        self.server = server
-        self.event: "Event | None" = None
-        self.when = 0
-
-
 class FifoServer:
     """A single server with a fixed (or per-request) service time.
 
@@ -256,9 +216,6 @@ class FifoServer:
         self.requests: int = 0
         self.busy_time: int = 0
         self.total_wait: int = 0
-        self._flat = flatcore_enabled()
-        #: Free list of completed service timers (flat mode only).
-        self._timers: list = []
 
     def request(self, service_time: Optional[int] = None) -> Event:
         """Enqueue a request; the event fires at service completion."""
@@ -274,15 +231,7 @@ class FifoServer:
             histograms.record_queue_depth(self.name, self._pending)
         self._pending += 1
         event = self._sim.event(name=f"served:{self.name}")
-        if self._flat:
-            timers = self._timers
-            timer = timers.pop() if timers else _ServiceTimer(self._sim, self)
-            timer.reset()
-            timer.when = finish
-            timer.event = event
-            self._sim.activate(timer)
-        else:
-            self._sim.spawn(self._fire_at(finish, event), name=f"{self.name}:svc")
+        self._sim.spawn(self._fire_at(finish, event), name=f"{self.name}:svc")
         return event
 
     def _fire_at(self, when: int, event: Event) -> Generator[Any, Any, None]:

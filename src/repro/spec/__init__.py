@@ -2,10 +2,10 @@
 
 One description per protocol -- ``(state, event) -> guard, actions,
 next_state`` records over the :mod:`repro.memory.states` vocabulary --
-derived into the flat engines' commit tables at import, executed
-abstractly by :class:`~repro.spec.interp.SpecMachine`, cross-checked
-against the live engines by ``repro check explore --expansion spec``,
-and printed/diffed/verified by the ``repro spec`` CLI verb.
+validated at import, executed abstractly by
+:class:`~repro.spec.interp.SpecMachine`, cross-checked against the live
+engines by ``repro check explore --expansion spec``, and
+printed/diffed/verified by the ``repro spec`` CLI verb.
 
 See ``docs/SPECS.md`` for the format and a fully worked table.
 """

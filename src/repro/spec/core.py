@@ -8,11 +8,8 @@ after, the guard over the line's coherence metadata that enables the
 rule, and the ordered micro-actions (protocol-flavoured names, shared
 generic semantics) the transaction performs.
 
-One description, three consumers:
+One description, two consumers:
 
-* the flat engines derive their ``COMMIT_TRANSITIONS`` tables from
-  :func:`commit_table` at import, so the int-coded dispatch layer and
-  the spec cannot drift;
 * the model checker executes the spec through
   :mod:`repro.spec.interp` and cross-checks every engine step against
   the spec's predicted successors (``repro check explore
@@ -20,10 +17,10 @@ One description, three consumers:
 * the ``repro spec`` CLI prints and diffs the tables and runs the
   divergence check.
 
-The module is imported by engine modules at module level (table
-derivation is import-time work), so it must stay observer-free: only
-the standard library and :mod:`repro.memory.states` may be imported
-here.  ``tests/test_spec.py`` pins that with an AST lint.
+The module must stay observer-free -- only the standard library and
+:mod:`repro.memory.states` may be imported here -- so that an engine
+module could consume it without breaking the hot-path import lint.
+``tests/test_spec.py`` pins that with an AST lint.
 
 Every spec in :data:`SPECS` is validated at import by
 :func:`validate_spec`: action names must resolve, every commit a rule
@@ -447,7 +444,7 @@ def _validate_registry() -> None:
 
 
 # ----------------------------------------------------------------------
-# Commit-table derivation (consumed by the flat engines at import)
+# Commit-table derivation (the ``repro spec --verify`` commit count)
 # ----------------------------------------------------------------------
 #: Canonical ordering of the derived table: action group order first,
 #: then (before, after) in state-declaration order.
@@ -456,8 +453,9 @@ _STATE_ORDER = (_INV, _RS, _WE)
 
 
 def commit_table(protocol: str) -> Tuple[Commit, ...]:
-    """The flat-engine ``COMMIT_TRANSITIONS`` tuple, derived from the
-    protocol's guarded-action spec (single source of truth)."""
+    """The protocol's commits in canonical order, derived from its
+    guarded-action spec: one tuple per distinct ``(action, before,
+    after)`` transition the spec can commit."""
     commits = spec_for(protocol).commits()
     return tuple(
         sorted(

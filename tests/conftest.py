@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import pathlib
+
 import pytest
 
+import repro
 from repro.core.config import Protocol, SystemConfig
 from repro.core.experiment import build_engine
 from repro.core.store import temp_result_store
@@ -64,3 +67,19 @@ def run_reference(sim, engine, node: int, address: int, is_write: bool):
     sim.spawn(body(), name="test-ref")
     sim.run()
     return box["latency"]
+
+
+def simulation_modules(*extras: str) -> tuple:
+    """Every module under ``sim/``, ``ring/`` and ``bus/`` plus ``extras``.
+
+    Paths are relative to the ``repro`` package, for the AST import
+    lints: globbing keeps the lists from naming deleted files or
+    missing new ones.
+    """
+    root = pathlib.Path(repro.__file__).parent
+    globbed = tuple(
+        path.relative_to(root).as_posix()
+        for package in ("sim", "ring", "bus")
+        for path in sorted((root / package).glob("*.py"))
+    )
+    return globbed + extras

@@ -30,7 +30,6 @@ from repro.core.parallel import SweepPoint, execute_points
 from repro.core.store import result_to_jsonable
 from repro.obs import Tracer
 from repro.ring.scheduler import fastpath_enabled
-from repro.sim.flatcore import flatcore_enabled
 
 REFS = 300
 
@@ -109,36 +108,20 @@ def test_serial_parallel_cached_and_fastpath_all_bit_identical(
     assert counters["relay_hops"] > 0
 
 
-def test_flatcore_toggle_reads_environment(monkeypatch):
-    monkeypatch.delenv("REPRO_NO_FLATCORE", raising=False)
-    assert flatcore_enabled()
-    monkeypatch.setenv("REPRO_NO_FLATCORE", "1")
-    assert not flatcore_enabled()
-
-
 # ----------------------------------------------------------------------
-# Flat-core x fast-path matrix: the flat state-machine dispatch and the
-# relay fast path are independent optimisations, so every combination
-# of the two toggles must produce the same bits -- including telemetry
-# event streams and with per-commit invariant checking enabled.
+# Fast-path axis under telemetry and invariant checking: the reference
+# path must produce the same bits -- including the traced event stream
+# and with per-commit invariant checking enabled -- for every protocol.
+# The test and case names are those of the engine x fast-path matrix
+# this axis was once one column of; the coroutine engine is the only
+# engine left, so the column is the whole matrix.
 # ----------------------------------------------------------------------
-MATRIX = [
-    pytest.param(False, False, id="flat+fastpath"),
-    pytest.param(False, True, id="flat+reference"),
-    pytest.param(True, False, id="coroutine+fastpath"),
-    pytest.param(True, True, id="coroutine+reference"),
-]
-
-#: Baseline (both optimisations on) per protocol, computed lazily so
-#: each parametrized case compares against one shared reference run.
-_matrix_baseline: dict = {}
+#: Fast-path run per protocol, computed lazily so both parametrized
+#: cases compare against one shared reference run.
+_traced_baseline: dict = {}
 
 
-def _toggled_run(point, no_flatcore, no_fastpath, monkeypatch):
-    if no_flatcore:
-        monkeypatch.setenv("REPRO_NO_FLATCORE", "1")
-    else:
-        monkeypatch.delenv("REPRO_NO_FLATCORE", raising=False)
+def _traced_run(point, no_fastpath, monkeypatch):
     if no_fastpath:
         monkeypatch.setenv("REPRO_NO_FASTPATH", "1")
     else:
@@ -155,7 +138,13 @@ def _toggled_run(point, no_flatcore, no_fastpath, monkeypatch):
     return result_to_jsonable(result), tracer.events()
 
 
-@pytest.mark.parametrize("no_flatcore,no_fastpath", MATRIX)
+@pytest.mark.parametrize(
+    "no_fastpath",
+    [
+        pytest.param(False, id="coroutine+fastpath"),
+        pytest.param(True, id="coroutine+reference"),
+    ],
+)
 @pytest.mark.parametrize(
     "protocol",
     [
@@ -167,41 +156,23 @@ def _toggled_run(point, no_flatcore, no_fastpath, monkeypatch):
     ],
 )
 def test_flatcore_fastpath_matrix_bit_identical(
-    protocol, no_flatcore, no_fastpath, monkeypatch
+    protocol, no_fastpath, monkeypatch
 ):
     processors = 16 if protocol is Protocol.SNOOPING else 4
     point = SweepPoint("mp3d", processors, protocol, REFS)
-    baseline = _matrix_baseline.get(protocol)
+    baseline = _traced_baseline.get(protocol)
     if baseline is None:
-        baseline = _matrix_baseline[protocol] = _toggled_run(
-            point, False, False, monkeypatch
+        baseline = _traced_baseline[protocol] = _traced_run(
+            point, False, monkeypatch
         )
-    got = _toggled_run(point, no_flatcore, no_fastpath, monkeypatch)
+    got = _traced_run(point, no_fastpath, monkeypatch)
     assert got[0] == baseline[0], (
         f"results diverged for {protocol.value} with "
-        f"NO_FLATCORE={no_flatcore} NO_FASTPATH={no_fastpath}"
+        f"NO_FASTPATH={no_fastpath}"
     )
     assert got[1] == baseline[1], (
         f"telemetry diverged for {protocol.value} with "
-        f"NO_FLATCORE={no_flatcore} NO_FASTPATH={no_fastpath}"
-    )
-
-
-def test_flat_engines_skip_generator_resumes(monkeypatch):
-    """The flat core is live by default: a snooping run spawns flat
-    machines (no per-transaction generators), and the coroutine
-    fallback reproduces the same bits while doing the same event
-    work (event counts line up one-to-one across the toggle)."""
-    point = SweepPoint("mp3d", 8, Protocol.SNOOPING, REFS)
-    monkeypatch.delenv("REPRO_NO_FLATCORE", raising=False)
-    monkeypatch.delenv("REPRO_NO_FASTPATH", raising=False)
-    flat_result, flat_counters = _serial_run(point)
-    monkeypatch.setenv("REPRO_NO_FLATCORE", "1")
-    coro_result, coro_counters = _serial_run(point)
-    assert result_to_jsonable(flat_result) == result_to_jsonable(coro_result)
-    assert (
-        flat_counters["events_processed"]
-        == coro_counters["events_processed"]
+        f"NO_FASTPATH={no_fastpath}"
     )
 
 

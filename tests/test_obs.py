@@ -24,6 +24,7 @@ import repro
 from repro.core.experiment import run_simulation
 from repro.core.store import result_to_jsonable
 from repro.obs import Histogram, Histograms, TraceEvent, Tracer
+from tests.conftest import simulation_modules
 
 REFS = 800
 
@@ -210,20 +211,7 @@ def test_chrome_trace_roundtrips_and_orders_timestamps(tmp_path):
 # ----------------------------------------------------------------------
 OBSERVER_PACKAGES = ("repro.obs", "repro.check", "numpy")
 
-HOT_PATH_MODULES = (
-    "sim/kernel.py",
-    "sim/queues.py",
-    "sim/flatcore.py",
-    "ring/base.py",
-    "ring/scheduler.py",
-    "ring/flatring.py",
-    "ring/flatsnooping.py",
-    "ring/flatdirectory.py",
-    "ring/snooping.py",
-    "ring/directory.py",
-    "ring/linkedlist.py",
-    "ring/hierarchical.py",
-    "bus/bus.py",
+HOT_PATH_MODULES = simulation_modules(
     "proc/processor.py",
     "memory/bank.py",
     "memory/cache.py",

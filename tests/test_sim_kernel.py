@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.kernel import Event, SimulationError, Simulator, Timeout
+from repro.sim.kernel import Event, Relay, SimulationError, Simulator, Timeout
 
 
 def test_initial_time_is_zero(sim):
@@ -185,6 +185,16 @@ def test_unsupported_yield_raises(sim):
 
     sim.spawn(body())
     with pytest.raises(SimulationError):
+        sim.run()
+
+
+def test_relay_first_hop_in_the_past_raises(sim):
+    def body():
+        yield sim.timeout(5_000)
+        yield Relay(4_000, 1_000, 10_000)
+
+    sim.spawn(body(), name="late")
+    with pytest.raises(SimulationError, match="in the past"):
         sim.run()
 
 

@@ -5,9 +5,8 @@ layers, each pinned here:
 
 * **Structure.**  Every registered spec passes
   :func:`repro.spec.validate_spec`; the union of commits across all
-  protocols is exactly ``ALLOWED_TRANSITIONS``; the flat engines'
-  ``COMMIT_TRANSITIONS`` tuples are equal to the spec-derived
-  :func:`repro.spec.commit_table`.
+  protocols is exactly ``ALLOWED_TRANSITIONS``; the canonical
+  :func:`repro.spec.commit_table` is duplicate-free and legal.
 * **Execution.**  The explorer's ``expansion="spec"`` mode -- the live
   engine cross-checked step-by-step against the spec -- is
   bit-identical (visited fingerprints, counters, completeness) to the
@@ -19,10 +18,10 @@ layers, each pinned here:
   ``spec-divergence`` counterexample when it is structurally fine but
   disagrees with the engine.
 
-Plus the import-direction lints: engine modules may consume
-``repro.spec`` at module level only (import-time table derivation,
-never on the simulation path), and ``repro.spec`` itself must stay
-free of observer packages so that rule holds transitively.
+Plus the import-direction lints: simulation modules never import
+``repro.spec`` from a function body (the spec never rides the
+simulation path), and ``repro.spec`` itself must stay free of observer
+packages so that a module-level import would keep the hot-path lint.
 """
 
 from __future__ import annotations
@@ -45,12 +44,13 @@ from repro.spec import (
     spec_for,
     validate_spec,
 )
+from tests.conftest import simulation_modules
 
 PROTOCOLS = tuple(SPECS)
 
 
 # ----------------------------------------------------------------------
-# Structure: validation, the commit-table derivation, the flat engines
+# Structure: validation, coverage of ALLOWED_TRANSITIONS, commit tables
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_registered_specs_validate(protocol):
@@ -82,22 +82,6 @@ def test_commit_table_is_canonical_and_legal(protocol):
     assert set(table) <= _allowed_commits()
     # Deterministic: derivation is order-stable across calls.
     assert table == commit_table(protocol)
-
-
-@pytest.mark.parametrize(
-    "protocol, module_name",
-    [
-        ("snooping", "repro.ring.flatsnooping"),
-        ("directory", "repro.ring.flatdirectory"),
-    ],
-)
-def test_flat_engines_derive_commit_tables_from_the_spec(
-    protocol, module_name
-):
-    import importlib
-
-    module = importlib.import_module(module_name)
-    assert tuple(module.COMMIT_TRANSITIONS) == commit_table(protocol)
 
 
 def test_render_and_diff_are_stable_text():
@@ -230,20 +214,7 @@ def test_mutated_next_state_is_caught_by_exploration():
 # ----------------------------------------------------------------------
 # Import direction: spec at import time only, observer-free spec
 # ----------------------------------------------------------------------
-ENGINE_MODULES = (
-    "ring/base.py",
-    "ring/scheduler.py",
-    "ring/flatring.py",
-    "ring/flatsnooping.py",
-    "ring/flatdirectory.py",
-    "ring/snooping.py",
-    "ring/directory.py",
-    "ring/linkedlist.py",
-    "ring/hierarchical.py",
-    "bus/bus.py",
-    "sim/kernel.py",
-    "sim/flatcore.py",
-)
+ENGINE_MODULES = simulation_modules()
 
 SPEC_MODULES = ("spec/__init__.py", "spec/core.py", "spec/interp.py")
 
@@ -264,9 +235,9 @@ def _imports(tree, *, nested_only=False):
 
 @pytest.mark.parametrize("relative", ENGINE_MODULES)
 def test_engine_modules_import_spec_at_module_level_only(relative):
-    """Deriving tables from the spec at import is sanctioned; pulling
-    it in from a function body would put the spec layer on the
-    simulation path."""
+    """A module-level import of the spec is sanctioned; pulling it in
+    from a function body would put the spec layer on the simulation
+    path."""
     root = pathlib.Path(repro.__file__).parent
     tree = ast.parse((root / relative).read_text())
     for module, _nested in _imports(tree, nested_only=True):
@@ -279,9 +250,9 @@ def test_engine_modules_import_spec_at_module_level_only(relative):
 @pytest.mark.parametrize("relative", SPEC_MODULES)
 @pytest.mark.parametrize("package", ("repro.obs", "repro.check", "numpy"))
 def test_spec_package_is_observer_free(relative, package):
-    """repro.spec is imported by engine modules at import time, so it
-    must not (even transitively, at any nesting) drag in observers or
-    numpy -- that would defeat the hot-path import lint."""
+    """An engine module may import repro.spec at module level, so the
+    spec must not (even transitively, at any nesting) drag in observers
+    or numpy -- that would defeat the hot-path import lint."""
     root = pathlib.Path(repro.__file__).parent
     tree = ast.parse((root / relative).read_text())
     for module, _nested in _imports(tree):
