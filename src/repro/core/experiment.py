@@ -19,7 +19,7 @@ from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.bus.bus import BusSystem
-from repro.core.config import Protocol, SystemConfig
+from repro.core.config import BusConfig, Protocol, RingConfig, SystemConfig
 from repro.core.results import ModelInputs, SimulationResult
 from repro.obs import Histograms
 from repro.proc.processor import TraceProcessor
@@ -316,7 +316,24 @@ def _normalised_config(
     base = config or SystemConfig(
         num_processors=num_processors, protocol=protocol
     )
-    return replace(base, num_processors=num_processors, protocol=protocol)
+    return _canonical_config(
+        replace(base, num_processors=num_processors, protocol=protocol)
+    )
+
+
+def _canonical_config(config: SystemConfig) -> SystemConfig:
+    """``config`` with the interconnect it does not simulate at default.
+
+    The ring engines never read ``config.bus`` and :class:`BusSystem`
+    never reads ``config.ring``, so setups differing only there are one
+    simulated machine.  Resetting the unused sub-config makes the memo,
+    the persistent store and ``result.config`` agree on that: a bus
+    curve's snooping extraction (Figure 6) reuses the snooping run the
+    tables already made, as the paper's hybrid method intends.
+    """
+    if config.protocol is Protocol.BUS:
+        return replace(config, ring=RingConfig())
+    return replace(config, bus=BusConfig())
 
 
 def _memo_key(
@@ -344,7 +361,12 @@ def run_simulation_cached(
     config: Optional[SystemConfig] = None,
     check_invariants: bool = False,
 ) -> SimulationResult:
-    """Cached :func:`run_simulation` (keyed by the full setup).
+    """Cached :func:`run_simulation` (keyed by the simulated machine).
+
+    The key is the full setup after :func:`_canonical_config` resets
+    the interconnect the protocol does not use, so a snooping run with
+    a non-default ``config.bus`` is the same entry as the default one
+    (and its ``result.config`` carries the default bus).
 
     Two layers back the memoisation:
 
@@ -412,9 +434,11 @@ def prime_simulation_cache(
 
     The parallel sweep executor uses this to make worker-produced
     results visible to subsequent :func:`run_simulation_cached` calls
-    in the parent even when the persistent store is disabled.
+    in the parent even when the persistent store is disabled.  The
+    config is canonicalised as :func:`run_simulation_cached` does, so
+    the entry is found under every config naming the same machine.
     """
-    _CACHE[_memo_key(benchmark, data_refs, config)] = result
+    _CACHE[_memo_key(benchmark, data_refs, _canonical_config(config))] = result
 
 
 def cache_counters() -> Dict[str, int]:

@@ -153,12 +153,17 @@ def result_fingerprint(
     """Stable content hash identifying one simulation setup.
 
     The hash covers the benchmark name, the per-processor trace length
-    and the *entire* config (protocol, sizes, clocks, seed ...), so two
-    setups share a key exactly when :func:`repro.core.experiment.
-    run_simulation` would produce identical results for them.  Config
+    and the *entire* config (protocol, sizes, clocks, seed ...).  Config
     scalars are normalised first (see :func:`_normalize_key_scalars`)
     so numerically identical setups share a key no matter how their
     numbers were spelled.
+
+    Two setups share a key exactly when :func:`repro.core.experiment.
+    run_simulation` would produce identical results for them only for
+    configs that :func:`repro.core.experiment.run_simulation_cached`
+    has canonicalised: it resets the interconnect the protocol does not
+    use (``bus`` for the rings, ``ring`` for the bus) before keying, so
+    the hash itself need not know which sub-config an engine reads.
     """
     setup = {
         "schema": SCHEMA_VERSION,

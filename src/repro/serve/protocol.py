@@ -19,10 +19,10 @@ Job kinds mirror the CLI's experiment families:
 **Coalescing fingerprints.**  A submission is identified by a content
 hash: for simulation-backed kinds, the :meth:`ResultStore.key_for`
 fingerprint of every underlying sweep point (the same hash that keys
-the persistent store) combined with the model-side parameters; for
-``check``, the canonical spec itself.  Two submissions share a
-fingerprint exactly when executing one can serve both -- that is the
-invariant the daemon's request coalescing rests on.
+the persistent store) combined with the model-side parameters, target
+protocol included; for ``check``, the canonical spec itself.  Two
+submissions share a fingerprint exactly when executing one can serve
+both -- that is the invariant the daemon's request coalescing rests on.
 """
 
 from __future__ import annotations
@@ -282,7 +282,10 @@ def spec_fingerprint(spec: JobSpec, store) -> str:
     fingerprint of every underlying point -- the same content hash
     that keys the persistent store, so the daemon's in-flight dedup
     and the store's at-rest dedup agree on what "the same work" means
-    -- plus the model-side parameters (cycle axis, parameter axes).
+    -- plus the model-side parameters (target protocol, cycle axis,
+    parameter axes).  The target protocol is needed because a ``bus``
+    job extracts through the same snooping point as a ``snooping`` one
+    but answers with the bus model.
     ``use_grid`` is deliberately excluded: the grid and scalar solvers
     are proven bit-identical, so requests differing only in solver
     coalesce.  ``check`` jobs hash their canonical spec.
@@ -300,7 +303,7 @@ def spec_fingerprint(spec: JobSpec, store) -> str:
         model_params = {
             key: value
             for key, value in spec.params.items()
-            if key in ("cycles_ns", "parameters")
+            if key in ("protocol", "cycles_ns", "parameters")
         }
         setup["model"] = model_params
     canonical = json.dumps(setup, sort_keys=True, separators=(",", ":"))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from typing import List, Sequence
 
 __all__ = ["DeterministicRng", "substream_seed"]
@@ -38,23 +39,24 @@ class DeterministicRng:
     def __init__(self, seed: int, stream: int = 0) -> None:
         self.seed = seed
         self.stream = stream
-        self._random = random.Random(substream_seed(seed, stream))
+        #: The underlying generator; hot loops hoist its bound methods.
+        self.source = random.Random(substream_seed(seed, stream))
 
     def uniform(self) -> float:
         """A float in [0, 1)."""
-        return self._random.random()
+        return self.source.random()
 
     def randint(self, low: int, high: int) -> int:
         """An integer in [low, high] inclusive."""
-        return self._random.randint(low, high)
+        return self.source.randint(low, high)
 
     def bernoulli(self, probability: float) -> bool:
         """True with the given probability."""
-        return self._random.random() < probability
+        return self.source.random() < probability
 
     def choice(self, options: Sequence) -> object:
         """A uniformly random element of ``options``."""
-        return options[self._random.randrange(len(options))]
+        return options[self.source.randrange(len(options))]
 
     def geometric(self, mean: float) -> int:
         """A geometric draw with the given mean (support {1, 2, ...}).
@@ -66,21 +68,14 @@ class DeterministicRng:
         if mean <= 1.0:
             return 1
         p = 1.0 / mean
-        u = self._random.random()
+        u = self.source.random()
         draw = int(math.log1p(-u) / math.log1p(-p)) + 1
         return min(draw, 1_000_000)
 
     def zipf_index(self, size: int, weights: List[float]) -> int:
         """Index in [0, size) drawn with the given cumulative weights."""
-        u = self._random.random() * weights[-1]
-        lo, hi = 0, size - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if weights[mid] < u:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
+        u = self.source.random() * weights[-1]
+        return bisect_left(weights, u, 0, size - 1)
 
 
 def zipf_cumulative_weights(size: int, exponent: float) -> List[float]:

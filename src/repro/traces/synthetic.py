@@ -174,81 +174,6 @@ class SyntheticTraceGenerator:
         solved = (target - fixed) / spec.migratory_fraction
         return min(0.95, max(0.05, solved))
 
-    # ------------------------------------------------------------------
-    # Block selection
-    # ------------------------------------------------------------------
-    def _spread(self, logical_index: int) -> int:
-        """Map a logical shared-block index to a page-spread physical one.
-
-        Real shared data structures span many pages, so the paper's
-        random page-to-home allocation spreads even a hot working set
-        over all memory banks.  A dense logical layout would instead
-        put a whole pool on one page (one home bank would serialise
-        every miss).  Each logical block therefore gets its own page,
-        with the in-page offset varied so cache-set usage stays spread.
-        """
-        blocks_per_page = PAGE_SIZE // self.address_map.block_size
-        return logical_index * blocks_per_page + (
-            logical_index % blocks_per_page
-        )
-
-    def _pick_block(self, pool: Pool, rng: DeterministicRng, node: int) -> int:
-        if pool.name == "private":
-            index = rng.zipf_index(self.spec.private_blocks, self._zipf_private)
-            return self.address_map.private_block_address(node, index)
-        if pool.name == "migratory":
-            index = rng.zipf_index(self._migratory_blocks, self._zipf_migratory)
-            return self.address_map.shared_block_address(self._spread(index))
-        if pool.name == "partitioned":
-            owner = node
-            if rng.bernoulli(self.spec.partition_stray_probability):
-                owner = rng.randint(0, self.spec.processors - 1)
-            index = (
-                self._migratory_blocks
-                + owner * self._partition_size
-                + rng.randint(0, self._partition_size - 1)
-            )
-            return self.address_map.shared_block_address(self._spread(index))
-        index = rng.zipf_index(self._read_mostly_size, self._zipf_read_mostly)
-        return self.address_map.shared_block_address(
-            self._spread(self._read_mostly_base + index)
-        )
-
-    def _pick_pool(self, emitted_by_pool: "dict[str, int]", emitted: int) -> Pool:
-        """Deficit-stratified pool selection.
-
-        The next episode goes to the pool whose realised reference
-        share lags its target the most.  Randomness stays in the run
-        lengths and block choices; stratifying the pool sequence keeps
-        the reference mix tight even in short traces (a purely random
-        choice needs ~10x more references to converge because private
-        episodes are few and hundreds of references long).
-        """
-        return max(
-            self.pools,
-            key=lambda pool: pool.ref_fraction * emitted
-            - emitted_by_pool[pool.name],
-        )
-
-    @staticmethod
-    def _run_length(pool: Pool, rng: DeterministicRng) -> int:
-        """Episode length draw with the pool's mean.
-
-        Short (shared) runs are geometric -- their dispersion *is* the
-        miss-rate mechanism.  Long private runs use a bounded uniform
-        draw around the mean instead: a geometric with mean 500 has a
-        standard deviation of 500, which makes the realised pool mix of
-        a finite trace far too noisy, while locality behaviour is
-        insensitive to the run-length tail at scales far beyond the
-        miss-rate scale.
-        """
-        mean = pool.run_mean
-        if mean <= 50.0:
-            return rng.geometric(mean)
-        low = max(1, int(mean / 2))
-        high = max(low, int(3 * mean / 2))
-        return rng.randint(low, high)
-
     def _burst_length(
         self, run: int, write_fraction: float, rng: DeterministicRng
     ) -> int:
@@ -281,21 +206,105 @@ class SyntheticTraceGenerator:
     # Stream generation
     # ------------------------------------------------------------------
     def stream(self, node: int, data_refs: int) -> Iterator[TraceRecord]:
-        """The trace for processor ``node``: ``data_refs`` records."""
+        """The trace for processor ``node``: ``data_refs`` records.
+
+        One loop, with every draw inlined on the bound methods of the
+        node's generator.  Each inlined draw consumes that generator
+        exactly as the :class:`DeterministicRng` call it stands for:
+        ``randint(low, high)`` is ``low + randrange(high - low + 1)``,
+        and the word offset repeats CPython's ``getrandbits`` rejection
+        loop for ``randint(0, word_slots - 1)``.
+        """
         if not 0 <= node < self.spec.processors:
             raise ValueError(f"node {node} out of range")
         spec = self.spec
+        amap = self.address_map
         rng = DeterministicRng(self.seed, stream=node)
-        block_size = self.address_map.block_size
+        random = rng.source.random
+        randrange = rng.source.randrange
+        getrandbits = rng.source.getrandbits
+        geometric = rng.geometric
+        zipf_index = rng.zipf_index
+        new_record = tuple.__new__
+        block_size = amap.block_size
         word_slots = max(1, block_size // 4)
+        word_bits = word_slots.bit_length()
+        # Validates the whole private region once, not per episode.
+        amap.private_block_address(node, spec.private_blocks - 1)
+        private_base = amap.private_block_address(node, 0)
+        shared_base = amap.shared_block_address(0)
+        # Real shared data structures span many pages, so the paper's
+        # random page-to-home allocation spreads even a hot working set
+        # over all memory banks.  A dense logical layout would instead
+        # put a whole pool on one page (one home bank would serialise
+        # every miss).  Each logical shared block therefore gets its
+        # own page, with the in-page offset varied so cache-set usage
+        # stays spread.
+        blocks_per_page = PAGE_SIZE // block_size
+        stray = spec.partition_stray_probability
+        instr_per_data = spec.instr_per_data
+        # Deficit-stratified pool selection: the next episode goes to
+        # the pool whose realised reference share lags its target the
+        # most.  Randomness stays in the run lengths and block choices;
+        # stratifying the pool sequence keeps the reference mix tight
+        # even in short traces (a purely random choice needs ~10x more
+        # references to converge because private episodes are few and
+        # hundreds of references long).
+        pools = self.pools
+        fractions = [pool.ref_fraction for pool in pools]
+        emitted_by_pool = [0] * len(fractions)
         instr_carry = 0.0
         emitted = 0
-        emitted_by_pool = {pool.name: 0 for pool in self.pools}
         while emitted < data_refs:
-            pool = self._pick_pool(emitted_by_pool, emitted + 1)
-            base = self._pick_block(pool, rng, node)
-            run = min(self._run_length(pool, rng), data_refs - emitted)
-            if pool.name == "migratory":
+            target = emitted + 1
+            deficits = [
+                fraction * target - count
+                for fraction, count in zip(fractions, emitted_by_pool)
+            ]
+            which = deficits.index(max(deficits))
+            pool = pools[which]
+            if pool.name == "private":
+                index = zipf_index(spec.private_blocks, self._zipf_private)
+                base = private_base + index * block_size
+            else:
+                if pool.name == "migratory":
+                    index = zipf_index(
+                        self._migratory_blocks, self._zipf_migratory
+                    )
+                elif pool.name == "partitioned":
+                    owner = node
+                    if random() < stray:
+                        owner = randrange(spec.processors)
+                    index = (
+                        self._migratory_blocks
+                        + owner * self._partition_size
+                        + randrange(self._partition_size)
+                    )
+                else:
+                    index = self._read_mostly_base + zipf_index(
+                        self._read_mostly_size, self._zipf_read_mostly
+                    )
+                base = shared_base + block_size * (
+                    index * blocks_per_page + index % blocks_per_page
+                )
+            # Episode lengths have the pool's mean.  Short (shared) runs
+            # are geometric -- their dispersion *is* the miss-rate
+            # mechanism.  Long private runs use a bounded uniform draw
+            # around the mean instead: a geometric with mean 500 has a
+            # standard deviation of 500, which makes the realised pool
+            # mix of a finite trace far too noisy, while locality
+            # behaviour is insensitive to the run-length tail at scales
+            # far beyond the miss-rate scale.
+            mean = pool.run_mean
+            if mean <= 50.0:
+                run = geometric(mean)
+            else:
+                low = max(1, int(mean / 2))
+                run = low + randrange(max(low, int(3 * mean / 2)) - low + 1)
+            run = min(run, data_refs - emitted)
+            write_fraction = pool.write_fraction
+            migratory = pool.name == "migratory"
+            if migratory:
                 # Migratory data follows the textbook read-modify-write
                 # pattern: a read run ending in a write burst.  This
                 # preserves the pool's write fraction while making an
@@ -303,34 +312,27 @@ class SyntheticTraceGenerator:
                 # copies -- the structure behind the paper's Table 1
                 # ("most invalidations need the multicast round") and
                 # Figure 5 dirty-miss shares.
-                writes = self._burst_length(run, pool.write_fraction, rng)
-            else:
-                writes = 0
+                first_write = run - self._burst_length(
+                    run, write_fraction, rng
+                )
             for position in range(run):
-                instr_carry += spec.instr_per_data
+                instr_carry += instr_per_data
                 instr_before = int(instr_carry)
                 instr_carry -= instr_before
-                if pool.name == "migratory":
-                    is_write = position >= run - writes
+                if migratory:
+                    is_write = position >= first_write
                 else:
-                    is_write = rng.bernoulli(pool.write_fraction)
+                    is_write = random() < write_fraction
                 # The word offset varies within the block so the stream
                 # looks like real addresses, not block ids.
-                offset = rng.randint(0, word_slots - 1) * 4
-                yield TraceRecord(
-                    instr_before=instr_before,
-                    address=base + offset,
-                    is_write=is_write,
+                word = getrandbits(word_bits)
+                while word >= word_slots:
+                    word = getrandbits(word_bits)
+                yield new_record(
+                    TraceRecord, (instr_before, base + word * 4, is_write)
                 )
-                emitted += 1
-                emitted_by_pool[pool.name] += 1
-
-    def streams(self, data_refs: int) -> List[Iterator[TraceRecord]]:
-        """One stream per processor."""
-        return [
-            self.stream(node, data_refs)
-            for node in range(self.spec.processors)
-        ]
+            emitted += run
+            emitted_by_pool[which] += run
 
 
 def generate_trace(

@@ -1,13 +1,17 @@
 """Integration tests for the simulation driver."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.config import Protocol, SystemConfig
 from repro.core.experiment import (
+    cache_counters,
     clear_simulation_cache,
     run_simulation,
     run_simulation_cached,
 )
+from repro.core.parallel import SweepPoint, execute_points
 from repro.core.metrics import MissClass
 
 REFS = 1_500  # small but non-trivial traces for integration checks
@@ -103,6 +107,70 @@ def test_cached_runs_are_reused():
     )
     assert different is not first
     clear_simulation_cache()
+
+
+# ----------------------------------------------------------------------
+# A simulation's identity excludes the interconnect it does not use
+# ----------------------------------------------------------------------
+def _unused_interconnect_variant(protocol):
+    """(default config, same machine with the unused link reclocked)."""
+    default = SystemConfig(num_processors=4, protocol=protocol)
+    if protocol is Protocol.BUS:
+        return default, replace(
+            default, ring=replace(default.ring, clock_ps=4_000)
+        )
+    return default, replace(default, bus=replace(default.bus, clock_ps=10_000))
+
+
+@pytest.mark.parametrize("protocol", [Protocol.SNOOPING, Protocol.BUS])
+def test_unused_interconnect_does_not_change_the_simulation(protocol):
+    default, variant = _unused_interconnect_variant(protocol)
+    expected = run_simulation("mp3d", config=default, data_refs=500)
+    actual = run_simulation("mp3d", config=variant, data_refs=500)
+    assert actual.config == variant
+    assert replace(actual, config=default) == expected
+
+
+@pytest.mark.parametrize("protocol", [Protocol.SNOOPING, Protocol.BUS])
+def test_unused_interconnect_variants_share_one_memo_entry(
+    temp_store, protocol
+):
+    default, variant = _unused_interconnect_variant(protocol)
+    before = cache_counters()
+    first = run_simulation_cached(
+        "mp3d", 4, protocol, data_refs=500, config=default
+    )
+    second = run_simulation_cached(
+        "mp3d", 4, protocol, data_refs=500, config=variant
+    )
+    after = cache_counters()
+    assert after["misses"] - before["misses"] == 1
+    assert after["memo_hits"] - before["memo_hits"] == 1
+    assert second is first
+    assert first.config == default
+
+
+def test_parallel_sweep_primes_the_memo_for_the_canonical_machine(
+    temp_store,
+):
+    default, variant = _unused_interconnect_variant(Protocol.SNOOPING)
+    execute_points(
+        [
+            SweepPoint("mp3d", 4, Protocol.SNOOPING, 500, config=variant),
+            SweepPoint("water", 4, Protocol.SNOOPING, 500),
+        ],
+        jobs=2,
+        use_cache=False,
+    )
+    before = cache_counters()
+    for config in (variant, default):
+        run_simulation_cached(
+            "mp3d", 4, Protocol.SNOOPING, data_refs=500, config=config
+        )
+    after = cache_counters()
+    assert after["memo_hits"] - before["memo_hits"] == 2
+    assert after["misses"] - before["misses"] == 0
+    assert temp_store.entry_count() == 0
 
 
 def test_spec_object_accepted_directly():

@@ -30,7 +30,11 @@ from repro.core.config import Protocol
 from repro.core.hybrid import hybrid_sweep
 from repro.core.parallel import SweepCancelled
 from repro.serve import ServeClient, ServeDaemon, ServeError
-from repro.serve.protocol import operating_point_row
+from repro.serve.protocol import (
+    operating_point_row,
+    parse_spec,
+    spec_fingerprint,
+)
 
 REFS = 300
 SWEEP_SPEC = {
@@ -156,6 +160,39 @@ def test_different_specs_do_not_coalesce(daemon, client):
     gate.set()
     client.wait(first["job"])
     client.wait(other["job"])
+
+
+def test_bus_and_ring_jobs_on_one_extraction_do_not_coalesce(
+    temp_store, daemon, client
+):
+    # A bus sweep extracts through the same snooping point as a ring
+    # sweep but answers with the bus model: sharing one execution would
+    # hand the bus job the ring curve.
+    bus_spec = {**SWEEP_SPEC, "protocol": "bus"}
+    assert spec_fingerprint(parse_spec(bus_spec), temp_store) != (
+        spec_fingerprint(parse_spec(SWEEP_SPEC), temp_store)
+    )
+
+    real = daemon.scheduler._runners["sweep"]
+    runner, entered, gate = _gated_runner(run_real=real)
+    daemon.scheduler._runners["sweep"] = runner
+    ring = client.submit(SWEEP_SPEC)
+    assert entered.wait(timeout=30)
+    bus = client.submit(bus_spec)
+    assert bus["coalesced"] is False
+    assert bus["execution"] != ring["execution"]
+    gate.set()
+    client.wait(ring["job"])
+    client.wait(bus["job"])
+
+    ring_payload = client.result(ring["job"])
+    bus_payload = client.result(bus["job"])
+    expected = hybrid_sweep("mp3d", 4, Protocol.BUS, data_refs=REFS)
+    assert bus_payload["label"] == expected.label == "bus 50 MHz"
+    assert bus_payload["points"] == [
+        operating_point_row(point) for point in expected.points
+    ]
+    assert bus_payload["points"] != ring_payload["points"]
 
 
 # ----------------------------------------------------------------------

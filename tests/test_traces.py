@@ -1,5 +1,7 @@
 """Unit and property tests for the synthetic workload generators."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +13,7 @@ from repro.traces.benchmarks import (
     available_configurations,
     benchmark_spec,
 )
+from repro.traces.records import TraceRecord
 from repro.traces.synthetic import SyntheticTraceGenerator, generate_trace
 
 
@@ -176,3 +179,76 @@ def test_stream_always_yields_exactly_n_valid_records(refs, node, seed):
         assert record.instr_before >= 0
         assert record.address >= 0
         assert isinstance(record.is_write, bool)
+
+
+# ----------------------------------------------------------------------
+# Pinned streams
+# ----------------------------------------------------------------------
+#: Records per pinned stream.
+DIGEST_REFS = 2_000
+
+#: (benchmark, processors, seed) -> sha256 prefixes of the record
+#: streams of node 0 and of the last node, each record hashed as
+#: ``b"%d %d %d\n" % (instr_before, address, is_write)``.  Every
+#: simulation, golden and stored result follows from these streams, so
+#: a changed digest means a changed workload -- including one caused by
+#: a Python release that draws ``randint`` differently, which the
+#: generator's inlined draws would otherwise hide.
+STREAM_DIGESTS = {
+    ("cholesky", 8, 1993): ("e6865a88be686a12", "d50722d793623255"),
+    ("cholesky", 8, 7): ("499e22443560bdc5", "54d84c7812a51348"),
+    ("cholesky", 16, 1993): ("51c8a5cbc4dd13a9", "3a9ccbf4ec58b326"),
+    ("cholesky", 16, 7): ("edabf757d9d92fe1", "5a407192cf326b2f"),
+    ("cholesky", 32, 1993): ("3667c4a377055238", "fcb16ac508162acd"),
+    ("cholesky", 32, 7): ("d7d3dcff942b4f87", "75fb385ab0ed1c49"),
+    ("fft", 64, 1993): ("187cf319661eaa78", "2714e2af04da0b23"),
+    ("fft", 64, 7): ("4ff532120dce3064", "752da0b8556954f0"),
+    ("mp3d", 8, 1993): ("e2dc6760dfaa25f5", "58568fff9a420b45"),
+    ("mp3d", 8, 7): ("98011674cce64959", "16459ba01fc2c468"),
+    ("mp3d", 16, 1993): ("d13017364dfb4fb1", "91409435f2c5766f"),
+    ("mp3d", 16, 7): ("683965c9b5c47cad", "0b6ceae5dd22bd1c"),
+    ("mp3d", 32, 1993): ("09fe65ba59b9c72c", "a5234f2ae299f0da"),
+    ("mp3d", 32, 7): ("c8b4854b6b96ea9c", "6b1ebfb57087a616"),
+    ("simple", 64, 1993): ("2c7637cf8438cd4d", "c435414fe53cc11d"),
+    ("simple", 64, 7): ("7d3674b10a8ff7eb", "17c4b1a4c7e4984d"),
+    ("water", 8, 1993): ("d7821a21726337b5", "386cdb17a6bc0273"),
+    ("water", 8, 7): ("e56fc1644c234aef", "0ee328575248559b"),
+    ("water", 16, 1993): ("0b3d7b602aebbe0a", "baa6102743c24f4d"),
+    ("water", 16, 7): ("b0a1a424965a1818", "198e0d2b32b61973"),
+    ("water", 32, 1993): ("1b5ba8c8696656ff", "a01785ca51ae5505"),
+    ("water", 32, 7): ("7c6fe07938cc6279", "5f0b591a8f72ee00"),
+    ("weather", 64, 1993): ("931eb4b78b5b1919", "d46d5e01a9345df0"),
+    ("weather", 64, 7): ("a80cd37a097e20b1", "53d8718b9bbf0b23"),
+}
+
+
+def _stream_digest(name, processors, seed, node):
+    spec = benchmark_spec(name, processors)
+    amap = AddressMap(processors, 16, seed=seed)
+    digest = hashlib.sha256()
+    for record in generate_trace(spec, amap, node, DIGEST_REFS, seed=seed):
+        assert type(record) is TraceRecord
+        digest.update(
+            b"%d %d %d\n"
+            % (record.instr_before, record.address, record.is_write)
+        )
+    return digest.hexdigest()[:16]
+
+
+def test_stream_digests_cover_every_configuration():
+    assert set(STREAM_DIGESTS) == {
+        (name, processors, seed)
+        for name, processors in available_configurations()
+        for seed in (1993, 7)
+    }
+
+
+@pytest.mark.parametrize(
+    "key", sorted(STREAM_DIGESTS), ids=lambda key: "%s%d-seed%d" % key
+)
+def test_stream_digests_are_pinned(key):
+    name, processors, seed = key
+    assert (
+        _stream_digest(name, processors, seed, 0),
+        _stream_digest(name, processors, seed, processors - 1),
+    ) == STREAM_DIGESTS[key]
