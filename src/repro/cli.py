@@ -941,9 +941,9 @@ def _command_grid(args: argparse.Namespace) -> int:
         return 2
     if not grid_engine.grid_available():
         print(
-            "grid engine unavailable: NumPy is not installed "
-            "(or REPRO_NO_NUMPY is set); the scalar commands "
-            "('sweep', 'compare', 'ringbus') cover the same models",
+            "grid engine unavailable: NumPy is not installed; the "
+            "scalar commands ('sweep', 'compare', 'ringbus') cover "
+            "the same models",
             file=sys.stderr,
         )
         return 2

@@ -23,10 +23,7 @@ from typing import Optional, Sequence
 from repro.core.config import Protocol, SystemConfig
 from repro.core.experiment import DEFAULT_DATA_REFS, run_simulation_cached
 from repro.core.results import SimulationResult, SweepResult
-from repro.models.bus import BusModel
-from repro.models.ring_directory import DirectoryRingModel
-from repro.models.ring_linkedlist import LinkedListRingModel
-from repro.models.ring_snooping import SnoopingRingModel
+from repro.models import MODEL_FAMILIES, family_for_protocol
 
 __all__ = [
     "hybrid_sweep",
@@ -53,13 +50,8 @@ def model_for(config: SystemConfig, result: SimulationResult):
     which is how Figure 6 and Table 4 pair one trace characterisation
     with both interconnects.
     """
-    if config.protocol is Protocol.BUS:
-        return BusModel(config, result.inputs)
-    if config.protocol is Protocol.SNOOPING:
-        return SnoopingRingModel(config, result.inputs)
-    if config.protocol is Protocol.LINKED_LIST:
-        return LinkedListRingModel(config, result.inputs)
-    return DirectoryRingModel(config, result.inputs)
+    family = family_for_protocol(config.protocol)
+    return MODEL_FAMILIES[family](config, result.inputs)
 
 
 def _target_config(

@@ -1,14 +1,18 @@
 """Analytical models: the fast half of the hybrid methodology.
 
-The scalar models below import eagerly and stay dependency-free.  The
-vectorized grid engine (``repro.models.grid``) needs NumPy, so its
-names are re-exported lazily via module ``__getattr__`` -- importing
-``repro.models`` never pulls in NumPy.
+Each model family's equations are written once (in its own module,
+over floats or NumPy arrays -- see :mod:`repro.models.base`); the
+scalar models below solve them point by point, the vectorized grid
+engine (``repro.models.grid``) a whole design grid at once.  The
+scalar models import eagerly and stay dependency-free.  The grid
+engine needs NumPy, so its names are re-exported lazily via module
+``__getattr__`` -- importing ``repro.models`` never pulls in NumPy.
 """
 
 from repro.models.base import (
     FixedPointDiverged,
     LatencyBreakdown,
+    family_for_protocol,
     md1_wait,
     mm1_wait,
     slot_wait,
@@ -23,7 +27,6 @@ from repro.models.register_insertion import (
     register_insertion_access_ps,
     slotted_access_ps,
 )
-from repro.models.ring_common import RingContention, compute_contention
 from repro.models.ring_directory import DIRECTORY_SHARED_CLASSES, DirectoryRingModel
 from repro.models.ring_linkedlist import LinkedListRingModel
 from repro.models.ring_snooping import SNOOPING_SHARED_CLASSES, SnoopingRingModel
@@ -35,9 +38,23 @@ from repro.models.snoop_rate import (
     snoop_rate_table,
 )
 
+#: Model family name -> its scalar model class; ``family_for_protocol``
+#: picks the family for a protocol.
+MODEL_FAMILIES = {
+    model.family: model
+    for model in (
+        BusModel,
+        SnoopingRingModel,
+        DirectoryRingModel,
+        LinkedListRingModel,
+    )
+}
+
 __all__ = [
     "FixedPointDiverged",
     "LatencyBreakdown",
+    "MODEL_FAMILIES",
+    "family_for_protocol",
     "md1_wait",
     "mm1_wait",
     "slot_wait",
@@ -50,8 +67,6 @@ __all__ = [
     "crossover_utilization",
     "register_insertion_access_ps",
     "slotted_access_ps",
-    "RingContention",
-    "compute_contention",
     "DIRECTORY_SHARED_CLASSES",
     "DirectoryRingModel",
     "LinkedListRingModel",

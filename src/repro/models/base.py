@@ -6,31 +6,56 @@ latencies gives an estimate of execution time, which gives new event
 rates, which give new contention estimates and therefore new
 latencies, iterating until convergence.
 
-Every model here implements one function: given the per-instruction
-event frequencies extracted from a simulation and a candidate *time
-per instruction*, produce the latency each event class would see under
-the implied load.  The fixed point of
+Every model family writes its equations once, as two functions over a
+flat *field row* (:func:`config_row`): ``frequencies(a)`` gives the
+per-instruction event frequencies in solver order, and
+``latencies(a, T, xp)`` gives the latency each event class would see
+when every processor retires one instruction per ``T`` ps.  A row's
+values are either Python floats -- the scalar models below -- or
+NumPy arrays, one lane per design point -- the grid engine,
+:mod:`repro.models.grid`.  ``xp`` is the array namespace the equations
+draw ``where``/``minimum``/``maximum`` from: ``numpy`` for the grid,
+:data:`SCALAR` (the same three functions over builtins) here, so the
+scalar path never imports NumPy.
+
+The fixed point of
 
     T = cycle + sum_k f_k * L_k(T)
 
-is found by damped iteration; all models converge in a handful of
-rounds because the latency terms are smooth in the offered load.
+is found by a bracketed secant iteration (:func:`solve_time_per_instruction`
+for one point, :func:`repro.models.grid.solve_grid` for a grid); all
+models converge in a handful of rounds because the latency terms are
+smooth in the offered load.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from types import SimpleNamespace
+from typing import Callable, Dict, Mapping, Optional, Sequence
+
+from repro.core.config import Protocol, SystemConfig
+from repro.core.metrics import MissClass
+from repro.core.results import ModelInputs, OperatingPoint, SweepResult
 
 __all__ = [
-    "LatencyBreakdown",
+    "CONFIG_FIELDS",
+    "DEFAULT_GUESS_PS",
     "FixedPointDiverged",
+    "FixedPointModel",
+    "LatencyBreakdown",
+    "SCALAR",
     "SOLVER_STATS",
-    "reset_solver_stats",
-    "solve_time_per_instruction",
-    "mm1_wait",
+    "config_row",
+    "converged",
+    "family_for_protocol",
+    "guarded_ratio",
     "md1_wait",
+    "mm1_wait",
+    "reset_solver_stats",
     "slot_wait",
+    "solve_time_per_instruction",
+    "weighted_latencies",
 ]
 
 
@@ -56,6 +81,17 @@ def reset_solver_stats() -> None:
         SOLVER_STATS[key] = 0
 
 
+def _where(condition, if_true, if_false):
+    return if_true if condition else if_false
+
+
+#: The array functions the model equations use, over Python floats.
+SCALAR = SimpleNamespace(where=_where, minimum=min, maximum=max)
+
+#: Default bracket seed of both solvers.
+DEFAULT_GUESS_PS = 50_000.0
+
+
 @dataclass(frozen=True)
 class LatencyBreakdown:
     """Latencies (ps) per event class plus the implied utilisations."""
@@ -72,12 +108,17 @@ class LatencyBreakdown:
 LatencyModel = Callable[[float], LatencyBreakdown]
 
 
+def converged(residual, span, time_ps, tolerance: float):
+    """The solvers' shared stopping test: the residual, or the bracket,
+    is within ``tolerance`` of the iterate (elementwise for arrays)."""
+    return (abs(residual) <= tolerance * time_ps) | (span <= tolerance * time_ps)
+
+
 def solve_time_per_instruction(
     busy_ps_per_instr: float,
     event_frequencies: Mapping[str, float],
     model: LatencyModel,
-    initial_guess_ps: float = 50_000.0,
-    damping: float = 0.5,
+    initial_guess_ps: float = DEFAULT_GUESS_PS,
     tolerance: float = 1e-6,
     max_iterations: int = 500,
 ) -> "tuple[float, LatencyBreakdown]":
@@ -102,9 +143,7 @@ def solve_time_per_instruction(
 
     ``initial_guess_ps`` seeds the bracket; sweeps warm-start it with
     the previous operating point, which tightens the initial bracket
-    and saves the doubling walk.  ``damping`` is retained for API
-    compatibility with the earlier damped-iteration solver; the
-    bracket guard supersedes it.
+    and saves the doubling walk.
     """
     def residual(time_ps: float) -> "tuple[float, LatencyBreakdown]":
         SOLVER_STATS["model_evals"] += 1
@@ -158,7 +197,7 @@ def solve_time_per_instruction(
             candidate = low + 0.5 * span
             SOLVER_STATS["bisection_steps"] += 1
         r_cand, breakdown = residual(candidate)
-        if abs(r_cand) <= tolerance * candidate or span <= tolerance * candidate:
+        if converged(r_cand, span, candidate, tolerance):
             return candidate, breakdown
         if r_cand > 0.0:
             low = candidate
@@ -170,22 +209,29 @@ def solve_time_per_instruction(
 
 
 # ----------------------------------------------------------------------
-# Queueing building blocks
+# Queueing building blocks (floats by default; pass ``xp`` for arrays)
 # ----------------------------------------------------------------------
+def _clamp(utilization, xp):
+    """Keep utilisation in [0, 0.995] so waits stay finite; the
+    fixed-point iteration interprets a near-ceiling value as
+    saturation (latency grows until demand matches capacity)."""
+    return xp.where(utilization < 0.0, 0.0, xp.minimum(utilization, 0.995))
+
+
 def mm1_wait(utilization: float, service_ps: float) -> float:
     """M/M/1 mean queueing delay (service excluded)."""
-    rho = _clamp(utilization)
+    rho = _clamp(utilization, SCALAR)
     return rho * service_ps / (1.0 - rho)
 
 
-def md1_wait(utilization: float, service_ps: float) -> float:
+def md1_wait(utilization, service_ps, xp=SCALAR):
     """M/D/1 mean queueing delay -- memory banks and bus transfers have
     deterministic service, which halves the M/M/1 wait."""
-    rho = _clamp(utilization)
+    rho = _clamp(utilization, xp)
     return rho * service_ps / (2.0 * (1.0 - rho))
 
 
-def slot_wait(utilization: float, slot_period_ps: float) -> float:
+def slot_wait(utilization, slot_period_ps, xp=SCALAR):
     """Expected wait for a free slot on the slotted ring.
 
     Slots of a type pass a node every ``slot_period_ps``; each is busy
@@ -195,14 +241,238 @@ def slot_wait(utilization: float, slot_period_ps: float) -> float:
 
         W = period/2 + period * rho / (1 - rho)
     """
-    rho = _clamp(utilization)
+    rho = _clamp(utilization, xp)
     return slot_period_ps * (0.5 + rho / (1.0 - rho))
 
 
-def _clamp(utilization: float, ceiling: float = 0.995) -> float:
-    """Keep utilisation in [0, ceiling] so waits stay finite; the
-    fixed-point iteration interprets a near-ceiling value as
-    saturation (latency grows until demand matches capacity)."""
-    if utilization < 0.0:
-        return 0.0
-    return min(utilization, ceiling)
+def guarded_ratio(numerator, denominator, predicate, xp):
+    """``numerator / denominator`` where ``predicate``, else 0.0 (the
+    denominator is never divided by where ``predicate`` is false)."""
+    return xp.where(predicate, numerator / xp.where(predicate, denominator, 1.0), 0.0)
+
+
+def weighted_latencies(latencies, weights, shared_classes, xp):
+    """Shared-miss and upgrade latency at a solved point (the figures'
+    metrics): means over ``shared_classes`` and over the ``upgrade*``
+    classes, weighted by the per-class frequencies ``weights``.  With
+    no upgrades at all, the upgrade latency is the plain mean of the
+    upgrade classes."""
+    total = sum(weights[name] for name in shared_classes)
+    weighted = sum(latencies[name] * weights[name] for name in shared_classes)
+    shared = guarded_ratio(weighted, total, total > 0.0, xp)
+
+    upgrade_names = [name for name in latencies if name.startswith("upgrade")]
+    upgrade_total = sum(weights[name] for name in upgrade_names)
+    upgrade_weighted = sum(
+        latencies[name] * weights[name] for name in upgrade_names
+    )
+    upgrade_mean = sum(latencies[name] for name in upgrade_names) / len(
+        upgrade_names
+    )
+    upgrade = xp.where(
+        upgrade_total > 0.0,
+        guarded_ratio(upgrade_weighted, upgrade_total, upgrade_total > 0.0, xp),
+        upgrade_mean,
+    )
+    return shared, upgrade
+
+
+# ----------------------------------------------------------------------
+# Field rows: one (config, inputs) pair flattened for the equations
+# ----------------------------------------------------------------------
+#: Per-configuration scalar fields (all exactly representable in
+#: float64: small ints and ps quantities far below 2**53).
+CONFIG_FIELDS = (
+    "processors",
+    "clock_ps",
+    "ring_cycles",
+    "frame_stages",
+    "probe_stages",
+    "block_stages",
+    "probe_slots",
+    "block_slots",
+    "num_frames",
+    "access_ps",
+    "cache_response_ps",
+    "lookup_ps",
+    "bus_clock_ps",
+    "bus_request_cycles",
+    "bus_reply_cycles",
+    "bus_writeback_cycles",
+    "f_private",
+    "f_local_clean",
+    "f_remote_clean",
+    "f_remote_dirty",
+    "f_dirty_one",
+    "f_two_cycle",
+    "f_upgrade_with",
+    "f_upgrade_without",
+    "f_writeback",
+    "f_sharing_writeback",
+    "f_probes",
+    "f_broadcast_probes",
+    "f_blocks",
+    "f_memory_accesses",
+    "f_forwards",
+    "mean_upgrade_traversals",
+)
+
+
+def config_row(config: SystemConfig, inputs: ModelInputs) -> Dict[str, float]:
+    """Flatten one (config, inputs) pair to the equations' field row.
+
+    Goes through ``ring_layout()``/``ring_topology()``, so degenerate
+    geometries are rejected at model-construction time.
+    """
+    layout = config.ring_layout()
+    topology = config.ring_topology()
+    f_miss = inputs.f_miss
+    return {
+        "processors": float(config.num_processors),
+        "clock_ps": float(config.ring.clock_ps),
+        "ring_cycles": float(topology.total_stages),
+        "frame_stages": float(layout.frame_stages),
+        "probe_stages": float(layout.probe_stages),
+        "block_stages": float(layout.block_stages),
+        "probe_slots": float(layout.probe_slots),
+        "block_slots": float(layout.block_slots),
+        "num_frames": float(topology.num_frames),
+        "access_ps": float(config.memory.access_ps),
+        "cache_response_ps": float(config.memory.cache_response_ps),
+        "lookup_ps": float(config.memory.directory_lookup_ps),
+        "bus_clock_ps": float(config.bus.clock_ps),
+        "bus_request_cycles": float(config.bus.request_cycles),
+        "bus_reply_cycles": float(config.bus.reply_cycles),
+        "bus_writeback_cycles": float(config.bus.writeback_cycles),
+        "f_private": f_miss.get(MissClass.PRIVATE, 0.0),
+        "f_local_clean": f_miss.get(MissClass.LOCAL_CLEAN, 0.0),
+        "f_remote_clean": f_miss.get(MissClass.REMOTE_CLEAN, 0.0),
+        "f_remote_dirty": f_miss.get(MissClass.REMOTE_DIRTY, 0.0),
+        "f_dirty_one": f_miss.get(MissClass.DIRTY_ONE_CYCLE, 0.0),
+        "f_two_cycle": f_miss.get(MissClass.TWO_CYCLE, 0.0),
+        "f_upgrade_with": inputs.f_upgrade_with_sharers,
+        "f_upgrade_without": inputs.f_upgrade_without_sharers,
+        "f_writeback": inputs.f_writeback,
+        "f_sharing_writeback": inputs.f_sharing_writeback,
+        "f_probes": inputs.f_probes,
+        "f_broadcast_probes": inputs.f_broadcast_probes,
+        "f_blocks": inputs.f_blocks,
+        "f_memory_accesses": inputs.f_memory_accesses,
+        "f_forwards": inputs.f_forwards,
+        "mean_upgrade_traversals": inputs.mean_upgrade_traversals,
+    }
+
+
+# ----------------------------------------------------------------------
+# Model families
+# ----------------------------------------------------------------------
+#: Protocol -> model family: the one table both ``core.hybrid.model_for``
+#: and the grid engine route through.
+_PROTOCOL_FAMILY = {
+    Protocol.SNOOPING: "ring_snooping",
+    Protocol.DIRECTORY: "ring_directory",
+    Protocol.LINKED_LIST: "ring_linkedlist",
+    Protocol.HIERARCHICAL: "ring_directory",
+    Protocol.BUS: "bus",
+}
+
+
+def family_for_protocol(protocol: Protocol) -> str:
+    """The model family that evaluates ``protocol``."""
+    return _PROTOCOL_FAMILY[protocol]
+
+
+class FixedPointModel:
+    """One model family's equations, solved point by point.
+
+    A family subclass names itself (``family``), its curve label
+    (``name`` plus the clock of its ``interconnect``), the miss classes
+    its shared-miss latency averages over (``shared_classes``), and its
+    equations (``frequencies``, ``latencies``).  Construction flattens
+    ``(config, inputs)`` to a field row once; every evaluation after
+    that is arithmetic on the row.
+    """
+
+    family: str
+    name: str
+    interconnect: str = "ring"
+    shared_classes: Sequence[str]
+    frequencies: Callable
+    latencies: Callable
+
+    def __init__(self, config: SystemConfig, inputs: ModelInputs) -> None:
+        self.config = config
+        self.inputs = inputs
+        self.row = config_row(config, inputs)
+        self._frequencies = dict(self.frequencies(self.row))
+
+    def breakdown(self, time_per_instruction_ps: float) -> LatencyBreakdown:
+        """Per-class latencies when every processor retires one
+        instruction per ``time_per_instruction_ps``."""
+        latencies, _, network, bank = self.latencies(
+            self.row, time_per_instruction_ps, SCALAR
+        )
+        return LatencyBreakdown(
+            latencies=latencies,
+            network_utilization=network,
+            bank_utilization=bank,
+        )
+
+    def solve(
+        self,
+        processor_cycle_ps: int,
+        initial_guess_ps: Optional[float] = None,
+    ) -> OperatingPoint:
+        """Fixed point at one processor speed.
+
+        ``initial_guess_ps`` seeds the solver bracket (sweeps pass the
+        previous operating point to warm-start the search).
+        """
+        time_ps, breakdown = solve_time_per_instruction(
+            float(processor_cycle_ps),
+            self._frequencies,
+            self.breakdown,
+            DEFAULT_GUESS_PS if initial_guess_ps is None else initial_guess_ps,
+        )
+        shared, upgrade = weighted_latencies(
+            breakdown.latencies, self._frequencies, self.shared_classes, SCALAR
+        )
+        return OperatingPoint(
+            processor_cycle_ns=processor_cycle_ps / 1000.0,
+            processor_utilization=processor_cycle_ps / time_ps,
+            network_utilization=breakdown.network_utilization,
+            shared_miss_latency_ns=shared / 1000.0,
+            upgrade_latency_ns=upgrade / 1000.0,
+            time_per_instruction_ps=time_ps,
+        )
+
+    def sweep(self, cycles_ns: Optional[Sequence[float]] = None) -> SweepResult:
+        """Model curves across processor cycle times (default 1-20 ns,
+        the paper's x-axis)."""
+        cycles = cycles_ns or [float(c) for c in range(1, 21)]
+        points = []
+        guess = None
+        for cycle_ns in cycles:
+            point = self.solve(round(cycle_ns * 1000), initial_guess_ps=guess)
+            points.append(point)
+            # Warm start: adjacent sweep points have nearby fixed
+            # points, so the previous solution seeds the next bracket.
+            guess = point.time_per_instruction_ps
+        return self.curve(self.config, self.inputs, points)
+
+    @classmethod
+    def curve(
+        cls,
+        config: SystemConfig,
+        inputs: ModelInputs,
+        points: "list[OperatingPoint]",
+    ) -> SweepResult:
+        """Package solved points as this family's curve for ``config``
+        (the scalar and the grid sweeps share this packaging)."""
+        clock_mhz = getattr(config, cls.interconnect).clock_mhz
+        return SweepResult(
+            benchmark=inputs.benchmark,
+            protocol=config.protocol,
+            label=f"{cls.name} {clock_mhz:.0f} MHz",
+            points=points,
+        )

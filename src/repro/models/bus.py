@@ -11,146 +11,72 @@ the memory or cache fetch).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from repro.models import ring_snooping
+from repro.models.base import FixedPointModel, guarded_ratio, md1_wait
 
-from repro.core.config import SystemConfig
-from repro.core.metrics import MissClass
-from repro.core.results import ModelInputs, OperatingPoint, SweepResult
-from repro.models.base import LatencyBreakdown, md1_wait, solve_time_per_instruction
-from repro.models.ring_snooping import make_operating_point
-
-__all__ = ["BusModel"]
+__all__ = ["BusModel", "latencies"]
 
 
-class BusModel:
+def latencies(a, T, xp):
+    """Per-class latencies, frequencies, bus and bank utilisation."""
+    clock = a["bus_clock_ps"]
+    processors = a["processors"]
+    rate = processors / T  # instructions per ps
+
+    # The bus sees the snooping protocol's event classes.
+    mix = ring_snooping.frequencies(a)
+    f = dict(mix)
+    remote = f["remote_clean"] + f["remote_dirty"]
+    # Bus cycles per instruction across all transaction types (misses,
+    # upgrades, write-backs, memory updates).
+    demand = (
+        remote * (a["bus_request_cycles"] + a["bus_reply_cycles"])
+        + f["local_clean"] * a["bus_request_cycles"]
+        + f["upgrade"] * a["bus_request_cycles"]
+        + (a["f_writeback"] + a["f_sharing_writeback"])
+        * a["bus_writeback_cycles"]
+    )
+    utilization = xp.minimum(1.0, demand * clock * rate)
+    # Mean bus-holding time weighted over transaction types.
+    acquisitions = (
+        2.0 * remote
+        + f["local_clean"]
+        + f["upgrade"]
+        + a["f_writeback"]
+        + a["f_sharing_writeback"]
+    )
+    mean_hold = (
+        guarded_ratio(demand, acquisitions, acquisitions != 0.0, xp) * clock
+    )
+    bus_wait = xp.where(
+        mean_hold != 0.0, md1_wait(utilization, mean_hold, xp), 0.0
+    )
+
+    access_ps = a["access_ps"]
+    per_bank_rate = a["f_memory_accesses"] * rate / processors
+    bank_utilization = xp.minimum(1.0, per_bank_rate * access_ps)
+    bank_total = access_ps + md1_wait(bank_utilization, access_ps, xp)
+
+    request = a["bus_request_cycles"] * clock
+    reply = a["bus_reply_cycles"] * clock
+    classes = {
+        "private": bank_total,
+        "local_clean": bank_total,
+        "remote_clean": bus_wait + request + bank_total + bus_wait + reply,
+        "remote_dirty": (
+            bus_wait + request + a["cache_response_ps"] + bus_wait + reply
+        ),
+        "upgrade": bus_wait + request,
+    }
+    return classes, mix, utilization, bank_utilization
+
+
+class BusModel(FixedPointModel):
     """Iterative model producing the Figure 6 bus curves."""
 
-    def __init__(self, config: SystemConfig, inputs: ModelInputs) -> None:
-        self.config = config
-        self.inputs = inputs
-
-    # ------------------------------------------------------------------
-    # Event classes and their frequencies
-    # ------------------------------------------------------------------
-    def event_frequencies(self) -> Dict[str, float]:
-        inputs = self.inputs
-        remote_dirty = (
-            inputs.f_miss.get(MissClass.REMOTE_DIRTY, 0.0)
-            + inputs.f_miss.get(MissClass.DIRTY_ONE_CYCLE, 0.0)
-            + inputs.f_miss.get(MissClass.TWO_CYCLE, 0.0)
-        )
-        return {
-            "private": inputs.f_miss.get(MissClass.PRIVATE, 0.0),
-            "local_clean": inputs.f_miss.get(MissClass.LOCAL_CLEAN, 0.0),
-            "remote_clean": inputs.f_miss.get(MissClass.REMOTE_CLEAN, 0.0),
-            "remote_dirty": remote_dirty,
-            "upgrade": inputs.f_upgrade,
-        }
-
-    # ------------------------------------------------------------------
-    # Bus demand
-    # ------------------------------------------------------------------
-    def _bus_demand_cycles_per_instr(self) -> float:
-        """Bus cycles consumed per instruction across all transaction
-        types (misses, upgrades, write-backs, memory updates)."""
-        bus = self.config.bus
-        frequencies = self.event_frequencies()
-        remote = frequencies["remote_clean"] + frequencies["remote_dirty"]
-        return (
-            remote * (bus.request_cycles + bus.reply_cycles)
-            + frequencies["local_clean"] * bus.request_cycles
-            + frequencies["upgrade"] * bus.request_cycles
-            + (self.inputs.f_writeback + self.inputs.f_sharing_writeback)
-            * bus.writeback_cycles
-        )
-
-    # ------------------------------------------------------------------
-    # Latency model
-    # ------------------------------------------------------------------
-    def breakdown(self, time_per_instruction_ps: float) -> LatencyBreakdown:
-        config = self.config
-        bus = config.bus
-        clock = bus.clock_ps
-        processors = config.num_processors
-        rate = processors / time_per_instruction_ps  # instructions per ps
-
-        utilization = min(
-            1.0, self._bus_demand_cycles_per_instr() * clock * rate
-        )
-        # Mean bus-holding time weighted over transaction types.
-        demand = self._bus_demand_cycles_per_instr()
-        frequencies = self.event_frequencies()
-        acquisitions = (
-            2.0 * (frequencies["remote_clean"] + frequencies["remote_dirty"])
-            + frequencies["local_clean"]
-            + frequencies["upgrade"]
-            + self.inputs.f_writeback
-            + self.inputs.f_sharing_writeback
-        )
-        mean_hold = demand / acquisitions * clock if acquisitions else 0.0
-        bus_wait = md1_wait(utilization, mean_hold) if mean_hold else 0.0
-
-        access_ps = config.memory.access_ps
-        per_bank_rate = self.inputs.f_memory_accesses * rate / processors
-        bank_utilization = min(1.0, per_bank_rate * access_ps)
-        bank_wait = md1_wait(bank_utilization, access_ps)
-        bank_total = access_ps + bank_wait
-
-        request = bus.request_cycles * clock
-        reply = bus.reply_cycles * clock
-        latencies = {
-            "private": bank_total,
-            "local_clean": bank_total,
-            "remote_clean": bus_wait + request + bank_total + bus_wait + reply,
-            "remote_dirty": (
-                bus_wait
-                + request
-                + config.memory.cache_response_ps
-                + bus_wait
-                + reply
-            ),
-            "upgrade": bus_wait + request,
-        }
-        return LatencyBreakdown(
-            latencies=latencies,
-            network_utilization=utilization,
-            bank_utilization=bank_utilization,
-        )
-
-    # ------------------------------------------------------------------
-    # Operating points and sweeps
-    # ------------------------------------------------------------------
-    def solve(
-        self,
-        processor_cycle_ps: int,
-        initial_guess_ps: Optional[float] = None,
-    ) -> OperatingPoint:
-        frequencies = self.event_frequencies()
-        time_ps, breakdown = solve_time_per_instruction(
-            busy_ps_per_instr=float(processor_cycle_ps),
-            event_frequencies=frequencies,
-            model=self.breakdown,
-            **(
-                {}
-                if initial_guess_ps is None
-                else {"initial_guess_ps": initial_guess_ps}
-            ),
-        )
-        return make_operating_point(
-            processor_cycle_ps, time_ps, breakdown, frequencies
-        )
-
-    def sweep(self, cycles_ns: Optional[List[float]] = None) -> SweepResult:
-        cycles = cycles_ns or [float(c) for c in range(1, 21)]
-        result = SweepResult(
-            benchmark=self.inputs.benchmark,
-            protocol=self.inputs.protocol,
-            label=f"bus {self.config.bus.clock_mhz:.0f} MHz",
-        )
-        guess = None
-        for cycle_ns in cycles:
-            point = self.solve(round(cycle_ns * 1000), initial_guess_ps=guess)
-            result.points.append(point)
-            # Warm start the next bracket from the adjacent fixed point.
-            guess = point.time_per_instruction_ps
-        return result
+    family = "bus"
+    name = "bus"
+    interconnect = "bus"
+    shared_classes = ring_snooping.SNOOPING_SHARED_CLASSES
+    frequencies = staticmethod(ring_snooping.frequencies)
+    latencies = staticmethod(latencies)

@@ -2,24 +2,24 @@
 
 The scalar solver in :mod:`repro.models.base` finds one fixed point per
 call; paper-scale surfaces (Fig 6 panels, Table 4, sensitivity sheets)
-need thousands to hundreds of thousands of them.  This module evaluates
+need thousands to hundreds of thousands of them.  This module solves
 an entire grid of configurations at once: configurations live in a
-struct-of-arrays :class:`ModelGrid`, the per-class latency formulas of
-all model families are re-expressed over NumPy arrays, and
-:func:`solve_grid` runs the same bracketed-secant iteration as the
-scalar solver with *convergence masks* -- converged points freeze,
-divergent points are isolated to NaN without poisoning their
-neighbours.
+struct-of-arrays :class:`ModelGrid` (the scalar models' field row,
+one NumPy column per field), the family's equations -- the very
+functions the scalar models evaluate, called with ``xp=numpy`` -- run
+over every lane at once, and :func:`solve_grid` runs the scalar
+solver's bracketed-secant iteration with *convergence masks* --
+converged points freeze, divergent points are isolated to NaN without
+poisoning their neighbours.
 
 Equivalence contract
 --------------------
-The scalar solver stays the reference implementation.  Every formula
-here mirrors its scalar counterpart operation-for-operation (same
-operand order, same guards, same iteration path), so elementwise IEEE
-float64 arithmetic produces *bit-identical* results: the equivalence
-suite (``tests/test_grid_models.py``) holds the grid to the scalar
-oracle within 1e-9 relative tolerance, and in practice the match is
-exact.  Two deliberate deviations, both confined to *failed* points:
+Both solvers evaluate the same equations and share the same bracket
+seed and stopping test, and the masked iteration follows the scalar
+one step for step, so elementwise IEEE float64 arithmetic produces
+*bit-identical* results (``tests/test_grid_models.py`` pins the two
+solvers together).  Two deliberate deviations, both confined to
+*failed* points:
 
 * a point whose residual is NaN at the bracket floor fails fast
   (``points_failed``) instead of stalling for the full iteration
@@ -38,49 +38,46 @@ column, each column seeded with the previous column's solved times
 configuration at once).  Failed lanes reseed from the default guess so
 a divergent point never poisons the rest of its chain.
 
-NumPy stays optional: everything here imports lazily through
-:func:`require_numpy`, and ``REPRO_NO_NUMPY=1`` forces the scalar-only
-fallback even when NumPy is installed (used by the CI leg that proves
-the fallback).  The simulation hot paths never import NumPy -- the AST
-lint in ``tests/test_obs.py`` enforces that.
+NumPy stays optional: everything here imports it lazily through
+:func:`require_numpy`, so the scalar models run without it.  The
+simulation hot paths never import NumPy -- the AST lint in
+``tests/test_obs.py`` enforces that.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.config import Protocol, SystemConfig
-from repro.core.metrics import MissClass
+from repro.core.config import SystemConfig
 from repro.core.results import ModelInputs, OperatingPoint, SweepResult
-from repro.models.ring_directory import DIRECTORY_SHARED_CLASSES
-from repro.models.ring_snooping import SNOOPING_SHARED_CLASSES
-from repro.models.register_insertion import SCI_FAIRNESS_EFFICIENCY
-from repro.ring.slots import BLOCK_HEADER_BYTES, PROBE_PAYLOAD_BYTES
+from repro.models import MODEL_FAMILIES
+from repro.models.base import (
+    CONFIG_FIELDS,
+    DEFAULT_GUESS_PS,
+    config_row,
+    converged as has_converged,
+    family_for_protocol,
+    weighted_latencies,
+)
 
 __all__ = [
     "GRID_STATS",
     "GRID_FAMILIES",
     "GridSolution",
     "ModelGrid",
-    "access_comparison_grid",
-    "crossover_utilization_grid",
     "family_for_protocol",
     "grid_available",
     "grid_sweep",
     "matching_bus_clock_grid",
-    "register_insertion_access_grid",
     "require_numpy",
     "reset_grid_stats",
-    "slotted_access_grid",
-    "snoop_interarrival_grid",
     "solve_grid",
 ]
 
-#: Default bracket seed, matching the scalar solver's default.
-_DEFAULT_GUESS_PS = 50_000.0
+#: Fixed-point model families the grid engine solves.
+GRID_FAMILIES = tuple(MODEL_FAMILIES)
 
 #: Deterministic engine counters (the grid-side ``SOLVER_STATS``).
 #: ``grid_evals`` counts whole-grid latency evaluations -- the unit of
@@ -103,31 +100,16 @@ def reset_grid_stats() -> None:
 # ----------------------------------------------------------------------
 # Lazy NumPy
 # ----------------------------------------------------------------------
-_NUMPY_CACHE: "list[Any]" = []
-
-
 def require_numpy():
-    """Return the numpy module or raise ImportError with guidance.
-
-    ``REPRO_NO_NUMPY=1`` disables the grid engine even when NumPy is
-    installed, so the scalar fallback can be exercised anywhere.  The
-    environment variable is honoured per call (tests monkeypatch it).
-    """
-    if os.environ.get("REPRO_NO_NUMPY"):
+    """Return the numpy module or raise ImportError with guidance."""
+    try:
+        import numpy
+    except ImportError as error:
         raise ImportError(
-            "the grid engine is disabled (REPRO_NO_NUMPY is set); "
-            "use the scalar models instead"
-        )
-    if not _NUMPY_CACHE:
-        try:
-            import numpy
-        except ImportError as error:  # pragma: no cover - env dependent
-            raise ImportError(
-                "repro.models.grid needs numpy; install it (pip install "
-                "numpy) or stay on the scalar models"
-            ) from error
-        _NUMPY_CACHE.append(numpy)
-    return _NUMPY_CACHE[0]
+            "repro.models.grid needs numpy; install it (pip install "
+            "numpy) or stay on the scalar models"
+        ) from error
+    return numpy
 
 
 def grid_available() -> bool:
@@ -142,90 +124,7 @@ def grid_available() -> bool:
 # ----------------------------------------------------------------------
 # Struct-of-arrays grids
 # ----------------------------------------------------------------------
-#: Per-configuration scalar fields (all exactly representable in
-#: float64: small ints and ps quantities far below 2**53).
-_CONFIG_FIELDS = (
-    "processors",
-    "clock_ps",
-    "ring_cycles",
-    "frame_stages",
-    "probe_stages",
-    "block_stages",
-    "probe_slots",
-    "block_slots",
-    "num_frames",
-    "access_ps",
-    "cache_response_ps",
-    "lookup_ps",
-    "bus_clock_ps",
-    "bus_request_cycles",
-    "bus_reply_cycles",
-    "bus_writeback_cycles",
-    "f_private",
-    "f_local_clean",
-    "f_remote_clean",
-    "f_remote_dirty",
-    "f_dirty_one",
-    "f_two_cycle",
-    "f_upgrade_with",
-    "f_upgrade_without",
-    "f_writeback",
-    "f_sharing_writeback",
-    "f_probes",
-    "f_broadcast_probes",
-    "f_blocks",
-    "f_memory_accesses",
-    "f_forwards",
-    "mean_upgrade_traversals",
-)
-
-_FIELDS = ("busy_ps",) + _CONFIG_FIELDS
-
-
-def _config_row(config: SystemConfig, inputs: ModelInputs) -> Dict[str, float]:
-    """Flatten one (config, inputs) pair to the grid's field schema.
-
-    Goes through ``ring_layout()``/``ring_topology()`` so degenerate
-    geometries are rejected exactly where the scalar models reject
-    them (at model-construction time).
-    """
-    layout = config.ring_layout()
-    topology = config.ring_topology()
-    f_miss = inputs.f_miss
-    return {
-        "processors": float(config.num_processors),
-        "clock_ps": float(config.ring.clock_ps),
-        "ring_cycles": float(topology.total_stages),
-        "frame_stages": float(layout.frame_stages),
-        "probe_stages": float(layout.probe_stages),
-        "block_stages": float(layout.block_stages),
-        "probe_slots": float(layout.probe_slots),
-        "block_slots": float(layout.block_slots),
-        "num_frames": float(topology.num_frames),
-        "access_ps": float(config.memory.access_ps),
-        "cache_response_ps": float(config.memory.cache_response_ps),
-        "lookup_ps": float(config.memory.directory_lookup_ps),
-        "bus_clock_ps": float(config.bus.clock_ps),
-        "bus_request_cycles": float(config.bus.request_cycles),
-        "bus_reply_cycles": float(config.bus.reply_cycles),
-        "bus_writeback_cycles": float(config.bus.writeback_cycles),
-        "f_private": f_miss.get(MissClass.PRIVATE, 0.0),
-        "f_local_clean": f_miss.get(MissClass.LOCAL_CLEAN, 0.0),
-        "f_remote_clean": f_miss.get(MissClass.REMOTE_CLEAN, 0.0),
-        "f_remote_dirty": f_miss.get(MissClass.REMOTE_DIRTY, 0.0),
-        "f_dirty_one": f_miss.get(MissClass.DIRTY_ONE_CYCLE, 0.0),
-        "f_two_cycle": f_miss.get(MissClass.TWO_CYCLE, 0.0),
-        "f_upgrade_with": inputs.f_upgrade_with_sharers,
-        "f_upgrade_without": inputs.f_upgrade_without_sharers,
-        "f_writeback": inputs.f_writeback,
-        "f_sharing_writeback": inputs.f_sharing_writeback,
-        "f_probes": inputs.f_probes,
-        "f_broadcast_probes": inputs.f_broadcast_probes,
-        "f_blocks": inputs.f_blocks,
-        "f_memory_accesses": inputs.f_memory_accesses,
-        "f_forwards": inputs.f_forwards,
-        "mean_upgrade_traversals": inputs.mean_upgrade_traversals,
-    }
+_FIELDS = ("busy_ps",) + CONFIG_FIELDS
 
 
 @dataclass
@@ -263,7 +162,7 @@ class ModelGrid:
             raise ValueError("empty grid")
         rows = []
         for config, inputs, cycle_ps in points:
-            row = _config_row(config, inputs)
+            row = config_row(config, inputs)
             row["busy_ps"] = float(cycle_ps)
             rows.append(row)
         arrays = {
@@ -308,7 +207,7 @@ class ModelGrid:
                 for name, value in zip(names, combo):
                     variant = apply_parameter(variant, name, value)
                 configs.append(variant)
-        rows = [_config_row(variant, inputs) for variant in configs]
+        rows = [config_row(variant, inputs) for variant in configs]
         n_cycles = len(cycles)
         # Same quantisation as the scalar sweep(): round(cycle_ns*1000).
         busy = np.array(
@@ -320,7 +219,7 @@ class ModelGrid:
                 np.array([row[name] for row in rows], dtype=np.float64),
                 n_cycles,
             )
-            for name in _CONFIG_FIELDS
+            for name in CONFIG_FIELDS
         }
         arrays["busy_ps"] = np.tile(busy, len(rows))
         return cls(
@@ -328,323 +227,8 @@ class ModelGrid:
         )
 
 
-# ----------------------------------------------------------------------
-# Queueing building blocks (array mirrors of models/base.py)
-# ----------------------------------------------------------------------
-def _clamp(utilization):
-    np = require_numpy()
-    return np.where(
-        utilization < 0.0, 0.0, np.minimum(utilization, 0.995)
-    )
-
-
-def _md1_wait(utilization, service_ps):
-    rho = _clamp(utilization)
-    return rho * service_ps / (2.0 * (1.0 - rho))
-
-
-def _slot_wait(utilization, slot_period_ps):
-    rho = _clamp(utilization)
-    return slot_period_ps * (0.5 + rho / (1.0 - rho))
-
-
-def _ordered_sum(terms: Iterable[Any]):
-    """Left-to-right accumulation, exactly like builtin sum()."""
-    acc: Any = 0.0
-    for term in terms:
-        acc = acc + term
-    return acc
-
-
-def _guarded_ratio(numerator, denominator, predicate):
-    """``numerator / denominator`` where ``predicate``, else 0.0 --
-    the array form of the scalar models' division guards."""
-    np = require_numpy()
-    return np.where(
-        predicate,
-        numerator / np.where(predicate, denominator, 1.0),
-        0.0,
-    )
-
-
-# ----------------------------------------------------------------------
-# Per-family latency evaluators
-# ----------------------------------------------------------------------
-def _contention(a, T):
-    """Array mirror of ring_common.compute_contention."""
-    np = require_numpy()
-    clock = a["clock_ps"]
-    ring_cycles = a["ring_cycles"]
-    processors = a["processors"]
-    rate = processors / T
-
-    f_probes = a["f_probes"]
-    probe_rate = f_probes * rate
-    has_probes = f_probes > 0.0
-    broadcast_share = np.where(
-        has_probes,
-        np.minimum(
-            1.0, a["f_broadcast_probes"] / np.where(has_probes, f_probes, 1.0)
-        ),
-        0.0,
-    )
-    mean_probe_occupancy = (
-        broadcast_share * ring_cycles
-        + (1.0 - broadcast_share) * ring_cycles / 2.0
-    ) * clock
-    probe_slots = a["num_frames"] * a["probe_slots"]
-    probe_utilization = np.minimum(
-        1.0, probe_rate * mean_probe_occupancy / probe_slots
-    )
-    probe_period = a["frame_stages"] * clock / (a["probe_slots"] / 2)
-    probe_wait = _slot_wait(probe_utilization, probe_period)
-
-    block_rate = a["f_blocks"] * rate
-    mean_block_occupancy = (ring_cycles / 2.0) * clock
-    block_slots = a["num_frames"] * a["block_slots"]
-    block_utilization = np.minimum(
-        1.0, block_rate * mean_block_occupancy / block_slots
-    )
-    block_period = a["frame_stages"] * clock / a["block_slots"]
-    block_wait = _slot_wait(block_utilization, block_period)
-
-    access_ps = a["access_ps"]
-    per_bank_rate = a["f_memory_accesses"] * rate / processors
-    bank_utilization = np.minimum(1.0, per_bank_rate * access_ps)
-    bank_wait = _md1_wait(bank_utilization, access_ps)
-
-    probe_weight = a["probe_slots"] * a["probe_stages"]
-    block_weight = a["block_slots"] * a["block_stages"]
-    total_weight = probe_weight + block_weight
-    ring_utilization = (
-        probe_utilization * probe_weight + block_utilization * block_weight
-    ) / total_weight
-    return {
-        "probe_wait": probe_wait,
-        "block_wait": block_wait,
-        "bank_wait": bank_wait,
-        "bank_utilization": bank_utilization,
-        "ring_utilization": ring_utilization,
-    }
-
-
-def _eval_ring_snooping(a, T):
-    c = _contention(a, T)
-    clock = a["clock_ps"]
-    ring_ps = a["ring_cycles"] * clock
-    probe_drain = a["probe_stages"] * clock
-    block_drain = a["block_stages"] * clock
-    frame_ps = a["frame_stages"] * clock
-    bank_total = a["access_ps"] + c["bank_wait"]
-
-    remote_base = (
-        c["probe_wait"] + probe_drain + ring_ps + c["block_wait"] + block_drain
-    )
-    latencies = {
-        "private": bank_total,
-        "local_clean": bank_total,
-        "remote_clean": remote_base + bank_total,
-        "remote_dirty": remote_base + a["cache_response_ps"],
-        "upgrade": c["probe_wait"] + ring_ps + frame_ps + probe_drain,
-    }
-    frequencies = [
-        ("private", a["f_private"]),
-        ("local_clean", a["f_local_clean"]),
-        ("remote_clean", a["f_remote_clean"]),
-        ("remote_dirty", a["f_remote_dirty"] + a["f_dirty_one"] + a["f_two_cycle"]),
-        ("upgrade", a["f_upgrade_with"] + a["f_upgrade_without"]),
-    ]
-    return latencies, frequencies, c["ring_utilization"], c["bank_utilization"]
-
-
-def _eval_ring_directory(a, T):
-    c = _contention(a, T)
-    clock = a["clock_ps"]
-    ring_ps = a["ring_cycles"] * clock
-    probe_drain = a["probe_stages"] * clock
-    block_drain = a["block_stages"] * clock
-    bank_total = a["access_ps"] + c["bank_wait"]
-    lookup = a["lookup_ps"]
-    cache_response = a["cache_response_ps"]
-    probe_wait = c["probe_wait"]
-    block_wait = c["block_wait"]
-
-    clean_one = (
-        probe_wait
-        + probe_drain
-        + lookup
-        + bank_total
-        + block_wait
-        + block_drain
-        + ring_ps
-    )
-    dirty_one = (
-        2.0 * probe_wait
-        + 2.0 * probe_drain
-        + lookup
-        + cache_response
-        + block_wait
-        + block_drain
-        + ring_ps
-    )
-    response_mix = (cache_response + bank_total) / 2.0
-    two_cycle = (
-        2.0 * probe_wait
-        + 2.0 * probe_drain
-        + lookup
-        + response_mix
-        + block_wait
-        + block_drain
-        + 2.0 * ring_ps
-    )
-    upgrade_without = 2.0 * probe_wait + 2.0 * probe_drain + lookup + ring_ps
-    upgrade_with = upgrade_without + probe_wait + ring_ps
-
-    latencies = {
-        "private": bank_total,
-        "local_clean": bank_total,
-        "remote_clean": clean_one,
-        "dirty_one_cycle": dirty_one,
-        "two_cycle": two_cycle,
-        "upgrade_without": upgrade_without,
-        "upgrade_with": upgrade_with,
-    }
-    frequencies = [
-        ("private", a["f_private"]),
-        ("local_clean", a["f_local_clean"]),
-        ("remote_clean", a["f_remote_clean"]),
-        ("dirty_one_cycle", a["f_dirty_one"] + a["f_remote_dirty"]),
-        ("two_cycle", a["f_two_cycle"]),
-        ("upgrade_without", a["f_upgrade_without"]),
-        ("upgrade_with", a["f_upgrade_with"]),
-    ]
-    return latencies, frequencies, c["ring_utilization"], c["bank_utilization"]
-
-
-def _eval_ring_linkedlist(a, T):
-    np = require_numpy()
-    latencies, frequencies, net, bank = _eval_ring_directory(a, T)
-    c = _contention(a, T)
-    clock = a["clock_ps"]
-    probe_step = c["probe_wait"] + a["probe_stages"] * clock
-    ring_ps = a["ring_cycles"] * clock
-
-    f_clean = a["f_remote_clean"]
-    f_dirtyish = a["f_dirty_one"] + a["f_two_cycle"]
-    clean_forwards = np.maximum(0.0, a["f_forwards"] - f_dirtyish)
-    forward_share = np.where(
-        f_clean > 0.0,
-        np.minimum(
-            1.0, clean_forwards / np.where(f_clean > 0.0, f_clean, 1.0)
-        ),
-        0.0,
-    )
-    bank_total = a["access_ps"] + c["bank_wait"]
-    response_delta = a["cache_response_ps"] - bank_total
-    latencies = dict(latencies)
-    latencies["remote_clean"] = latencies["remote_clean"] + (
-        forward_share * (probe_step + response_delta)
-    )
-
-    traversals = np.maximum(1.0, a["mean_upgrade_traversals"])
-    purge = (traversals - 1.0) * (probe_step + ring_ps)
-    latencies["upgrade_with"] = (
-        latencies["upgrade_without"] + probe_step + purge + ring_ps
-    )
-    return latencies, frequencies, net, bank
-
-
-def _eval_bus(a, T):
-    np = require_numpy()
-    clock = a["bus_clock_ps"]
-    processors = a["processors"]
-    rate = processors / T
-
-    f_remote_clean = a["f_remote_clean"]
-    f_remote_dirty = a["f_remote_dirty"] + a["f_dirty_one"] + a["f_two_cycle"]
-    f_local_clean = a["f_local_clean"]
-    f_upgrade = a["f_upgrade_with"] + a["f_upgrade_without"]
-    remote = f_remote_clean + f_remote_dirty
-    demand = (
-        remote * (a["bus_request_cycles"] + a["bus_reply_cycles"])
-        + f_local_clean * a["bus_request_cycles"]
-        + f_upgrade * a["bus_request_cycles"]
-        + (a["f_writeback"] + a["f_sharing_writeback"])
-        * a["bus_writeback_cycles"]
-    )
-    utilization = np.minimum(1.0, demand * clock * rate)
-    acquisitions = (
-        2.0 * (f_remote_clean + f_remote_dirty)
-        + f_local_clean
-        + f_upgrade
-        + a["f_writeback"]
-        + a["f_sharing_writeback"]
-    )
-    has_acquisitions = acquisitions != 0.0
-    mean_hold = np.where(
-        has_acquisitions,
-        demand / np.where(has_acquisitions, acquisitions, 1.0) * clock,
-        0.0,
-    )
-    bus_wait = np.where(
-        mean_hold != 0.0, _md1_wait(utilization, mean_hold), 0.0
-    )
-
-    access_ps = a["access_ps"]
-    per_bank_rate = a["f_memory_accesses"] * rate / processors
-    bank_utilization = np.minimum(1.0, per_bank_rate * access_ps)
-    bank_wait = _md1_wait(bank_utilization, access_ps)
-    bank_total = access_ps + bank_wait
-
-    request = a["bus_request_cycles"] * clock
-    reply = a["bus_reply_cycles"] * clock
-    latencies = {
-        "private": bank_total,
-        "local_clean": bank_total,
-        "remote_clean": bus_wait + request + bank_total + bus_wait + reply,
-        "remote_dirty": (
-            bus_wait + request + a["cache_response_ps"] + bus_wait + reply
-        ),
-        "upgrade": bus_wait + request,
-    }
-    frequencies = [
-        ("private", a["f_private"]),
-        ("local_clean", f_local_clean),
-        ("remote_clean", f_remote_clean),
-        ("remote_dirty", f_remote_dirty),
-        ("upgrade", f_upgrade),
-    ]
-    return latencies, frequencies, utilization, bank_utilization
-
-
-_EVALUATORS = {
-    "bus": _eval_bus,
-    "ring_snooping": _eval_ring_snooping,
-    "ring_directory": _eval_ring_directory,
-    "ring_linkedlist": _eval_ring_linkedlist,
-}
-
-#: Fixed-point model families the grid engine solves.  (The fifth
-#: family, register insertion, is closed-form: see
-#: :func:`register_insertion_access_grid` and friends.)
-GRID_FAMILIES = ("bus", "ring_snooping", "ring_directory", "ring_linkedlist")
-
-_PROTOCOL_FAMILY = {
-    Protocol.SNOOPING: "ring_snooping",
-    Protocol.DIRECTORY: "ring_directory",
-    Protocol.LINKED_LIST: "ring_linkedlist",
-    Protocol.HIERARCHICAL: "ring_directory",
-    Protocol.BUS: "bus",
-}
-
-
-def family_for_protocol(protocol: Protocol) -> str:
-    """Grid family matching ``core.hybrid.model_for``'s model choice."""
-    return _PROTOCOL_FAMILY[protocol]
-
-
 def _check_family(family: str) -> None:
-    if family not in _EVALUATORS:
+    if family not in MODEL_FAMILIES:
         raise ValueError(
             f"unknown model family {family!r}; pick one of {GRID_FAMILIES}"
         )
@@ -671,8 +255,8 @@ def _solve_flat(evaluate, arrays, guess, tolerance, max_iterations):
     def residual(T):
         GRID_STATS["grid_evals"] += 1
         with np.errstate(all="ignore"):
-            latencies, freq_pairs, _, _ = evaluate(arrays, T)
-            implied = busy + _ordered_sum(
+            latencies, freq_pairs, _, _ = evaluate(arrays, T, np)
+            implied = busy + sum(
                 frequency * latencies[name] for name, frequency in freq_pairs
             )
             return implied - T, implied
@@ -697,7 +281,7 @@ def _solve_flat(evaluate, arrays, guess, tolerance, max_iterations):
     solving = ~(idle | broken)
 
     if guess is None:
-        guess = np.full(n, _DEFAULT_GUESS_PS)
+        guess = np.full(n, DEFAULT_GUESS_PS)
     high = np.maximum(guess, 2.0 * low)
     with np.errstate(all="ignore"):
         r_high, _ = residual(np.where(solving, high, 1.0))
@@ -741,10 +325,7 @@ def _solve_flat(evaluate, arrays, guess, tolerance, max_iterations):
             candidate = np.where(inside, candidate, low + 0.5 * span)
         r_cand, _ = residual(np.where(solving, candidate, 1.0))
         with np.errstate(all="ignore"):
-            done = solving & (
-                (np.abs(r_cand) <= tolerance * candidate)
-                | (span <= tolerance * candidate)
-            )
+            done = solving & has_converged(r_cand, span, candidate, tolerance)
             time = np.where(done, candidate, time)
             converged = converged | done
             solving = solving & ~done
@@ -831,42 +412,6 @@ class GridSolution:
         return [self.operating_point(index) for index in range(self.size)]
 
 
-def _weighted_latencies(family, latencies, freq_pairs):
-    """Array mirror of ring_snooping.make_operating_point's shared and
-    upgrade latency averaging."""
-    np = require_numpy()
-    freq_map = dict(freq_pairs)
-    shared_names = (
-        DIRECTORY_SHARED_CLASSES
-        if family in ("ring_directory", "ring_linkedlist")
-        else SNOOPING_SHARED_CLASSES
-    )
-    total = _ordered_sum(freq_map.get(name, 0.0) for name in shared_names)
-    weighted = _ordered_sum(
-        latencies[name] * freq_map.get(name, 0.0) for name in shared_names
-    )
-    shared = _guarded_ratio(weighted, total, total > 0.0)
-
-    upgrade_names = [
-        name for name in latencies if name.startswith("upgrade")
-    ]
-    upgrade_total = _ordered_sum(
-        freq_map.get(name, 0.0) for name in upgrade_names
-    )
-    upgrade_weighted = _ordered_sum(
-        latencies[name] * freq_map.get(name, 0.0) for name in upgrade_names
-    )
-    upgrade_mean = _ordered_sum(
-        latencies[name] for name in upgrade_names
-    ) / len(upgrade_names)
-    upgrade = np.where(
-        upgrade_total > 0.0,
-        _guarded_ratio(upgrade_weighted, upgrade_total, upgrade_total > 0.0),
-        upgrade_mean,
-    )
-    return shared, upgrade
-
-
 def solve_grid(
     grid: ModelGrid,
     initial_guess_ps=None,
@@ -883,7 +428,8 @@ def solve_grid(
     """
     np = require_numpy()
     GRID_STATS["grid_solves"] += 1
-    evaluate = _EVALUATORS[grid.family]
+    model = MODEL_FAMILIES[grid.family]
+    evaluate = model.latencies
     arrays = grid.arrays
     n = grid.size
 
@@ -903,7 +449,7 @@ def solve_grid(
             time[lanes] = t
             converged[lanes] = c
             failed[lanes] = f
-            guess = np.where(np.isfinite(t), t, _DEFAULT_GUESS_PS)
+            guess = np.where(np.isfinite(t), t, DEFAULT_GUESS_PS)
     else:
         guess = None
         if initial_guess_ps is not None:
@@ -924,9 +470,9 @@ def solve_grid(
     # returns model(T) evaluated at the T it returns.
     safe_time = np.where(np.isfinite(time) & (time > 0.0), time, 1.0)
     with np.errstate(all="ignore"):
-        latencies, freq_pairs, network, bank = evaluate(arrays, safe_time)
-        shared, upgrade = _weighted_latencies(
-            grid.family, latencies, freq_pairs
+        latencies, freq_pairs, network, bank = evaluate(arrays, safe_time, np)
+        shared, upgrade = weighted_latencies(
+            latencies, dict(freq_pairs), model.shared_classes, np
         )
         nan = np.nan
         solution = GridSolution(
@@ -948,16 +494,6 @@ def solve_grid(
 # ----------------------------------------------------------------------
 # Sweep adapter (the scalar model.sweep() counterpart)
 # ----------------------------------------------------------------------
-def _label_for(family: str, config: SystemConfig) -> str:
-    if family == "bus":
-        return f"bus {config.bus.clock_mhz:.0f} MHz"
-    if family == "ring_snooping":
-        return f"snooping ring {config.ring.clock_mhz:.0f} MHz"
-    if family == "ring_linkedlist":
-        return f"linked-list ring {config.ring.clock_mhz:.0f} MHz"
-    return f"directory ring {config.ring.clock_mhz:.0f} MHz"
-
-
 def grid_sweep(
     config: SystemConfig,
     inputs: ModelInputs,
@@ -966,17 +502,14 @@ def grid_sweep(
 ) -> SweepResult:
     """Vectorized drop-in for ``model.sweep()``: one chained grid solve
     over the processor-cycle axis, packaged as the same
-    :class:`SweepResult` (label, protocol and warm-start behaviour all
+    :class:`SweepResult` (the scalar models' packaging; warm starts
     match the scalar path bit-for-bit)."""
     if family is None:
         family = family_for_protocol(config.protocol)
     grid = ModelGrid.from_product(family, config, inputs, cycles_ns=cycles_ns)
     solution = solve_grid(grid)
-    return SweepResult(
-        benchmark=inputs.benchmark,
-        protocol=inputs.protocol,
-        label=_label_for(family, config),
-        points=solution.operating_points(),
+    return MODEL_FAMILIES[family].curve(
+        config, inputs, solution.operating_points()
     )
 
 
@@ -1038,102 +571,3 @@ def matching_bus_clock_grid(
         low = np.where(working & meets, mid, low)
         high = np.where(working & ~meets, mid, high)
     return np.where(active, (low + high) / 2.0, result)
-
-
-# ----------------------------------------------------------------------
-# Register-insertion access model (closed form, arrays)
-# ----------------------------------------------------------------------
-def slotted_access_grid(utilization, slot_period_ps):
-    """Array mirror of register_insertion.slotted_access_ps."""
-    np = require_numpy()
-    return _slot_wait(
-        np.asarray(utilization, dtype=np.float64),
-        np.asarray(slot_period_ps, dtype=np.float64),
-    )
-
-
-def register_insertion_access_grid(
-    utilization,
-    message_time_ps,
-    fairness_efficiency: float = SCI_FAIRNESS_EFFICIENCY,
-):
-    """Array mirror of register_insertion.register_insertion_access_ps."""
-    np = require_numpy()
-    if not 0.0 < fairness_efficiency <= 1.0:
-        raise ValueError("fairness_efficiency must be in (0, 1]")
-    u = np.asarray(utilization, dtype=np.float64)
-    s = np.asarray(message_time_ps, dtype=np.float64)
-    effective = np.minimum(0.995, np.maximum(0.0, u) / fairness_efficiency)
-    queueing = _md1_wait(effective, s)
-    drain_share = effective * s / (1.0 - effective)
-    return queueing + drain_share
-
-
-def access_comparison_grid(
-    slot_period_ps: float,
-    message_time_ps: float,
-    utilizations=None,
-    fairness_efficiency: float = SCI_FAIRNESS_EFFICIENCY,
-):
-    """Both schemes across a load sweep in one shot; returns
-    ``(utilizations, slotted_ps, register_insertion_ps)`` arrays."""
-    np = require_numpy()
-    if utilizations is None:
-        utilizations = np.arange(20, dtype=np.float64) / 20.0
-    else:
-        utilizations = np.asarray(utilizations, dtype=np.float64)
-    slotted = slotted_access_grid(utilizations, slot_period_ps)
-    inserted = register_insertion_access_grid(
-        utilizations, message_time_ps, fairness_efficiency
-    )
-    return utilizations, slotted, inserted
-
-
-def crossover_utilization_grid(
-    slot_period_ps: float,
-    message_time_ps: float,
-    fairness_efficiency: float = SCI_FAIRNESS_EFFICIENCY,
-    resolution: int = 2_000,
-) -> float:
-    """Array mirror of register_insertion.crossover_utilization (same
-    scan, evaluated in one vector pass)."""
-    np = require_numpy()
-    utilization = np.arange(resolution, dtype=np.float64) / resolution
-    slotted = slotted_access_grid(utilization, slot_period_ps)
-    inserted = register_insertion_access_grid(
-        utilization, message_time_ps, fairness_efficiency
-    )
-    hits = np.flatnonzero(slotted <= inserted)
-    if hits.size == 0:
-        return 1.0
-    return float(utilization[hits[0]])
-
-
-# ----------------------------------------------------------------------
-# Snoop-rate geometry (Table 3, arrays)
-# ----------------------------------------------------------------------
-def snoop_interarrival_grid(
-    width_bits,
-    block_size,
-    clock_ps: int = 2_000,
-    probe_slots: int = 2,
-    block_slots: int = 1,
-):
-    """Array mirror of snoop_rate.snoop_interarrival_ns over broadcast
-    ``width_bits`` x ``block_size`` inputs (ns)."""
-    np = require_numpy()
-    if probe_slots < 1 or block_slots < 1:
-        raise ValueError("need at least one slot of each kind")
-    if probe_slots % 2:
-        raise ValueError("probe slots come in even/odd pairs")
-    widths = np.asarray(width_bits, dtype=np.int64)
-    blocks = np.asarray(block_size, dtype=np.int64)
-    widths, blocks = np.broadcast_arrays(widths, blocks)
-    if np.any(widths <= 0) or np.any(widths % 8 != 0):
-        raise ValueError("width_bits must be a positive multiple of 8")
-    if np.any(blocks <= 0):
-        raise ValueError("block_size must be positive")
-    probe_stages = -(-(PROBE_PAYLOAD_BYTES * 8) // widths)
-    block_stages = -(-((BLOCK_HEADER_BYTES + blocks) * 8) // widths)
-    frame_stages = probe_slots * probe_stages + block_slots * block_stages
-    return frame_stages * clock_ps / 1000.0

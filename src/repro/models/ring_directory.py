@@ -19,16 +19,16 @@ Per-class latency structure (section 3.2 / Figure 5 of the paper):
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from repro.models.base import FixedPointModel
+from repro.models.ring_common import contention
 
-from repro.core.config import SystemConfig
-from repro.core.metrics import MissClass
-from repro.core.results import ModelInputs, OperatingPoint, SweepResult
-from repro.models.base import LatencyBreakdown, solve_time_per_instruction
-from repro.models.ring_common import compute_contention
-from repro.models.ring_snooping import make_operating_point
-
-__all__ = ["DirectoryRingModel", "DIRECTORY_SHARED_CLASSES"]
+__all__ = [
+    "DIRECTORY_SHARED_CLASSES",
+    "DirectoryRingModel",
+    "class_latencies",
+    "frequencies",
+    "latencies",
+]
 
 #: Shared-miss class names in the directory model.
 DIRECTORY_SHARED_CLASSES = (
@@ -39,146 +39,94 @@ DIRECTORY_SHARED_CLASSES = (
 )
 
 
-class DirectoryRingModel:
+def frequencies(a):
+    """Events per instruction, by class, in solver order."""
+    return [
+        ("private", a["f_private"]),
+        ("local_clean", a["f_local_clean"]),
+        ("remote_clean", a["f_remote_clean"]),
+        ("dirty_one_cycle", a["f_dirty_one"] + a["f_remote_dirty"]),
+        ("two_cycle", a["f_two_cycle"]),
+        ("upgrade_without", a["f_upgrade_without"]),
+        ("upgrade_with", a["f_upgrade_with"]),
+    ]
+
+
+def class_latencies(a, probe_wait, block_wait, bank_wait):
+    """Per-class latencies given the slot and bank waits."""
+    clock = a["clock_ps"]
+    ring_ps = a["ring_cycles"] * clock
+    probe_drain = a["probe_stages"] * clock
+    block_drain = a["block_stages"] * clock
+    bank_total = a["access_ps"] + bank_wait
+    lookup = a["lookup_ps"]
+    cache_response = a["cache_response_ps"]
+
+    clean_one = (
+        probe_wait
+        + probe_drain
+        + lookup
+        + bank_total
+        + block_wait
+        + block_drain
+        + ring_ps
+    )
+    dirty_one = (
+        2.0 * probe_wait
+        + 2.0 * probe_drain
+        + lookup
+        + cache_response
+        + block_wait
+        + block_drain
+        + ring_ps
+    )
+    # Two traversals, a mix of two shapes with the same cost
+    # skeleton: (a) dirty node between requester and home -- three
+    # hops spanning 2S with a cache response; (b) write requiring a
+    # multicast round -- home memory overlaps the multicast (the
+    # larger dominates), and the request/reply arcs plus the
+    # multicast also span 2S.  Both reduce to two full traversals,
+    # two probe acquisitions, one block acquisition and one
+    # owner-response time; the response is averaged over the two
+    # data sources.
+    response_mix = (cache_response + bank_total) / 2.0
+    two_cycle = (
+        2.0 * probe_wait
+        + 2.0 * probe_drain
+        + lookup
+        + response_mix
+        + block_wait
+        + block_drain
+        + 2.0 * ring_ps
+    )
+    upgrade_without = 2.0 * probe_wait + 2.0 * probe_drain + lookup + ring_ps
+    upgrade_with = upgrade_without + probe_wait + ring_ps
+
+    return {
+        "private": bank_total,
+        "local_clean": bank_total,
+        "remote_clean": clean_one,
+        "dirty_one_cycle": dirty_one,
+        "two_cycle": two_cycle,
+        "upgrade_without": upgrade_without,
+        "upgrade_with": upgrade_with,
+    }
+
+
+def latencies(a, T, xp):
+    """Per-class latencies, frequencies, ring and bank utilisation."""
+    probe_wait, block_wait, bank_wait, ring_utilization, bank_utilization = (
+        contention(a, T, xp)
+    )
+    classes = class_latencies(a, probe_wait, block_wait, bank_wait)
+    return classes, frequencies(a), ring_utilization, bank_utilization
+
+
+class DirectoryRingModel(FixedPointModel):
     """Iterative model producing the Figure 3/4 directory curves."""
 
-    def __init__(self, config: SystemConfig, inputs: ModelInputs) -> None:
-        self.config = config
-        self.inputs = inputs
-        self.layout = config.ring_layout()
-        self.topology = config.ring_topology()
-
-    # ------------------------------------------------------------------
-    # Event classes and their frequencies
-    # ------------------------------------------------------------------
-    def event_frequencies(self) -> Dict[str, float]:
-        inputs = self.inputs
-        return {
-            "private": inputs.f_miss.get(MissClass.PRIVATE, 0.0),
-            "local_clean": inputs.f_miss.get(MissClass.LOCAL_CLEAN, 0.0),
-            "remote_clean": inputs.f_miss.get(MissClass.REMOTE_CLEAN, 0.0),
-            "dirty_one_cycle": inputs.f_miss.get(
-                MissClass.DIRTY_ONE_CYCLE, 0.0
-            )
-            + inputs.f_miss.get(MissClass.REMOTE_DIRTY, 0.0),
-            "two_cycle": inputs.f_miss.get(MissClass.TWO_CYCLE, 0.0),
-            "upgrade_without": inputs.f_upgrade_without_sharers,
-            "upgrade_with": inputs.f_upgrade_with_sharers,
-        }
-
-    # ------------------------------------------------------------------
-    # Latency model
-    # ------------------------------------------------------------------
-    def breakdown(self, time_per_instruction_ps: float) -> LatencyBreakdown:
-        config = self.config
-        clock = config.ring.clock_ps
-        contention = compute_contention(
-            config, self.inputs, time_per_instruction_ps
-        )
-        ring_ps = self.topology.total_stages * clock
-        probe_drain = self.layout.probe_stages * clock
-        block_drain = self.layout.block_stages * clock
-        bank_total = config.memory.access_ps + contention.bank_wait_ps
-        lookup = config.memory.directory_lookup_ps
-        cache_response = config.memory.cache_response_ps
-        probe_wait = contention.probe_wait_ps
-        block_wait = contention.block_wait_ps
-
-        clean_one = (
-            probe_wait
-            + probe_drain
-            + lookup
-            + bank_total
-            + block_wait
-            + block_drain
-            + ring_ps
-        )
-        dirty_one = (
-            2.0 * probe_wait
-            + 2.0 * probe_drain
-            + lookup
-            + cache_response
-            + block_wait
-            + block_drain
-            + ring_ps
-        )
-        # Two traversals, a mix of two shapes with the same cost
-        # skeleton: (a) dirty node between requester and home -- three
-        # hops spanning 2S with a cache response; (b) write requiring a
-        # multicast round -- home memory overlaps the multicast (the
-        # larger dominates), and the request/reply arcs plus the
-        # multicast also span 2S.  Both reduce to two full traversals,
-        # two probe acquisitions, one block acquisition and one
-        # owner-response time; the response is averaged over the two
-        # data sources.
-        response_mix = (cache_response + bank_total) / 2.0
-        two_cycle = (
-            2.0 * probe_wait
-            + 2.0 * probe_drain
-            + lookup
-            + response_mix
-            + block_wait
-            + block_drain
-            + 2.0 * ring_ps
-        )
-        upgrade_without = (
-            2.0 * probe_wait + 2.0 * probe_drain + lookup + ring_ps
-        )
-        upgrade_with = upgrade_without + probe_wait + ring_ps
-
-        latencies = {
-            "private": bank_total,
-            "local_clean": bank_total,
-            "remote_clean": clean_one,
-            "dirty_one_cycle": dirty_one,
-            "two_cycle": two_cycle,
-            "upgrade_without": upgrade_without,
-            "upgrade_with": upgrade_with,
-        }
-        return LatencyBreakdown(
-            latencies=latencies,
-            network_utilization=contention.ring_utilization,
-            bank_utilization=contention.bank_utilization,
-        )
-
-    # ------------------------------------------------------------------
-    # Operating points and sweeps
-    # ------------------------------------------------------------------
-    def solve(
-        self,
-        processor_cycle_ps: int,
-        initial_guess_ps: Optional[float] = None,
-    ) -> OperatingPoint:
-        frequencies = self.event_frequencies()
-        time_ps, breakdown = solve_time_per_instruction(
-            busy_ps_per_instr=float(processor_cycle_ps),
-            event_frequencies=frequencies,
-            model=self.breakdown,
-            **(
-                {}
-                if initial_guess_ps is None
-                else {"initial_guess_ps": initial_guess_ps}
-            ),
-        )
-        return make_operating_point(
-            processor_cycle_ps,
-            time_ps,
-            breakdown,
-            frequencies,
-            shared_names=DIRECTORY_SHARED_CLASSES,
-        )
-
-    def sweep(self, cycles_ns: Optional[List[float]] = None) -> SweepResult:
-        cycles = cycles_ns or [float(c) for c in range(1, 21)]
-        result = SweepResult(
-            benchmark=self.inputs.benchmark,
-            protocol=self.inputs.protocol,
-            label=f"directory ring {self.config.ring.clock_mhz:.0f} MHz",
-        )
-        guess = None
-        for cycle_ns in cycles:
-            point = self.solve(round(cycle_ns * 1000), initial_guess_ps=guess)
-            result.points.append(point)
-            # Warm start the next bracket from the adjacent fixed point.
-            guess = point.time_per_instruction_ps
-        return result
+    family = "ring_directory"
+    name = "directory ring"
+    shared_classes = DIRECTORY_SHARED_CLASSES
+    frequencies = staticmethod(frequencies)
+    latencies = staticmethod(latencies)

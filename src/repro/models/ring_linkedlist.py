@@ -17,70 +17,63 @@ quantities the simulation measures:
   acquisitions.
 
 Everything else (slot contention, memory banks, two-cycle dirty
-geometry) is shared with :class:`DirectoryRingModel`.
+geometry, event classes) is shared with the full-map directory model.
 """
 
 from __future__ import annotations
 
-from repro.core.metrics import MissClass
-from repro.models.base import LatencyBreakdown
-from repro.models.ring_common import compute_contention
-from repro.models.ring_directory import DirectoryRingModel
+from repro.models import ring_directory
+from repro.models.base import FixedPointModel, guarded_ratio
+from repro.models.ring_common import contention
 
-__all__ = ["LinkedListRingModel"]
+__all__ = ["LinkedListRingModel", "latencies"]
 
 
-class LinkedListRingModel(DirectoryRingModel):
+def latencies(a, T, xp):
+    """Directory latencies plus head-forwarding and purge-walk costs."""
+    probe_wait, block_wait, bank_wait, ring_utilization, bank_utilization = (
+        contention(a, T, xp)
+    )
+    classes = ring_directory.class_latencies(a, probe_wait, block_wait, bank_wait)
+    clock = a["clock_ps"]
+    probe_step = probe_wait + a["probe_stages"] * clock
+    ring_ps = a["ring_cycles"] * clock
+
+    # Clean misses: the forwarded share pays an extra probe hop and
+    # a cache response instead of the home's memory access.
+    f_clean = a["f_remote_clean"]
+    f_dirtyish = a["f_dirty_one"] + a["f_two_cycle"]
+    clean_forwards = xp.maximum(0.0, a["f_forwards"] - f_dirtyish)
+    forward_share = xp.minimum(
+        1.0, guarded_ratio(clean_forwards, f_clean, f_clean > 0.0, xp)
+    )
+    bank_total = a["access_ps"] + bank_wait
+    response_delta = a["cache_response_ps"] - bank_total
+    classes["remote_clean"] = classes["remote_clean"] + (
+        forward_share * (probe_step + response_delta)
+    )
+
+    # Upgrades: a purge walk of mean ``T`` traversals needs about
+    # one probe acquisition per wrap plus the wire time, after the
+    # initial pointer round to the home.
+    traversals = xp.maximum(1.0, a["mean_upgrade_traversals"])
+    purge = (traversals - 1.0) * (probe_step + ring_ps)
+    classes["upgrade_with"] = (
+        classes["upgrade_without"] + probe_step + purge + ring_ps
+    )
+    return (
+        classes,
+        ring_directory.frequencies(a),
+        ring_utilization,
+        bank_utilization,
+    )
+
+
+class LinkedListRingModel(FixedPointModel):
     """Directory model plus head-forwarding and purge-walk costs."""
 
-    def breakdown(self, time_per_instruction_ps: float) -> LatencyBreakdown:
-        config = self.config
-        inputs = self.inputs
-        clock = config.ring.clock_ps
-        contention = compute_contention(
-            config, inputs, time_per_instruction_ps
-        )
-        base = super().breakdown(time_per_instruction_ps)
-        latencies = dict(base.latencies)
-        probe_step = (
-            contention.probe_wait_ps + self.layout.probe_stages * clock
-        )
-        ring_ps = self.topology.total_stages * clock
-
-        # Clean misses: the forwarded share pays an extra probe hop and
-        # a cache response instead of the home's memory access.
-        f_clean = inputs.f_miss.get(MissClass.REMOTE_CLEAN, 0.0)
-        f_dirtyish = (
-            inputs.f_miss.get(MissClass.DIRTY_ONE_CYCLE, 0.0)
-            + inputs.f_miss.get(MissClass.TWO_CYCLE, 0.0)
-        )
-        clean_forwards = max(0.0, inputs.f_forwards - f_dirtyish)
-        forward_share = (
-            min(1.0, clean_forwards / f_clean) if f_clean > 0.0 else 0.0
-        )
-        bank_total = config.memory.access_ps + contention.bank_wait_ps
-        response_delta = config.memory.cache_response_ps - bank_total
-        latencies["remote_clean"] = base.latencies["remote_clean"] + (
-            forward_share * (probe_step + response_delta)
-        )
-
-        # Upgrades: a purge walk of mean ``T`` traversals needs about
-        # one probe acquisition per wrap plus the wire time, after the
-        # initial pointer round to the home.
-        traversals = max(1.0, inputs.mean_upgrade_traversals)
-        purge = (traversals - 1.0) * (probe_step + ring_ps)
-        latencies["upgrade_with"] = (
-            base.latencies["upgrade_without"] + probe_step + purge + ring_ps
-        )
-        return LatencyBreakdown(
-            latencies=latencies,
-            network_utilization=base.network_utilization,
-            bank_utilization=base.bank_utilization,
-        )
-
-    def sweep(self, cycles_ns=None):
-        result = super().sweep(cycles_ns)
-        result.label = (
-            f"linked-list ring {self.config.ring.clock_mhz:.0f} MHz"
-        )
-        return result
+    family = "ring_linkedlist"
+    name = "linked-list ring"
+    shared_classes = ring_directory.DIRECTORY_SHARED_CLASSES
+    frequencies = staticmethod(ring_directory.frequencies)
+    latencies = staticmethod(latencies)

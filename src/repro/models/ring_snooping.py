@@ -15,176 +15,54 @@ frame).
 
 from __future__ import annotations
 
-from typing import Dict
+from repro.models.base import FixedPointModel
+from repro.models.ring_common import contention
 
-from repro.core.config import SystemConfig
-from repro.core.metrics import MissClass
-from repro.core.results import ModelInputs, OperatingPoint, SweepResult
-from repro.models.base import LatencyBreakdown, solve_time_per_instruction
-from repro.models.ring_common import compute_contention
-
-__all__ = ["SnoopingRingModel"]
-
-
-class SnoopingRingModel:
-    """Iterative model producing the paper's Figure 3/4 ring curves."""
-
-    def __init__(self, config: SystemConfig, inputs: ModelInputs) -> None:
-        self.config = config
-        self.inputs = inputs
-        self.layout = config.ring_layout()
-        self.topology = config.ring_topology()
-
-    # ------------------------------------------------------------------
-    # Event classes and their frequencies
-    # ------------------------------------------------------------------
-    def event_frequencies(self) -> Dict[str, float]:
-        inputs = self.inputs
-        return {
-            "private": inputs.f_miss.get(MissClass.PRIVATE, 0.0),
-            "local_clean": inputs.f_miss.get(MissClass.LOCAL_CLEAN, 0.0),
-            "remote_clean": inputs.f_miss.get(MissClass.REMOTE_CLEAN, 0.0),
-            "remote_dirty": inputs.f_miss.get(MissClass.REMOTE_DIRTY, 0.0)
-            + inputs.f_miss.get(MissClass.DIRTY_ONE_CYCLE, 0.0)
-            + inputs.f_miss.get(MissClass.TWO_CYCLE, 0.0),
-            "upgrade": inputs.f_upgrade,
-        }
-
-    # ------------------------------------------------------------------
-    # Latency model
-    # ------------------------------------------------------------------
-    def breakdown(self, time_per_instruction_ps: float) -> LatencyBreakdown:
-        config = self.config
-        clock = config.ring.clock_ps
-        contention = compute_contention(
-            config, self.inputs, time_per_instruction_ps
-        )
-        ring_ps = self.topology.total_stages * clock
-        probe_drain = self.layout.probe_stages * clock
-        block_drain = self.layout.block_stages * clock
-        frame_ps = self.layout.frame_stages * clock
-        bank_total = config.memory.access_ps + contention.bank_wait_ps
-
-        remote_base = (
-            contention.probe_wait_ps
-            + probe_drain
-            + ring_ps
-            + contention.block_wait_ps
-            + block_drain
-        )
-        latencies = {
-            "private": bank_total,
-            "local_clean": bank_total,
-            "remote_clean": remote_base + bank_total,
-            "remote_dirty": remote_base + config.memory.cache_response_ps,
-            "upgrade": contention.probe_wait_ps + ring_ps + frame_ps + probe_drain,
-        }
-        return LatencyBreakdown(
-            latencies=latencies,
-            network_utilization=contention.ring_utilization,
-            bank_utilization=contention.bank_utilization,
-        )
-
-    # ------------------------------------------------------------------
-    # Operating points and sweeps
-    # ------------------------------------------------------------------
-    def solve(
-        self,
-        processor_cycle_ps: int,
-        initial_guess_ps: "float | None" = None,
-    ) -> OperatingPoint:
-        """Fixed point at one processor speed.
-
-        ``initial_guess_ps`` seeds the solver bracket (sweeps pass the
-        previous operating point to warm-start the search).
-        """
-        frequencies = self.event_frequencies()
-        time_ps, breakdown = solve_time_per_instruction(
-            busy_ps_per_instr=float(processor_cycle_ps),
-            event_frequencies=frequencies,
-            model=self.breakdown,
-            **(
-                {}
-                if initial_guess_ps is None
-                else {"initial_guess_ps": initial_guess_ps}
-            ),
-        )
-        return _operating_point(
-            processor_cycle_ps, time_ps, breakdown, frequencies
-        )
-
-    def sweep(self, cycles_ns: "list[float]" = None) -> SweepResult:
-        """Model curves across processor cycle times (default 1-20 ns,
-        the paper's x-axis)."""
-        cycles = cycles_ns or [float(c) for c in range(1, 21)]
-        result = SweepResult(
-            benchmark=self.inputs.benchmark,
-            protocol=self.inputs.protocol,
-            label=f"snooping ring {self.config.ring.clock_mhz:.0f} MHz",
-        )
-        guess = None
-        for cycle_ns in cycles:
-            point = self.solve(round(cycle_ns * 1000), initial_guess_ps=guess)
-            result.points.append(point)
-            # Warm start: adjacent sweep points have nearby fixed
-            # points, so the previous solution seeds the next bracket.
-            guess = point.time_per_instruction_ps
-        return result
-
+__all__ = ["SNOOPING_SHARED_CLASSES", "SnoopingRingModel", "frequencies", "latencies"]
 
 #: Shared-miss class names in the snooping model.
 SNOOPING_SHARED_CLASSES = ("local_clean", "remote_clean", "remote_dirty")
 
 
-def _operating_point(
-    cycle_ps: int,
-    time_ps: float,
-    breakdown: LatencyBreakdown,
-    frequencies: Dict[str, float],
-    shared_names: "tuple[str, ...]" = SNOOPING_SHARED_CLASSES,
-) -> OperatingPoint:
-    """Package a solved fixed point, with the shared-miss latency
-    averaged over the shared miss classes (the figures' metric)."""
-    weights = [(name, frequencies.get(name, 0.0)) for name in shared_names]
-    total = sum(weight for _, weight in weights)
-    if total > 0.0:
-        shared_latency = (
-            sum(breakdown.latencies[name] * weight for name, weight in weights)
-            / total
-        )
-    else:
-        shared_latency = 0.0
-    upgrade_names = [
-        name for name in breakdown.latencies if name.startswith("upgrade")
+def frequencies(a):
+    """Events per instruction, by class, in solver order."""
+    return [
+        ("private", a["f_private"]),
+        ("local_clean", a["f_local_clean"]),
+        ("remote_clean", a["f_remote_clean"]),
+        ("remote_dirty", a["f_remote_dirty"] + a["f_dirty_one"] + a["f_two_cycle"]),
+        ("upgrade", a["f_upgrade_with"] + a["f_upgrade_without"]),
     ]
-    upgrade_weights = [
-        (name, frequencies.get(name, 0.0)) for name in upgrade_names
-    ]
-    upgrade_total = sum(weight for _, weight in upgrade_weights)
-    if upgrade_total > 0.0:
-        upgrade_latency = (
-            sum(
-                breakdown.latencies[name] * weight
-                for name, weight in upgrade_weights
-            )
-            / upgrade_total
-        )
-    elif upgrade_names:
-        upgrade_latency = sum(
-            breakdown.latencies[name] for name in upgrade_names
-        ) / len(upgrade_names)
-    else:
-        upgrade_latency = 0.0
-    return OperatingPoint(
-        processor_cycle_ns=cycle_ps / 1000.0,
-        processor_utilization=cycle_ps / time_ps,
-        network_utilization=breakdown.network_utilization,
-        shared_miss_latency_ns=shared_latency / 1000.0,
-        upgrade_latency_ns=upgrade_latency / 1000.0,
-        time_per_instruction_ps=time_ps,
+
+
+def latencies(a, T, xp):
+    """Per-class latencies, frequencies, ring and bank utilisation."""
+    probe_wait, block_wait, bank_wait, ring_utilization, bank_utilization = (
+        contention(a, T, xp)
     )
+    clock = a["clock_ps"]
+    ring_ps = a["ring_cycles"] * clock
+    probe_drain = a["probe_stages"] * clock
+    block_drain = a["block_stages"] * clock
+    frame_ps = a["frame_stages"] * clock
+    bank_total = a["access_ps"] + bank_wait
+
+    remote_base = probe_wait + probe_drain + ring_ps + block_wait + block_drain
+    classes = {
+        "private": bank_total,
+        "local_clean": bank_total,
+        "remote_clean": remote_base + bank_total,
+        "remote_dirty": remote_base + a["cache_response_ps"],
+        "upgrade": probe_wait + ring_ps + frame_ps + probe_drain,
+    }
+    return classes, frequencies(a), ring_utilization, bank_utilization
 
 
-#: Shared helper reused by the directory and bus models.
-make_operating_point = _operating_point
-__all__.append("make_operating_point")
+class SnoopingRingModel(FixedPointModel):
+    """Iterative model producing the paper's Figure 3/4 ring curves."""
+
+    family = "ring_snooping"
+    name = "snooping ring"
+    shared_classes = SNOOPING_SHARED_CLASSES
+    frequencies = staticmethod(frequencies)
+    latencies = staticmethod(latencies)

@@ -1,8 +1,8 @@
 """Graceful degradation when NumPy is unavailable.
 
-``REPRO_NO_NUMPY=1`` makes :func:`repro.models.grid.require_numpy`
-raise even with NumPy installed, so the scalar-only environment (the
-CI leg installing with ``--no-deps``) can be rehearsed anywhere.  The
+The ``no_numpy`` fixture blocks ``import numpy`` (a ``None`` entry in
+``sys.modules``), so the scalar-only environment (the CI leg
+installing with ``--no-deps``) can be rehearsed anywhere.  The
 contract: every grid entry point raises a clear ImportError, every
 scalar path keeps working, and the opt-in layers (sweeps, bench, CLI,
 sensitivity) fall back or fail fast instead of crashing mid-run.
@@ -10,27 +10,18 @@ sensitivity) fall back or fail fast instead of crashing mid-run.
 
 from __future__ import annotations
 
-import importlib.util
-import pathlib
+import sys
 
 import pytest
 
 from repro.core.config import Protocol, SystemConfig
 from repro.models import grid as grid_engine
+from tests.test_models import make_inputs
 
 
 @pytest.fixture
 def no_numpy(monkeypatch):
-    monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-
-
-def _make_inputs(protocol, processors):
-    spec = importlib.util.spec_from_file_location(
-        "grid_oracle", pathlib.Path(__file__).parent / "test_grid_models.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module._make_inputs(protocol, processors)
+    monkeypatch.setitem(sys.modules, "numpy", None)
 
 
 class _FakeResult:
@@ -42,27 +33,25 @@ class _FakeResult:
 
 def test_grid_engine_reports_unavailable(no_numpy):
     assert not grid_engine.grid_available()
-    with pytest.raises(ImportError, match="REPRO_NO_NUMPY"):
+    with pytest.raises(ImportError, match="needs numpy"):
         grid_engine.require_numpy()
 
 
 def test_grid_constructors_raise_import_error(no_numpy):
     config = SystemConfig(num_processors=4)
-    inputs = _make_inputs(Protocol.SNOOPING, 4)
+    inputs = make_inputs(Protocol.SNOOPING, 4)
     with pytest.raises(ImportError):
         grid_engine.ModelGrid.from_points(
             "ring_snooping", [(config, inputs, 5_000)]
         )
     with pytest.raises(ImportError):
         grid_engine.ModelGrid.from_product("ring_snooping", config, inputs)
-    with pytest.raises(ImportError):
-        grid_engine.snoop_interarrival_grid(32, 32)
 
 
 def test_sweep_from_result_falls_back_and_fails_fast(no_numpy):
     from repro.core.hybrid import sweep_from_result
 
-    inputs = _make_inputs(Protocol.SNOOPING, 4)
+    inputs = make_inputs(Protocol.SNOOPING, 4)
     simulated = _FakeResult(inputs)
 
     # Explicit opt-in without NumPy: a clear error, not a crash later.

@@ -1,12 +1,13 @@
 """Scalar-oracle equivalence suite for the vectorized grid engine.
 
-The scalar models in ``repro.models`` are the reference implementation;
-``repro.models.grid`` re-expresses them over NumPy arrays.  Every test
-here drives both through the same inputs -- hundreds of seeded-random
-design points per family plus the degenerate corners -- and holds the
-grid to the oracle within 1e-9 relative tolerance (the engine's
-contract; in practice the match is bit-exact because the vectorized
-iteration mirrors the scalar one operation for operation).
+The scalar models and ``repro.models.grid`` evaluate the same family
+equations (floats vs NumPy arrays), so what this suite pins is the two
+*solvers*: the scalar bracketed secant and the masked grid secant.
+Every test drives both through the same inputs -- hundreds of
+seeded-random design points per family plus the degenerate corners --
+and holds the grid to the scalar oracle within 1e-9 relative tolerance
+(the engine's contract; in practice the match is bit-exact because the
+masked iteration follows the scalar one step for step).
 """
 
 from __future__ import annotations
@@ -24,20 +25,9 @@ from repro.core.results import ModelInputs, OperatingPoint
 from repro.models import grid as grid_engine
 from repro.models.bus import BusModel
 from repro.models.matching import matching_bus_clock_ns
-from repro.models.register_insertion import (
-    access_comparison,
-    crossover_utilization,
-    register_insertion_access_ps,
-    slotted_access_ps,
-)
 from repro.models.ring_directory import DirectoryRingModel
 from repro.models.ring_linkedlist import LinkedListRingModel
 from repro.models.ring_snooping import SnoopingRingModel
-from repro.models.snoop_rate import (
-    TABLE3_BLOCK_SIZES,
-    TABLE3_WIDTHS,
-    snoop_interarrival_ns,
-)
 
 pytestmark = pytest.mark.skipif(
     not grid_engine.grid_available(), reason="grid engine disabled"
@@ -356,59 +346,6 @@ def test_matching_bus_clock_grid_matches_scalar():
         assert ours[index] == pytest.approx(oracle, rel=REL), (
             f"matching clock diverged at point {index}"
         )
-
-
-# ----------------------------------------------------------------------
-# Closed-form families: register insertion and snoop rate
-# ----------------------------------------------------------------------
-def test_register_insertion_grids_match_scalar():
-    loads = [i / 20.0 for i in range(20)]
-    slotted = grid_engine.slotted_access_grid(loads, 4_000.0)
-    inserted = grid_engine.register_insertion_access_grid(loads, 1_000.0)
-    for index, load in enumerate(loads):
-        assert slotted[index] == pytest.approx(
-            slotted_access_ps(load, 4_000.0), rel=REL
-        )
-        assert inserted[index] == pytest.approx(
-            register_insertion_access_ps(load, 1_000.0), rel=REL
-        )
-
-    axis, slotted, inserted = grid_engine.access_comparison_grid(
-        4_000.0, 1_000.0
-    )
-    scalar = access_comparison(4_000.0, 1_000.0)
-    assert len(scalar) == axis.shape[0]
-    for index, point in enumerate(scalar):
-        assert axis[index] == pytest.approx(point.utilization, rel=REL)
-        assert slotted[index] == pytest.approx(point.slotted_ps, rel=REL)
-        assert inserted[index] == pytest.approx(
-            point.register_insertion_ps, rel=REL
-        )
-
-    assert grid_engine.crossover_utilization_grid(
-        4_000.0, 1_000.0
-    ) == pytest.approx(crossover_utilization(4_000.0, 1_000.0), rel=REL)
-
-    with pytest.raises(ValueError):
-        grid_engine.register_insertion_access_grid(
-            loads, 1_000.0, fairness_efficiency=0.0
-        )
-
-
-def test_snoop_interarrival_grid_matches_scalar():
-    widths = np.array(TABLE3_WIDTHS).reshape(-1, 1)
-    blocks = np.array(TABLE3_BLOCK_SIZES).reshape(1, -1)
-    table = grid_engine.snoop_interarrival_grid(widths, blocks)
-    assert table.shape == (len(TABLE3_WIDTHS), len(TABLE3_BLOCK_SIZES))
-    for i, width in enumerate(TABLE3_WIDTHS):
-        for j, block in enumerate(TABLE3_BLOCK_SIZES):
-            assert table[i, j] == pytest.approx(
-                snoop_interarrival_ns(width, block), rel=REL
-            )
-    with pytest.raises(ValueError):
-        grid_engine.snoop_interarrival_grid(12, 32)  # not a byte multiple
-    with pytest.raises(ValueError):
-        grid_engine.snoop_interarrival_grid(32, 32, probe_slots=3)
 
 
 # ----------------------------------------------------------------------

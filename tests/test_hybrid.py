@@ -4,7 +4,12 @@ import pytest
 
 from repro.core.config import Protocol
 from repro.core.experiment import clear_simulation_cache
-from repro.core.hybrid import hybrid_sweep, validate_model
+from repro.core.hybrid import (
+    extraction_point,
+    hybrid_sweep,
+    sweep_from_result,
+    validate_model,
+)
 from repro.core.sweep import (
     miss_breakdown,
     ring_vs_bus,
@@ -35,9 +40,28 @@ def test_hybrid_sweep_monotone_utilization():
 
 
 def test_bus_sweep_uses_snooping_extraction():
+    point = extraction_point("mp3d", 4, Protocol.BUS, data_refs=REFS)
+    assert point.protocol is Protocol.SNOOPING
     sweep = hybrid_sweep("mp3d", 4, Protocol.BUS, data_refs=REFS)
-    assert sweep.protocol is Protocol.SNOOPING  # inputs carry extraction
+    assert sweep.protocol is Protocol.BUS  # the curve names its own model
     assert "bus" in sweep.label
+
+
+def test_bus_curve_names_bus_protocol_on_both_solvers():
+    """A bus curve built from snooping-extracted inputs says ``bus``,
+    from the scalar models and from the grid alike."""
+    from repro.models.grid import grid_available
+    from tests.test_models import make_inputs
+
+    class Extraction:
+        inputs = make_inputs(Protocol.SNOOPING, 4)
+
+    for use_grid in (False, True) if grid_available() else (False,):
+        sweep = sweep_from_result(
+            Extraction(), 4, Protocol.BUS, cycles_ns=[5.0, 10.0], use_grid=use_grid
+        )
+        assert sweep.protocol is Protocol.BUS, use_grid
+        assert sweep.label == "bus 50 MHz"
 
 
 def test_snooping_vs_directory_pair():

@@ -1,7 +1,13 @@
 """Unit tests for the analytical models."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.core.config import Protocol, SystemConfig
 from repro.core.metrics import MissClass
 from repro.core.results import ModelInputs
@@ -268,3 +274,56 @@ def test_matching_bus_reproduces_ring_utilization():
     )
     achieved = BusModel(bus_config, inputs).solve(10_000).processor_utilization
     assert achieved == pytest.approx(target, abs=0.01)
+
+
+# ----------------------------------------------------------------------
+# The scalar path stays NumPy-free
+# ----------------------------------------------------------------------
+_SCALAR_SWEEPS = """
+import sys
+
+from repro.core.config import Protocol, SystemConfig
+from repro.core.hybrid import model_for
+from repro.core.metrics import MissClass
+from repro.core.results import ModelInputs
+from repro.models import MODEL_FAMILIES
+
+class Extraction:
+    inputs = ModelInputs(
+        benchmark="synthetic", num_processors=8, protocol=Protocol.SNOOPING,
+        data_refs_per_instr=0.33, f_miss={klass: 0.002 for klass in MissClass},
+        f_upgrade_with_sharers=0.002, f_upgrade_without_sharers=0.001,
+        f_writeback=0.001, f_sharing_writeback=0.001, f_probes=0.02,
+        f_broadcast_probes=0.01, f_blocks=0.02, f_memory_accesses=0.02,
+        f_forwards=0.004, mean_upgrade_traversals=2.0,
+    )
+
+families = set()
+for protocol in (Protocol.SNOOPING, Protocol.DIRECTORY, Protocol.LINKED_LIST, Protocol.BUS):
+    model = model_for(SystemConfig(num_processors=8, protocol=protocol), Extraction)
+    assert len(model.sweep().points) == 20
+    families.add(model.family)
+assert families == set(MODEL_FAMILIES), families
+assert "numpy" not in sys.modules, "the scalar models imported numpy"
+print("numpy-free")
+"""
+
+
+def test_scalar_sweeps_never_import_numpy():
+    """The family equations serve the grid too, but the scalar path
+    must not import NumPy (it would add NumPy's import time to every
+    scalar-only run).  A fresh interpreter proves it."""
+    source_root = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (source_root, env.get("PYTHONPATH")))
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", _SCALAR_SWEEPS],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.strip() == "numpy-free"

@@ -189,6 +189,8 @@ def test_bus_and_ring_jobs_on_one_extraction_do_not_coalesce(
     bus_payload = client.result(bus["job"])
     expected = hybrid_sweep("mp3d", 4, Protocol.BUS, data_refs=REFS)
     assert bus_payload["label"] == expected.label == "bus 50 MHz"
+    assert bus_payload["protocol"] == "bus"
+    assert ring_payload["protocol"] == "snooping"
     assert bus_payload["points"] == [
         operating_point_row(point) for point in expected.points
     ]

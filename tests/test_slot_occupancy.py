@@ -8,8 +8,8 @@ tracked in three places:
 * the telemetry ``slot_occupancy`` histograms
   (:class:`repro.obs.histograms.Histograms`);
 * the analytical occupancy of :func:`repro.models.ring_common.
-  compute_contention` (``ring_cycles`` per broadcast, ``distance``
-  per unicast).
+  contention` (``ring_cycles`` per broadcast, ``distance`` per
+  unicast).
 
 Broadcast slots are the delicate case: their traversal spans every
 frame boundary (occupancy ``total_stages`` > ``frame_stages``), so an
@@ -131,7 +131,7 @@ def test_unicast_occupancy_matches_ring_distance(fastpath):
 def test_measured_utilization_matches_analytical_occupancy():
     """Simulated slot utilisation == the model's occupancy arithmetic.
 
-    ``compute_contention`` rates probe utilisation as
+    ``contention`` rates probe utilisation as
     ``rate x mean_occupancy / num_slots`` with ``mean_occupancy =
     ring_cycles`` for broadcasts.  Driving the scheduler with a known
     broadcast count over a known window reduces both sides to the same
