@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Any, Dict, Generator, List, Optional
+from typing import Any, Dict, Generator, List, NamedTuple, Optional, Tuple
 
 from repro.sim.kernel import Relay, Simulator, Timeout
 from repro.ring.slots import FrameLayout, SlotType
@@ -78,8 +78,7 @@ class CirculatingSlot:
     grabs: int = 0
 
 
-@dataclass(frozen=True)
-class SlotGrant:
+class SlotGrant(NamedTuple):
     """Result of a successful slot acquisition."""
 
     slot: CirculatingSlot
@@ -93,8 +92,23 @@ class SlotGrant:
         return self.release_cycle - self.grab_cycle
 
 
+#: ``SlotType.value`` by ``SlotType.index``, for the telemetry hooks.
+_TYPE_NAMES = tuple(slot_type.value for slot_type in SlotType)
+
+#: One (slot type, node) arrival walk: ``(residue, order)``.  The
+#: arrivals of the type at the node's stage are the cycles
+#: ``residue + j * period`` (``j >= 0``), and arrival ``j`` is carried
+#: by ``order[j % len(order)]``.
+Walk = Tuple[int, List[CirculatingSlot]]
+
+
 class SlotScheduler:
-    """Grants slots to senders and tracks occupancy statistics."""
+    """Grants slots to senders and tracks occupancy statistics.
+
+    Per-type state lives in lists indexed by :attr:`SlotType.index`;
+    :attr:`granted_cycles`, :attr:`granted_messages` and
+    :attr:`wait_cycles` present the tallies keyed by :class:`SlotType`.
+    """
 
     def __init__(
         self,
@@ -113,47 +127,41 @@ class SlotScheduler:
         self.clock_ps = clock_ps
         self.enforce_fairness = enforce_fairness
         self.fastpath = fastpath_enabled() if fastpath is None else fastpath
-        self._slots: Dict[SlotType, List[CirculatingSlot]] = {
-            SlotType.PROBE_EVEN: [],
-            SlotType.PROBE_ODD: [],
-            SlotType.BLOCK: [],
-        }
+        self._slots: List[List[CirculatingSlot]] = [[] for _ in SlotType]
         self._build_slots()
         #: Per slot type: the cycle spacing between consecutive arrivals
         #: of *any* slot of that type at a fixed stage, when that
         #: spacing is uniform (type appears exactly once per frame and
-        #: the frames tile the ring exactly) -- the relay fast path's
-        #: hop grid.  ``None`` disables the fast path for the type
-        #: (e.g. ablation layouts with several probe slots per frame,
-        #: whose arrivals are not evenly spaced).
-        counts = {t: 0 for t in SlotType}
+        #: the frames tile the ring exactly) -- the arrival walk's and
+        #: the relay's step.  ``None`` disables the fast path for the
+        #: type (e.g. ablation layouts with several probe slots per
+        #: frame, whose arrivals are not evenly spaced).
+        counts = [0 for _ in SlotType]
         for offset_type, _ in self.layout.slot_offsets():
-            counts[offset_type] += 1
+            counts[offset_type.index] += 1
         tiles = (
             self.topology.total_stages
             == self.topology.num_frames * self.layout.frame_stages
         )
-        self._relay_period: Dict[SlotType, Optional[int]] = {
-            t: self.layout.frame_stages if counts[t] == 1 and tiles else None
-            for t in SlotType
-        }
-        #: Memoised per (slot type, stage): ``[(base, slot), ...]``
-        #: where ``base`` is the first cycle the slot head passes the
-        #: stage -- the static part of :meth:`next_arrival`, hoisted
-        #: out of the acquire hot loop.
-        self._arrival_bases: Dict[Any, list] = {}
-        #: (messages, slot-cycles) granted per type, for utilisation.
-        self.granted_cycles: Dict[SlotType, int] = {t: 0 for t in SlotType}
-        self.granted_messages: Dict[SlotType, int] = {t: 0 for t in SlotType}
+        self._relay_period: List[Optional[int]] = [
+            self.layout.frame_stages if count == 1 and tiles else None
+            for count in counts
+        ]
+        #: Per slot type, per node: the node's arrival :data:`Walk`,
+        #: built on the node's first acquire of the type.
+        self._walks: List[Dict[int, Walk]] = [{} for _ in SlotType]
+        #: Slot-cycles and messages granted per type, for utilisation.
+        self._granted_cycles = [0 for _ in SlotType]
+        self._granted_messages = [0 for _ in SlotType]
         #: Cycles senders spent waiting for a free slot, per type.
-        self.wait_cycles: Dict[SlotType, int] = {t: 0 for t in SlotType}
+        self._wait_cycles = [0 for _ in SlotType]
 
     def _build_slots(self) -> None:
         offsets = self.layout.slot_offsets()
         for frame in range(self.topology.num_frames):
             base = frame * self.layout.frame_stages
             for slot_type, offset in offsets:
-                slots = self._slots[slot_type]
+                slots = self._slots[slot_type.index]
                 slots.append(
                     CirculatingSlot(
                         slot_type=slot_type,
@@ -161,6 +169,25 @@ class SlotScheduler:
                         initial_head=(base + offset) % self.topology.total_stages,
                     )
                 )
+
+    def _build_walk(self, slot_type: SlotType, node: int) -> Walk:
+        """The arrival walk of ``slot_type`` at ``node``'s stage.
+
+        Only for types with a uniform arrival period: the slots' first
+        arrivals ``(stage - initial_head) mod total_stages`` are then
+        exactly ``residue, residue + period, ...``, one per slot, and
+        the slot first arriving at ``residue + j * period`` carries
+        every arrival ``j + k * len(slots)`` after it.
+        """
+        stage = self.topology.node_stage(node)
+        total = self.topology.total_stages
+        order = sorted(
+            self._slots[slot_type.index],
+            key=lambda slot: (stage - slot.initial_head) % total,
+        )
+        walk = ((stage - order[0].initial_head) % total, order)
+        self._walks[slot_type.index][node] = walk
+        return walk
 
     # ------------------------------------------------------------------
     # Time arithmetic
@@ -173,7 +200,7 @@ class SlotScheduler:
         return -(-ps // self.clock_ps)
 
     def slots_of(self, slot_type: SlotType) -> List[CirculatingSlot]:
-        return self._slots[slot_type]
+        return self._slots[slot_type.index]
 
     def next_arrival(
         self, slot: CirculatingSlot, node_stage: int, not_before: int
@@ -207,14 +234,24 @@ class SlotScheduler:
         """
         if occupancy_cycles <= 0:
             raise ValueError("occupancy_cycles must be positive")
-        stage = self.topology.node_stage(node)
-        slots = self._slots[slot_type]
-        start_cycle = self.ps_to_next_cycle(self.sim.now)
-        search_from = start_cycle
-        period = self._relay_period[slot_type] if self.fastpath else None
+        sim = self.sim
+        clock_ps = self.clock_ps
+        start_cycle = -(-sim.now // clock_ps)
+        period = self._relay_period[slot_type.index] if self.fastpath else None
         if period is not None:
-            # Fast path: predict the earliest arrival that is grabbable
-            # *per current slot state* and relay-sleep straight to it.
+            # Fast path: walk this node's slot arrivals in time order
+            # from ``start_cycle`` to the first one grabbable *per
+            # current slot state*, and relay-sleep straight to it.
+            #
+            # The walk finds the earliest grabbable arrival: it visits
+            # every arrival in order, and no two slots of one type
+            # arrive in the same cycle.  It is bounded: every grant is
+            # made at the current cycle and holds its slot for at most
+            # one revolution, so every slot is free within a revolution
+            # of ``start_cycle`` and the walk ends within two (the
+            # second for the anti-starvation pass) -- after one or two
+            # steps at the paper's loads.
+            #
             # Skipping the arrivals in between is exact, not
             # approximate: ``free_at_cycle`` only ever increases and
             # ``freed_by`` only changes when it does, so an arrival
@@ -222,9 +259,10 @@ class SlotScheduler:
             # later -- the per-arrival polling loop below would wake at
             # each skipped arrival, observe exactly that, and go back
             # to sleep.  The prediction is re-verified at wake time
-            # because another acquirer may have grabbed the predicted
-            # slot in the interim; the retry then resumes after the
-            # contested arrival, exactly where the polling loop would.
+            # (the walk's first test after the yield) because another
+            # acquirer may have grabbed the predicted slot in the
+            # interim; the walk then resumes after the contested
+            # arrival, exactly where the polling loop would.
             #
             # Which wakes *exist* is still observable: equal-time
             # tie-breaks across all processes are decided by kernel
@@ -237,57 +275,31 @@ class SlotScheduler:
             # engine-turn order) is bit-identical to polling while the
             # dead arrivals cost one heap push each instead of a full
             # generator resume plus this loop body.
-            total = self.topology.total_stages
+            walk = self._walks[slot_type.index].get(node)
+            if walk is None:
+                walk = self._build_walk(slot_type, node)
+            residue, order = walk
+            frames = len(order)
             fairness = self.enforce_fairness
-            clock_ps = self.clock_ps
-            step_ps = period * clock_ps
-            sim = self.sim
-            key = (slot_type, stage)
-            bases = self._arrival_bases.get(key)
-            if bases is None:
-                bases = self._arrival_bases[key] = [
-                    ((stage - candidate.initial_head) % total, candidate)
-                    for candidate in slots
-                ]
+            lap = (start_cycle - residue + period - 1) // period
+            arrival = residue + lap * period
+            position = lap % frames
+            now_cycle = start_cycle
             while True:
-                arrival = slot = None
-                for base, candidate in bases:
-                    free_at = candidate.free_at_cycle
-                    lower = free_at if free_at > search_from else search_from
-                    if base >= lower:
-                        candidate_arrival = base
-                    else:
-                        candidate_arrival = (
-                            base + (lower - base + total - 1) // total * total
-                        )
-                    if (
-                        fairness
-                        and candidate_arrival == free_at
-                        and candidate.freed_by == node
-                    ):
-                        # The anti-starvation rule blocks this exact
-                        # pass; the next chance is one revolution on.
-                        candidate_arrival += total
-                    if arrival is None or candidate_arrival < arrival:
-                        arrival = candidate_arrival
-                        slot = candidate
-                now_cycle = -(-sim.now // clock_ps)
-                if arrival > now_cycle:
-                    # First arrival the reference loop would sleep to:
-                    # arrivals of this type form one arithmetic
-                    # progression (step ``period``), and the reference
-                    # checks members <= now inline without sleeping.
-                    lower = search_from
-                    if lower <= now_cycle:
-                        lower = now_cycle + 1
-                    first = arrival - (arrival - lower) // period * period
-                    if first == arrival:
-                        yield Timeout(arrival * clock_ps - sim.now)
-                    else:
-                        yield Relay(
-                            first * clock_ps, step_ps, arrival * clock_ps
-                        )
-                if self._grabbable(slot, node, arrival):
+                slot = order[position]
+                free_at = slot.free_at_cycle
+                if arrival < free_at or (
+                    # The anti-starvation rule blocks this exact pass.
+                    fairness
+                    and arrival == free_at
+                    and slot.freed_by == node
+                ):
+                    arrival += period
+                    position += 1
+                    if position == frames:
+                        position = 0
+                    continue
+                if arrival == now_cycle:
                     return self._grant(
                         slot,
                         slot_type,
@@ -297,7 +309,21 @@ class SlotScheduler:
                         start_cycle,
                         removed_by,
                     )
-                search_from = arrival + 1
+                # First arrival the reference loop would sleep to: the
+                # reference checks arrivals <= now inline without
+                # sleeping, so it is the first member of the
+                # progression after ``now_cycle``.
+                first = arrival - (arrival - now_cycle - 1) // period * period
+                if first == arrival:
+                    yield Timeout(arrival * clock_ps - sim.now)
+                else:
+                    yield Relay(
+                        first * clock_ps, period * clock_ps, arrival * clock_ps
+                    )
+                now_cycle = arrival
+        stage = self.topology.node_stage(node)
+        slots = self._slots[slot_type.index]
+        search_from = start_cycle
         while True:
             # Reference path (--no-fastpath): wake at every slot
             # arrival and poll.  Kept verbatim for bisection against
@@ -340,25 +366,28 @@ class SlotScheduler:
         slot.busy_cycles += occupancy_cycles
         slot.grabs += 1
         waited = arrival - start_cycle
-        self.granted_cycles[slot_type] += occupancy_cycles
-        self.granted_messages[slot_type] += 1
-        self.wait_cycles[slot_type] += waited
+        index = slot_type.index
+        self._granted_cycles[index] += occupancy_cycles
+        self._granted_messages[index] += 1
+        self._wait_cycles[index] += waited
         histograms = self.sim.histograms
         if histograms is not None:
             histograms.record_slot_grant(
-                slot_type.value, occupancy_cycles, waited
+                _TYPE_NAMES[index], occupancy_cycles, waited
             )
         tracer = self.sim.tracer
         if tracer is not None:
             tracer.slot_grant(
                 self.cycle_to_ps(arrival),
                 self.cycle_to_ps(occupancy_cycles),
-                slot_type.value,
+                _TYPE_NAMES[index],
                 slot.index,
                 node,
                 waited,
             )
-        return SlotGrant(slot=slot, grab_cycle=arrival, release_cycle=release)
+        # ``SlotGrant(slot, arrival, release)`` without the generated
+        # ``__new__``'s Python frame.
+        return tuple.__new__(SlotGrant, (slot, arrival, release))
 
     def _grabbable(self, slot: CirculatingSlot, node: int, cycle: int) -> bool:
         if cycle < slot.free_at_cycle:
@@ -395,15 +424,30 @@ class SlotScheduler:
     # ------------------------------------------------------------------
     # Statistics
     # ------------------------------------------------------------------
+    @property
+    def granted_cycles(self) -> Dict[SlotType, int]:
+        """Slot-cycles granted per type (a snapshot)."""
+        return dict(zip(SlotType, self._granted_cycles))
+
+    @property
+    def granted_messages(self) -> Dict[SlotType, int]:
+        """Messages granted a slot, per type (a snapshot)."""
+        return dict(zip(SlotType, self._granted_messages))
+
+    @property
+    def wait_cycles(self) -> Dict[SlotType, int]:
+        """Cycles senders spent waiting for a slot, per type (a snapshot)."""
+        return dict(zip(SlotType, self._wait_cycles))
+
     def utilization(self, slot_type: SlotType, elapsed_ps: int) -> float:
         """Fraction of slot-cycles of a type that carried messages."""
         if elapsed_ps <= 0:
             return 0.0
         cycles = elapsed_ps // self.clock_ps
-        capacity = len(self._slots[slot_type]) * cycles
+        capacity = len(self._slots[slot_type.index]) * cycles
         if capacity <= 0:
             return 0.0
-        return min(1.0, self.granted_cycles[slot_type] / capacity)
+        return min(1.0, self._granted_cycles[slot_type.index] / capacity)
 
     def aggregate_utilization(self, elapsed_ps: int) -> float:
         """Stage-weighted average slot utilisation (the paper's 'ring
@@ -412,22 +456,31 @@ class SlotScheduler:
             return 0.0
         total_weight = 0
         weighted = 0.0
-        for slot_type, slots in self._slots.items():
+        for slot_type, slots in zip(SlotType, self._slots):
             weight = len(slots) * self.layout.stages_of(slot_type)
             total_weight += weight
             weighted += self.utilization(slot_type, elapsed_ps) * weight
         return weighted / total_weight if total_weight else 0.0
 
     def reset_statistics(self) -> None:
-        """Zero the grant/wait counters (start of a measurement window)."""
-        for slot_type in SlotType:
-            self.granted_cycles[slot_type] = 0
-            self.granted_messages[slot_type] = 0
-            self.wait_cycles[slot_type] = 0
+        """Zero the grant/wait counters (start of a measurement window).
+
+        Per-type tallies and every slot's own ``busy_cycles``/``grabs``
+        restart together, so ``sum(slot.busy_cycles)`` stays equal to
+        ``granted_cycles[type]``.  Slot *state* (``free_at_cycle``,
+        ``freed_by``) is untouched: messages in flight stay in flight.
+        """
+        self._granted_cycles = [0 for _ in SlotType]
+        self._granted_messages = [0 for _ in SlotType]
+        self._wait_cycles = [0 for _ in SlotType]
+        for slots in self._slots:
+            for slot in slots:
+                slot.busy_cycles = 0
+                slot.grabs = 0
 
     def mean_wait_cycles(self, slot_type: SlotType) -> float:
         """Average cycles senders waited for a slot of this type."""
-        messages = self.granted_messages[slot_type]
+        messages = self._granted_messages[slot_type.index]
         if not messages:
             return 0.0
-        return self.wait_cycles[slot_type] / messages
+        return self._wait_cycles[slot_type.index] / messages

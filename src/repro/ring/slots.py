@@ -45,11 +45,21 @@ BLOCK_HEADER_BYTES = 8
 
 
 class SlotType(enum.Enum):
-    """The three slot kinds in a standard frame."""
+    """The three slot kinds in a standard frame.
+
+    Every member carries a dense ``index`` (0, 1, 2 in declaration
+    order) so per-type state on the slot scheduler's hot path can live
+    in lists instead of enum-keyed dicts.
+    """
 
     PROBE_EVEN = "probe-even"
     PROBE_ODD = "probe-odd"
     BLOCK = "block"
+
+    index: int
+
+    def __init__(self, value: str) -> None:
+        self.index = len(type(self).__members__)
 
     @property
     def is_probe(self) -> bool:
@@ -86,6 +96,15 @@ class FrameLayout:
         Block slots per frame (1 in the paper).  The 2:1 probe:block
         mix is the paper's measured optimum for both protocols; the
         slot-mix ablation bench varies these.
+
+    Attributes
+    ----------
+    probe_stages:
+        Stages occupied by one probe slot.
+    block_stages:
+        Stages occupied by one block slot (header + cache block).
+    frame_stages:
+        Total stages in one frame.
     """
 
     width_bits: int = 32
@@ -101,28 +120,21 @@ class FrameLayout:
                 "probe_slots must be even (paired even/odd parity slots)"
             )
         stages_for_bytes(self.block_size, self.width_bits)  # validates
-
-    # ------------------------------------------------------------------
-    # Stage counts
-    # ------------------------------------------------------------------
-    @property
-    def probe_stages(self) -> int:
-        """Stages occupied by one probe slot."""
-        return stages_for_bytes(PROBE_PAYLOAD_BYTES, self.width_bits)
-
-    @property
-    def block_stages(self) -> int:
-        """Stages occupied by one block slot (header + cache block)."""
-        return stages_for_bytes(
+        # The stage counts are computed once, here: the geometry is
+        # immutable and the message primitives read it per send.  They
+        # are plain attributes, not fields, so equality, hashing and
+        # ``repr`` see the four parameters only (``object.__setattr__``
+        # because the dataclass is frozen).
+        probe_stages = stages_for_bytes(PROBE_PAYLOAD_BYTES, self.width_bits)
+        block_stages = stages_for_bytes(
             BLOCK_HEADER_BYTES + self.block_size, self.width_bits
         )
-
-    @property
-    def frame_stages(self) -> int:
-        """Total stages in one frame."""
-        return (
-            self.probe_slots * self.probe_stages
-            + self.block_slots * self.block_stages
+        object.__setattr__(self, "probe_stages", probe_stages)
+        object.__setattr__(self, "block_stages", block_stages)
+        object.__setattr__(
+            self,
+            "frame_stages",
+            self.probe_slots * probe_stages + self.block_slots * block_stages,
         )
 
     def stages_of(self, slot_type: SlotType) -> int:

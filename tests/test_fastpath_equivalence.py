@@ -1,6 +1,6 @@
 """Bit-identity of the scheduler/kernel fast path, across all engines.
 
-The acquire fast path (relay wakes, arrival-base memoisation) and the
+The acquire fast path (relay wakes, the arrival walk) and the
 lazy-cancellation kernel must be pure optimisations: for every
 protocol and seed, the ``SimulationResult`` -- statistics, latencies,
 telemetry histograms, everything that serialises -- must be
@@ -33,8 +33,13 @@ from repro.ring.scheduler import fastpath_enabled
 
 REFS = 300
 
-#: Every protocol engine, plus a reseeded variant and a larger ring
-#: with real slot contention (where the fast path actually engages).
+#: A larger ring with real slot contention (where the fast path
+#: actually engages).
+CONTENDED = SweepPoint("mp3d", 16, Protocol.SNOOPING, REFS)
+
+#: Every protocol engine, plus a reseeded variant, the contended ring,
+#: and two 64-processor rings where the arrival walk routinely steps
+#: past busy slots before it finds a grabbable one.
 POINTS = [
     SweepPoint("mp3d", 4, Protocol.SNOOPING, REFS),
     SweepPoint("mp3d", 4, Protocol.DIRECTORY, REFS),
@@ -43,7 +48,9 @@ POINTS = [
     SweepPoint("mp3d", 4, Protocol.HIERARCHICAL, REFS),
     SweepPoint("water", 4, Protocol.SNOOPING, REFS, seed=7),
     SweepPoint("water", 4, Protocol.DIRECTORY, REFS, seed=7),
-    SweepPoint("mp3d", 16, Protocol.SNOOPING, REFS),
+    CONTENDED,
+    SweepPoint("mp3d", 64, Protocol.SNOOPING, REFS),
+    SweepPoint("mp3d", 64, Protocol.DIRECTORY, REFS),
 ]
 
 
@@ -102,9 +109,8 @@ def test_serial_parallel_cached_and_fastpath_all_bit_identical(
 
     # And the fast path genuinely engaged somewhere: the contended
     # 16-processor snooping ring must have saved generator resumes.
-    contended = POINTS[-1]
     monkeypatch.delenv("REPRO_NO_FASTPATH", raising=False)
-    _, counters = _serial_run(contended)
+    _, counters = _serial_run(CONTENDED)
     assert counters["relay_hops"] > 0
 
 

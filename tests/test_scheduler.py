@@ -1,11 +1,13 @@
 """Unit tests for the event-driven slot scheduler."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.ring.scheduler import SlotScheduler
 from repro.ring.slots import FrameLayout, SlotType
 from repro.ring.topology import RingTopology
-from repro.sim.kernel import Simulator
+from repro.sim.kernel import Relay, Simulator, Timeout
 
 
 def make_scheduler(num_nodes=8, fairness=True):
@@ -38,8 +40,8 @@ def test_slot_population():
     assert len(scheduler.slots_of(SlotType.BLOCK)) == topology.num_frames
     heads = [
         slot.initial_head
-        for slots in scheduler._slots.values()
-        for slot in slots
+        for slot_type in SlotType
+        for slot in scheduler.slots_of(slot_type)
     ]
     assert len(set(heads)) == len(heads)  # all distinct positions
 
@@ -221,3 +223,99 @@ def test_concurrent_acquires_no_double_grant():
         shared.sort(key=lambda grant: grant.grab_cycle)
         for earlier, later in zip(shared, shared[1:]):
             assert later.grab_cycle >= earlier.release_cycle
+
+
+# ----------------------------------------------------------------------
+# The fast path's arrival walk against a per-slot scan
+# ----------------------------------------------------------------------
+def scan_earliest_grabbable(scheduler, node, slot_type, search_from):
+    """The earliest grabbable ``(arrival, slot)`` at ``node`` from
+    ``search_from``, found by scanning every slot of the type: each
+    slot's first arrival at or after both ``search_from`` and its
+    ``free_at_cycle``, one revolution later when the anti-starvation
+    rule blocks that exact pass, minimised over the slots."""
+    total = scheduler.topology.total_stages
+    stage = scheduler.topology.node_stage(node)
+    best = None
+    for slot in scheduler.slots_of(slot_type):
+        free_at = slot.free_at_cycle
+        arrival = scheduler.next_arrival(
+            slot, stage, max(free_at, search_from)
+        )
+        if (
+            scheduler.enforce_fairness
+            and arrival == free_at
+            and slot.freed_by == node
+        ):
+            arrival += total
+        if best is None or arrival < best[0]:
+            best = (arrival, slot)
+    return best
+
+
+def walk_earliest_grabbable(scheduler, node, slot_type):
+    """The ``(arrival, slot)`` the fast-path ``acquire`` grants from the
+    current slot states, with its sleep checked against the arrival."""
+    now = scheduler.sim.now
+    body = scheduler.acquire(node, slot_type, occupancy_cycles=1)
+    try:
+        request = next(body)
+    except StopIteration as done:
+        return done.value.grab_cycle, done.value.slot
+    assert isinstance(request, (Timeout, Relay))
+    wake = request.final if isinstance(request, Relay) else now + request.delay
+    # Nothing changed while asleep: the walk's re-check grants.
+    with pytest.raises(StopIteration) as done:
+        body.send(None)
+    grant = done.value.value
+    assert wake == grant.grab_cycle * scheduler.clock_ps
+    return grant.grab_cycle, grant.slot
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_arrival_walk_matches_per_slot_scan(data):
+    layout = FrameLayout(
+        width_bits=data.draw(st.sampled_from([16, 32, 64]), label="width"),
+        block_size=data.draw(
+            st.sampled_from([16, 32, 64, 128]), label="block"
+        ),
+    )
+    nodes = data.draw(st.integers(2, 64), label="nodes")
+    fairness = data.draw(st.booleans(), label="fairness")
+    topology = RingTopology.for_layout(nodes, layout)
+    total = topology.total_stages
+    sim = Simulator()
+    scheduler = SlotScheduler(
+        sim,
+        topology,
+        layout,
+        clock_ps=2_000,
+        enforce_fairness=fairness,
+        fastpath=True,
+    )
+    slot_type = data.draw(st.sampled_from(list(SlotType)), label="type")
+    node = data.draw(st.integers(0, nodes - 1), label="node")
+    start = data.draw(st.integers(0, 3 * total), label="start_cycle")
+    # Any instant in the cycle before ``start``'s boundary rounds up to
+    # ``start``.
+    sim.now = start * 2_000 - data.draw(st.integers(0, 1_999), label="ps")
+    if sim.now < 0:
+        sim.now = 0
+        start = 0
+    stage = topology.node_stage(node)
+    for slot in scheduler.slots_of(slot_type):
+        # Grants are made at the current cycle and hold a slot for at
+        # most one revolution.  Half the slots are freed exactly as
+        # they pass the node, where the anti-starvation rule bites.
+        free_at = data.draw(st.integers(0, start + total))
+        if data.draw(st.booleans()):
+            free_at = scheduler.next_arrival(slot, stage, free_at)
+        slot.free_at_cycle = free_at
+        slot.freed_by = data.draw(
+            st.one_of(st.just(node), st.none(), st.integers(0, nodes - 1))
+        )
+    expected = scan_earliest_grabbable(scheduler, node, slot_type, start)
+    got = walk_earliest_grabbable(scheduler, node, slot_type)
+    assert got[0] == expected[0]
+    assert got[1] is expected[1]

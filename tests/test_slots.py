@@ -92,6 +92,13 @@ def test_is_probe_property():
     assert not SlotType.BLOCK.is_probe
 
 
+def test_slot_type_index_is_dense():
+    """Scheduler per-type state is a list indexed by ``SlotType.index``."""
+    assert [slot_type.index for slot_type in SlotType] == list(
+        range(len(SlotType))
+    )
+
+
 def test_odd_probe_slots_rejected():
     with pytest.raises(ValueError):
         FrameLayout(probe_slots=3)

@@ -80,6 +80,27 @@ def test_node_bounds_checked():
         topology.distance(-1, 0)
 
 
+@pytest.mark.parametrize("nodes", [2, 3, 8, 17, 64])
+def test_distance_table_matches_arithmetic(nodes):
+    """The precomputed tables agree with the stage arithmetic for
+    every node pair, and negative nodes do not index from the end."""
+    for layout in (FrameLayout(), FrameLayout(width_bits=16, block_size=128)):
+        topology = RingTopology.for_layout(nodes, layout)
+        total = topology.total_stages
+        for src in range(nodes):
+            assert topology.node_stage(src) == src * STAGES_PER_NODE
+            for dst in range(nodes):
+                gap = (dst - src) * STAGES_PER_NODE % total
+                assert topology.distance(src, dst) == (gap or total)
+        for bad in (-nodes, -1, nodes, nodes + 1):
+            with pytest.raises(ValueError):
+                topology.node_stage(bad)
+            with pytest.raises(ValueError):
+                topology.distance(bad, 0)
+            with pytest.raises(ValueError):
+                topology.distance(0, bad)
+
+
 def test_too_few_nodes_rejected():
     with pytest.raises(ValueError):
         RingTopology(num_nodes=1, frame_stages=10)

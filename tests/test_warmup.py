@@ -1,5 +1,7 @@
 """Tests for measurement-window (warm-up) support."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.config import Protocol
@@ -9,6 +11,7 @@ from repro.core.experiment import (
     run_simulation,
 )
 from repro.core.config import SystemConfig
+from repro.ring.slots import SlotType
 from repro.sim.kernel import Simulator
 from tests.conftest import run_reference
 
@@ -90,11 +93,61 @@ def test_reset_statistics_hierarchical_and_bus():
         sim = Simulator()
         config = SystemConfig(num_processors=4, protocol=protocol)
         if protocol is Protocol.HIERARCHICAL:
-            from dataclasses import replace
-
             config = replace(config, ring=replace(config.ring, clusters=2))
         engine = build_engine(sim, config)
         address = engine.address_map.shared_block_address(1)
         run_reference(sim, engine, 0, address, False)
         reset_engine_statistics(engine)
         assert engine.stats.total_misses() == 0
+
+
+class _EngineCapture:
+    """A do-nothing commit monitor that keeps the finished engine."""
+
+    engine = None
+
+    def on_commit(self, engine, node, address, action):
+        pass
+
+    def finalize(self, engine):
+        self.engine = engine
+
+
+@pytest.mark.parametrize(
+    "protocol",
+    [Protocol.SNOOPING, Protocol.DIRECTORY, Protocol.HIERARCHICAL],
+)
+def test_warmup_resets_per_slot_counters_with_per_type_tallies(protocol):
+    """After a warm-up window, every slot's ``busy_cycles``/``grabs``
+    count the measurement window only, like the per-type tallies."""
+    config = SystemConfig(num_processors=8, protocol=protocol)
+    if protocol is Protocol.HIERARCHICAL:
+        config = replace(config, ring=replace(config.ring, clusters=2))
+    capture = _EngineCapture()
+    run_simulation(
+        "mp3d", config=config, data_refs=400, warmup_refs=400,
+        monitor=capture,
+    )
+    engine = capture.engine
+    schedulers = [
+        getattr(engine, name)
+        for name in ("scheduler", "global_scheduler")
+        if hasattr(engine, name)
+    ] + list(getattr(engine, "local_schedulers", []))
+    assert schedulers
+    for scheduler in schedulers:
+        for slot_type in SlotType:
+            slots = scheduler.slots_of(slot_type)
+            assert (
+                sum(slot.busy_cycles for slot in slots)
+                == scheduler.granted_cycles[slot_type]
+            )
+            assert (
+                sum(slot.grabs for slot in slots)
+                == scheduler.granted_messages[slot_type]
+            )
+    assert any(
+        scheduler.granted_messages[slot_type]
+        for scheduler in schedulers
+        for slot_type in SlotType
+    )
