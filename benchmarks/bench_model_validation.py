@@ -18,21 +18,28 @@ from repro.traces.benchmarks import available_configurations
 
 
 def regenerate_validation():
+    """``(processors, report)`` per configuration and ring protocol."""
     reports = []
     for name, processors in available_configurations():
         refs = REFS_MIT if processors == 64 else REFS_SPLASH
         for protocol in (Protocol.SNOOPING, Protocol.DIRECTORY):
             reports.append(
-                validate_model(name, processors, protocol, data_refs=refs)
+                (
+                    processors,
+                    validate_model(name, processors, protocol, data_refs=refs),
+                )
             )
     return reports
 
 
 def test_model_validation_within_paper_tolerances(benchmark):
-    reports = benchmark.pedantic(regenerate_validation, rounds=1, iterations=1)
+    labelled = benchmark.pedantic(regenerate_validation, rounds=1, iterations=1)
+    reports = [report for _, report in labelled]
     rows = [
         {
-            "config": f"{report.benchmark}{report.protocol.value[:4]}",
+            "config": (
+                f"{report.benchmark} {processors}p {report.protocol.value}"
+            ),
             "proc util sim/model": "{:.3f}/{:.3f}".format(
                 report.sim_processor_utilization,
                 report.model_processor_utilization,
@@ -47,7 +54,7 @@ def test_model_validation_within_paper_tolerances(benchmark):
             ),
             "lat err %": round(report.latency_error_percent, 1),
         }
-        for report in reports
+        for processors, report in labelled
     ]
     emit(
         "model_validation",

@@ -61,6 +61,7 @@ from repro.models.base import (
     family_for_protocol,
     weighted_latencies,
 )
+from repro.models.matching import bus_matches
 
 __all__ = [
     "GRID_STATS",
@@ -526,8 +527,11 @@ def matching_bus_clock_grid(
     """Vector form of ``matching_bus_clock_ns``: one masked bisection
     over every ``(config, inputs, processor_cycle_ps)`` design point at
     once.  Each lane follows exactly the scalar probe sequence (low,
-    high, then midpoints) with the same per-lane warm-started bus
-    solves, so results match the scalar solver bit-for-bit."""
+    high, then midpoints), and each step is one evaluation of
+    :func:`~repro.models.matching.bus_matches` over every lane, so
+    results match the scalar solver bit-for-bit.  A lane whose target
+    is NaN (say, a failed ring solve) comes back NaN; a target <= 0
+    gives ``high_ns``, as in the scalar solver."""
     np = require_numpy()
     points = list(points)
     n = len(points)
@@ -539,35 +543,34 @@ def matching_bus_clock_grid(
         if target.ndim == 0:
             target = np.full(n, float(target))
 
-    bus_grid = ModelGrid.from_points("bus", points)
-    warm = [None]
+    arrays = ModelGrid.from_points("bus", points).arrays
+    positive = target > 0.0
+    ring_time_ps = arrays["busy_ps"] / np.where(positive, target, 1.0)
 
-    def utilization_at(clock_ns):
+    def matches(clock_ns):
+        GRID_STATS["grid_evals"] += 1
         # Same clock quantisation as the scalar path:
         # max(1, round(clock_ns * 1000)).  np.round is round-half-even,
         # like builtin round().
-        bus_grid.arrays["bus_clock_ps"] = np.maximum(
-            1.0, np.round(clock_ns * 1000.0)
-        )
-        solution = solve_grid(bus_grid, initial_guess_ps=warm[0])
-        warm[0] = solution.time_per_instruction_ps
-        return solution.processor_utilization
+        arrays["bus_clock_ps"] = np.maximum(1.0, np.round(clock_ns * 1000.0))
+        with np.errstate(all="ignore"):
+            return bus_matches(arrays, ring_time_ps, np)
 
     low = np.full(n, float(low_ns))
     high = np.full(n, float(high_ns))
-    result = np.full(n, np.nan)
+    result = np.where(target <= 0.0, high, np.nan)
 
-    at_low = utilization_at(low) < target
+    at_low = positive & ~matches(low)
     result = np.where(at_low, low, result)
-    at_high = ~at_low & (utilization_at(high) >= target)
+    at_high = positive & ~at_low & matches(high)
     result = np.where(at_high, high, result)
-    active = ~(at_low | at_high)
+    active = positive & ~(at_low | at_high)
     while True:
         working = active & ((high - low) > tolerance)
         if not bool(working.any()):
             break
         mid = (low + high) / 2.0
-        meets = utilization_at(np.where(working, mid, low)) >= target
+        meets = matches(np.where(working, mid, low))
         low = np.where(working & meets, mid, low)
         high = np.where(working & ~meets, mid, high)
     return np.where(active, (low + high) / 2.0, result)

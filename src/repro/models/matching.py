@@ -9,19 +9,27 @@ Both sides use the snooping protocol and the same extracted event
 frequencies, so the question reduces to inverting the bus model's
 utilisation in its clock period, which is monotone: a faster bus never
 hurts.  A bisection on the bus clock period answers it.
+
+No probe of the bisection solves the bus model.  The ring's operating
+point is ``T* = cycle / target``; the bus residual
+``g(T) = cycle + sum_k f_k L_k(T) - T`` is strictly decreasing in ``T``
+and its root is the bus's own fixed point ``T_bus``, so the bus reaches
+the target utilisation (``T_bus <= T*``) exactly when ``g(T*) <= 0``.
+One evaluation of the bus equations at ``T*`` decides each probe.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+import math
 from typing import Optional
 
 from repro.core.config import SystemConfig
 from repro.core.results import ModelInputs
-from repro.models.bus import BusModel
+from repro.models import bus
+from repro.models.base import SCALAR, SOLVER_STATS, config_row
 from repro.models.ring_snooping import SnoopingRingModel
 
-__all__ = ["matching_bus_clock_ns", "ring_target_utilization"]
+__all__ = ["bus_matches", "matching_bus_clock_ns", "ring_target_utilization"]
 
 
 def ring_target_utilization(
@@ -30,6 +38,19 @@ def ring_target_utilization(
     """Processor utilisation the ring achieves at this speed."""
     model = SnoopingRingModel(config, inputs)
     return model.solve(processor_cycle_ps).processor_utilization
+
+
+def bus_matches(a, time_ps, xp):
+    """True where the bus clocked at ``a["bus_clock_ps"]`` retires one
+    instruction per ``time_ps`` or faster: the bus residual
+    ``g(time_ps) = busy + sum_k f_k L_k(time_ps) - time_ps`` is <= 0.
+    ``a`` is a bus field row carrying ``busy_ps`` (elementwise for
+    arrays; a NaN lane never matches)."""
+    latencies, mix, _, _ = bus.latencies(a, time_ps, xp)
+    implied = a["busy_ps"] + sum(
+        frequency * latencies[name] for name, frequency in mix
+    )
+    return implied <= time_ps
 
 
 def matching_bus_clock_ns(
@@ -46,36 +67,37 @@ def matching_bus_clock_ns(
     Returns the bisection solution in [low_ns, high_ns]; if even the
     fastest bus considered cannot match (bus-side latency floor above
     the ring's), ``low_ns`` is returned, and if the slowest bus already
-    matches, ``high_ns``.
+    matches -- always so for a target <= 0 -- ``high_ns``.  Probes are
+    quantised to whole picoseconds, so the answer lies within a
+    picosecond of the exact threshold.  A NaN target raises
+    ``ValueError``.
     """
     if target_utilization is None:
         target_utilization = ring_target_utilization(
             config, inputs, processor_cycle_ps
         )
+    if math.isnan(target_utilization):
+        raise ValueError("target utilisation is NaN")
+    if target_utilization <= 0.0:
+        return high_ns
 
-    last_time_ps: "list[float | None]" = [None]
+    row = config_row(config, inputs)
+    row["busy_ps"] = float(processor_cycle_ps)
+    ring_time_ps = row["busy_ps"] / target_utilization
 
-    def bus_utilization(clock_ns: float) -> float:
-        bus_config = replace(
-            config, bus=replace(config.bus, clock_ps=max(1, round(clock_ns * 1000)))
-        )
-        # Warm start each solve from the previous bisection probe: the
-        # fixed point moves smoothly in the bus clock, so the last
-        # solution seeds a near-tight bracket.
-        point = BusModel(bus_config, inputs).solve(
-            processor_cycle_ps, initial_guess_ps=last_time_ps[0]
-        )
-        last_time_ps[0] = point.time_per_instruction_ps
-        return point.processor_utilization
+    def matches(clock_ns: float) -> bool:
+        SOLVER_STATS["model_evals"] += 1
+        row["bus_clock_ps"] = float(max(1, round(clock_ns * 1000)))
+        return bus_matches(row, ring_time_ps, SCALAR)
 
     low, high = low_ns, high_ns
-    if bus_utilization(low) < target_utilization:
+    if not matches(low):
         return low
-    if bus_utilization(high) >= target_utilization:
+    if matches(high):
         return high
     while high - low > tolerance:
         mid = (low + high) / 2.0
-        if bus_utilization(mid) >= target_utilization:
+        if matches(mid):
             low = mid
         else:
             high = mid

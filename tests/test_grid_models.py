@@ -12,6 +12,7 @@ masked iteration follows the scalar one step for step).
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import replace
 
@@ -326,7 +327,7 @@ def test_product_grid_matches_scalar_across_parameter_axes():
 # ----------------------------------------------------------------------
 # Table 4 matching (vectorized bisection)
 # ----------------------------------------------------------------------
-def test_matching_bus_clock_grid_matches_scalar():
+def _matching_points():
     protocol = Protocol.SNOOPING
     points = []
     for processors, ring_clock_ps, cycle_ps in (
@@ -340,12 +341,42 @@ def test_matching_bus_clock_grid_matches_scalar():
             base, ring=replace(base.ring, clock_ps=ring_clock_ps)
         )
         points.append((config, _make_inputs(protocol, processors), cycle_ps))
+    return points
+
+
+def test_matching_bus_clock_grid_matches_scalar():
+    # Both solvers decide each probe with the same bus_matches
+    # evaluation, so they agree exactly, including at the endpoints.
+    points = _matching_points() + _random_points("ring_snooping", 60)
     ours = grid_engine.matching_bus_clock_grid(points)
     for index, (config, inputs, cycle_ps) in enumerate(points):
         oracle = matching_bus_clock_ns(config, inputs, cycle_ps)
-        assert ours[index] == pytest.approx(oracle, rel=REL), (
+        assert ours[index] == oracle, (
             f"matching clock diverged at point {index}"
         )
+
+
+def test_matching_bus_clock_grid_isolates_nan_targets():
+    config, inputs, cycle_ps = _matching_points()[0]
+    broken = _make_inputs(Protocol.SNOOPING, 8, remote_clean=math.nan)
+    ours = grid_engine.matching_bus_clock_grid(
+        [(config, inputs, cycle_ps)] * 4,
+        target_utilization=[0.5, math.nan, 0.0, -1.0],
+    )
+    assert ours[0] == matching_bus_clock_ns(
+        config, inputs, cycle_ps, target_utilization=0.5
+    )
+    # A NaN target (a failed ring lane) is a NaN lane, not a clock.
+    assert math.isnan(ours[1])
+    # A target <= 0 is met by the slowest bus considered.
+    assert ours[2] == ours[3] == 200.0
+
+    # A point whose ring solve fails leaves its neighbours untouched.
+    derived = grid_engine.matching_bus_clock_grid(
+        [(config, inputs, cycle_ps), (config, broken, cycle_ps)]
+    )
+    assert derived[0] == matching_bus_clock_ns(config, inputs, cycle_ps)
+    assert math.isnan(derived[1])
 
 
 # ----------------------------------------------------------------------

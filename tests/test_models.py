@@ -276,6 +276,100 @@ def test_matching_bus_reproduces_ring_utilization():
     assert achieved == pytest.approx(target, abs=0.01)
 
 
+def _bus_meets_exactly(config, inputs, cycle_ps, clock_ps, target):
+    """Oracle: does the bus clocked at ``clock_ps`` reach ``target``,
+    with its fixed point solved to 1e-13?"""
+    from dataclasses import replace
+
+    bus_config = replace(config, bus=replace(config.bus, clock_ps=clock_ps))
+    model = BusModel(bus_config, inputs)
+    time_ps, _ = solve_time_per_instruction(
+        float(cycle_ps),
+        dict(model.frequencies(model.row)),
+        model.breakdown,
+        tolerance=1e-13,
+    )
+    return cycle_ps / time_ps >= target
+
+
+#: A point the former matching solver, which solved the bus model at
+#: every probe, answered one picosecond short of the threshold: it
+#: returned 11.342804908752441 ns although the bus still meets the
+#: target at 11,343 ps.
+_THRESHOLD_POINT = (
+    16,
+    2_000,
+    5_000,
+    dict(
+        remote_clean=0.001,
+        remote_dirty=0.0011,
+        upgrades_with=0.0,
+        upgrades_without=0.0003,
+    ),
+)
+
+
+def test_matching_bus_clock_lies_on_the_exact_threshold():
+    import math
+    import random
+    from dataclasses import replace
+
+    from repro.models.matching import (
+        matching_bus_clock_ns,
+        ring_target_utilization,
+    )
+
+    rng = random.Random(1993)
+    points = [_THRESHOLD_POINT]
+    for _ in range(40):
+        points.append(
+            (
+                rng.choice((8, 16, 32)),
+                rng.choice((2_000, 4_000)),
+                rng.choice((2_500, 5_000, 10_000)),
+                dict(
+                    remote_clean=rng.randrange(10, 300) / 10_000,
+                    remote_dirty=rng.randrange(0, 150) / 10_000,
+                    upgrades_with=rng.randrange(0, 40) / 10_000,
+                    upgrades_without=rng.randrange(0, 20) / 10_000,
+                ),
+            )
+        )
+    for processors, ring_clock_ps, cycle_ps, frequencies in points:
+        base = SystemConfig(num_processors=processors)
+        config = replace(base, ring=replace(base.ring, clock_ps=ring_clock_ps))
+        inputs = make_inputs(processors=processors, **frequencies)
+        target = ring_target_utilization(config, inputs, cycle_ps)
+        clock_ns = matching_bus_clock_ns(config, inputs, cycle_ps)
+        assert 0.5 < clock_ns < 200.0
+        threshold_ps = math.floor(clock_ns * 1000)
+        where = (processors, ring_clock_ps, cycle_ps, frequencies, clock_ns)
+        assert _bus_meets_exactly(
+            config, inputs, cycle_ps, threshold_ps, target
+        ), where
+        assert not _bus_meets_exactly(
+            config, inputs, cycle_ps, threshold_ps + 1, target
+        ), where
+
+
+def test_matching_bus_clock_rejects_a_nan_target():
+    import math
+
+    from repro.models.matching import matching_bus_clock_ns
+
+    config = SystemConfig(num_processors=16)
+    inputs = make_inputs(processors=16)
+    with pytest.raises(ValueError):
+        matching_bus_clock_ns(
+            config, inputs, 10_000, target_utilization=math.nan
+        )
+    # A target <= 0 is met by the slowest bus considered.
+    for target in (0.0, -1.0):
+        assert matching_bus_clock_ns(
+            config, inputs, 10_000, target_utilization=target
+        ) == 200.0
+
+
 # ----------------------------------------------------------------------
 # The scalar path stays NumPy-free
 # ----------------------------------------------------------------------
@@ -304,6 +398,8 @@ for protocol in (Protocol.SNOOPING, Protocol.DIRECTORY, Protocol.LINKED_LIST, Pr
     assert len(model.sweep().points) == 20
     families.add(model.family)
 assert families == set(MODEL_FAMILIES), families
+from repro.models.matching import matching_bus_clock_ns
+assert 0.5 < matching_bus_clock_ns(SystemConfig(num_processors=8), Extraction.inputs, 5_000) < 200.0
 assert "numpy" not in sys.modules, "the scalar models imported numpy"
 print("numpy-free")
 """
