@@ -46,6 +46,23 @@ _PROTOCOLS = {protocol.value: protocol for protocol in Protocol}
 DEFAULT_SERVE_URL = "http://127.0.0.1:8787"
 
 
+class _ParamAxis(argparse.Action):
+    """``--param NAME VALUE...``: collects the axes into one
+    ``{name: [int, ...]}`` dict; a malformed axis is a usage error."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        name, *raw = values
+        if not raw:
+            parser.error(f"{option_string} {name}: needs at least one value")
+        try:
+            axis = [int(value) for value in raw]
+        except ValueError:
+            parser.error(f"{option_string} {name}: values must be integers")
+        axes = dict(getattr(namespace, self.dest) or {})
+        axes[name] = axis
+        setattr(namespace, self.dest, axes)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -92,16 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--no-cache",
             action="store_true",
             help="disable the persistent on-disk result cache",
-        )
-
-    def add_grid_toggle(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument(
-            "--grid",
-            action=argparse.BooleanOptionalAction,
-            default=None,
-            help="solve the model sweeps on the vectorized grid engine "
-            "(--grid needs NumPy; --no-grid forces the scalar models; "
-            "default: scalar -- results are bit-identical either way)",
         )
 
     simulate = commands.add_parser(
@@ -177,13 +184,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the extraction simulation under the coherence "
         "monitor (bypasses the result cache)",
     )
-    add_grid_toggle(sweep)
 
     compare = commands.add_parser(
         "compare", help="snooping vs directory panels (Figure 3/4 style)"
     )
     add_workload_arguments(compare)
-    add_grid_toggle(compare)
     compare.add_argument(
         "--sizes",
         type=int,
@@ -198,7 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
         "ringbus", help="ring vs bus panels (Figure 6 style)"
     )
     add_workload_arguments(ringbus)
-    add_grid_toggle(ringbus)
 
     grid = commands.add_parser(
         "grid",
@@ -219,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     grid.add_argument(
         "--param",
-        action="append",
+        action=_ParamAxis,
         nargs="+",
         default=None,
         metavar=("NAME", "VALUE"),
@@ -673,7 +677,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     submit.add_argument(
         "--param",
-        action="append",
+        action=_ParamAxis,
         nargs="+",
         default=None,
         metavar=("NAME", "VALUE"),
@@ -858,25 +862,16 @@ def _print_sweeps(sweeps, title: str) -> None:
 
 
 def _command_sweep(args: argparse.Namespace) -> int:
+    from repro.serve.protocol import sweep_payload
+
     sweep = hybrid_sweep(
         args.benchmark,
         args.processors,
         _PROTOCOLS[args.protocol],
         data_refs=args.refs,
         check_invariants=args.check_invariants,
-        use_grid=args.grid,
     )
-    rows = [
-        {
-            "cycle (ns)": point.processor_cycle_ns,
-            "MIPS": round(point.mips),
-            "proc util": round(point.processor_utilization, 3),
-            "net util": round(point.network_utilization, 3),
-            "miss latency (ns)": round(point.shared_miss_latency_ns, 1),
-        }
-        for point in sweep.points
-    ]
-    print(render_table(rows, title=sweep.label))
+    _print_job_result("sweep", sweep_payload(sweep))
     return 0
 
 
@@ -893,7 +888,6 @@ def _command_compare(args: argparse.Namespace) -> int:
             data_refs=args.refs,
             jobs=args.jobs,
             progress=_progress_printer(args),
-            use_grid=args.grid,
         )
         _print_sweeps(sweeps, f"{args.benchmark}-{sizes[0]}")
     else:
@@ -903,7 +897,6 @@ def _command_compare(args: argparse.Namespace) -> int:
             data_refs=args.refs,
             jobs=args.jobs,
             progress=_progress_printer(args),
-            use_grid=args.grid,
         )
         for name, procs in panels:
             _print_sweeps(grid[(name, procs)], f"{name}-{procs}")
@@ -924,7 +917,6 @@ def _command_ringbus(args: argparse.Namespace) -> int:
         data_refs=args.refs,
         jobs=args.jobs,
         progress=_progress_printer(args),
-        use_grid=args.grid,
     )
     _print_sweeps(sweeps, f"{args.benchmark}-{args.processors}")
     _print_cache_summary(args, before, time.perf_counter() - started)
@@ -934,11 +926,8 @@ def _command_ringbus(args: argparse.Namespace) -> int:
 def _command_grid(args: argparse.Namespace) -> int:
     import time
 
-    try:
-        from repro.models import grid as grid_engine
-    except ImportError as error:  # pragma: no cover - import is lazy below
-        print(f"grid engine unavailable: {error}", file=sys.stderr)
-        return 2
+    from repro.models import grid as grid_engine
+
     if not grid_engine.grid_available():
         print(
             "grid engine unavailable: NumPy is not installed; the "
@@ -949,24 +938,13 @@ def _command_grid(args: argparse.Namespace) -> int:
         return 2
     from repro.core.sweep import design_surface
 
-    parameters = None
-    if args.param:
-        parameters = {}
-        for axis in args.param:
-            if len(axis) < 2:
-                print(
-                    f"--param {axis[0]}: needs at least one value",
-                    file=sys.stderr,
-                )
-                return 2
-            parameters[axis[0]] = [int(value) for value in axis[1:]]
     grid_engine.reset_grid_stats()
     started = time.perf_counter()
     solution = design_surface(
         args.benchmark,
         args.processors,
         protocol=_PROTOCOLS[args.protocol],
-        parameters=parameters,
+        parameters=args.param,
         cycles_ns=args.cycles,
         data_refs=args.refs,
     )
@@ -984,10 +962,10 @@ def _command_grid(args: argparse.Namespace) -> int:
     title = (
         f"{args.benchmark}-{args.processors} {args.protocol}: {args.metric}"
     )
-    if parameters is not None and len(parameters) == 1:
+    if args.param is not None and len(args.param) == 1:
         from repro.analysis.figures import render_heatmap
 
-        (name, values), = parameters.items()
+        (name, values), = args.param.items()
         print(
             render_heatmap(
                 solution.surface(args.metric).tolist(),
@@ -1387,23 +1365,19 @@ def _submit_spec(args: argparse.Namespace) -> dict:
         ("lines", args.lines),
         ("max_depth", args.max_depth),
         ("max_states", args.max_states),
+        ("parameters", args.param),
     ):
         if value is not None:
             spec[field] = value
-    if args.param:
-        axes = {}
-        for axis in args.param:
-            if len(axis) < 2:
-                raise SystemExit(
-                    f"--param {axis[0]}: needs at least one value"
-                )
-            axes[axis[0]] = [int(value) for value in axis[1:]]
-        spec["parameters"] = axes
     return spec
 
 
-def _print_submit_result(kind: str, result: dict) -> None:
+def _print_job_result(kind: str, result: dict) -> None:
+    """Render a job's result payload (``repro.serve.protocol``); ``repro
+    sweep`` renders its own curve through here too, so a served sweep
+    prints exactly what the synchronous one does."""
     if kind in ("sweep", "grid"):
+        points = result["points" if kind == "sweep" else "operating_points"]
         rows = [
             {
                 "cycle (ns)": point["processor_cycle_ns"],
@@ -1414,7 +1388,7 @@ def _print_submit_result(kind: str, result: dict) -> None:
                     point["shared_miss_latency_ns"], 1
                 ),
             }
-            for point in result.get("points", result.get("operating_points"))
+            for point in points
         ]
         print(render_table(rows, title=result.get("label", kind)))
     elif kind == "check":
@@ -1487,7 +1461,7 @@ def _command_submit(args: argparse.Namespace) -> int:
         f"coalesced={coalesced}"
     )
     if done:
-        _print_submit_result(final["kind"], client.result(job["job"]))
+        _print_job_result(final["kind"], client.result(job["job"]))
     elif final.get("error"):
         print(f"error: {final['error']}", file=sys.stderr)
     return 0 if done else 1

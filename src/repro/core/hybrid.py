@@ -18,7 +18,7 @@ processor and network utilizations").
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.core.config import Protocol, SystemConfig
 from repro.core.experiment import DEFAULT_DATA_REFS, run_simulation_cached
@@ -29,6 +29,7 @@ __all__ = [
     "hybrid_sweep",
     "extraction_point",
     "sweep_from_result",
+    "surface_from_result",
     "validate_model",
     "ValidationReport",
     "model_for",
@@ -111,23 +112,45 @@ def sweep_from_result(
     protocol: Protocol,
     config: Optional[SystemConfig] = None,
     cycles_ns: Optional[Sequence[float]] = None,
-    use_grid: Optional[bool] = None,
 ) -> SweepResult:
     """The model half of a hybrid sweep, from a finished extraction.
 
-    ``use_grid=True`` solves the whole cycle sweep in one vectorized
-    pass (:func:`repro.models.grid.grid_sweep`, needs NumPy); the
-    results are bit-identical to the scalar sweep, which remains the
-    default (``use_grid`` None or False).
+    A curve is one configuration along the cycle axis, so the scalar
+    models solve it (no NumPy needed); :func:`surface_from_result` is
+    the grid counterpart for parameter cross-products.
     """
     base = _target_config(num_processors, protocol, config)
     cycles = list(cycles_ns) if cycles_ns else list(PAPER_CYCLE_SWEEP_NS)
-    if use_grid:
-        from repro.models import grid as grid_engine
+    return model_for(base, simulated).sweep(cycles)
 
-        return grid_engine.grid_sweep(base, simulated.inputs, cycles_ns=cycles)
-    model = model_for(base, simulated)
-    return model.sweep(cycles)
+
+def surface_from_result(
+    simulated: SimulationResult,
+    num_processors: int,
+    protocol: Protocol,
+    config: Optional[SystemConfig] = None,
+    parameters: Optional[Dict[str, Sequence[int]]] = None,
+    cycles_ns: Optional[Sequence[float]] = None,
+) -> "GridSolution":
+    """The model half of a design surface, from a finished extraction.
+
+    Crosses every ``parameters`` axis (names from
+    ``repro.core.sensitivity.SUPPORTED_PARAMETERS``) with the processor
+    cycle sweep and solves it all in one vectorized pass
+    (:func:`repro.models.grid.solve_grid`, needs NumPy).
+    """
+    from repro.models import grid as grid_engine
+
+    base = _target_config(num_processors, protocol, config)
+    return grid_engine.solve_grid(
+        grid_engine.ModelGrid.from_product(
+            family_for_protocol(protocol),
+            base,
+            simulated.inputs,
+            cycles_ns=cycles_ns,
+            parameters=parameters,
+        )
+    )
 
 
 def hybrid_sweep(
@@ -139,7 +162,6 @@ def hybrid_sweep(
     cycles_ns: Optional[Sequence[float]] = None,
     extraction_protocol: Optional[Protocol] = None,
     check_invariants: bool = False,
-    use_grid: Optional[bool] = None,
 ) -> SweepResult:
     """One full hybrid evaluation: simulate once, sweep with the model.
 
@@ -152,9 +174,6 @@ def hybrid_sweep(
     runtime coherence monitor (cache bypassed -- see
     :func:`repro.core.experiment.run_simulation_cached`); the model
     half is pure arithmetic and needs no checking.
-
-    ``use_grid=True`` runs the model half on the vectorized grid
-    engine (bit-identical results, needs NumPy).
     """
     point = extraction_point(
         benchmark,
@@ -178,7 +197,6 @@ def hybrid_sweep(
         protocol,
         config=config,
         cycles_ns=cycles_ns,
-        use_grid=use_grid,
     )
 
 

@@ -191,17 +191,13 @@ def model_sensitivity_sweep(
     processor_cycle_ns: float = 20.0,
     data_refs: int = DEFAULT_DATA_REFS,
     base_config: Optional[SystemConfig] = None,
-    use_grid: Optional[bool] = None,
 ) -> List[Dict[str, float]]:
     """Analytic counterpart of :func:`sensitivity_sweep`: one trace
     extraction, then the analytical model resolves each value.
 
     Misses the emergent effects a re-simulation captures (the event
     mix is held fixed) but costs milliseconds per value, so it scales
-    to axes a simulation sweep cannot.  ``use_grid`` picks the solver:
-    True forces the vectorized grid engine, False the scalar models,
-    None (default) uses the grid when NumPy is available.  Both paths
-    produce identical rows.
+    to axes a simulation sweep cannot.
     """
     from repro.core.hybrid import (
         _target_config,
@@ -210,10 +206,6 @@ def model_sensitivity_sweep(
     )
     from repro.core.experiment import run_simulation_cached
 
-    if use_grid is None:
-        from repro.models.grid import grid_available
-
-        use_grid = grid_available()
     point = extraction_point(
         benchmark,
         num_processors,
@@ -229,25 +221,11 @@ def model_sensitivity_sweep(
         config=point.config,
     )
     base = _target_config(num_processors, protocol, base_config)
-    configs = [apply_parameter(base, parameter, value) for value in values]
     cycle_ps = round(processor_cycle_ns * 1000)
-    if use_grid:
-        from repro.models import grid as grid_engine
-
-        solution = grid_engine.solve_grid(
-            grid_engine.ModelGrid.from_points(
-                grid_engine.family_for_protocol(protocol),
-                [(config, simulated.inputs, cycle_ps) for config in configs],
-            )
-        )
-        points = solution.operating_points()
-    else:
-        points = [
-            model_for(config, simulated).solve(cycle_ps)
-            for config in configs
-        ]
     rows: List[Dict[str, float]] = []
-    for value, solved in zip(values, points):
+    for value in values:
+        config = apply_parameter(base, parameter, value)
+        solved = model_for(config, simulated).solve(cycle_ps)
         rows.append(
             {
                 parameter: value,

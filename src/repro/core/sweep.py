@@ -12,7 +12,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import Protocol, SystemConfig
 from repro.core.experiment import DEFAULT_DATA_REFS, run_simulation_cached
-from repro.core.hybrid import extraction_point, sweep_from_result
+from repro.core.hybrid import (
+    extraction_point,
+    surface_from_result,
+    sweep_from_result,
+)
 from repro.core.parallel import ProgressCallback, SweepReport, execute_points
 from repro.core.results import SimulationResult, SweepResult
 
@@ -55,15 +59,12 @@ def snooping_vs_directory(
     config: Optional[SystemConfig] = None,
     jobs: int = 1,
     progress: Optional[ProgressCallback] = None,
-    use_grid: Optional[bool] = None,
 ) -> List[SweepResult]:
     """The two curves of one Figure 3/4 panel (snooping, directory).
 
     ``jobs > 1`` runs the two underlying trace-driven extractions in
     parallel worker processes; the model sweeps (milliseconds) stay in
     the parent.  Results are bit-identical to the serial path.
-    ``use_grid=True`` runs the model half on the vectorized grid
-    engine (also bit-identical; needs NumPy).
     """
     protocols = (Protocol.SNOOPING, Protocol.DIRECTORY)
     points = [
@@ -84,7 +85,6 @@ def snooping_vs_directory(
             protocol,
             config=config,
             cycles_ns=cycles_ns,
-            use_grid=use_grid,
         )
         for protocol, simulated in zip(protocols, report.results)
     ]
@@ -96,7 +96,6 @@ def figure3_panels(
     cycles_ns: Optional[Sequence[float]] = None,
     jobs: int = 1,
     progress: Optional[ProgressCallback] = None,
-    use_grid: Optional[bool] = None,
 ) -> "Tuple[Dict[Tuple[str, int], List[SweepResult]], SweepReport]":
     """Every snooping-vs-directory panel of a Figure 3/4-style grid.
 
@@ -122,7 +121,6 @@ def figure3_panels(
                 procs,
                 protocol,
                 cycles_ns=cycles_ns,
-                use_grid=use_grid,
             )
             for protocol in protocols
         ]
@@ -138,7 +136,6 @@ def ring_vs_bus(
     bus_clocks_mhz: Sequence[float] = (100.0, 50.0),
     jobs: int = 1,
     progress: Optional[ProgressCallback] = None,
-    use_grid: Optional[bool] = None,
 ) -> List[SweepResult]:
     """The four curves of one Figure 6 panel.
 
@@ -182,7 +179,6 @@ def ring_vs_bus(
             protocol,
             config=config,
             cycles_ns=cycles_ns,
-            use_grid=use_grid,
         )
         for (protocol, config), simulated in zip(curves, report.results)
     ]
@@ -199,19 +195,17 @@ def design_surface(
 ):
     """A whole analytic design surface from one trace extraction.
 
-    Crosses every ``parameters`` axis (names from
-    ``repro.core.sensitivity.SUPPORTED_PARAMETERS``) with the processor
-    cycle sweep and solves all of it in one vectorized pass -- the
-    grid-engine workload the scalar models would need thousands of
-    separate solves for.  Returns the
+    Runs the extraction, then :func:`surface_from_result` solves every
+    ``parameters`` combination crossed with the processor cycle sweep
+    in one vectorized pass -- the grid-engine workload the scalar
+    models would need thousands of separate solves for.  Returns the
     :class:`repro.models.grid.GridSolution`; reshape any metric with
     ``solution.surface(...)``.  Needs NumPy (raises ImportError before
     running the extraction when it is unavailable).
     """
-    from repro.core.hybrid import _target_config, extraction_point
-    from repro.models import grid as grid_engine
+    from repro.models.grid import require_numpy
 
-    grid_engine.require_numpy()  # fail fast before the extraction run
+    require_numpy()  # fail fast before the extraction run
     point = extraction_point(
         benchmark, num_processors, protocol, config=config, data_refs=data_refs
     )
@@ -222,15 +216,14 @@ def design_surface(
         data_refs=data_refs,
         config=point.config,
     )
-    base = _target_config(num_processors, protocol, config)
-    grid = grid_engine.ModelGrid.from_product(
-        grid_engine.family_for_protocol(protocol),
-        base,
-        simulated.inputs,
-        cycles_ns=cycles_ns,
+    return surface_from_result(
+        simulated,
+        num_processors,
+        protocol,
+        config=config,
         parameters=parameters,
+        cycles_ns=cycles_ns,
     )
-    return grid_engine.solve_grid(grid)
 
 
 def miss_breakdown(

@@ -82,11 +82,9 @@ __all__ = [
     "ModelGrid",
     "GridSolution",
     "solve_grid",
-    "grid_sweep",
     "grid_available",
     "GRID_STATS",
     "reset_grid_stats",
-    "matching_bus_clock_grid",
 ]
 
 _GRID_EXPORTS = frozenset(
@@ -94,11 +92,9 @@ _GRID_EXPORTS = frozenset(
         "ModelGrid",
         "GridSolution",
         "solve_grid",
-        "grid_sweep",
         "grid_available",
         "GRID_STATS",
         "reset_grid_stats",
-        "matching_bus_clock_grid",
     )
 )
 

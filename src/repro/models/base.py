@@ -41,6 +41,8 @@ from repro.core.results import ModelInputs, OperatingPoint, SweepResult
 __all__ = [
     "CONFIG_FIELDS",
     "DEFAULT_GUESS_PS",
+    "MAX_ITERATIONS",
+    "TOLERANCE",
     "FixedPointDiverged",
     "FixedPointModel",
     "LatencyBreakdown",
@@ -91,6 +93,10 @@ SCALAR = SimpleNamespace(where=_where, minimum=min, maximum=max)
 #: Default bracket seed of both solvers.
 DEFAULT_GUESS_PS = 50_000.0
 
+#: Relative stopping tolerance and iteration budget of both solvers.
+TOLERANCE = 1e-6
+MAX_ITERATIONS = 500
+
 
 @dataclass(frozen=True)
 class LatencyBreakdown:
@@ -119,8 +125,8 @@ def solve_time_per_instruction(
     event_frequencies: Mapping[str, float],
     model: LatencyModel,
     initial_guess_ps: float = DEFAULT_GUESS_PS,
-    tolerance: float = 1e-6,
-    max_iterations: int = 500,
+    tolerance: float = TOLERANCE,
+    max_iterations: int = MAX_ITERATIONS,
 ) -> "tuple[float, LatencyBreakdown]":
     """Find T with  T = busy + sum_k f_k * L_k(T).
 

@@ -1,25 +1,25 @@
 """Vectorized analytical-model engine: whole design grids in one pass.
 
 The scalar solver in :mod:`repro.models.base` finds one fixed point per
-call; paper-scale surfaces (Fig 6 panels, Table 4, sensitivity sheets)
-need thousands to hundreds of thousands of them.  This module solves
-an entire grid of configurations at once: configurations live in a
-struct-of-arrays :class:`ModelGrid` (the scalar models' field row,
-one NumPy column per field), the family's equations -- the very
-functions the scalar models evaluate, called with ``xp=numpy`` -- run
-over every lane at once, and :func:`solve_grid` runs the scalar
-solver's bracketed-secant iteration with *convergence masks* --
-converged points freeze, divergent points are isolated to NaN without
-poisoning their neighbours.
+call, which suits a curve (one configuration along the processor-cycle
+axis); a design surface crosses parameter axes and needs thousands to
+hundreds of thousands of them.  This module solves an entire grid of
+configurations at once: configurations live in a struct-of-arrays
+:class:`ModelGrid` (the scalar models' field row, one NumPy column per
+field), the family's equations -- the very functions the scalar models
+evaluate, called with ``xp=numpy`` -- run over every lane at once, and
+:func:`solve_grid` runs the scalar solver's bracketed-secant iteration
+with *convergence masks* -- converged points freeze, divergent points
+are isolated to NaN without poisoning their neighbours.
 
 Equivalence contract
 --------------------
 Both solvers evaluate the same equations and share the same bracket
-seed and stopping test, and the masked iteration follows the scalar
-one step for step, so elementwise IEEE float64 arithmetic produces
-*bit-identical* results (``tests/test_grid_models.py`` pins the two
-solvers together).  Two deliberate deviations, both confined to
-*failed* points:
+seed, stopping test and iteration budget, and the masked iteration
+follows the scalar one step for step, so elementwise IEEE float64
+arithmetic produces *bit-identical* results
+(``tests/test_grid_models.py`` pins the two solvers together).  Two
+deliberate deviations, both confined to *failed* points:
 
 * a point whose residual is NaN at the bracket floor fails fast
   (``points_failed``) instead of stalling for the full iteration
@@ -51,17 +51,18 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import SystemConfig
-from repro.core.results import ModelInputs, OperatingPoint, SweepResult
+from repro.core.results import ModelInputs, OperatingPoint
 from repro.models import MODEL_FAMILIES
 from repro.models.base import (
     CONFIG_FIELDS,
     DEFAULT_GUESS_PS,
+    MAX_ITERATIONS,
+    TOLERANCE,
     config_row,
     converged as has_converged,
     family_for_protocol,
     weighted_latencies,
 )
-from repro.models.matching import bus_matches
 
 __all__ = [
     "GRID_STATS",
@@ -70,8 +71,6 @@ __all__ = [
     "ModelGrid",
     "family_for_protocol",
     "grid_available",
-    "grid_sweep",
-    "matching_bus_clock_grid",
     "require_numpy",
     "reset_grid_stats",
     "solve_grid",
@@ -238,7 +237,7 @@ def _check_family(family: str) -> None:
 # ----------------------------------------------------------------------
 # The masked fixed-point solver
 # ----------------------------------------------------------------------
-def _solve_flat(evaluate, arrays, guess, tolerance, max_iterations):
+def _solve_flat(evaluate, arrays, guess):
     """Solve every lane of a flat grid; returns (time, converged, failed).
 
     The per-lane iterate sequence is exactly the scalar solver's:
@@ -309,7 +308,7 @@ def _solve_flat(evaluate, arrays, guess, tolerance, max_iterations):
     r0 = r_low.copy()
     t1 = high.copy()
     r1 = r_high.copy()
-    for _ in range(max_iterations):
+    for _ in range(MAX_ITERATIONS):
         if not bool(solving.any()):
             break
         with np.errstate(all="ignore"):
@@ -326,7 +325,7 @@ def _solve_flat(evaluate, arrays, guess, tolerance, max_iterations):
             candidate = np.where(inside, candidate, low + 0.5 * span)
         r_cand, _ = residual(np.where(solving, candidate, 1.0))
         with np.errstate(all="ignore"):
-            done = solving & has_converged(r_cand, span, candidate, tolerance)
+            done = solving & has_converged(r_cand, span, candidate, TOLERANCE)
             time = np.where(done, candidate, time)
             converged = converged | done
             solving = solving & ~done
@@ -413,19 +412,14 @@ class GridSolution:
         return [self.operating_point(index) for index in range(self.size)]
 
 
-def solve_grid(
-    grid: ModelGrid,
-    initial_guess_ps=None,
-    tolerance: float = 1e-6,
-    max_iterations: int = 500,
-) -> GridSolution:
+def solve_grid(grid: ModelGrid) -> GridSolution:
     """Solve the whole grid and package per-lane operating points.
 
     Product grids chain warm starts along the processor-cycle axis
     (column ``c`` seeds from column ``c-1``'s solved times, exactly the
     scalar ``sweep()`` strategy); failed lanes reseed their chain from
-    the default guess.  Pass ``initial_guess_ps`` (scalar or per-lane
-    array) to override the seeding entirely.
+    the default guess.  Point batches solve every lane from the default
+    bracket seed, like scalar ``solve()``.
     """
     np = require_numpy()
     GRID_STATS["grid_solves"] += 1
@@ -434,7 +428,7 @@ def solve_grid(
     arrays = grid.arrays
     n = grid.size
 
-    if initial_guess_ps is None and grid.chain_shape is not None:
+    if grid.chain_shape is not None:
         chains, length = grid.chain_shape
         time = np.full(n, np.nan)
         converged = np.zeros(n, dtype=bool)
@@ -444,24 +438,13 @@ def solve_grid(
         for position in range(length):
             lanes = base + position
             sub = {name: array[lanes] for name, array in arrays.items()}
-            t, c, f = _solve_flat(
-                evaluate, sub, guess, tolerance, max_iterations
-            )
+            t, c, f = _solve_flat(evaluate, sub, guess)
             time[lanes] = t
             converged[lanes] = c
             failed[lanes] = f
             guess = np.where(np.isfinite(t), t, DEFAULT_GUESS_PS)
     else:
-        guess = None
-        if initial_guess_ps is not None:
-            guess = np.asarray(initial_guess_ps, dtype=np.float64)
-            if guess.ndim == 0:
-                guess = np.full(n, float(guess))
-            else:
-                guess = guess.copy()
-        time, converged, failed = _solve_flat(
-            evaluate, arrays, guess, tolerance, max_iterations
-        )
+        time, converged, failed = _solve_flat(evaluate, arrays, None)
 
     GRID_STATS["points_converged"] += int(converged.sum())
     GRID_STATS["points_failed"] += int(failed.sum())
@@ -490,87 +473,3 @@ def solve_grid(
             upgrade_latency_ns=np.where(failed, nan, upgrade / 1000.0),
         )
     return solution
-
-
-# ----------------------------------------------------------------------
-# Sweep adapter (the scalar model.sweep() counterpart)
-# ----------------------------------------------------------------------
-def grid_sweep(
-    config: SystemConfig,
-    inputs: ModelInputs,
-    cycles_ns: Optional[Sequence[float]] = None,
-    family: Optional[str] = None,
-) -> SweepResult:
-    """Vectorized drop-in for ``model.sweep()``: one chained grid solve
-    over the processor-cycle axis, packaged as the same
-    :class:`SweepResult` (the scalar models' packaging; warm starts
-    match the scalar path bit-for-bit)."""
-    if family is None:
-        family = family_for_protocol(config.protocol)
-    grid = ModelGrid.from_product(family, config, inputs, cycles_ns=cycles_ns)
-    solution = solve_grid(grid)
-    return MODEL_FAMILIES[family].curve(
-        config, inputs, solution.operating_points()
-    )
-
-
-# ----------------------------------------------------------------------
-# Table 4 matching (vectorized bisection over many design points)
-# ----------------------------------------------------------------------
-def matching_bus_clock_grid(
-    points: Sequence[Tuple[SystemConfig, ModelInputs, int]],
-    low_ns: float = 0.5,
-    high_ns: float = 200.0,
-    tolerance: float = 1e-3,
-    target_utilization=None,
-):
-    """Vector form of ``matching_bus_clock_ns``: one masked bisection
-    over every ``(config, inputs, processor_cycle_ps)`` design point at
-    once.  Each lane follows exactly the scalar probe sequence (low,
-    high, then midpoints), and each step is one evaluation of
-    :func:`~repro.models.matching.bus_matches` over every lane, so
-    results match the scalar solver bit-for-bit.  A lane whose target
-    is NaN (say, a failed ring solve) comes back NaN; a target <= 0
-    gives ``high_ns``, as in the scalar solver."""
-    np = require_numpy()
-    points = list(points)
-    n = len(points)
-    if target_utilization is None:
-        ring = ModelGrid.from_points("ring_snooping", points)
-        target = solve_grid(ring).processor_utilization
-    else:
-        target = np.asarray(target_utilization, dtype=np.float64)
-        if target.ndim == 0:
-            target = np.full(n, float(target))
-
-    arrays = ModelGrid.from_points("bus", points).arrays
-    positive = target > 0.0
-    ring_time_ps = arrays["busy_ps"] / np.where(positive, target, 1.0)
-
-    def matches(clock_ns):
-        GRID_STATS["grid_evals"] += 1
-        # Same clock quantisation as the scalar path:
-        # max(1, round(clock_ns * 1000)).  np.round is round-half-even,
-        # like builtin round().
-        arrays["bus_clock_ps"] = np.maximum(1.0, np.round(clock_ns * 1000.0))
-        with np.errstate(all="ignore"):
-            return bus_matches(arrays, ring_time_ps, np)
-
-    low = np.full(n, float(low_ns))
-    high = np.full(n, float(high_ns))
-    result = np.where(target <= 0.0, high, np.nan)
-
-    at_low = positive & ~matches(low)
-    result = np.where(at_low, low, result)
-    at_high = positive & ~at_low & matches(high)
-    result = np.where(at_high, high, result)
-    active = positive & ~(at_low | at_high)
-    while True:
-        working = active & ((high - low) > tolerance)
-        if not bool(working.any()):
-            break
-        mid = (low + high) / 2.0
-        meets = matches(np.where(working, mid, low))
-        low = np.where(working & meets, mid, low)
-        high = np.where(working & ~meets, mid, high)
-    return np.where(active, (low + high) / 2.0, result)

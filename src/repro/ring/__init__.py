@@ -4,7 +4,6 @@ from repro.ring.base import ProtocolError, RingSystemBase
 from repro.ring.directory import DirectoryRingSystem
 from repro.ring.hierarchical import HierarchicalRingSystem
 from repro.ring.linkedlist import LinkedListRingSystem
-from repro.ring.messages import BlockKind, BlockMessage, Probe, ProbeKind
 from repro.ring.scheduler import CirculatingSlot, SlotGrant, SlotScheduler
 from repro.ring.slots import (
     BLOCK_HEADER_BYTES,
@@ -23,10 +22,6 @@ __all__ = [
     "HierarchicalRingSystem",
     "LinkedListRingSystem",
     "SnoopingRingSystem",
-    "BlockKind",
-    "BlockMessage",
-    "Probe",
-    "ProbeKind",
     "CirculatingSlot",
     "SlotGrant",
     "SlotScheduler",

@@ -30,7 +30,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.config import Protocol
 from repro.core.experiment import DEFAULT_DATA_REFS
@@ -128,6 +128,21 @@ def _cycles_field(payload: Dict[str, Any]) -> Optional[List[float]]:
     return out
 
 
+def _check_fields(payload: Dict[str, Any], fields: Tuple[str, ...]) -> None:
+    """Reject any field the job kind does not read: a misspelt option
+    must fail loudly, not silently run a job with its default."""
+    unknown = sorted(set(payload) - {"kind", *fields})
+    if unknown:
+        raise SpecError(
+            f"unknown field(s) {', '.join(map(repr, unknown))} for a "
+            f"{payload['kind']!r} job; accepted: {', '.join(fields)}"
+        )
+
+
+#: The fields of a simulation-backed job that pick its extraction.
+_WORKLOAD_FIELDS = ("benchmark", "processors", "protocol", "data_refs")
+
+
 def _workload_params(payload: Dict[str, Any]) -> Dict[str, Any]:
     benchmark = _require(payload, "benchmark")
     if not isinstance(benchmark, str) or not benchmark:
@@ -147,17 +162,14 @@ def _workload_params(payload: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def _parse_sweep(payload: Dict[str, Any]) -> Dict[str, Any]:
+    _check_fields(payload, _WORKLOAD_FIELDS + ("cycles_ns",))
     params = _workload_params(payload)
     params["cycles_ns"] = _cycles_field(payload)
-    params["use_grid"] = payload.get("use_grid")
-    if params["use_grid"] is not None and not isinstance(
-        params["use_grid"], bool
-    ):
-        raise SpecError("use_grid must be true, false or omitted")
     return params
 
 
 def _parse_simulate(payload: Dict[str, Any]) -> Dict[str, Any]:
+    _check_fields(payload, _WORKLOAD_FIELDS + ("seed",))
     params = _workload_params(payload)
     seed = payload.get("seed")
     if seed is not None and (
@@ -169,6 +181,19 @@ def _parse_simulate(payload: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def _parse_check(payload: Dict[str, Any]) -> Dict[str, Any]:
+    _check_fields(
+        payload,
+        (
+            "protocol",
+            "nodes",
+            "lines",
+            "races",
+            "max_depth",
+            "max_states",
+            "symmetry",
+            "resume",
+        ),
+    )
     protocol = _require(payload, "protocol")
     if protocol not in CHECK_PROTOCOLS:
         raise SpecError(
@@ -193,6 +218,7 @@ def _parse_check(payload: Dict[str, Any]) -> Dict[str, Any]:
 def _parse_grid(payload: Dict[str, Any]) -> Dict[str, Any]:
     from repro.core.sensitivity import SUPPORTED_PARAMETERS
 
+    _check_fields(payload, _WORKLOAD_FIELDS + ("cycles_ns", "parameters"))
     params = _workload_params(payload)
     params["cycles_ns"] = _cycles_field(payload)
     axes = payload.get("parameters")
@@ -285,10 +311,8 @@ def spec_fingerprint(spec: JobSpec, store) -> str:
     -- plus the model-side parameters (target protocol, cycle axis,
     parameter axes).  The target protocol is needed because a ``bus``
     job extracts through the same snooping point as a ``snooping`` one
-    but answers with the bus model.
-    ``use_grid`` is deliberately excluded: the grid and scalar solvers
-    are proven bit-identical, so requests differing only in solver
-    coalesce.  ``check`` jobs hash their canonical spec.
+    but answers with the bus model.  ``check`` jobs hash their
+    canonical spec.
     """
     setup: Dict[str, Any] = {"kind": spec.kind}
     if spec.kind == "check":

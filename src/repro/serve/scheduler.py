@@ -31,7 +31,7 @@ import traceback
 from concurrent.futures import ProcessPoolExecutor
 from typing import Any, AsyncIterator, Dict, Optional
 
-from repro.core.config import Protocol, SystemConfig
+from repro.core.config import Protocol
 from repro.core.parallel import PointScheduler, SweepCancelled, _worker_init
 from repro.core.store import get_result_store
 from repro.serve.jobs import Execution, Job, JobRegistry, JobState
@@ -81,7 +81,6 @@ def _run_sweep(scheduler: "JobScheduler", ex: Execution):
         params["processors"],
         Protocol(params["protocol"]),
         cycles_ns=params["cycles_ns"],
-        use_grid=params["use_grid"],
     )
     if extraction.telemetry is not None:
         scheduler._post(
@@ -131,25 +130,20 @@ def _run_check(scheduler: "JobScheduler", ex: Execution):
 
 
 def _run_grid(scheduler: "JobScheduler", ex: Execution):
-    from repro.models import grid as grid_engine
+    from repro.core.hybrid import surface_from_result
+    from repro.models.grid import grid_available
 
-    if not grid_engine.grid_available():
+    if not grid_available():
         raise RuntimeError("grid jobs need NumPy, which is not available")
     params = ex.spec.params
     report = _run_points(scheduler, ex)
-    extraction = report.results[0]
-    protocol = Protocol(params["protocol"])
-    config = SystemConfig(
-        num_processors=params["processors"], protocol=protocol
-    )
-    model_grid = grid_engine.ModelGrid.from_product(
-        grid_engine.family_for_protocol(protocol),
-        config,
-        extraction.inputs,
-        cycles_ns=params["cycles_ns"],
+    solution = surface_from_result(
+        report.results[0],
+        params["processors"],
+        Protocol(params["protocol"]),
         parameters=params["parameters"],
+        cycles_ns=params["cycles_ns"],
     )
-    solution = grid_engine.solve_grid(model_grid)
     return grid_payload(solution)
 
 

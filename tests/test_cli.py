@@ -103,6 +103,56 @@ def test_parser_requires_command():
         build_parser().parse_args([])
 
 
+@pytest.mark.parametrize(
+    "verb", [("grid", "mp3d"), ("submit", "grid", "mp3d")]
+)
+@pytest.mark.parametrize(
+    "axis, message",
+    [
+        (("ring_clock_ps", "abc"), "values must be integers"),
+        (("ring_clock_ps",), "needs at least one value"),
+    ],
+)
+def test_param_axis_errors_are_usage_errors(capsys, verb, axis, message):
+    # Both verbs share one --param parser: a bad axis is an argparse
+    # error (exit 2) before any extraction runs or any daemon is called.
+    with pytest.raises(SystemExit) as excinfo:
+        main([*verb, "--param", *axis])
+    assert excinfo.value.code == 2
+    assert f"error: --param ring_clock_ps: {message}" in capsys.readouterr().err
+
+
+def test_param_axes_collect_into_one_mapping():
+    args = build_parser().parse_args(
+        "grid mp3d --param ring_clock_ps 2000 4000 --param block_size 32".split()
+    )
+    assert args.param == {"ring_clock_ps": [2000, 4000], "block_size": [32]}
+
+
+def test_submit_renders_a_grid_result(capsys):
+    pytest.importorskip("numpy")
+    import json
+
+    from repro.cli import _print_job_result
+    from repro.core.config import Protocol
+    from repro.core.hybrid import surface_from_result
+    from repro.serve.protocol import grid_payload
+    from tests.test_models import make_inputs
+
+    class Extraction:
+        inputs = make_inputs(Protocol.SNOOPING, 4)
+
+    solution = surface_from_result(
+        Extraction(), 4, Protocol.SNOOPING, cycles_ns=[5.0, 10.0]
+    )
+    payload = json.loads(json.dumps(grid_payload(solution)))
+    _print_job_result("grid", payload)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "grid"
+    assert lines[1].split(" | ")[:2] == ["cycle (ns)", "MIPS"]
+    assert [line.split("|")[1].strip() for line in lines[3:]] == ["200", "100"]
+
+
 def test_unknown_benchmark_errors(capsys):
     with pytest.raises(KeyError):
         main(["simulate", "nonexistent", "-p", "4", "-r", "100"])

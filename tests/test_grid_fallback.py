@@ -49,26 +49,23 @@ def test_grid_constructors_raise_import_error(no_numpy):
 
 
 def test_sweep_from_result_falls_back_and_fails_fast(no_numpy):
-    from repro.core.hybrid import sweep_from_result
+    from repro.core.hybrid import surface_from_result, sweep_from_result
+    from repro.core.sweep import design_surface
 
     inputs = make_inputs(Protocol.SNOOPING, 4)
     simulated = _FakeResult(inputs)
 
-    # Explicit opt-in without NumPy: a clear error, not a crash later.
+    # A curve runs on the scalar models, which need no NumPy.
+    sweep = sweep_from_result(
+        simulated, 4, Protocol.SNOOPING, cycles_ns=[10.0, 20.0]
+    )
+    assert len(sweep.points) == 2
+    # A surface needs the grid: a clear error, not a crash later, and
+    # design_surface raises it before running its extraction.
     with pytest.raises(ImportError):
-        sweep_from_result(
-            simulated, 4, Protocol.SNOOPING, cycles_ns=[10.0], use_grid=True
-        )
-    # Default and explicit scalar paths keep working.
-    for use_grid in (None, False):
-        sweep = sweep_from_result(
-            simulated,
-            4,
-            Protocol.SNOOPING,
-            cycles_ns=[10.0, 20.0],
-            use_grid=use_grid,
-        )
-        assert len(sweep.points) == 2
+        surface_from_result(simulated, 4, Protocol.SNOOPING, cycles_ns=[10.0])
+    with pytest.raises(ImportError, match="needs numpy"):
+        design_surface("no-such-benchmark", 4)
 
 
 def test_lazy_package_exports_resolve_without_numpy(no_numpy):
@@ -125,6 +122,6 @@ def test_model_sensitivity_sweep_uses_scalar_path(no_numpy):
         "ring_clock_ps",
         [2_000, 4_000],
         data_refs=600,
-    )  # use_grid defaults to grid_available() -> False here
+    )
     assert len(rows) == 2
     assert rows[1]["miss latency (ns)"] > rows[0]["miss latency (ns)"]

@@ -22,7 +22,9 @@ pytest.importorskip("numpy")
 from repro.analysis.figures import render_sweeps
 from repro.core.config import Protocol, SystemConfig
 from repro.core.experiment import run_simulation_cached
+from repro.core.hybrid import extraction_point, surface_from_result
 from repro.core.sweep import ring_vs_bus
+from repro.models import MODEL_FAMILIES, family_for_protocol
 from repro.models import grid as grid_engine
 from repro.models.matching import matching_bus_clock_ns
 
@@ -53,10 +55,37 @@ def _golden(name: str) -> str:
 # ----------------------------------------------------------------------
 # Figure 6, MP3D-8 panel: grid-rendered charts == committed artefact
 # ----------------------------------------------------------------------
+def _fig6_curves(processors: int):
+    """The four Figure 6 machines, as ``ring_vs_bus`` builds them:
+    32-bit rings at 500 and 250 MHz, 64-bit buses at 100 and 50 MHz."""
+    curves = []
+    for mhz in (500.0, 250.0):
+        base = SystemConfig(num_processors=processors, protocol=Protocol.SNOOPING)
+        ring = replace(base.ring, clock_ps=round(1e6 / mhz))
+        curves.append((Protocol.SNOOPING, replace(base, ring=ring)))
+    for mhz in (100.0, 50.0):
+        base = SystemConfig(num_processors=processors, protocol=Protocol.BUS)
+        bus = replace(base.bus, clock_ps=round(1e6 / mhz))
+        curves.append((Protocol.BUS, replace(base, bus=bus)))
+    return curves
+
+
 def test_fig6_mp3d8_grid_render_matches_golden():
     golden = _golden("fig6_ring_vs_bus")
     refs = _bench_constants().REFS_SPLASH
-    sweeps = ring_vs_bus("mp3d", 8, data_refs=refs, use_grid=True)
+    sweeps = []
+    for protocol, config in _fig6_curves(8):
+        point = extraction_point("mp3d", 8, protocol, config=config, data_refs=refs)
+        simulated = run_simulation_cached(
+            "mp3d", 8, point.protocol, data_refs=refs, config=point.config
+        )
+        # A surface with no parameter axes: one from_product chain.
+        solution = surface_from_result(simulated, 8, protocol, config=config)
+        assert solution.n_failed == 0
+        model = MODEL_FAMILIES[family_for_protocol(protocol)]
+        sweeps.append(
+            model.curve(config, simulated.inputs, solution.operating_points())
+        )
     for metric, label in [
         ("processor_utilization", "processor utilization"),
         ("network_utilization", "network utilization"),
@@ -74,9 +103,10 @@ def test_fig6_mp3d8_grid_render_matches_golden():
             "committed artefact"
         )
 
-    # And pointwise: the grid sweeps equal the scalar sweeps exactly
+    # And pointwise: the grid curves equal the scalar curves exactly
     # (same cached extractions feed both paths).
-    scalar = ring_vs_bus("mp3d", 8, data_refs=refs, use_grid=False)
+    scalar = ring_vs_bus("mp3d", 8, data_refs=refs)
+    assert len(scalar) == len(sweeps)
     for vector_sweep, scalar_sweep in zip(sweeps, scalar):
         assert vector_sweep.label == scalar_sweep.label
         for ours, oracle in zip(vector_sweep.points, scalar_sweep.points):
@@ -86,7 +116,7 @@ def test_fig6_mp3d8_grid_render_matches_golden():
 
 
 # ----------------------------------------------------------------------
-# Table 4, MP3D-8 rows: scalar and vectorized matching == committed artefact
+# Table 4, MP3D-8 rows: matching against grid-solved ring targets == artefact
 # ----------------------------------------------------------------------
 def test_table4_mp3d8_grid_rows_match_golden():
     golden = _golden("table4_matching_bus")
@@ -117,13 +147,21 @@ def test_table4_mp3d8_grid_rows_match_golden():
             (config, extraction.inputs, round(1e6 / mips))
             for mips in mips_points
         ]
-        clocks = grid_engine.matching_bus_clock_grid(points)
-        ours = tuple(round(float(clock), 1) for clock in clocks)
+        targets = grid_engine.solve_grid(
+            grid_engine.ModelGrid.from_points("ring_snooping", points)
+        ).processor_utilization
+        clocks = [
+            matching_bus_clock_ns(
+                config, inputs, cycle_ps, target_utilization=float(target)
+            )
+            for (_, inputs, cycle_ps), target in zip(points, targets)
+        ]
+        ours = tuple(round(clock, 1) for clock in clocks)
         assert ours == expected, (
             f"Table 4 mp3d-8 @ ring {ring_mhz} MHz: grid {ours} vs "
             f"golden {expected}"
         )
-        # The scalar solver renders the same rows, and the two solvers
+        # The scalar ring solve gives the same rows, and the two paths
         # agree to full precision, not just at one rendered decimal.
         scalar = [
             matching_bus_clock_ns(config, inputs, cycle_ps)
@@ -133,4 +171,4 @@ def test_table4_mp3d8_grid_rows_match_golden():
             f"Table 4 mp3d-8 @ ring {ring_mhz} MHz: scalar {scalar} vs "
             f"golden {expected}"
         )
-        assert [float(clock) for clock in clocks] == scalar
+        assert clocks == scalar

@@ -12,7 +12,6 @@ masked iteration follows the scalar one step for step).
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import replace
 
@@ -25,7 +24,6 @@ from repro.core.metrics import MissClass
 from repro.core.results import ModelInputs, OperatingPoint
 from repro.models import grid as grid_engine
 from repro.models.bus import BusModel
-from repro.models.matching import matching_bus_clock_ns
 from repro.models.ring_directory import DirectoryRingModel
 from repro.models.ring_linkedlist import LinkedListRingModel
 from repro.models.ring_snooping import SnoopingRingModel
@@ -268,15 +266,11 @@ def test_grid_sweep_matches_scalar_sweep(family):
     config = SystemConfig(num_processors=16, protocol=protocol)
     inputs = _make_inputs(protocol, 16, forwards=0.004, upgrade_traversals=2.5)
     scalar = model_type(config, inputs).sweep()
-    vector = grid_engine.grid_sweep(config, inputs)
-    assert vector.label == scalar.label
-    assert vector.protocol == scalar.protocol
-    assert vector.benchmark == scalar.benchmark
-    assert len(vector.points) == len(scalar.points)
-    for ours, oracle in zip(vector.points, scalar.points):
-        _assert_matches(
-            ours, oracle, where=f"at {oracle.processor_cycle_ns} ns"
-        )
+    vector = grid_engine.solve_grid(
+        grid_engine.ModelGrid.from_product(family, config, inputs)
+    )
+    assert vector.grid.chain_shape == (1, len(scalar.points))
+    assert vector.operating_points() == scalar.points
 
 
 def test_product_grid_matches_scalar_across_parameter_axes():
@@ -322,61 +316,6 @@ def test_product_grid_matches_scalar_across_parameter_axes():
     assert np.array_equal(
         shaped.reshape(-1), solution.processor_utilization
     )
-
-
-# ----------------------------------------------------------------------
-# Table 4 matching (vectorized bisection)
-# ----------------------------------------------------------------------
-def _matching_points():
-    protocol = Protocol.SNOOPING
-    points = []
-    for processors, ring_clock_ps, cycle_ps in (
-        (8, 2_000, 10_000),
-        (8, 4_000, 5_000),
-        (16, 2_000, 2_500),
-        (32, 2_000, 10_000),
-    ):
-        base = SystemConfig(num_processors=processors, protocol=protocol)
-        config = replace(
-            base, ring=replace(base.ring, clock_ps=ring_clock_ps)
-        )
-        points.append((config, _make_inputs(protocol, processors), cycle_ps))
-    return points
-
-
-def test_matching_bus_clock_grid_matches_scalar():
-    # Both solvers decide each probe with the same bus_matches
-    # evaluation, so they agree exactly, including at the endpoints.
-    points = _matching_points() + _random_points("ring_snooping", 60)
-    ours = grid_engine.matching_bus_clock_grid(points)
-    for index, (config, inputs, cycle_ps) in enumerate(points):
-        oracle = matching_bus_clock_ns(config, inputs, cycle_ps)
-        assert ours[index] == oracle, (
-            f"matching clock diverged at point {index}"
-        )
-
-
-def test_matching_bus_clock_grid_isolates_nan_targets():
-    config, inputs, cycle_ps = _matching_points()[0]
-    broken = _make_inputs(Protocol.SNOOPING, 8, remote_clean=math.nan)
-    ours = grid_engine.matching_bus_clock_grid(
-        [(config, inputs, cycle_ps)] * 4,
-        target_utilization=[0.5, math.nan, 0.0, -1.0],
-    )
-    assert ours[0] == matching_bus_clock_ns(
-        config, inputs, cycle_ps, target_utilization=0.5
-    )
-    # A NaN target (a failed ring lane) is a NaN lane, not a clock.
-    assert math.isnan(ours[1])
-    # A target <= 0 is met by the slowest bus considered.
-    assert ours[2] == ours[3] == 200.0
-
-    # A point whose ring solve fails leaves its neighbours untouched.
-    derived = grid_engine.matching_bus_clock_grid(
-        [(config, inputs, cycle_ps), (config, broken, cycle_ps)]
-    )
-    assert derived[0] == matching_bus_clock_ns(config, inputs, cycle_ps)
-    assert math.isnan(derived[1])
 
 
 # ----------------------------------------------------------------------
@@ -433,19 +372,3 @@ def test_unknown_family_rejected():
         )
     with pytest.raises(ValueError):
         grid_engine.ModelGrid.from_points("ring_snooping", [])
-
-
-# ----------------------------------------------------------------------
-# End to end through the sensitivity layer (one real extraction)
-# ----------------------------------------------------------------------
-def test_model_sensitivity_sweep_grid_equals_scalar_rows():
-    from repro.core.sensitivity import model_sensitivity_sweep
-
-    kwargs = dict(
-        parameter="ring_clock_ps",
-        values=[1_500, 2_000, 4_000],
-        data_refs=600,
-    )
-    scalar = model_sensitivity_sweep("mp3d", 4, use_grid=False, **kwargs)
-    vector = model_sensitivity_sweep("mp3d", 4, use_grid=True, **kwargs)
-    assert vector == scalar

@@ -48,20 +48,26 @@ def test_bus_sweep_uses_snooping_extraction():
 
 
 def test_bus_curve_names_bus_protocol_on_both_solvers():
-    """A bus curve built from snooping-extracted inputs says ``bus``,
-    from the scalar models and from the grid alike."""
+    """Snooping-extracted inputs feed the bus model on both solvers: the
+    scalar curve says ``bus``, and the grid surface solves the ``bus``
+    family to the same points."""
+    from repro.core.hybrid import surface_from_result
     from repro.models.grid import grid_available
     from tests.test_models import make_inputs
 
     class Extraction:
         inputs = make_inputs(Protocol.SNOOPING, 4)
 
-    for use_grid in (False, True) if grid_available() else (False,):
-        sweep = sweep_from_result(
-            Extraction(), 4, Protocol.BUS, cycles_ns=[5.0, 10.0], use_grid=use_grid
+    cycles = [5.0, 10.0]
+    sweep = sweep_from_result(Extraction(), 4, Protocol.BUS, cycles_ns=cycles)
+    assert sweep.protocol is Protocol.BUS
+    assert sweep.label == "bus 50 MHz"
+    if grid_available():
+        surface = surface_from_result(
+            Extraction(), 4, Protocol.BUS, cycles_ns=cycles
         )
-        assert sweep.protocol is Protocol.BUS, use_grid
-        assert sweep.label == "bus 50 MHz"
+        assert surface.grid.family == "bus"
+        assert surface.operating_points() == sweep.points
 
 
 def test_snooping_vs_directory_pair():

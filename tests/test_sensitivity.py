@@ -113,7 +113,6 @@ def test_model_sensitivity_sweep_resolves_values_from_one_extraction():
         "memory_access_ps",
         [70_000, 280_000],
         data_refs=1_200,
-        use_grid=False,  # scalar path; grid equality is tested in test_grid_models
     )
     fast, slow = rows
     assert slow["miss latency (ns)"] > fast["miss latency (ns)"]
@@ -126,6 +125,5 @@ def test_model_sensitivity_sweep_resolves_values_from_one_extraction():
         "num_processors",
         [4, 32],
         data_refs=1_200,
-        use_grid=False,
     )
     assert sizes[1]["net util"] > sizes[0]["net util"]

@@ -31,6 +31,7 @@ from repro.core.hybrid import hybrid_sweep
 from repro.core.parallel import SweepCancelled
 from repro.serve import ServeClient, ServeDaemon, ServeError
 from repro.serve.protocol import (
+    SpecError,
     operating_point_row,
     parse_spec,
     spec_fingerprint,
@@ -296,6 +297,10 @@ def test_submission_validation_and_conflicts(daemon, client):
         client.submit({"kind": "sweep"})  # benchmark missing
     assert excinfo.value.status == 400
     with pytest.raises(ServeError) as excinfo:
+        client.submit({**SWEEP_SPEC, "procesors": 64})  # misspelt
+    assert excinfo.value.status == 400
+    assert "'procesors'" in str(excinfo.value)
+    with pytest.raises(ServeError) as excinfo:
         client.job("j42")
     assert excinfo.value.status == 404
 
@@ -308,6 +313,21 @@ def test_submission_validation_and_conflicts(daemon, client):
     assert excinfo.value.status == 409
     gate.set()
     client.wait(job["job"])
+
+
+@pytest.mark.parametrize(
+    "spec, field",
+    [
+        ({"kind": "sweep", "benchmark": "mp3d", "procesors": 64}, "procesors"),
+        ({"kind": "simulate", "benchmark": "mp3d", "sead": 7}, "sead"),
+        ({"kind": "check", "node": 4}, "node"),
+        ({"kind": "grid", "benchmark": "mp3d", "parameter": {}}, "parameter"),
+    ],
+)
+def test_unknown_fields_are_rejected(spec, field):
+    # A misspelt field must not silently run the job with its default.
+    with pytest.raises(SpecError, match=f"unknown field.*'{field}'"):
+        parse_spec(spec)
 
 
 def test_failed_execution_reports_the_error(daemon, client):
