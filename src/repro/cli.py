@@ -32,7 +32,7 @@ from repro.core.experiment import (
     cache_counters,
     run_simulation,
 )
-from repro.core.hybrid import hybrid_sweep, validate_model
+from repro.core.hybrid import validate_model
 from repro.core.sweep import figure3_panels, ring_vs_bus, snooping_vs_directory
 from repro.models.snoop_rate import snoop_rate_table
 from repro.traces.benchmarks import available_configurations
@@ -861,17 +861,39 @@ def _print_sweeps(sweeps, title: str) -> None:
         print()
 
 
-def _command_sweep(args: argparse.Namespace) -> int:
-    from repro.serve.protocol import sweep_payload
+def _verb_spec(args: argparse.Namespace):
+    """The served job a CLI verb's flags describe, validated by the
+    daemon's own parser; ``None`` (reason on stderr) when invalid."""
+    from repro.serve.protocol import SpecError, parse_spec
 
-    sweep = hybrid_sweep(
-        args.benchmark,
-        args.processors,
-        _PROTOCOLS[args.protocol],
-        data_refs=args.refs,
-        check_invariants=args.check_invariants,
-    )
-    _print_job_result("sweep", sweep_payload(sweep))
+    try:
+        return parse_spec(_submit_spec(args))
+    except SpecError as exc:
+        print(exc, file=sys.stderr)
+        return None
+
+
+def _command_sweep(args: argparse.Namespace) -> int:
+    from repro.core.experiment import run_simulation_cached
+    from repro.serve.protocol import points_for, run_job
+
+    spec = _verb_spec(args)
+    if spec is None:
+        return 2
+    if args.check_invariants:
+        # The checked run publishes to the memo, where run_job's
+        # extraction then finds it.
+        (point,) = points_for(spec)
+        run_simulation_cached(
+            point.benchmark,
+            point.num_processors,
+            point.protocol,
+            data_refs=point.data_refs,
+            config=point.config,
+            check_invariants=True,
+        )
+    result = run_job(spec, jobs=args.jobs, progress=_progress_printer(args))
+    _print_job_result(spec.to_jsonable(), result)
     return 0
 
 
@@ -926,69 +948,22 @@ def _command_ringbus(args: argparse.Namespace) -> int:
 def _command_grid(args: argparse.Namespace) -> int:
     import time
 
-    from repro.models import grid as grid_engine
+    from repro.models.grid import GRID_STATS, reset_grid_stats
+    from repro.serve.protocol import run_job
 
-    if not grid_engine.grid_available():
-        print(
-            "grid engine unavailable: NumPy is not installed; the "
-            "scalar commands ('sweep', 'compare', 'ringbus') cover "
-            "the same models",
-            file=sys.stderr,
-        )
+    spec = _verb_spec(args)
+    if spec is None:
         return 2
-    from repro.core.sweep import design_surface
-
-    grid_engine.reset_grid_stats()
+    reset_grid_stats()
     started = time.perf_counter()
-    solution = design_surface(
-        args.benchmark,
-        args.processors,
-        protocol=_PROTOCOLS[args.protocol],
-        parameters=args.param,
-        cycles_ns=args.cycles,
-        data_refs=args.refs,
-    )
-    wall_s = time.perf_counter() - started
-    stats = grid_engine.GRID_STATS
+    result = run_job(spec, jobs=args.jobs, progress=_progress_printer(args))
     print(
-        f"{solution.size} points: {solution.n_converged} converged, "
-        f"{solution.n_failed} failed, {stats['grid_evals']} grid evals "
-        f"in {wall_s:.2f}s",
+        f"{result['points']} points: {result['converged']} converged, "
+        f"{result['failed']} failed, {GRID_STATS['grid_evals']} grid evals "
+        f"in {time.perf_counter() - started:.2f}s",
         file=sys.stderr,
     )
-    cycles = list(solution.processor_cycle_ns)
-    n_cycles = solution.grid.chain_shape[1]
-    cycle_axis = cycles[:n_cycles]
-    title = (
-        f"{args.benchmark}-{args.processors} {args.protocol}: {args.metric}"
-    )
-    if args.param is not None and len(args.param) == 1:
-        from repro.analysis.figures import render_heatmap
-
-        (name, values), = args.param.items()
-        print(
-            render_heatmap(
-                solution.surface(args.metric).tolist(),
-                title=title,
-                x_label=(
-                    f"processor cycle {cycle_axis[0]:g}.."
-                    f"{cycle_axis[-1]:g} ns ({len(cycle_axis)} columns)"
-                ),
-                y_label=name,
-                row_labels=[str(value) for value in values],
-            )
-        )
-    else:
-        rows = [
-            {
-                "cycle (ns)": point.processor_cycle_ns,
-                "proc util": round(point.processor_utilization, 3),
-                "net util": round(point.network_utilization, 3),
-                "miss latency (ns)": round(point.shared_miss_latency_ns, 1),
-            }
-            for point in solution.operating_points()
-        ]
-        print(render_table(rows, title=title))
+    _print_job_result(spec.to_jsonable(), result, metric=args.metric)
     return 0
 
 
@@ -1350,34 +1325,84 @@ def _command_serve(args: argparse.Namespace) -> int:
 
 
 def _submit_spec(args: argparse.Namespace) -> dict:
-    """The submission payload; only user-set fields are sent, so the
-    daemon's defaulting stays the single source of truth."""
-    spec: dict = {"kind": args.kind}
-    if args.benchmark is not None:
-        spec["benchmark"] = args.benchmark
-    for field, value in (
-        ("processors", args.processors),
-        ("data_refs", args.refs),
-        ("protocol", args.protocol),
-        ("seed", args.seed),
-        ("cycles_ns", args.cycles),
-        ("nodes", args.nodes),
-        ("lines", args.lines),
-        ("max_depth", args.max_depth),
-        ("max_states", args.max_states),
-        ("parameters", args.param),
+    """The submission payload of ``submit``, ``sweep`` or ``grid``
+    (whose verb is the job kind); only the fields the verb set are
+    sent, so the daemon's defaulting stays the single source of
+    truth."""
+    spec: dict = {"kind": getattr(args, "kind", args.command)}
+    for field, option in (
+        ("benchmark", "benchmark"),
+        ("processors", "processors"),
+        ("data_refs", "refs"),
+        ("protocol", "protocol"),
+        ("seed", "seed"),
+        ("cycles_ns", "cycles"),
+        ("nodes", "nodes"),
+        ("lines", "lines"),
+        ("max_depth", "max_depth"),
+        ("max_states", "max_states"),
+        ("parameters", "param"),
     ):
+        value = getattr(args, option, None)
         if value is not None:
             spec[field] = value
     return spec
 
 
-def _print_job_result(kind: str, result: dict) -> None:
-    """Render a job's result payload (``repro.serve.protocol``); ``repro
-    sweep`` renders its own curve through here too, so a served sweep
-    prints exactly what the synchronous one does."""
-    if kind in ("sweep", "grid"):
-        points = result["points" if kind == "sweep" else "operating_points"]
+def _print_grid(
+    spec: dict, result: dict, metric: str = "processor_utilization"
+) -> None:
+    """A grid payload as a table, or as a heatmap of ``metric`` when
+    the job has exactly one parameter axis."""
+    points = result["operating_points"]
+    title = (
+        f"{spec['benchmark']}-{spec['processors']} {spec['protocol']}: "
+        f"{metric}"
+    )
+    axes = spec["parameters"]
+    if axes is not None and len(axes) == 1:
+        from repro.analysis.figures import render_heatmap
+
+        (name, values), = axes.items()
+        width = len(points) // len(values)
+        cycle_axis = [point["processor_cycle_ns"] for point in points[:width]]
+        print(
+            render_heatmap(
+                [
+                    [point[metric] for point in points[row : row + width]]
+                    for row in range(0, len(points), width)
+                ],
+                title=title,
+                x_label=(
+                    f"processor cycle {cycle_axis[0]:g}.."
+                    f"{cycle_axis[-1]:g} ns ({width} columns)"
+                ),
+                y_label=name,
+                row_labels=[str(value) for value in values],
+            )
+        )
+        return
+    rows = [
+        {
+            "cycle (ns)": point["processor_cycle_ns"],
+            "proc util": round(point["processor_utilization"], 3),
+            "net util": round(point["network_utilization"], 3),
+            "miss latency (ns)": round(point["shared_miss_latency_ns"], 1),
+        }
+        for point in points
+    ]
+    print(render_table(rows, title=title))
+
+
+def _print_job_result(
+    spec: dict, result: dict, metric: str = "processor_utilization"
+) -> None:
+    """Render a job's result payload (``repro.serve.protocol``) for its
+    canonical ``spec``; ``repro sweep`` and ``repro grid`` render their
+    in-process results through here too, so a served job prints
+    exactly what its synchronous verb does."""
+    kind = spec["kind"]
+    if kind == "sweep":
         rows = [
             {
                 "cycle (ns)": point["processor_cycle_ns"],
@@ -1388,9 +1413,11 @@ def _print_job_result(kind: str, result: dict) -> None:
                     point["shared_miss_latency_ns"], 1
                 ),
             }
-            for point in points
+            for point in result["points"]
         ]
-        print(render_table(rows, title=result.get("label", kind)))
+        print(render_table(rows, title=result["label"]))
+    elif kind == "grid":
+        _print_grid(spec, result, metric)
     elif kind == "check":
         print(result["summary"])
     elif kind == "simulate":
@@ -1461,7 +1488,7 @@ def _command_submit(args: argparse.Namespace) -> int:
         f"coalesced={coalesced}"
     )
     if done:
-        _print_job_result(final["kind"], client.result(job["job"]))
+        _print_job_result(final["spec"], client.result(job["job"]))
     elif final.get("error"):
         print(f"error: {final['error']}", file=sys.stderr)
     return 0 if done else 1

@@ -161,7 +161,6 @@ def hybrid_sweep(
     data_refs: int = DEFAULT_DATA_REFS,
     cycles_ns: Optional[Sequence[float]] = None,
     extraction_protocol: Optional[Protocol] = None,
-    check_invariants: bool = False,
 ) -> SweepResult:
     """One full hybrid evaluation: simulate once, sweep with the model.
 
@@ -169,11 +168,6 @@ def hybrid_sweep(
     extraction (the paper's Figure 6 runs the snooping protocol on
     both interconnects); it defaults to ``protocol`` for ring sweeps
     and to snooping for bus sweeps.
-
-    ``check_invariants`` runs the extraction simulation under the
-    runtime coherence monitor (cache bypassed -- see
-    :func:`repro.core.experiment.run_simulation_cached`); the model
-    half is pure arithmetic and needs no checking.
     """
     point = extraction_point(
         benchmark,
@@ -189,7 +183,6 @@ def hybrid_sweep(
         point.protocol,
         data_refs=data_refs,
         config=point.config,
-        check_invariants=check_invariants,
     )
     return sweep_from_result(
         simulated,

@@ -57,6 +57,7 @@ __all__ = [
     "derive_seed",
     "execute_points",
     "map_tasks",
+    "worker_pool",
 ]
 
 
@@ -214,11 +215,11 @@ class PointOutcome:
     A point settles exactly once, successfully (``result`` set,
     ``error`` ``None``) or not (``error`` set, ``result`` ``None``) --
     failed points still produce an outcome so progress sinks observe
-    every settled point, but they are not recorded as completed (a
-    resumed scheduler retries them).  Failed points carry the wall
-    time actually spent before the failure and the worker that ran
-    them (falling back to time-since-submission and worker 0 when the
-    worker died without reporting).
+    every settled point, but they are not recorded as completed.
+    Failed points carry the wall time actually spent before the
+    failure and the worker that ran them (falling back to
+    time-since-submission and worker 0 when the worker died without
+    reporting).
     """
 
     point: SweepPoint
@@ -309,6 +310,28 @@ def _worker_init(
     store._generation = generation
 
 
+def worker_pool(workers: int) -> ProcessPoolExecutor:
+    """A process pool whose workers share the active result store.
+
+    The one place a simulation pool is built: a sweep's own pool and
+    the daemon's long-lived shared pool both come from here, so their
+    workers read and write the parent's store directory, enabled flag
+    and namespace generation (:func:`_worker_init`).
+    """
+    from repro.core.store import get_result_store
+
+    store = get_result_store()
+    return ProcessPoolExecutor(
+        max_workers=workers,
+        initializer=_worker_init,
+        initargs=(
+            os.fspath(store.directory) if store.enabled else None,
+            store.enabled,
+            store._generation,
+        ),
+    )
+
+
 class _PointFailure(Exception):
     """Worker-side wrapper: a point failed, with its execution record.
 
@@ -376,13 +399,13 @@ class SweepCancelled(RuntimeError):
     """The scheduler was cancelled before every point settled.
 
     Outcomes that completed before the cancel remain available on
-    :attr:`PointScheduler.outcomes`, so a later scheduler can resume
-    from them.
+    :attr:`PointScheduler.outcomes`; their results are in the store,
+    so a resubmission finds them as cache hits.
     """
 
 
 class PointScheduler:
-    """Resumable, cancellable executor for a set of sweep points.
+    """Cancellable executor for a set of sweep points.
 
     This is the engine behind :func:`execute_points` (which remains
     the one-shot convenience shim) and the unit of work the serving
@@ -400,48 +423,31 @@ class PointScheduler:
       the next point boundary: queued pool futures are cancelled,
       in-flight points finish in their workers (their results are
       discarded but still land in the persistent store), and
-      :meth:`run` raises :class:`SweepCancelled`.
-    * **Resumability.**  ``completed`` pre-fills outcomes from an
-      earlier (cancelled) run; those points are skipped, emit no new
-      progress events, and still appear in the final report.
+      :meth:`run` raises :class:`SweepCancelled`.  Passing ``cancel``
+      shares the flag with a caller that owns it (the daemon's
+      per-execution event), so one ``set()`` also reaches a scheduler
+      that has not been built yet.
     * **Pool sharing.**  ``pool`` runs the points on an external,
       long-lived ``ProcessPoolExecutor`` (the daemon's shared worker
-      pool) instead of creating and tearing one down per run.  The
-      caller is then responsible for having initialised the workers'
-      result store compatibly (see :func:`_worker_init`).
+      pool, made by :func:`worker_pool`) instead of creating and
+      tearing one down per run.
     """
 
     def __init__(
         self,
         points: Sequence[SweepPoint],
         jobs: int = 1,
-        cache_dir: "Optional[str | os.PathLike]" = None,
-        use_cache: bool = True,
         progress: Optional[ProgressCallback] = None,
-        completed: Optional[Dict[int, PointOutcome]] = None,
         pool: Optional[ProcessPoolExecutor] = None,
+        cancel: Optional[threading.Event] = None,
     ) -> None:
         self.points = list(points)
         self.jobs = max(1, jobs)
-        self.cache_dir = cache_dir
-        self.use_cache = use_cache
         self.progress = progress
         self._pool = pool
-        self._cancel = threading.Event()
+        self._cancel = cancel if cancel is not None else threading.Event()
         self._slots: List[Optional[PointOutcome]] = [None] * len(self.points)
-        self._emitted = [False] * len(self.points)
         self._done = 0
-        if completed:
-            for index, outcome in completed.items():
-                if not 0 <= index < len(self.points):
-                    raise IndexError(
-                        f"completed outcome index {index} out of range"
-                    )
-                if outcome.failed:
-                    continue  # failed points are retried, not resumed
-                self._slots[index] = outcome
-                self._emitted[index] = True
-                self._done += 1
 
     # ------------------------------------------------------------------
     def cancel(self) -> None:
@@ -454,7 +460,7 @@ class PointScheduler:
 
     @property
     def done(self) -> int:
-        """Points settled so far (monotonic; includes pre-filled ones)."""
+        """Points settled so far (monotonic)."""
         return self._done
 
     @property
@@ -463,7 +469,7 @@ class PointScheduler:
 
     @property
     def outcomes(self) -> Dict[int, PointOutcome]:
-        """Completed outcomes by point index (the resume payload)."""
+        """Completed outcomes by point index."""
         return {
             index: outcome
             for index, outcome in enumerate(self._slots)
@@ -476,8 +482,7 @@ class PointScheduler:
         self._done += 1
         if not outcome.failed:
             self._slots[index] = outcome
-        if self.progress is not None and not self._emitted[index]:
-            self._emitted[index] = True
+        if self.progress is not None:
             self.progress(self._done, len(self.points), outcome)
 
     def _check_cancel(self) -> None:
@@ -487,50 +492,28 @@ class PointScheduler:
             )
 
     def run(self) -> SweepReport:
-        """Evaluate every pending point; see :func:`execute_points`."""
-        from repro.core import store as store_module
+        """Evaluate every point; see :func:`execute_points`."""
+        from repro.core.store import get_result_store
 
         report = SweepReport(jobs=self.jobs)
         if not self.points:
             return report
         started = time.perf_counter()
-        pending_points = [
-            (index, point)
-            for index, point in enumerate(self.points)
-            if self._slots[index] is None
-        ]
-
-        previous_store = store_module._ACTIVE_STORE
-        overrode_store = self.cache_dir is not None or not self.use_cache
-        if overrode_store:
-            store = store_module.configure_result_store(
-                os.fspath(self.cache_dir)
-                if self.cache_dir is not None
-                else None,
-                enabled=self.use_cache,
-            )
-        else:
-            store = store_module.get_result_store()
-
         owns_pool = self._pool is None
-        failed = False
         try:
             self._check_cancel()
             if owns_pool and self.jobs == 1:
-                self._run_serial(pending_points)
+                self._run_serial()
             else:
-                self._run_pooled(pending_points, store, owns_pool)
+                self._run_pooled(owns_pool)
         except BaseException:
-            failed = True
-            raise
-        finally:
-            if failed and store.enabled and owns_pool:
+            store = get_result_store()
+            if store.enabled and owns_pool:
                 # Interrupted workers can strand half-written temp
                 # files; an external pool's workers are still alive,
                 # so their temps are left for the age-guarded sweep.
                 store.cleanup_stale_tmp()
-            if overrode_store:
-                store_module._ACTIVE_STORE = previous_store
+            raise
 
         report.outcomes = [
             outcome for outcome in self._slots if outcome is not None
@@ -545,10 +528,8 @@ class PointScheduler:
             )
         return report
 
-    def _run_serial(
-        self, pending_points: List[Tuple[int, SweepPoint]]
-    ) -> None:
-        for index, point in pending_points:
+    def _run_serial(self) -> None:
+        for index, point in enumerate(self.points):
             self._check_cancel()
             try:
                 _, result, hit, wall, pid = _evaluate_point((index, point))
@@ -568,23 +549,9 @@ class PointScheduler:
                 raise SweepPointError(index, point, cause) from cause
             self._settle(index, PointOutcome(point, result, hit, wall, 0))
 
-    def _run_pooled(
-        self,
-        pending_points: List[Tuple[int, SweepPoint]],
-        store,
-        owns_pool: bool,
-    ) -> None:
-        if not pending_points:
-            return
+    def _run_pooled(self, owns_pool: bool) -> None:
         if owns_pool:
-            worker_dir = (
-                os.fspath(store.directory) if store.enabled else None
-            )
-            pool = ProcessPoolExecutor(
-                max_workers=min(self.jobs, len(pending_points)),
-                initializer=_worker_init,
-                initargs=(worker_dir, store.enabled, store._generation),
-            )
+            pool = worker_pool(min(self.jobs, len(self.points)))
         else:
             pool = self._pool
         # future -> input index, so a failure can be attributed to the
@@ -594,7 +561,7 @@ class PointScheduler:
         workers: Dict[int, int] = {}
         submitted: Dict[int, float] = {}
         pending = {}
-        for index, point in pending_points:
+        for index, point in enumerate(self.points):
             submitted[index] = time.perf_counter()
             pending[pool.submit(_evaluate_point, (index, point))] = index
         try:
@@ -661,19 +628,14 @@ class PointScheduler:
 def execute_points(
     points: Sequence[SweepPoint],
     jobs: int = 1,
-    cache_dir: "Optional[str | os.PathLike]" = None,
-    use_cache: bool = True,
     progress: Optional[ProgressCallback] = None,
 ) -> SweepReport:
     """Evaluate every sweep point, fanning out across processes.
 
     ``jobs=1`` runs in-process (no pool overhead); ``jobs>1`` uses a
-    ``ProcessPoolExecutor``.  ``cache_dir`` redirects the persistent
-    store for this execution **and** its workers (the previously active
-    store is reinstated afterwards); ``use_cache=False`` disables the
-    persistent layer (results still flow back and prime the parent
-    memo).  ``progress`` is invoked in the parent as
-    ``progress(done, total, outcome)`` after each point settles
+    ``ProcessPoolExecutor`` whose workers share the active result
+    store (:func:`worker_pool`).  ``progress`` is invoked in the parent
+    as ``progress(done, total, outcome)`` after each point settles
     (completion order, not input order) -- exactly once per point,
     with ``done`` strictly increasing, including cache hits and the
     failing point of an aborted sweep (see :class:`PointScheduler`).
@@ -688,25 +650,7 @@ def execute_points(
     store by interrupted writers are cleaned up on the way out.
 
     This is the one-shot convenience shim over
-    :class:`PointScheduler`; callers needing cancellation, resume or
-    a shared pool use the scheduler directly.
+    :class:`PointScheduler`; callers needing cancellation or a shared
+    pool use the scheduler directly.
     """
-    return PointScheduler(
-        points,
-        jobs=jobs,
-        cache_dir=cache_dir,
-        use_cache=use_cache,
-        progress=progress,
-    ).run()
-
-
-def point_results(
-    points: Sequence[SweepPoint],
-    jobs: int = 1,
-    **kwargs: Any,
-) -> List[SimulationResult]:
-    """Convenience wrapper: just the ordered results."""
-    return execute_points(points, jobs=jobs, **kwargs).results
-
-
-__all__.append("point_results")
+    return PointScheduler(points, jobs=jobs, progress=progress).run()

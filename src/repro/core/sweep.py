@@ -12,11 +12,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import Protocol, SystemConfig
 from repro.core.experiment import DEFAULT_DATA_REFS, run_simulation_cached
-from repro.core.hybrid import (
-    extraction_point,
-    surface_from_result,
-    sweep_from_result,
-)
+from repro.core.hybrid import extraction_point, sweep_from_result
 from repro.core.parallel import ProgressCallback, SweepReport, execute_points
 from repro.core.results import SimulationResult, SweepResult
 
@@ -25,7 +21,6 @@ __all__ = [
     "ring_vs_bus",
     "miss_breakdown",
     "figure3_panels",
-    "design_surface",
     "FIG3_BENCHMARKS",
     "FIG4_BENCHMARKS",
     "FIG6_BENCHMARKS",
@@ -182,48 +177,6 @@ def ring_vs_bus(
         )
         for (protocol, config), simulated in zip(curves, report.results)
     ]
-
-
-def design_surface(
-    benchmark: str,
-    num_processors: int,
-    protocol: Protocol = Protocol.SNOOPING,
-    parameters: Optional[Dict[str, Sequence[int]]] = None,
-    cycles_ns: Optional[Sequence[float]] = None,
-    data_refs: int = DEFAULT_DATA_REFS,
-    config: Optional[SystemConfig] = None,
-):
-    """A whole analytic design surface from one trace extraction.
-
-    Runs the extraction, then :func:`surface_from_result` solves every
-    ``parameters`` combination crossed with the processor cycle sweep
-    in one vectorized pass -- the grid-engine workload the scalar
-    models would need thousands of separate solves for.  Returns the
-    :class:`repro.models.grid.GridSolution`; reshape any metric with
-    ``solution.surface(...)``.  Needs NumPy (raises ImportError before
-    running the extraction when it is unavailable).
-    """
-    from repro.models.grid import require_numpy
-
-    require_numpy()  # fail fast before the extraction run
-    point = extraction_point(
-        benchmark, num_processors, protocol, config=config, data_refs=data_refs
-    )
-    simulated = run_simulation_cached(
-        benchmark,
-        num_processors,
-        point.protocol,
-        data_refs=data_refs,
-        config=point.config,
-    )
-    return surface_from_result(
-        simulated,
-        num_processors,
-        protocol,
-        config=config,
-        parameters=parameters,
-        cycles_ns=cycles_ns,
-    )
 
 
 def miss_breakdown(

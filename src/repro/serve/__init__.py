@@ -11,9 +11,10 @@ subscriber.  Everything is stdlib-only.
 
 Layering::
 
-    protocol.py    job kinds, validation, fingerprints, payloads
+    protocol.py    job kinds, validation, fingerprints, payloads, and
+                   run_job: the one executor (the CLI's too)
     jobs.py        Job / Execution / JobRegistry (coalescing index)
-    scheduler.py   asyncio drivers over PointScheduler + shared pool
+    scheduler.py   asyncio drivers running run_job on a shared pool
     server.py      the HTTP daemon (routes, NDJSON streaming)
     client.py      stdlib client (CLI, tests, CI smoke job)
 
@@ -23,7 +24,13 @@ notes.
 
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.jobs import Execution, Job, JobRegistry, JobState
-from repro.serve.protocol import JobSpec, SpecError, parse_spec, spec_fingerprint
+from repro.serve.protocol import (
+    JobSpec,
+    SpecError,
+    parse_spec,
+    run_job,
+    spec_fingerprint,
+)
 from repro.serve.scheduler import JobScheduler
 from repro.serve.server import ServeDaemon
 
@@ -39,5 +46,6 @@ __all__ = [
     "ServeError",
     "SpecError",
     "parse_spec",
+    "run_job",
     "spec_fingerprint",
 ]

@@ -75,10 +75,8 @@ class Execution:
     simulated: int = 0
     cache_hits: int = 0
     #: Set (from any thread) when the last subscriber cancels; the
-    #: runner thread and the point scheduler both observe it.
+    #: runner's point scheduler polls it as its own cancel flag.
     cancel_requested: threading.Event = field(default_factory=threading.Event)
-    #: The core scheduler while a sweep/simulate runner is active.
-    scheduler: Any = None
     #: The asyncio task driving this execution.
     task: Any = None
     #: Replaced-and-set on every event append; streamers wait on it.

@@ -1,10 +1,12 @@
-"""Wire protocol of the sweep-as-a-service daemon.
+"""Wire protocol of the sweep-as-a-service daemon, and its executor.
 
 Everything a client and the daemon agree on lives here: the job kinds,
 the JSON schema of a submission, how a submission is canonicalised and
-fingerprinted for request coalescing, and the shape of result
-payloads.  The module is pure data transformation -- no sockets, no
-scheduling -- so both sides (and the tests) share one source of truth.
+fingerprinted for request coalescing, the shape of result payloads,
+and :func:`run_job`, the one code path from a validated spec to its
+payload.  There are no sockets here: the daemon runs :func:`run_job`
+in a worker thread, and the ``repro sweep`` / ``repro grid`` verbs run
+it in-process, so a served job and its CLI twin are one computation.
 
 Job kinds mirror the CLI's experiment families:
 
@@ -14,7 +16,8 @@ Job kinds mirror the CLI's experiment families:
   including telemetry histograms.
 * ``check``    -- an exhaustive coherence exploration, reusing the
   explorer's store-backed checkpoints.
-* ``grid``     -- a vectorized design surface (needs NumPy).
+* ``grid``     -- a vectorized design surface (needs NumPy: without
+  it a ``grid`` spec is rejected at validation).
 
 **Coalescing fingerprints.**  A submission is identified by a content
 hash: for simulation-backed kinds, the :meth:`ResultStore.key_for`
@@ -48,6 +51,7 @@ __all__ = [
     "check_payload",
     "grid_payload",
     "operating_point_row",
+    "run_job",
 ]
 
 JOB_KINDS = ("sweep", "simulate", "check", "grid")
@@ -215,10 +219,21 @@ def _parse_check(payload: Dict[str, Any]) -> Dict[str, Any]:
     }
 
 
+def _require_grid_engine() -> None:
+    from repro.models.grid import grid_available
+
+    if not grid_available():
+        raise SpecError(
+            "grid engine unavailable: NumPy is not installed; sweep "
+            "jobs solve the same models on the scalar path"
+        )
+
+
 def _parse_grid(payload: Dict[str, Any]) -> Dict[str, Any]:
     from repro.core.sensitivity import SUPPORTED_PARAMETERS
 
     _check_fields(payload, _WORKLOAD_FIELDS + ("cycles_ns", "parameters"))
+    _require_grid_engine()
     params = _workload_params(payload)
     params["cycles_ns"] = _cycles_field(payload)
     axes = payload.get("parameters")
@@ -389,11 +404,12 @@ def check_payload(report) -> Dict[str, Any]:
     return payload
 
 
-def grid_payload(solution, metricless: bool = True) -> Dict[str, Any]:
+def grid_payload(solution) -> Dict[str, Any]:
     """A :class:`repro.models.grid.GridSolution` on the wire.
 
-    The daemon ships the operating points; rendering a heatmap for a
-    particular metric is the client's job.
+    The rows carry every metric ``repro grid --metric`` can draw, so a
+    client renders any surface of the job from the payload and its
+    spec.
     """
     return {
         "kind": "grid",
@@ -401,7 +417,94 @@ def grid_payload(solution, metricless: bool = True) -> Dict[str, Any]:
         "converged": solution.n_converged,
         "failed": solution.n_failed,
         "operating_points": [
-            operating_point_row(point)
-            for point in solution.operating_points()
+            {
+                **operating_point_row(point),
+                "bank_utilization": float(bank),
+            }
+            for point, bank in zip(
+                solution.operating_points(), solution.bank_utilization
+            )
         ],
     }
+
+
+# ----------------------------------------------------------------------
+# The executor
+# ----------------------------------------------------------------------
+def run_job(
+    spec: JobSpec,
+    *,
+    jobs: int = 1,
+    pool=None,
+    progress=None,
+    cancel=None,
+    telemetry=None,
+) -> Dict[str, Any]:
+    """Run one validated job and return its result payload.
+
+    Simulation-backed kinds evaluate :func:`points_for` on a
+    :class:`repro.core.parallel.PointScheduler` (``jobs``, ``pool``,
+    ``progress`` and the ``cancel`` event are handed to it), then
+    finish with the library call for the kind: ``sweep_from_result``,
+    ``surface_from_result`` or the simulation itself.  ``check`` runs
+    the explorer.  ``telemetry``, when given, receives the extraction's
+    histograms (``sweep`` and ``simulate``).  A ``grid`` job fails
+    before any extraction runs when NumPy is missing.
+    """
+    from repro.core.parallel import PointScheduler, SweepCancelled
+
+    params = spec.params
+    if spec.kind == "check":
+        from repro import check
+        from repro.core.store import get_result_store
+
+        if cancel is not None and cancel.is_set():
+            raise SweepCancelled("cancelled before exploration started")
+        report = check.explore(
+            params["protocol"],
+            nodes=params["nodes"],
+            lines=params["lines"],
+            races=params["races"],
+            max_depth=params["max_depth"],
+            max_states=params["max_states"],
+            symmetry=params["symmetry"],
+            jobs=jobs,
+            store=get_result_store() if params["resume"] else None,
+            resume=params["resume"],
+        )
+        return check_payload(report)
+    if spec.kind == "grid":
+        _require_grid_engine()
+    (result,) = PointScheduler(
+        points_for(spec),
+        jobs=jobs,
+        pool=pool,
+        progress=progress,
+        cancel=cancel,
+    ).run().results
+    if spec.kind == "grid":
+        from repro.core.hybrid import surface_from_result
+
+        return grid_payload(
+            surface_from_result(
+                result,
+                params["processors"],
+                Protocol(params["protocol"]),
+                parameters=params["parameters"],
+                cycles_ns=params["cycles_ns"],
+            )
+        )
+    if telemetry is not None and result.telemetry is not None:
+        telemetry(result.telemetry.to_jsonable())
+    if spec.kind == "simulate":
+        return simulate_payload(result)
+    from repro.core.hybrid import sweep_from_result
+
+    return sweep_payload(
+        sweep_from_result(
+            result,
+            params["processors"],
+            Protocol(params["protocol"]),
+            cycles_ns=params["cycles_ns"],
+        )
+    )

@@ -6,10 +6,11 @@ plane and the blocking experiment machinery:
 * submissions are fingerprinted (:func:`repro.serve.protocol.
   spec_fingerprint`) and coalesced through the :class:`JobRegistry`;
 * each new execution is driven by one asyncio task that runs the
-  kind-specific *runner* in a worker thread (``asyncio.to_thread``);
-* runners fan simulations out on the scheduler's **shared**
-  :class:`ProcessPoolExecutor` via :class:`repro.core.parallel.
-  PointScheduler`, so concurrent jobs share one pool instead of
+  job through :func:`repro.serve.protocol.run_job` in a worker thread
+  (``asyncio.to_thread``) -- the same executor the CLI verbs call;
+* simulations fan out on the scheduler's **shared**
+  :class:`ProcessPoolExecutor` (:func:`repro.core.parallel.
+  worker_pool`), so concurrent jobs share one pool instead of
   spawning one each;
 * progress flows back thread-safely: the point scheduler's progress
   sink posts events with ``loop.call_soon_threadsafe``, which is FIFO
@@ -17,9 +18,9 @@ plane and the blocking experiment machinery:
   observes the runner's return value, so counters are consistent by
   the time a terminal event is emitted.
 
-Runners are looked up in the instance's ``_runners`` mapping, so tests
-can substitute a controllable runner (e.g. one that blocks until
-cancelled) without touching sockets or simulations.
+The runner is looked up per kind in the instance's ``_runners``
+mapping, so tests can substitute a controllable runner (e.g. one that
+blocks until cancelled) without touching sockets or simulations.
 """
 
 from __future__ import annotations
@@ -31,128 +32,38 @@ import traceback
 from concurrent.futures import ProcessPoolExecutor
 from typing import Any, AsyncIterator, Dict, Optional
 
-from repro.core.config import Protocol
-from repro.core.parallel import PointScheduler, SweepCancelled, _worker_init
+from repro.core.parallel import SweepCancelled, worker_pool
 from repro.core.store import get_result_store
 from repro.serve.jobs import Execution, Job, JobRegistry, JobState
 from repro.serve.protocol import (
-    check_payload,
-    grid_payload,
+    JOB_KINDS,
     parse_spec,
     points_for,
-    simulate_payload,
+    run_job,
     spec_fingerprint,
-    sweep_payload,
 )
 
 __all__ = ["JobScheduler"]
 
 
-# ----------------------------------------------------------------------
-# Runners: one blocking function per job kind, executed in a worker
-# thread.  Signature: runner(scheduler, execution) -> result payload.
-# ----------------------------------------------------------------------
-def _run_points(scheduler: "JobScheduler", ex: Execution):
-    """Evaluate the execution's sweep points on the shared pool."""
-    points = points_for(ex.spec)
-    core = PointScheduler(
-        points,
+def _run(scheduler: "JobScheduler", ex: Execution) -> Dict[str, Any]:
+    """The runner of every job kind: :func:`run_job` wired to the
+    daemon's shared pool, the execution's progress sink, its cancel
+    event and its telemetry event.  Blocking; runs in a worker thread.
+    """
+    return run_job(
+        ex.spec,
         jobs=scheduler.jobs,
-        pool=scheduler.shared_pool(),
+        pool=None if ex.spec.kind == "check" else scheduler.shared_pool(),
         progress=scheduler._progress_sink(ex),
+        cancel=ex.cancel_requested,
+        telemetry=lambda histograms: scheduler._post(
+            ex, {"event": "telemetry", "histograms": histograms}
+        ),
     )
-    ex.scheduler = core
-    try:
-        if ex.cancel_requested.is_set():
-            core.cancel()
-        return core.run()
-    finally:
-        ex.scheduler = None
 
 
-def _run_sweep(scheduler: "JobScheduler", ex: Execution):
-    from repro.core.hybrid import sweep_from_result
-
-    params = ex.spec.params
-    report = _run_points(scheduler, ex)
-    extraction = report.results[0]
-    sweep = sweep_from_result(
-        extraction,
-        params["processors"],
-        Protocol(params["protocol"]),
-        cycles_ns=params["cycles_ns"],
-    )
-    if extraction.telemetry is not None:
-        scheduler._post(
-            ex,
-            {
-                "event": "telemetry",
-                "histograms": extraction.telemetry.to_jsonable(),
-            },
-        )
-    return sweep_payload(sweep)
-
-
-def _run_simulate(scheduler: "JobScheduler", ex: Execution):
-    report = _run_points(scheduler, ex)
-    result = report.results[0]
-    if result.telemetry is not None:
-        scheduler._post(
-            ex,
-            {
-                "event": "telemetry",
-                "histograms": result.telemetry.to_jsonable(),
-            },
-        )
-    return simulate_payload(result)
-
-
-def _run_check(scheduler: "JobScheduler", ex: Execution):
-    from repro import check
-
-    params = ex.spec.params
-    if ex.cancel_requested.is_set():
-        raise SweepCancelled("cancelled before exploration started")
-    store = get_result_store() if params["resume"] else None
-    report = check.explore(
-        params["protocol"],
-        nodes=params["nodes"],
-        lines=params["lines"],
-        races=params["races"],
-        max_depth=params["max_depth"],
-        max_states=params["max_states"],
-        symmetry=params["symmetry"],
-        jobs=scheduler.jobs,
-        store=store,
-        resume=params["resume"],
-    )
-    return check_payload(report)
-
-
-def _run_grid(scheduler: "JobScheduler", ex: Execution):
-    from repro.core.hybrid import surface_from_result
-    from repro.models.grid import grid_available
-
-    if not grid_available():
-        raise RuntimeError("grid jobs need NumPy, which is not available")
-    params = ex.spec.params
-    report = _run_points(scheduler, ex)
-    solution = surface_from_result(
-        report.results[0],
-        params["processors"],
-        Protocol(params["protocol"]),
-        parameters=params["parameters"],
-        cycles_ns=params["cycles_ns"],
-    )
-    return grid_payload(solution)
-
-
-DEFAULT_RUNNERS = {
-    "sweep": _run_sweep,
-    "simulate": _run_simulate,
-    "check": _run_check,
-    "grid": _run_grid,
-}
+DEFAULT_RUNNERS = {kind: _run for kind in JOB_KINDS}
 
 
 class JobScheduler:
@@ -172,23 +83,16 @@ class JobScheduler:
     def shared_pool(self) -> Optional[ProcessPoolExecutor]:
         """The long-lived simulation pool (``None`` when ``jobs<=1``).
 
-        Created lazily from any runner thread; workers are initialised
-        against the store active at creation time, exactly like the
-        per-sweep pools of :func:`repro.core.parallel.execute_points`.
+        Created lazily from any runner thread by
+        :func:`repro.core.parallel.worker_pool`, the factory behind
+        every sweep's own pool, so workers share the store active at
+        creation time.
         """
         if self.jobs <= 1:
             return None
         with self._pool_lock:
             if self._pool is None:
-                store = get_result_store()
-                worker_dir = (
-                    str(store.directory) if store.enabled else None
-                )
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.jobs,
-                    initializer=_worker_init,
-                    initargs=(worker_dir, store.enabled, store._generation),
-                )
+                self._pool = worker_pool(self.jobs)
             return self._pool
 
     # ------------------------------------------------------------------
@@ -215,17 +119,10 @@ class JobScheduler:
         if job is None:
             return None
         if self.registry.detach(job):
-            self._cancel_execution(job.execution)
+            # The runner's point scheduler polls this very event, so
+            # one set() stops a queued and a running execution alike.
+            job.execution.cancel_requested.set()
         return job
-
-    def _cancel_execution(self, execution: Execution) -> None:
-        # The flag covers a runner that has not started yet; a live
-        # point scheduler is additionally cancelled directly so pooled
-        # futures stop at the next boundary.
-        execution.cancel_requested.set()
-        core = execution.scheduler
-        if core is not None:
-            core.cancel()
 
     async def _drive(self, execution: Execution) -> None:
         execution.state = JobState.RUNNING
@@ -345,7 +242,7 @@ class JobScheduler:
     async def shutdown(self) -> None:
         """Cancel every in-flight execution, drain drivers, stop pool."""
         for execution in list(self.registry.inflight.values()):
-            self._cancel_execution(execution)
+            execution.cancel_requested.set()
         tasks = [
             execution.task
             for execution in self.registry.executions.values()

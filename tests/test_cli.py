@@ -130,27 +130,60 @@ def test_param_axes_collect_into_one_mapping():
 
 
 def test_submit_renders_a_grid_result(capsys):
+    # A served grid prints the table 'repro grid' prints: titled by the
+    # job's workload and metric, without a MIPS column.
     pytest.importorskip("numpy")
     import json
 
     from repro.cli import _print_job_result
     from repro.core.config import Protocol
     from repro.core.hybrid import surface_from_result
-    from repro.serve.protocol import grid_payload
+    from repro.serve.protocol import grid_payload, parse_spec
     from tests.test_models import make_inputs
 
     class Extraction:
         inputs = make_inputs(Protocol.SNOOPING, 4)
 
+    spec = parse_spec(
+        {
+            "kind": "grid",
+            "benchmark": "mp3d",
+            "processors": 4,
+            "cycles_ns": [5.0, 10.0],
+        }
+    )
     solution = surface_from_result(
         Extraction(), 4, Protocol.SNOOPING, cycles_ns=[5.0, 10.0]
     )
     payload = json.loads(json.dumps(grid_payload(solution)))
-    _print_job_result("grid", payload)
+    _print_job_result(spec.to_jsonable(), payload)
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "grid"
-    assert lines[1].split(" | ")[:2] == ["cycle (ns)", "MIPS"]
-    assert [line.split("|")[1].strip() for line in lines[3:]] == ["200", "100"]
+    assert lines[0] == "mp3d-4 snooping: processor_utilization"
+    assert lines[1].split(" | ")[:2] == ["cycle (ns)", "proc util"]
+    assert [line.split("|")[0].strip() for line in lines[3:]] == [
+        "5.00",
+        "10.00",
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv, served",
+    [
+        (["sweep", "mp3d"], {"kind": "sweep", "benchmark": "mp3d"}),
+        (["grid", "mp3d"], {"kind": "grid", "benchmark": "mp3d"}),
+    ],
+)
+def test_verb_defaults_equal_the_served_defaults(argv, served):
+    # 'repro sweep' and 'repro grid' build their job with the function
+    # 'repro submit' uses: their argparse defaults and the daemon's
+    # defaults describe one job.
+    if argv[0] == "grid":
+        pytest.importorskip("numpy")
+    from repro.cli import _submit_spec
+    from repro.serve.protocol import parse_spec
+
+    args = build_parser().parse_args(argv)
+    assert parse_spec(_submit_spec(args)) == parse_spec(served)
 
 
 def test_unknown_benchmark_errors(capsys):

@@ -153,14 +153,18 @@ def test_unused_interconnect_variants_share_one_memo_entry(
 def test_parallel_sweep_primes_the_memo_for_the_canonical_machine(
     temp_store,
 ):
+    from repro.core.store import configure_result_store
+
     default, variant = _unused_interconnect_variant(Protocol.SNOOPING)
+    # A disabled store: only the parent memo can serve the lookups
+    # below (the fixture reinstates the previous store afterwards).
+    configure_result_store(temp_store.directory, enabled=False)
     execute_points(
         [
             SweepPoint("mp3d", 4, Protocol.SNOOPING, 500, config=variant),
             SweepPoint("water", 4, Protocol.SNOOPING, 500),
         ],
         jobs=2,
-        use_cache=False,
     )
     before = cache_counters()
     for config in (variant, default):

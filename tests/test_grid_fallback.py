@@ -50,7 +50,7 @@ def test_grid_constructors_raise_import_error(no_numpy):
 
 def test_sweep_from_result_falls_back_and_fails_fast(no_numpy):
     from repro.core.hybrid import surface_from_result, sweep_from_result
-    from repro.core.sweep import design_surface
+    from repro.serve.protocol import JobSpec, SpecError, parse_spec, run_job
 
     inputs = make_inputs(Protocol.SNOOPING, 4)
     simulated = _FakeResult(inputs)
@@ -60,12 +60,27 @@ def test_sweep_from_result_falls_back_and_fails_fast(no_numpy):
         simulated, 4, Protocol.SNOOPING, cycles_ns=[10.0, 20.0]
     )
     assert len(sweep.points) == 2
-    # A surface needs the grid: a clear error, not a crash later, and
-    # design_surface raises it before running its extraction.
+    # A surface needs the grid: a clear error, not a crash later.  A
+    # grid job is rejected at validation, and run_job refuses one built
+    # by hand before running its extraction (which would fail on the
+    # unknown benchmark instead).
     with pytest.raises(ImportError):
         surface_from_result(simulated, 4, Protocol.SNOOPING, cycles_ns=[10.0])
-    with pytest.raises(ImportError, match="needs numpy"):
-        design_surface("no-such-benchmark", 4)
+    with pytest.raises(SpecError, match="NumPy"):
+        parse_spec({"kind": "grid", "benchmark": "mp3d"})
+    spec = JobSpec(
+        "grid",
+        {
+            "benchmark": "no-such-benchmark",
+            "processors": 4,
+            "protocol": "snooping",
+            "data_refs": 300,
+            "cycles_ns": None,
+            "parameters": None,
+        },
+    )
+    with pytest.raises(SpecError, match="NumPy"):
+        run_job(spec)
 
 
 def test_lazy_package_exports_resolve_without_numpy(no_numpy):

@@ -116,13 +116,6 @@ def test_cleanup_stale_tmp_spares_real_entries(temp_store):
     assert temp_store.cleanup_stale_tmp() == 0
 
 
-def test_successful_sweep_leaves_store_config_restored(temp_store, tmp_path):
-    from repro.core.store import get_result_store
-
-    execute_points([GOOD], jobs=1, cache_dir=tmp_path)
-    assert get_result_store() is temp_store
-
-
 def test_store_open_sweeps_aged_tmp_files(tmp_path):
     """Opening a store GCs orphans older than the age guard, but never
     touches young temp files that may belong to a live writer."""

@@ -1,17 +1,15 @@
-"""The point scheduler's progress, cancellation and resume contract.
+"""The point scheduler's progress and cancellation contract.
 
 The serving daemon streams per-point progress to subscribers and
-resumes cancelled work, so :class:`repro.core.parallel.PointScheduler`
+cancels abandoned work, so :class:`repro.core.parallel.PointScheduler`
 carries a precise contract these tests pin:
 
 * the progress sink fires **exactly once per settled point** -- cache
   hits, simulated points, and the failing point of an aborted sweep
   all included -- with ``done`` strictly increasing by one;
-* :meth:`cancel` stops the run at the next point boundary with
-  :class:`SweepCancelled`, keeping completed outcomes;
-* a scheduler pre-filled with those outcomes skips them (no duplicate
-  events) and produces a report bit-identical to an uninterrupted run;
-* *failed* outcomes are never resumed -- they are retried.
+* :meth:`cancel`, or a shared ``cancel`` event, stops the run at the
+  next point boundary with :class:`SweepCancelled`, keeping completed
+  outcomes.
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ import pytest
 
 from repro.core.config import Protocol
 from repro.core.parallel import (
-    PointOutcome,
     PointScheduler,
     SweepCancelled,
     SweepPoint,
@@ -110,63 +107,22 @@ def test_cancel_stops_at_the_next_point_boundary(temp_store, jobs):
     assert 2 <= len(scheduler.outcomes) < len(points)
 
 
-def test_resume_skips_completed_points_and_matches_clean_run(temp_store):
-    points = _points(4)
-    holder = {}
+def test_a_shared_cancel_event_stops_the_run(temp_store):
+    # The daemon hands its per-execution event to the scheduler: a set()
+    # made before the scheduler exists still stops it, with no point run.
+    import threading
 
-    def cancel_after_one(done, _total, _outcome):
-        if done >= 1:
-            holder["scheduler"].cancel()
-
-    first = PointScheduler(points, jobs=1, progress=cancel_after_one)
-    holder["scheduler"] = first
-    with pytest.raises(SweepCancelled):
-        first.run()
-    partial = first.outcomes
-    assert 1 <= len(partial) < len(points)
-
+    event = threading.Event()
+    event.set()
     events = []
-    second = PointScheduler(
-        points,
-        jobs=1,
-        completed=partial,
-        progress=lambda d, t, o: events.append((d, t, o)),
+    scheduler = PointScheduler(
+        _points(2),
+        progress=lambda d, t, o: events.append(d),
+        cancel=event,
     )
-    report = second.run()
-
-    # Only the points the first run never settled emit events, and the
-    # running 'done' continues past the pre-filled count.
-    assert len(events) == len(points) - len(partial)
-    assert [done for done, _t, _o in events] == list(
-        range(len(partial) + 1, len(points) + 1)
-    )
-    resumed_indices = {
-        index for index, point in enumerate(points)
-        if any(outcome.point is point for _d, _t, outcome in events)
-    }
-    assert resumed_indices.isdisjoint(partial)
-
-    # The stitched-together report is bit-identical to a clean run.
-    clean = execute_points(points, jobs=1)
-    assert report.results == clean.results
-
-
-def test_failed_outcomes_are_retried_not_resumed(temp_store):
-    poisoned = PointOutcome(
-        GOOD, None, False, 0.0, worker=0, error="RuntimeError: injected"
-    )
-    scheduler = PointScheduler([GOOD], jobs=1, completed={0: poisoned})
-    assert scheduler.done == 0  # the failure does not count as settled
-    report = scheduler.run()
-    assert report.points_done == 1
-    assert report.outcomes[0].result is not None
-    assert not report.outcomes[0].failed
-
-
-def test_completed_index_out_of_range_is_rejected(temp_store):
-    outcome = PointOutcome(GOOD, None, True, 0.0, worker=0)
-    with pytest.raises(IndexError):
-        PointScheduler([GOOD], completed={3: outcome})
+    with pytest.raises(SweepCancelled):
+        scheduler.run()
+    assert scheduler.cancelled and events == []
 
 
 def test_shim_equivalence_with_direct_scheduler(temp_store):

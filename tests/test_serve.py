@@ -330,6 +330,43 @@ def test_unknown_fields_are_rejected(spec, field):
         parse_spec(spec)
 
 
+@pytest.fixture
+def no_numpy(monkeypatch):
+    import sys
+
+    monkeypatch.setitem(sys.modules, "numpy", None)
+
+
+def test_grid_job_without_numpy_is_rejected_at_submit(
+    no_numpy, daemon, client
+):
+    # Without NumPy a grid job cannot run: it is refused before it gets
+    # a job id, not accepted and failed later.
+    with pytest.raises(ServeError) as excinfo:
+        client.submit({"kind": "grid", "benchmark": "mp3d"})
+    assert excinfo.value.status == 400
+    assert "NumPy" in str(excinfo.value)
+    assert client.stats()["submitted"] == 0
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [["--cycles", "2", "5"], ["--param", "ring_clock_ps", "2000", "4000"]],
+)
+def test_submitted_grid_prints_what_repro_grid_prints(daemon, capsys, shape):
+    # The grid twin of serve-smoke's sweep diff: the served table (or
+    # heatmap) minus the status line is the synchronous verb's stdout.
+    pytest.importorskip("numpy")
+    from repro.cli import main
+
+    job = ["mp3d", "-p", "4", "-r", str(REFS), *shape]
+    assert main(["submit", "grid", *job, "--url", daemon.url]) == 0
+    served = capsys.readouterr().out.splitlines(keepends=True)
+    assert served[0].startswith("job=") and "state=done" in served[0]
+    assert main(["grid", *job]) == 0
+    assert "".join(served[1:]) == capsys.readouterr().out
+
+
 def test_failed_execution_reports_the_error(daemon, client):
     job = client.submit({**SWEEP_SPEC, "benchmark": "no-such-benchmark"})
     events = list(client.events(job["job"]))
