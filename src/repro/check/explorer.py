@@ -21,16 +21,20 @@ Three mechanisms make the search CI-exhaustive at the
   (identity-canonicalized) search as the equivalence oracle.
 * **One-step expansions.**  Engine state lives in suspended processes
   *only between* events; at quiescence the whole harness is plain
-  data, so each frontier state is expanded by cloning its harness and
-  applying one step -- O(1) steps per expansion -- instead of
-  replaying its entire script (O(depth)).  Scripts are still carried
-  on every frontier entry: a BFS node's script *is* its reproduction
-  recipe, and BFS order guarantees the first violation found has a
-  minimal script within the reduced search.
+  data.  When the search first reaches a state it freezes the harness
+  once into a :class:`~repro.check.state.HarnessImage`, and the
+  frontier entry holds that image, not a live harness.  Expanding the
+  entry thaws one independent child per alphabet step and applies the
+  step -- O(1) steps per expansion -- instead of replaying the entire
+  script (O(depth)).  Scripts are still carried on every frontier
+  entry: a BFS node's script *is* its reproduction recipe, and BFS
+  order guarantees the first violation found has a minimal script
+  within the reduced search.
 * **A sharded frontier** (``jobs > 1``).  Each BFS level is split
   into batches expanded on the :func:`repro.core.parallel.map_tasks`
-  process pool; workers replay a batch's prefix once, expand every
-  alphabet step from the clone, and return ``(entry, step,
+  process pool.  Images never leave their process, so a worker
+  replays each entry's script once, freezes the result once, thaws
+  one child per alphabet step, and returns ``(entry, step,
   canonical-fingerprint | violation)`` records.  The coordinator
   absorbs records in deterministic entry/step order, so parallel runs
   produce **bit-identical** visited sets, counters and
@@ -58,6 +62,7 @@ from repro.check.state import (
     PROTOCOLS,
     AbstractState,
     EngineHarness,
+    HarnessImage,
     Ref,
     StepSpec,
 )
@@ -347,10 +352,10 @@ def explore_fingerprint(
 
 @dataclass
 class _Entry:
-    """One frontier state: its script, and (when local) its harness."""
+    """One frontier state: its script, and (when local) its image."""
 
     script: Tuple[StepSpec, ...]
-    harness: Optional[EngineHarness] = None
+    image: Optional[HarnessImage] = None
 
     @property
     def depth(self) -> int:
@@ -368,15 +373,6 @@ def _violation_kind(violation: BaseException) -> str:
     )
 
 
-def _clone(harness):
-    clone = getattr(harness, "clone", None)
-    if clone is not None:
-        return clone()
-    import copy
-
-    return copy.deepcopy(harness)
-
-
 def _replay_entry(
     harness_factory, protocol: str, nodes: int, lines: int, script
 ):
@@ -391,10 +387,10 @@ def _expand_batch(payload):
 
     ``payload`` is ``(protocol, nodes, lines, races, symmetry,
     harness_factory, entries)`` with ``entries`` a list of ``(position,
-    script)`` pairs.  Each entry's prefix is replayed once (the only
-    O(depth) cost, amortised over the whole alphabet), then every
-    alphabet step runs on a fresh clone.  Records come back in
-    deterministic (position, step) order:
+    script)`` pairs.  Each entry's prefix is replayed and frozen once
+    (the only O(depth) cost, amortised over the whole alphabet), then
+    every alphabet step runs on a child thawed from that image.
+    Records come back in deterministic (position, step) order:
 
     * ``("state", step_index, fingerprint)`` -- canonical fingerprint
       of the reached state;
@@ -408,12 +404,12 @@ def _expand_batch(payload):
     results = []
     replayed = 0
     for position, script in entries:
-        base = _replay_entry(factory, protocol, nodes, lines, script)
+        image = _replay_entry(factory, protocol, nodes, lines, script).clone()
         replayed += len(script)
         records: List[tuple] = []
         halted = False
         for step_index, step in enumerate(alphabet):
-            child = _clone(base)
+            child = image.clone()
             try:
                 child.apply(step)
                 child.check(strict=True)
@@ -567,7 +563,7 @@ def explore(
         initial = harness_factory(protocol, nodes, lines)
         fingerprint = context.fingerprint(initial.snapshot())
         visited[fingerprint] = 0
-        frontier = [_Entry(script=(), harness=initial)]
+        frontier = [_Entry(script=(), image=initial.clone())]
         report.states = 1
         report.states_canonicalized = 1
 
@@ -608,7 +604,10 @@ def explore(
         report.states += 1
         report.max_depth_reached = max(report.max_depth_reached, depth)
         next_frontier.append(
-            _Entry(script=entry.script + (step,), harness=harness)
+            _Entry(
+                script=entry.script + (step,),
+                image=None if harness is None else harness.clone(),
+            )
         )
 
     def absorb_violation(entry: _Entry, step: StepSpec, kind: str,
@@ -689,14 +688,14 @@ def explore(
                 if len(visited) >= max_states:
                     truncated_at = position
                     break
-                if entry.harness is None:
-                    entry.harness = _replay_entry(
+                if entry.image is None:
+                    entry.image = _replay_entry(
                         harness_factory, protocol, nodes, lines, entry.script
-                    )
+                    ).clone()
                     report.replay_steps += len(entry.script)
                 report.states_expanded += 1
                 for step in alphabet:
-                    child = _clone(entry.harness)
+                    child = entry.image.clone()
                     try:
                         child.apply(step)
                         child.check(strict=True)
@@ -716,7 +715,7 @@ def explore(
                         depth,
                         harness=child,
                     )
-                entry.harness = None  # free the engine promptly
+                entry.image = None  # free the image promptly
                 if report.counterexample is not None:
                     break
 

@@ -22,8 +22,9 @@ Two ways to drive the explorer from the guarded-action specs in
   step's committed order is engine arbitration the spec deliberately
   does not model -- and the explorer rejects it otherwise.
 
-Both are plain module-level classes, so they pickle for ``jobs > 1``
-frontier sharding, and both deep-copy cleanly for one-step expansion.
+Both freeze into a :class:`~repro.check.state.HarnessImage` for
+one-step expansion, and both are module-level classes, so the factory
+itself pickles for ``jobs > 1`` frontier sharding.
 """
 
 from __future__ import annotations
@@ -33,7 +34,12 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from repro.memory.states import CacheState
 
 from repro.check.invariants import InvariantViolation
-from repro.check.state import EngineHarness, StepSpec
+from repro.check.state import (
+    EngineHarness,
+    HarnessImage,
+    StepSpec,
+    _Freezer,
+)
 from repro.spec import SpecDivergence, SpecMachine, spec_for
 
 __all__ = ["SpecCheckedHarness", "SpecHarness"]
@@ -169,13 +175,11 @@ class SpecHarness:
     def snapshot(self):
         return self.machine.to_abstract()
 
-    def clone(self) -> "SpecHarness":
-        twin = SpecHarness.__new__(SpecHarness)
-        twin.protocol = self.protocol
-        twin.nodes = self.nodes
-        twin.lines = self.lines
-        twin.machine = self.machine.clone()
-        return twin
+    def clone(self) -> HarnessImage:
+        """Freeze this harness, like :meth:`EngineHarness.clone`."""
+        freezer = _Freezer()
+        freezer.dump(self)
+        return freezer.image()
 
     def _holders(self, line: int) -> Dict[int, CacheState]:
         return {

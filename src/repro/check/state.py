@@ -1,14 +1,14 @@
-"""State abstraction and replay harness for the model checker.
+"""State abstraction, replay harness and state images for the checker.
 
 The coherence engines are process-oriented: their in-flight state
-lives in suspended Python generators, which cannot be deep-copied.
-The checker therefore never snapshots a *live* engine.  Instead it
-works over **quiescent** abstract states -- the engine after the event
-heap has drained -- and reaches any such state by *replaying* a script
-of reference steps on a freshly built engine.  Replay is cheap at
-checker scale (2--4 nodes, 1--2 shared lines) and gives the explorer
-minimal counterexamples for free: a BFS node's script *is* its
-reproduction recipe.
+lives in suspended Python generators, which can be neither copied nor
+pickled.  The checker therefore never snapshots a *live* engine.
+Instead it works over **quiescent** abstract states -- the engine
+after the event heap has drained -- and reaches any such state either
+by *replaying* a script of reference steps on a freshly built engine,
+or by *thawing* an image of a quiescent harness (below).  A BFS node's
+script stays its reproduction recipe either way, which gives the
+explorer minimal counterexamples for free.
 
 A step is one or two concurrent references (the two-reference "race"
 steps exercise the shared-lock, snapshot and gated-commit paths that
@@ -25,18 +25,48 @@ coherence bug that SWMR violations cause but that metadata checks
 alone can miss.  The oracle is exact for single-reference steps; after
 a race step the interleaving chosen by the event loop decides which
 write is last, so the oracle resynchronises instead of judging.
+
+**Freeze once, thaw per step.**  At quiescence the whole harness --
+caches, directories, locks, statistics, clock, sequence counter -- is
+plain data.  :meth:`EngineHarness.clone` freezes it once into a
+:class:`HarnessImage`: ``pickle`` protocol-5 bytes plus a side table of
+objects the bytes refer to by persistent id instead of copying.  The
+table holds every class object (so harness classes defined inside a
+function, which plain pickle rejects, thaw to that same class), every
+enum member, and the immutable configuration tree (``SystemConfig``
+and its parts, ``FrameLayout``, ``RingTopology``, ``ProtocolSpec``).
+No step mutates those: they are frozen dataclasses, and after
+construction the only writes to them are ``cached_property`` values
+derived from their own fields.  :meth:`HarnessImage.clone` thaws one
+independent harness from the image, whose future behaviour is
+bit-identical to replaying the frozen harness's script on a fresh
+engine.  Images live only in the process that froze them; they are
+never stored.
 """
 
 from __future__ import annotations
 
-import copy
+import enum
+import io
+import pickle
 from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.config import CacheConfig, Protocol, SystemConfig
+from repro.core.config import (
+    BusConfig,
+    CacheConfig,
+    MemoryConfig,
+    ProcessorConfig,
+    Protocol,
+    RingConfig,
+    SystemConfig,
+)
 from repro.memory.cache import AccessOutcome
 from repro.memory.states import CacheState
+from repro.ring.slots import FrameLayout
+from repro.ring.topology import RingTopology
 from repro.sim.kernel import Simulator
+from repro.spec.core import ProtocolSpec
 
 from repro.check.invariants import InvariantViolation, check_addresses
 
@@ -48,6 +78,7 @@ __all__ = [
     "StepSpec",
     "AbstractState",
     "EngineHarness",
+    "HarnessImage",
     "hierarchy_per_cluster",
 ]
 
@@ -135,6 +166,80 @@ AbstractState = Tuple[
     Tuple[Tuple[int, int, str], ...],  # (node, line, cache-state name)
     Tuple[Tuple[int, tuple], ...],  # (line, coherence_view)
 ]
+
+
+#: Immutable configuration objects an image shares with its harness
+#: by reference instead of copying (see the module docstring).
+_SHARED_TYPES = frozenset(
+    {
+        BusConfig,
+        CacheConfig,
+        FrameLayout,
+        MemoryConfig,
+        ProcessorConfig,
+        ProtocolSpec,
+        RingConfig,
+        RingTopology,
+        SystemConfig,
+    }
+)
+
+#: Types that are never shared: the bulk of a harness, skipped first.
+_COPIED_TYPES = frozenset(
+    {int, str, float, bool, bytes, list, dict, tuple, set, type(None)}
+)
+
+
+class HarnessImage:
+    """A quiescent harness frozen once; :meth:`clone` thaws a child.
+
+    ``data`` is the harness pickled at protocol 5, and ``table`` holds
+    the objects ``data`` refers to by persistent id: classes, enum
+    members and the immutable configuration tree.  Every thawed child
+    is independent of the image and of every other child; the table's
+    objects are the only ones they share, and no step mutates them.
+    """
+
+    __slots__ = ("data", "table")
+
+    def __init__(self, data: bytes, table: Tuple[object, ...]) -> None:
+        self.data = data
+        self.table = table
+
+    def clone(self):
+        """Thaw one independent harness from this image."""
+        unpickler = pickle.Unpickler(io.BytesIO(self.data))
+        # A C lookup, not a Python method: thawing runs no Python code
+        # of its own beyond ``Simulator.__setstate__``.
+        unpickler.persistent_load = self.table.__getitem__
+        return unpickler.load()
+
+
+class _Freezer(pickle.Pickler):
+    """Pickles a harness, moving shared objects into a side table."""
+
+    def __init__(self) -> None:
+        self._buffer = io.BytesIO()
+        super().__init__(self._buffer, protocol=5)
+        self._table: List[object] = []
+        self._index: Dict[int, int] = {}
+
+    def persistent_id(self, obj: object) -> Optional[int]:
+        kind = type(obj)
+        if kind in _COPIED_TYPES:
+            return None
+        if not (
+            kind in _SHARED_TYPES or isinstance(obj, (type, enum.Enum))
+        ):
+            return None
+        index = self._index.get(id(obj))
+        if index is None:
+            index = self._index[id(obj)] = len(self._table)
+            self._table.append(obj)
+        return index
+
+    def image(self) -> HarnessImage:
+        return HarnessImage(self._buffer.getvalue(), tuple(self._table))
 
 
 def _small_config(protocol: Protocol, nodes: int, lines: int) -> SystemConfig:
@@ -338,23 +443,26 @@ class EngineHarness:
         )
         return ("owner", dirty, owner)
 
-    def clone(self) -> "EngineHarness":
-        """An independent deep copy of this *quiescent* harness.
+    def clone(self) -> HarnessImage:
+        """Freeze this *quiescent* harness into a :class:`HarnessImage`.
 
         At quiescence nothing live remains -- the event heap is empty
         and no process is suspended mid-transaction -- so the whole
         object graph (caches, directories, locks, RNG, clock) is plain
-        data and ``deepcopy`` reproduces it exactly: the clone's
-        future behaviour is bit-identical to replaying this harness's
-        script on a fresh engine.  This is what makes frontier
-        expansion cost one step instead of ``depth`` steps.
+        data.  The image is taken once per state; each
+        ``image.clone()`` then thaws an independent child whose future
+        behaviour is bit-identical to replaying this harness's script
+        on a fresh engine.  This is what makes frontier expansion cost
+        one step instead of ``depth`` steps.
         """
         if self.sim.peek() is not None:
             raise RuntimeError(
                 "clone() requires a quiescent harness "
                 "(the event heap is still live)"
             )
-        return copy.deepcopy(self)
+        freezer = _Freezer()
+        freezer.dump(self)
+        return freezer.image()
 
     def _cache_matrix(self) -> Dict[Tuple[int, int], CacheState]:
         return {

@@ -244,6 +244,28 @@ class Simulator:
         self.monitor: Optional[Any] = None
 
     # ------------------------------------------------------------------
+    # Pickling
+    # ------------------------------------------------------------------
+    def __getstate__(self) -> dict:
+        """Picklable state, with the sequence counter as its next number.
+
+        ``itertools.count`` loses copy and pickle support in Python
+        3.14 (3.12 warns on every copy), so the counter travels as a
+        plain int.  Reading it draws that number, so the counter is
+        restarted at the same number: the next ``_schedule`` still
+        draws it.
+        """
+        state = self.__dict__.copy()
+        sequence = next(self._sequence)
+        self._sequence = itertools.count(sequence)
+        state["_sequence"] = sequence
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._sequence = itertools.count(state["_sequence"])
+
+    # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------
     def spawn(self, body: ProcessBody, name: str = "process") -> Process:

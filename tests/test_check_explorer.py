@@ -297,19 +297,72 @@ def test_parallel_exploration_finds_the_same_counterexample():
     assert serial.counters() == parallel.counters()
 
 
-def test_clone_expansion_matches_fresh_replay():
-    """One-step clones land exactly where full script replay lands."""
-    script = (
-        StepSpec((Ref(0, 0, True),)),
-        StepSpec((Ref(1, 0, False),)),
-        StepSpec((Ref(1, 0, True),)),
+#: A depth-2 prefix whose second step is a race.
+_PREFIX = (
+    StepSpec((Ref(0, 0, True),)),
+    StepSpec((Ref(1, 0, False), Ref(0, 1, True))),
+)
+
+
+def _observed(harness):
+    """Everything a thawed child must share with a fresh replay."""
+    return (
+        harness.snapshot(),
+        harness.sim.now,
+        next(harness.sim._sequence),
+        [cache.stats for cache in harness.engine.caches],
     )
-    cloned = EngineHarness("directory", 2, 1)
-    for step in script:
-        cloned = cloned.clone()
-        cloned.apply(step)
-    replayed = EngineHarness.replay("directory", 2, 1, script)
-    assert cloned.snapshot() == replayed.snapshot()
+
+
+def test_clone_expansion_matches_fresh_replay():
+    """A child thawed from a frozen state lands, for every alphabet step
+    (races included), exactly where replaying its whole script lands."""
+    for protocol in ("snooping", "directory", "linkedlist", "bus",
+                     "hierarchical"):
+        image = EngineHarness.replay(protocol, 2, 2, _PREFIX).clone()
+        for step in step_alphabet(2, 2):
+            child = image.clone()
+            child.apply(step)
+            replayed = EngineHarness.replay(
+                protocol, 2, 2, _PREFIX + (step,)
+            )
+            assert _observed(child) == _observed(replayed), (
+                protocol, step.label()
+            )
+
+
+def test_children_of_one_image_share_no_state():
+    image = EngineHarness.replay("directory", 2, 2, _PREFIX).clone()
+    first, second = image.clone(), image.clone()
+    before = second.snapshot()
+    first.apply(StepSpec((Ref(1, 1, True),)))
+    assert first.snapshot() != before
+    assert second.snapshot() == before
+    assert image.clone().snapshot() == before
+
+
+def test_a_harness_class_defined_in_a_function_thaws_to_itself():
+    class LocalHarness(EngineHarness):
+        pass
+
+    harness = LocalHarness("snooping", 2, 1)
+    harness.apply(StepSpec((Ref(0, 0, True),)))
+    child = harness.clone().clone()
+    assert type(child) is LocalHarness
+    assert child.snapshot() == harness.snapshot()
+
+
+def test_images_share_the_configuration_unchanged():
+    harness = EngineHarness.replay("hierarchical", 2, 2, _PREFIX)
+    image = harness.clone()
+    config = harness.engine.config
+    assert config in image.table
+    fields = repr(config)
+    for step in step_alphabet(2, 2):
+        child = image.clone()
+        assert child.engine.config is config
+        child.apply(step)
+    assert repr(config) == fields
 
 
 def test_clone_refuses_mid_transaction_state():

@@ -1,5 +1,8 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+import itertools
+import pickle
+
 import pytest
 
 from repro.sim.kernel import Event, Relay, SimulationError, Simulator, Timeout
@@ -429,3 +432,21 @@ def test_kill_is_idempotent_and_spares_other_processes(sim):
     sim.spawn(killer(), name="killer")
     assert sim.run() == 4_000
     assert log == ["worker"]
+
+
+def test_pickled_state_carries_the_sequence_as_an_int(sim):
+    def ticker():
+        for _ in range(3):
+            yield sim.timeout(1_000)
+
+    sim.spawn(ticker())
+    sim.run()
+    state = sim.__getstate__()
+    assert not any(
+        isinstance(value, itertools.count) for value in state.values()
+    )
+    thawed = pickle.loads(pickle.dumps(sim, protocol=5))
+    assert thawed.now == sim.now
+    assert [next(thawed._sequence) for _ in range(3)] == [
+        next(sim._sequence) for _ in range(3)
+    ]
