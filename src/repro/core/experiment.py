@@ -9,12 +9,18 @@ consume.
 
 Simulations at the same configuration are cached process-wide (the
 paper's runs took 6-8 CPU-hours each; ours take seconds, but the
-benchmark harness still reuses runs across tables and figures).
+benchmark harness still reuses runs across tables and figures).  So are
+the synthetic traces that drive them: the paper compares every protocol
+on the same traces, and a trace set depends only on the workload, the
+block size, the seed and the length, never on the protocol.
 """
 
 from __future__ import annotations
 
 import itertools
+import threading
+from array import array
+from collections import OrderedDict
 from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
@@ -42,6 +48,7 @@ __all__ = [
     "last_kernel_counters",
     "clear_simulation_cache",
     "DEFAULT_DATA_REFS",
+    "TRACE_CACHE_BYTES",
 ]
 
 #: Default per-processor trace length for full experiments.  The
@@ -85,7 +92,10 @@ def run_simulation(
     processor -- replaces the synthetic generation entirely (e.g.
     streams from :func:`repro.traces.io.read_trace_set` or converted
     real traces); ``data_refs`` is then the per-processor record count
-    consumed from each stream after warm-up.
+    consumed from each stream after warm-up.  Without ``traces`` the
+    synthetic set comes from the process-wide trace cache (see
+    :data:`TRACE_CACHE_BYTES`), so protocols compared on one workload
+    share one generation.
 
     ``warmup_refs`` executes that many leading references per
     processor with full protocol behaviour but discards their
@@ -136,14 +146,16 @@ def run_simulation(
     sim.tracer = tracer
     sim.monitor = monitor
     engine = build_engine(sim, config)
+    length = warmup_refs + data_refs
     if traces is None:
-        generator = SyntheticTraceGenerator(
-            spec, engine.address_map, seed=config.seed
-        )
         traces = [
-            generator.stream(node, warmup_refs + data_refs)
-            for node in range(config.num_processors)
+            zip(*columns)
+            for columns in _TRACE_SETS.columns(
+                spec, engine.address_map, config.seed, length
+            )
         ]
+    else:
+        traces = [itertools.islice(stream, length) for stream in traces]
     window_start = 0
     if warmup_refs:
         warmers = [
@@ -298,13 +310,98 @@ def _extract_inputs(
 
 
 # ----------------------------------------------------------------------
+# Trace caching: materialised synthetic trace sets, shared by protocols
+# ----------------------------------------------------------------------
+#: Byte cap on the synthetic trace sets the process holds for reuse,
+#: counted as 10 bytes per record (see :class:`_TraceSetCache`).  The
+#: twelve (benchmark, processors) sets of ``bench/``'s paper cold pass,
+#: 297,600 records, fit at once (about 3 MB); a set larger than the cap
+#: is generated and used but not held.
+TRACE_CACHE_BYTES = 4 << 20
+
+
+class _TraceSetCache:
+    """Least-recently-used synthetic trace sets, capped by bytes.
+
+    A set is keyed by everything :class:`SyntheticTraceGenerator`
+    reads: the spec, the address map's block size (its node count is
+    the spec's processor count), the seed and the per-node length.  The
+    length must be in the key because a stream is not prefix-stable:
+    the last episode's write burst is drawn for its truncated run.
+
+    Each node's stream is held as three columns -- ``instr_before``
+    (``'B'``), address (``'Q'``) and ``is_write`` (``'B'``) -- and is
+    replayed as ``zip(*columns)``.  A value that does not fit its
+    column raises :class:`OverflowError` rather than wrapping.
+    """
+
+    def __init__(self) -> None:
+        #: key -> (per-node columns, their bytes), least recent first.
+        self._sets: "OrderedDict[Tuple, Tuple[List, int]]" = OrderedDict()
+        self.held_bytes = 0
+        # The daemon runs jobs on several threads.
+        self._lock = threading.Lock()
+
+    def columns(
+        self, spec: BenchmarkSpec, address_map, seed: int, length: int
+    ) -> List[Tuple[array, ...]]:
+        """Per-node ``(instr_before, address, is_write)`` columns."""
+        key = (spec, address_map.block_size, seed, length)
+        with self._lock:
+            held = self._sets.get(key)
+            if held is not None:
+                self._sets.move_to_end(key)
+                return held[0]
+            generator = SyntheticTraceGenerator(spec, address_map, seed=seed)
+            columns = [
+                _as_columns(generator.stream(node, length))
+                for node in range(spec.processors)
+            ]
+            _COUNTERS["trace_sets_built"] += 1
+            _COUNTERS["trace_refs_generated"] += spec.processors * length
+            size = sum(
+                len(column) * column.itemsize
+                for node_columns in columns
+                for column in node_columns
+            )
+            # Hold the new set, then drop the least recently used ones
+            # until the cap holds again -- the new set last of all, so
+            # one larger than the cap is used but never held.
+            self._sets[key] = (columns, size)
+            self.held_bytes += size
+            while self.held_bytes > TRACE_CACHE_BYTES:
+                _, (_, evicted) = self._sets.popitem(last=False)
+                self.held_bytes -= evicted
+            return columns
+
+    def clear(self) -> None:
+        with self._lock:
+            self._sets.clear()
+            self.held_bytes = 0
+
+
+def _as_columns(stream) -> Tuple[array, ...]:
+    instr_before, address, is_write = tuple(zip(*stream)) or ((), (), ())
+    return array("B", instr_before), array("Q", address), array("B", is_write)
+
+
+_TRACE_SETS = _TraceSetCache()
+
+
+# ----------------------------------------------------------------------
 # Result caching: in-process memo + persistent content-addressed store
 # ----------------------------------------------------------------------
 _CACHE: Dict[Tuple, SimulationResult] = {}
 
-#: Lookup counters for cache-effectiveness reporting; see
-#: :func:`cache_counters`.
-_COUNTERS = {"memo_hits": 0, "disk_hits": 0, "misses": 0}
+#: Lookup and trace-generation counters for cache-effectiveness
+#: reporting; see :func:`cache_counters`.
+_COUNTERS = {
+    "memo_hits": 0,
+    "disk_hits": 0,
+    "misses": 0,
+    "trace_sets_built": 0,
+    "trace_refs_generated": 0,
+}
 
 
 def _normalised_config(
@@ -442,7 +539,13 @@ def prime_simulation_cache(
 
 
 def cache_counters() -> Dict[str, int]:
-    """Snapshot of lookup counters: memo_hits / disk_hits / misses."""
+    """Snapshot of the process's cache counters.
+
+    ``memo_hits`` / ``disk_hits`` / ``misses`` count
+    :func:`run_simulation_cached` lookups; ``trace_sets_built`` and
+    ``trace_refs_generated`` count the synthetic trace sets (and their
+    records, all nodes) the trace cache had to generate.
+    """
     return dict(_COUNTERS)
 
 
@@ -466,7 +569,7 @@ def last_kernel_counters() -> Dict[str, int]:
 
 
 def clear_simulation_cache(disk: bool = True) -> None:
-    """Drop all memoised simulation results.
+    """Drop all memoised simulation results and cached trace sets.
 
     With ``disk`` (the default) the persistent store is invalidated
     too: its key namespace is bumped so no existing on-disk entry can
@@ -476,6 +579,7 @@ def clear_simulation_cache(disk: bool = True) -> None:
     isolate cache state.
     """
     _CACHE.clear()
+    _TRACE_SETS.clear()
     if disk:
         from repro.core import store as store_module
 

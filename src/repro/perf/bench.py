@@ -17,13 +17,13 @@ Three suites cover the hot paths of the reproduction:
   (or the protocol) changed, not the machine.
 
 Every workload reports wall-clock seconds *and* deterministic work
-counters (kernel events processed, model evaluations).  Only the
-counters are gated in CI: they are exact and machine-independent,
-whereas wall time on shared runners is noise.  A >20% growth in a
-gated counter means the code now does materially more work for the
-same result -- precisely the regression the fast paths exist to
-prevent.  Wall time is still recorded in the baselines for local
-before/after comparisons.
+counters (kernel events processed, trace records generated, model
+evaluations).  Only the counters are gated in CI: they are exact and
+machine-independent, whereas wall time on shared runners is noise.
+A >20% growth in a gated counter means the code now does materially
+more work for the same result -- precisely the regression the fast
+paths exist to prevent.  Wall time is still recorded in the baselines
+for local before/after comparisons.
 
 Baselines live at the repository root as ``BENCH_kernel.json``,
 ``BENCH_models.json`` and ``BENCH_check.json``; regenerate them with
@@ -41,7 +41,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import Protocol, SystemConfig
-from repro.core.experiment import last_kernel_counters, run_simulation
+from repro.core.experiment import (
+    cache_counters,
+    clear_simulation_cache,
+    last_kernel_counters,
+    run_simulation,
+)
 from repro.core.results import SimulationResult
 from repro.models.base import SOLVER_STATS, reset_solver_stats
 
@@ -159,6 +164,8 @@ def _kernel_workloads(quick: bool):
         )
 
     def sweep_mixed() -> Dict[str, int]:
+        # The three protocols replay one trace set, generated once.
+        generated = cache_counters()["trace_refs_generated"]
         totals: Dict[str, int] = {}
         for protocol in (
             Protocol.SNOOPING,
@@ -169,9 +176,15 @@ def _kernel_workloads(quick: bool):
                 "mp3d", 8, protocol, 600 * scale
             ).items():
                 totals[key] = totals.get(key, 0) + value
+        totals["trace_refs_generated"] = (
+            cache_counters()["trace_refs_generated"] - generated
+        )
         return totals
 
-    yield "sweep.mp3d.mixed.8p", sweep_mixed
+    yield "sweep.mp3d.mixed.8p", sweep_mixed, (
+        "events_processed",
+        "trace_refs_generated",
+    )
 
 
 # ----------------------------------------------------------------------
@@ -350,6 +363,9 @@ def run_suite(suite: str, quick: bool = False) -> BenchReport:
         # grid_evals, not model_evals).
         name, run = entry[0], entry[1]
         workload_gate = entry[2] if len(entry) > 2 else gate
+        # Each workload starts from an empty trace cache, so its
+        # counters do not depend on the workloads run before it.
+        clear_simulation_cache(disk=False)
         start = time.perf_counter()
         counters = run()
         wall = time.perf_counter() - start

@@ -143,3 +143,22 @@ def test_roundtrip_property(tmp_path_factory, raw):
     path = tmp_path_factory.mktemp("traces") / "t.trace"
     write_trace(path, records)
     assert list(read_trace(path)) == records
+
+
+def test_caller_streams_are_cut_to_warmup_plus_data_refs():
+    spec = benchmark_spec("mp3d", 4)
+    amap = AddressMap(4, 16)
+    generator = SyntheticTraceGenerator(spec, amap)
+    result = run_simulation(
+        spec,
+        traces=[generator.stream(node, 500) for node in range(4)],
+        data_refs=200,
+    )
+    assert result.trace.data_refs == 4 * 200
+    warmed = run_simulation(
+        spec,
+        traces=[generator.stream(node, 500) for node in range(4)],
+        data_refs=200,
+        warmup_refs=100,
+    )
+    assert warmed.trace.data_refs == 4 * 200

@@ -225,13 +225,15 @@ STREAM_DIGESTS = {
 def _stream_digest(name, processors, seed, node):
     spec = benchmark_spec(name, processors)
     amap = AddressMap(processors, 16, seed=seed)
+    records = generate_trace(spec, amap, node, DIGEST_REFS, seed=seed)
+    assert all(type(record) is TraceRecord for record in records)
+    return _digest(records)
+
+
+def _digest(records):
     digest = hashlib.sha256()
-    for record in generate_trace(spec, amap, node, DIGEST_REFS, seed=seed):
-        assert type(record) is TraceRecord
-        digest.update(
-            b"%d %d %d\n"
-            % (record.instr_before, record.address, record.is_write)
-        )
+    for instr_before, address, is_write in records:
+        digest.update(b"%d %d %d\n" % (instr_before, address, is_write))
     return digest.hexdigest()[:16]
 
 
@@ -251,4 +253,21 @@ def test_stream_digests_are_pinned(key):
     assert (
         _stream_digest(name, processors, seed, 0),
         _stream_digest(name, processors, seed, processors - 1),
+    ) == STREAM_DIGESTS[key]
+
+
+@pytest.mark.parametrize(
+    "key", sorted(STREAM_DIGESTS), ids=lambda key: "%s%d-seed%d" % key
+)
+def test_cached_trace_sets_replay_the_pinned_streams(key):
+    from repro.core.experiment import _TRACE_SETS, clear_simulation_cache
+
+    name, processors, seed = key
+    spec = benchmark_spec(name, processors)
+    amap = AddressMap(processors, 16, seed=seed)
+    columns = _TRACE_SETS.columns(spec, amap, seed, DIGEST_REFS)
+    clear_simulation_cache(disk=False)
+    assert (
+        _digest(zip(*columns[0])),
+        _digest(zip(*columns[processors - 1])),
     ) == STREAM_DIGESTS[key]
