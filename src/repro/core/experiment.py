@@ -329,10 +329,10 @@ class _TraceSetCache:
     length must be in the key because a stream is not prefix-stable:
     the last episode's write burst is drawn for its truncated run.
 
-    Each node's stream is held as three columns -- ``instr_before``
+    Each node's stream is held as the three exact-size columns
+    :meth:`SyntheticTraceGenerator.columns` writes -- ``instr_before``
     (``'B'``), address (``'Q'``) and ``is_write`` (``'B'``) -- and is
-    replayed as ``zip(*columns)``.  A value that does not fit its
-    column raises :class:`OverflowError` rather than wrapping.
+    replayed as ``zip(*columns)``.
     """
 
     def __init__(self) -> None:
@@ -354,7 +354,7 @@ class _TraceSetCache:
                 return held[0]
             generator = SyntheticTraceGenerator(spec, address_map, seed=seed)
             columns = [
-                _as_columns(generator.stream(node, length))
+                generator.columns(node, length)
                 for node in range(spec.processors)
             ]
             _COUNTERS["trace_sets_built"] += 1
@@ -378,11 +378,6 @@ class _TraceSetCache:
         with self._lock:
             self._sets.clear()
             self.held_bytes = 0
-
-
-def _as_columns(stream) -> Tuple[array, ...]:
-    instr_before, address, is_write = tuple(zip(*stream)) or ((), (), ())
-    return array("B", instr_before), array("Q", address), array("B", is_write)
 
 
 _TRACE_SETS = _TraceSetCache()

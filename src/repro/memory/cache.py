@@ -96,7 +96,11 @@ class DirectMappedCache:
         self.size_bytes = size_bytes
         self.block_size = block_size
         self.num_lines = size_bytes // block_size
-        self._lines: Dict[int, CacheLine] = {}
+        #: Frame index -> resident line.  Only the methods below change
+        #: it; elsewhere it is read-only (the processor reads it to test
+        #: hits inline).  A resident line is RS or WE: invalidation and
+        #: eviction delete the entry, and nothing fills a line to INV.
+        self.lines: Dict[int, CacheLine] = {}
         self.stats = CacheStats()
 
     # ------------------------------------------------------------------
@@ -114,7 +118,7 @@ class DirectMappedCache:
         the snoop path, and the call + tuple overhead was measurable.
         """
         block = address // self.block_size
-        line = self._lines.get(block % self.num_lines)
+        line = self.lines.get(block % self.num_lines)
         if line is None or line.tag != block // self.num_lines:
             return CacheState.INV
         return line.state
@@ -122,7 +126,7 @@ class DirectMappedCache:
     def contains(self, address: int) -> bool:
         """Whether the block is present (RS or WE)."""
         block = address // self.block_size
-        line = self._lines.get(block % self.num_lines)
+        line = self.lines.get(block % self.num_lines)
         return (
             line is not None
             and line.tag == block // self.num_lines
@@ -141,6 +145,13 @@ class DirectMappedCache:
         :meth:`fill` or :meth:`apply_upgrade` when the transaction
         completes, so the cache contents always reflect committed
         coherence state.
+
+        This is the reference statement of the hit rule: a hit is a
+        resident line with a matching tag, in WE if the reference is a
+        store.  :meth:`repro.proc.processor.TraceProcessor.run` tests
+        the same rule inline against :attr:`lines` and calls this
+        method only for references that are not hits, counting its own
+        hits into :attr:`stats`.
         """
         state = self.state_of(address)
         if is_write:
@@ -166,7 +177,7 @@ class DirectMappedCache:
         write-backs of WE victims before the fill commits.
         """
         index, tag = self._index_and_tag(address)
-        line = self._lines.get(index)
+        line = self.lines.get(index)
         if line is None or line.tag == tag:
             return None
         victim_block = line.tag * self.num_lines + index
@@ -186,14 +197,14 @@ class DirectMappedCache:
         if victim is not None:
             assert_transition("evict", victim[1], CacheState.INV)
         index, tag = self._index_and_tag(address)
-        line = self._lines.get(index)
+        line = self.lines.get(index)
         before = (
             line.state
             if line is not None and line.tag == tag
             else CacheState.INV
         )
         assert_transition("fill", before, state)
-        self._lines[index] = CacheLine(tag=tag, state=state)
+        self.lines[index] = CacheLine(tag=tag, state=state)
         if victim is not None and victim[1] is CacheState.WE:
             self.stats.writebacks += 1
         return victim
@@ -201,7 +212,7 @@ class DirectMappedCache:
     def apply_upgrade(self, address: int) -> None:
         """Commit an RS -> WE permission upgrade."""
         index, tag = self._index_and_tag(address)
-        line = self._lines.get(index)
+        line = self.lines.get(index)
         if line is None or line.tag != tag or line.state is not CacheState.RS:
             raise ValueError(
                 f"upgrade of address {address:#x} not in RS "
@@ -216,19 +227,19 @@ class DirectMappedCache:
     def snoop_invalidate(self, address: int) -> CacheState:
         """Invalidate the block if present; return the prior state."""
         index, tag = self._index_and_tag(address)
-        line = self._lines.get(index)
+        line = self.lines.get(index)
         if line is None or line.tag != tag:
             return CacheState.INV
         prior = line.state
         assert_transition("invalidate", prior, CacheState.INV)
-        del self._lines[index]
+        del self.lines[index]
         self.stats.invalidations_received += 1
         return prior
 
     def snoop_downgrade(self, address: int) -> CacheState:
         """Downgrade WE -> RS (remote read of a dirty block)."""
         index, tag = self._index_and_tag(address)
-        line = self._lines.get(index)
+        line = self.lines.get(index)
         if line is None or line.tag != tag:
             return CacheState.INV
         prior = line.state
@@ -241,18 +252,18 @@ class DirectMappedCache:
     def evict(self, address: int) -> CacheState:
         """Remove the block (replacement bookkeeping); return prior state."""
         index, tag = self._index_and_tag(address)
-        line = self._lines.get(index)
+        line = self.lines.get(index)
         if line is None or line.tag != tag:
             return CacheState.INV
         prior = line.state
         assert_transition("evict", prior, CacheState.INV)
-        del self._lines[index]
+        del self.lines[index]
         return prior
 
     def resident_blocks(self) -> Dict[int, CacheState]:
         """Map of resident block base addresses to their states."""
         result: Dict[int, CacheState] = {}
-        for index, line in self._lines.items():
+        for index, line in self.lines.items():
             block = line.tag * self.num_lines + index
             result[block * self.block_size] = line.state
         return result

@@ -8,11 +8,21 @@ Follows the paper's processor assumptions (section 4.1):
 * the processor **blocks** on every miss and on every invalidation
   (permission upgrade) until the coherence transaction completes.
 
-For efficiency, consecutive hitting references are *batched*: the
-processor accumulates their busy time and posts a single kernel event
-when it either misses or reaches ``batch_refs`` references.  The batch
-bound keeps a processor from running unboundedly ahead of simulated
-time between coherence interactions.
+Most references hit, so the hit path sets the cost of a run:
+
+* a hit is decided inline against the cache's line table
+  (:attr:`DirectMappedCache.lines`) with the rule
+  :meth:`DirectMappedCache.classify` states, and makes no call; only
+  misses and upgrades go through ``classify``;
+* the per-reference tallies live in locals and are flushed into
+  :class:`ProcessorCounters` and the cache's stats before every
+  suspension and at the end, so both are exact whenever the processor
+  is suspended;
+* consecutive hitting references are *batched*: the processor
+  counts their instructions and posts a single kernel event for their
+  busy time when it either misses or reaches ``batch_refs`` hits.  The
+  batch bound keeps a processor from running unboundedly ahead of
+  simulated time between coherence interactions.
 """
 
 from __future__ import annotations
@@ -23,6 +33,7 @@ from typing import Any, Generator, Iterable, Optional
 from repro.core.config import ProcessorConfig
 from repro.memory.address import SHARED_BASE
 from repro.memory.cache import AccessOutcome, DirectMappedCache
+from repro.memory.states import CacheState
 from repro.sim.kernel import Simulator
 from repro.traces.records import TraceRecord
 
@@ -94,36 +105,59 @@ class TraceProcessor:
         self._pending_upgrades: set = set()
 
     def run(self) -> Generator[Any, Any, None]:
-        """Process body: execute the whole trace."""
+        """Process body: execute the whole trace.
+
+        Hits are tested inline and the tallies flushed before every
+        suspension, as the module docstring describes.
+        """
         sim = self.sim
         counters = self.counters
         cache = self.cache
+        lines = cache.lines
+        block_size = cache.block_size
+        num_lines = cache.num_lines
+        we = CacheState.WE
+        shared_base = SHARED_BASE
         cycle = self.config.cycle_ps
         batch_limit = self.config.batch_refs
-        pending_ps = 0
-        batched = 0
+        # Since the last suspension: the instructions (whose cycles are
+        # the busy time owed), the references by kind, and the hits --
+        # ``hits`` is also the batch length.
+        instructions = hits = hit_writes = 0
+        private_refs = private_writes = shared_refs = shared_writes = 0
         for instr_before, address, is_write in self.trace:
-            counters.instructions += instr_before
-            counters.data_refs += 1
-            shared = address >= SHARED_BASE
+            instructions += instr_before
+            shared = address >= shared_base
             if shared:
-                counters.shared_refs += 1
-                counters.shared_writes += is_write
+                shared_refs += 1
+                shared_writes += is_write
             else:
-                counters.private_refs += 1
-                counters.private_writes += is_write
-            pending_ps += instr_before * cycle
+                private_refs += 1
+                private_writes += is_write
 
-            outcome = cache.classify(address, is_write)
-            if outcome is AccessOutcome.HIT:
-                batched += 1
-                if batched >= batch_limit:
-                    yield sim.timeout(pending_ps)
-                    counters.busy_ps += pending_ps
-                    pending_ps = 0
-                    batched = 0
+            block = address // block_size
+            line = lines.get(block % num_lines)
+            if (
+                line is not None
+                and line.tag == block // num_lines
+                and (not is_write or line.state is we)
+            ):
+                hits += 1
+                hit_writes += is_write
+                if hits >= batch_limit:
+                    self._flush(
+                        instructions, private_refs, private_writes,
+                        shared_refs, shared_writes, hits, hit_writes,
+                    )
+                    busy_ps = instructions * cycle
+                    instructions = hits = hit_writes = 0
+                    private_refs = private_writes = 0
+                    shared_refs = shared_writes = 0
+                    yield sim.timeout(busy_ps)
+                    counters.busy_ps += busy_ps
                 continue
 
+            outcome = cache.classify(address, is_write)
             if shared and outcome is not AccessOutcome.UPGRADE:
                 counters.shared_fetch_misses += 1
             if (
@@ -146,11 +180,16 @@ class TraceProcessor:
                         name=f"wupg:n{self.node}",
                     )
                 continue
-            if pending_ps:
-                yield sim.timeout(pending_ps)
-                counters.busy_ps += pending_ps
-                pending_ps = 0
-            batched = 0
+            self._flush(
+                instructions, private_refs, private_writes,
+                shared_refs, shared_writes, hits, hit_writes,
+            )
+            busy_ps = instructions * cycle
+            instructions = hits = hit_writes = 0
+            private_refs = private_writes = shared_refs = shared_writes = 0
+            if busy_ps:
+                yield sim.timeout(busy_ps)
+                counters.busy_ps += busy_ps
             blocked_from = sim.now
             yield from self.engine.miss(self.node, address, outcome)
             counters.blocked_ps += sim.now - blocked_from
@@ -165,10 +204,37 @@ class TraceProcessor:
                     address=f"{address:#x}",
                 )
 
-        if pending_ps:
-            yield sim.timeout(pending_ps)
-            counters.busy_ps += pending_ps
+        self._flush(
+            instructions, private_refs, private_writes,
+            shared_refs, shared_writes, hits, hit_writes,
+        )
+        busy_ps = instructions * cycle
+        if busy_ps:
+            yield sim.timeout(busy_ps)
+            counters.busy_ps += busy_ps
         counters.finished_at_ps = sim.now
+
+    def _flush(
+        self,
+        instructions: int,
+        private_refs: int,
+        private_writes: int,
+        shared_refs: int,
+        shared_writes: int,
+        hits: int,
+        hit_writes: int,
+    ) -> None:
+        """Add :meth:`run`'s local tallies to the counters and stats."""
+        counters = self.counters
+        counters.instructions += instructions
+        counters.data_refs += private_refs + shared_refs
+        counters.private_refs += private_refs
+        counters.private_writes += private_writes
+        counters.shared_refs += shared_refs
+        counters.shared_writes += shared_writes
+        stats = self.cache.stats
+        stats.reads += hits - hit_writes
+        stats.writes += hit_writes
 
     def _background_upgrade(self, address: int, block: int) -> Generator[Any, Any, None]:
         """Weak ordering: complete a buffered store's upgrade off the

@@ -32,8 +32,9 @@ independent of simulation interleaving.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
-from typing import Iterator, List
+from typing import Iterator, List, Tuple
 
 from repro.memory.address import PAGE_SIZE, AddressMap
 from repro.sim.rng import DeterministicRng, zipf_cumulative_weights
@@ -78,6 +79,13 @@ class SyntheticTraceGenerator:
             raise ValueError(
                 f"address map has {address_map.num_nodes} nodes but spec "
                 f"wants {spec.processors} processors"
+            )
+        # ``instr_before`` is held in a one-byte column; the fractional
+        # carry keeps every value below ``instr_per_data + 1``.
+        if not 0 <= spec.instr_per_data < 255:
+            raise ValueError(
+                f"spec.instr_per_data = {spec.instr_per_data} is outside "
+                f"[0, 255): instr_before must fit one byte"
             )
         self.spec = spec
         self.address_map = address_map
@@ -205,8 +213,13 @@ class SyntheticTraceGenerator:
     # ------------------------------------------------------------------
     # Stream generation
     # ------------------------------------------------------------------
-    def stream(self, node: int, data_refs: int) -> Iterator[TraceRecord]:
-        """The trace for processor ``node``: ``data_refs`` records.
+    def columns(self, node: int, data_refs: int) -> Tuple[array, array, array]:
+        """The trace for processor ``node`` as three columns.
+
+        Each column holds ``data_refs`` values, one per record:
+        ``instr_before`` (``'B'``), address (``'Q'``) and ``is_write``
+        (``'B'``, 0 or 1).  They are allocated at that length up front,
+        so they hold exactly ``10 * data_refs`` bytes of values.
 
         One loop, with every draw inlined on the bound methods of the
         node's generator.  Each inlined draw consumes that generator
@@ -225,7 +238,9 @@ class SyntheticTraceGenerator:
         getrandbits = rng.source.getrandbits
         geometric = rng.geometric
         zipf_index = rng.zipf_index
-        new_record = tuple.__new__
+        instr_column = array("B", [0]) * data_refs
+        address_column = array("Q", [0]) * data_refs
+        write_column = array("B", [0]) * data_refs
         block_size = amap.block_size
         word_slots = max(1, block_size // 4)
         word_bits = word_slots.bit_length()
@@ -302,6 +317,7 @@ class SyntheticTraceGenerator:
                 low = max(1, int(mean / 2))
                 run = low + randrange(max(low, int(3 * mean / 2)) - low + 1)
             run = min(run, data_refs - emitted)
+            end = emitted + run
             write_fraction = pool.write_fraction
             migratory = pool.name == "migratory"
             if migratory:
@@ -312,27 +328,39 @@ class SyntheticTraceGenerator:
                 # copies -- the structure behind the paper's Table 1
                 # ("most invalidations need the multicast round") and
                 # Figure 5 dirty-miss shares.
-                first_write = run - self._burst_length(
+                first_write = end - self._burst_length(
                     run, write_fraction, rng
                 )
-            for position in range(run):
+            for position in range(emitted, end):
                 instr_carry += instr_per_data
                 instr_before = int(instr_carry)
                 instr_carry -= instr_before
+                instr_column[position] = instr_before
                 if migratory:
-                    is_write = position >= first_write
-                else:
-                    is_write = random() < write_fraction
+                    if position >= first_write:
+                        write_column[position] = 1
+                elif random() < write_fraction:
+                    write_column[position] = 1
                 # The word offset varies within the block so the stream
                 # looks like real addresses, not block ids.
                 word = getrandbits(word_bits)
                 while word >= word_slots:
                     word = getrandbits(word_bits)
-                yield new_record(
-                    TraceRecord, (instr_before, base + word * 4, is_write)
-                )
-            emitted += run
+                address_column[position] = base + word * 4
+            emitted = end
             emitted_by_pool[which] += run
+        return instr_column, address_column, write_column
+
+    def stream(self, node: int, data_refs: int) -> Iterator[TraceRecord]:
+        """The trace for processor ``node``: ``data_refs`` records.
+
+        A :class:`TraceRecord` view over :meth:`columns`, with
+        ``is_write`` a ``bool``.
+        """
+        instr_before, address, is_write = self.columns(node, data_refs)
+        return map(
+            TraceRecord._make, zip(instr_before, address, map(bool, is_write))
+        )
 
 
 def generate_trace(

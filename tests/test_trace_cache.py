@@ -2,6 +2,7 @@
 
 import sys
 import threading
+from array import array
 
 import pytest
 
@@ -115,7 +116,33 @@ def test_concurrent_fetches_keep_the_byte_count_exact(monkeypatch):
 
 
 def test_values_outside_a_column_raise():
-    with pytest.raises(OverflowError):
-        experiment._as_columns(iter([(256, 0x1000, False)]))
-    with pytest.raises(OverflowError):
-        experiment._as_columns(iter([(0, -16, True)]))
+    # instr_before is held in a one-byte column: a spec that could
+    # overflow it is refused before any trace is generated or held.
+    spec = benchmark_spec("mp3d", 4).scaled(instr_per_data=255.0)
+    clear_simulation_cache(disk=False)
+    before = cache_counters()
+    with pytest.raises(ValueError, match="instr_per_data"):
+        run_simulation(spec, data_refs=10)
+    assert _built(before) == (0, 0)
+    assert experiment._TRACE_SETS.held_bytes == 0
+
+
+def test_held_columns_are_allocated_at_their_exact_length():
+    # TRACE_CACHE_BYTES counts len * itemsize per column; a column grown
+    # by appends would hold more than that.
+    clear_simulation_cache(disk=False)
+    for name, processors, refs in (("mp3d", 4, 1_000), ("fft", 64, 37)):
+        run_simulation(name, num_processors=processors, data_refs=refs)
+    held = [
+        column
+        for columns, _ in experiment._TRACE_SETS._sets.values()
+        for node_columns in columns
+        for column in node_columns
+    ]
+    assert len(held) == 3 * (4 + 64)
+    for column in held:
+        assert sys.getsizeof(column) - sys.getsizeof(
+            array(column.typecode)
+        ) == len(column) * column.itemsize
+    assert experiment._TRACE_SETS.held_bytes == 10 * (4 * 1_000 + 64 * 37)
+    clear_simulation_cache(disk=False)

@@ -145,6 +145,33 @@ def test_stream_rejects_bad_node():
         next(generator.stream(8, 10))
 
 
+@pytest.mark.parametrize("instr_per_data", [255.0, 1e6, -0.5, float("nan")])
+def test_generator_rejects_instr_per_data_outside_one_byte(instr_per_data):
+    spec = benchmark_spec("mp3d", 8).scaled(instr_per_data=instr_per_data)
+    with pytest.raises(ValueError, match="instr_per_data"):
+        SyntheticTraceGenerator(spec, AddressMap(8, 16))
+    with pytest.raises(ValueError, match="instr_per_data"):
+        generate_trace(spec, AddressMap(8, 16), node=0, data_refs=10)
+
+
+def test_largest_accepted_instr_per_data_fits_its_column():
+    spec = benchmark_spec("mp3d", 8).scaled(instr_per_data=254.99)
+    records = generate_trace(spec, AddressMap(8, 16), node=0, data_refs=500)
+    assert max(record.instr_before for record in records) == 255
+
+
+def test_stream_is_a_record_view_over_the_columns():
+    _, generator = make_generator()
+    instr_before, address, is_write = generator.columns(2, 700)
+    assert [instr_before.typecode, address.typecode, is_write.typecode] == [
+        "B", "Q", "B"
+    ]
+    assert set(is_write) <= {0, 1}
+    records = list(generator.stream(2, 700))
+    assert records == list(zip(instr_before, address, is_write))
+    assert all(type(record.is_write) is bool for record in records)
+
+
 def test_generate_trace_helper():
     spec = benchmark_spec("mp3d", 8)
     amap = AddressMap(8, 16)
