@@ -48,7 +48,8 @@ DEFAULT_SERVE_URL = "http://127.0.0.1:8787"
 
 class _ParamAxis(argparse.Action):
     """``--param NAME VALUE...``: collects the axes into one
-    ``{name: [int, ...]}`` dict; a malformed axis is a usage error."""
+    ``{name: [int, ...]}`` dict; a malformed or repeated axis is a
+    usage error."""
 
     def __call__(self, parser, namespace, values, option_string=None):
         name, *raw = values
@@ -59,6 +60,8 @@ class _ParamAxis(argparse.Action):
         except ValueError:
             parser.error(f"{option_string} {name}: values must be integers")
         axes = dict(getattr(namespace, self.dest) or {})
+        if name in axes:
+            parser.error(f"{option_string} {name}: axis given more than once")
         axes[name] = axis
         setattr(namespace, self.dest, axes)
 

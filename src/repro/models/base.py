@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Callable, Dict, Mapping, Optional, Sequence
+from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.core.config import Protocol, SystemConfig
 from repro.core.metrics import MissClass
@@ -41,6 +41,8 @@ from repro.core.results import ModelInputs, OperatingPoint, SweepResult
 __all__ = [
     "CONFIG_FIELDS",
     "DEFAULT_GUESS_PS",
+    "GEOMETRY_FIELDS",
+    "INPUT_FIELDS",
     "MAX_ITERATIONS",
     "TOLERANCE",
     "FixedPointDiverged",
@@ -48,15 +50,19 @@ __all__ = [
     "LatencyBreakdown",
     "SCALAR",
     "SOLVER_STATS",
+    "SYSTEM_FIELDS",
     "config_row",
     "converged",
     "family_for_protocol",
+    "geometry_values",
     "guarded_ratio",
+    "input_values",
     "md1_wait",
     "mm1_wait",
     "reset_solver_stats",
     "slot_wait",
     "solve_time_per_instruction",
+    "system_values",
     "weighted_latencies",
 ]
 
@@ -286,18 +292,16 @@ def weighted_latencies(latencies, weights, shared_classes, xp):
 # ----------------------------------------------------------------------
 # Field rows: one (config, inputs) pair flattened for the equations
 # ----------------------------------------------------------------------
-#: Per-configuration scalar fields (all exactly representable in
-#: float64: small ints and ps quantities far below 2**53).
-CONFIG_FIELDS = (
+#: The field row is three pieces, each flattened by one function:
+#: fields read straight off the config (:func:`system_values`), the
+#: ring geometry (:func:`geometry_values`) and the extracted event
+#: frequencies (:func:`input_values`).  The grid engine flattens each
+#: piece once per distinct value; :func:`config_row` joins all three
+#: for one point.  All values are exactly representable in float64
+#: (small ints and ps quantities far below 2**53).
+SYSTEM_FIELDS = (
     "processors",
     "clock_ps",
-    "ring_cycles",
-    "frame_stages",
-    "probe_stages",
-    "block_stages",
-    "probe_slots",
-    "block_slots",
-    "num_frames",
     "access_ps",
     "cache_response_ps",
     "lookup_ps",
@@ -305,6 +309,17 @@ CONFIG_FIELDS = (
     "bus_request_cycles",
     "bus_reply_cycles",
     "bus_writeback_cycles",
+)
+GEOMETRY_FIELDS = (
+    "ring_cycles",
+    "frame_stages",
+    "probe_stages",
+    "block_stages",
+    "probe_slots",
+    "block_slots",
+    "num_frames",
+)
+INPUT_FIELDS = (
     "f_private",
     "f_local_clean",
     "f_remote_clean",
@@ -322,51 +337,82 @@ CONFIG_FIELDS = (
     "f_forwards",
     "mean_upgrade_traversals",
 )
+#: Every per-configuration field of a row.
+CONFIG_FIELDS = SYSTEM_FIELDS + GEOMETRY_FIELDS + INPUT_FIELDS
 
 
-def config_row(config: SystemConfig, inputs: ModelInputs) -> Dict[str, float]:
-    """Flatten one (config, inputs) pair to the equations' field row.
+def system_values(config: SystemConfig) -> Tuple[float, ...]:
+    """The :data:`SYSTEM_FIELDS` of ``config``, in that order."""
+    memory = config.memory
+    bus = config.bus
+    return (
+        float(config.num_processors),
+        float(config.ring.clock_ps),
+        float(memory.access_ps),
+        float(memory.cache_response_ps),
+        float(memory.directory_lookup_ps),
+        float(bus.clock_ps),
+        float(bus.request_cycles),
+        float(bus.reply_cycles),
+        float(bus.writeback_cycles),
+    )
+
+
+def geometry_values(config: SystemConfig) -> Tuple[float, ...]:
+    """The :data:`GEOMETRY_FIELDS` of ``config``, in that order.
 
     Goes through ``ring_layout()``/``ring_topology()``, so degenerate
-    geometries are rejected at model-construction time.
+    geometries are rejected at model-construction time.  The values
+    depend only on ``(config.ring, config.block_size,
+    config.num_processors)``.
     """
     layout = config.ring_layout()
     topology = config.ring_topology()
+    return (
+        float(topology.total_stages),
+        float(layout.frame_stages),
+        float(layout.probe_stages),
+        float(layout.block_stages),
+        float(layout.probe_slots),
+        float(layout.block_slots),
+        float(topology.num_frames),
+    )
+
+
+def input_values(inputs: ModelInputs) -> Tuple[float, ...]:
+    """The :data:`INPUT_FIELDS` of ``inputs``, in that order."""
     f_miss = inputs.f_miss
-    return {
-        "processors": float(config.num_processors),
-        "clock_ps": float(config.ring.clock_ps),
-        "ring_cycles": float(topology.total_stages),
-        "frame_stages": float(layout.frame_stages),
-        "probe_stages": float(layout.probe_stages),
-        "block_stages": float(layout.block_stages),
-        "probe_slots": float(layout.probe_slots),
-        "block_slots": float(layout.block_slots),
-        "num_frames": float(topology.num_frames),
-        "access_ps": float(config.memory.access_ps),
-        "cache_response_ps": float(config.memory.cache_response_ps),
-        "lookup_ps": float(config.memory.directory_lookup_ps),
-        "bus_clock_ps": float(config.bus.clock_ps),
-        "bus_request_cycles": float(config.bus.request_cycles),
-        "bus_reply_cycles": float(config.bus.reply_cycles),
-        "bus_writeback_cycles": float(config.bus.writeback_cycles),
-        "f_private": f_miss.get(MissClass.PRIVATE, 0.0),
-        "f_local_clean": f_miss.get(MissClass.LOCAL_CLEAN, 0.0),
-        "f_remote_clean": f_miss.get(MissClass.REMOTE_CLEAN, 0.0),
-        "f_remote_dirty": f_miss.get(MissClass.REMOTE_DIRTY, 0.0),
-        "f_dirty_one": f_miss.get(MissClass.DIRTY_ONE_CYCLE, 0.0),
-        "f_two_cycle": f_miss.get(MissClass.TWO_CYCLE, 0.0),
-        "f_upgrade_with": inputs.f_upgrade_with_sharers,
-        "f_upgrade_without": inputs.f_upgrade_without_sharers,
-        "f_writeback": inputs.f_writeback,
-        "f_sharing_writeback": inputs.f_sharing_writeback,
-        "f_probes": inputs.f_probes,
-        "f_broadcast_probes": inputs.f_broadcast_probes,
-        "f_blocks": inputs.f_blocks,
-        "f_memory_accesses": inputs.f_memory_accesses,
-        "f_forwards": inputs.f_forwards,
-        "mean_upgrade_traversals": inputs.mean_upgrade_traversals,
-    }
+    return (
+        f_miss.get(MissClass.PRIVATE, 0.0),
+        f_miss.get(MissClass.LOCAL_CLEAN, 0.0),
+        f_miss.get(MissClass.REMOTE_CLEAN, 0.0),
+        f_miss.get(MissClass.REMOTE_DIRTY, 0.0),
+        f_miss.get(MissClass.DIRTY_ONE_CYCLE, 0.0),
+        f_miss.get(MissClass.TWO_CYCLE, 0.0),
+        inputs.f_upgrade_with_sharers,
+        inputs.f_upgrade_without_sharers,
+        inputs.f_writeback,
+        inputs.f_sharing_writeback,
+        inputs.f_probes,
+        inputs.f_broadcast_probes,
+        inputs.f_blocks,
+        inputs.f_memory_accesses,
+        inputs.f_forwards,
+        inputs.mean_upgrade_traversals,
+    )
+
+
+def config_row(config: SystemConfig, inputs: ModelInputs) -> Dict[str, float]:
+    """Flatten one (config, inputs) pair to the equations' field row
+    (geometry validated as in :func:`geometry_values`)."""
+    return dict(
+        zip(
+            CONFIG_FIELDS,
+            system_values(config)
+            + geometry_values(config)
+            + input_values(inputs),
+        )
+    )
 
 
 # ----------------------------------------------------------------------

@@ -38,6 +38,14 @@ column, each column seeded with the previous column's solved times
 configuration at once).  Failed lanes reseed from the default guess so
 a divergent point never poisons the rest of its chain.
 
+Constant fields
+---------------
+A field whose column holds the same bits in every lane (the extracted
+frequencies, and any machine parameter no axis moves) reaches the
+equations as one 0-d float64.  Broadcasting hands every lane the value
+its column holds, so results stay bit-identical, and the solver no
+longer gathers or multiplies lane copies of it.
+
 NumPy stays optional: everything here imports it lazily through
 :func:`require_numpy`, so the scalar models run without it.  The
 simulation hot paths never import NumPy -- the AST lint in
@@ -46,7 +54,6 @@ simulation hot paths never import NumPy -- the AST lint in
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -56,11 +63,17 @@ from repro.models import MODEL_FAMILIES
 from repro.models.base import (
     CONFIG_FIELDS,
     DEFAULT_GUESS_PS,
+    GEOMETRY_FIELDS,
+    INPUT_FIELDS,
     MAX_ITERATIONS,
+    SYSTEM_FIELDS,
     TOLERANCE,
     config_row,
     converged as has_converged,
     family_for_protocol,
+    geometry_values,
+    input_values,
+    system_values,
     weighted_latencies,
 )
 
@@ -185,7 +198,11 @@ class ModelGrid:
         processor-cycle sweep (default: the paper's 1-20 ns axis).
 
         Layout is configuration-major, so each configuration's cycle
-        sweep is one contiguous warm-start chain.
+        sweep is one contiguous warm-start chain.  The build does per
+        distinct value what it can: each axis value is applied once per
+        prefix of the earlier axes, the ring geometry is built once per
+        distinct ``(ring, block size, processors)``, and ``inputs`` is
+        flattened once.  An empty axis raises ``ValueError``.
         """
         np = require_numpy()
         _check_family(family)
@@ -194,37 +211,64 @@ class ModelGrid:
         ]
         if not cycles:
             raise ValueError("empty cycle axis")
-        configs = [config]
-        if parameters:
-            from repro.core.sensitivity import apply_parameter
+        axes = [(name, list(values)) for name, values in (parameters or {}).items()]
+        for name, values in axes:
+            if not values:
+                raise ValueError(f"empty parameter axis {name!r}")
+        configs = _product_configs(config, axes)
 
-            names = list(parameters)
-            configs = []
-            for combo in itertools.product(
-                *(parameters[name] for name in names)
-            ):
-                variant = config
-                for name, value in zip(names, combo):
-                    variant = apply_parameter(variant, name, value)
-                configs.append(variant)
-        rows = [config_row(variant, inputs) for variant in configs]
+        # One row of system and geometry fields per configuration; the
+        # ring geometry is built once per distinct value of everything
+        # it depends on, in product order (so the first degenerate
+        # combination raises, as a per-combination build would).
+        geometries: Dict[Tuple[Any, int, int], Tuple[float, ...]] = {}
+        rows = []
+        for variant in configs:
+            key = (variant.ring, variant.block_size, variant.num_processors)
+            geometry = geometries.get(key)
+            if geometry is None:
+                geometry = geometries[key] = geometry_values(variant)
+            rows.append(system_values(variant) + geometry)
+        table = np.array(rows, dtype=np.float64)
+
         n_cycles = len(cycles)
+        n = len(configs) * n_cycles
+        arrays = {
+            name: np.repeat(table[:, column], n_cycles)
+            for column, name in enumerate(SYSTEM_FIELDS + GEOMETRY_FIELDS)
+        }
+        for name, value in zip(INPUT_FIELDS, input_values(inputs)):
+            arrays[name] = np.full(n, value, dtype=np.float64)
         # Same quantisation as the scalar sweep(): round(cycle_ns*1000).
         busy = np.array(
             [float(round(cycle_ns * 1000)) for cycle_ns in cycles],
             dtype=np.float64,
         )
-        arrays = {
-            name: np.repeat(
-                np.array([row[name] for row in rows], dtype=np.float64),
-                n_cycles,
-            )
-            for name in CONFIG_FIELDS
-        }
-        arrays["busy_ps"] = np.tile(busy, len(rows))
+        arrays["busy_ps"] = np.tile(busy, len(configs))
         return cls(
-            family=family, arrays=arrays, chain_shape=(len(rows), n_cycles)
+            family=family, arrays=arrays, chain_shape=(len(configs), n_cycles)
         )
+
+
+def _product_configs(config: SystemConfig, axes) -> List[SystemConfig]:
+    """``config`` with every combination of ``axes`` (``[(name,
+    values), ...]``) applied, in ``itertools.product`` order.
+
+    A depth-first walk: each axis value is applied once per prefix of
+    the earlier axes, and every combination still sees the setters in
+    axis order, so the configurations -- and the first one that fails
+    to apply -- are those of applying every axis per combination.
+    """
+    if not axes:
+        return [config]
+    from repro.core.sensitivity import apply_parameter
+
+    (name, values), rest = axes[0], axes[1:]
+    return [
+        leaf
+        for value in values
+        for leaf in _product_configs(apply_parameter(config, name, value), rest)
+    ]
 
 
 def _check_family(family: str) -> None:
@@ -412,6 +456,28 @@ class GridSolution:
         return [self.operating_point(index) for index in range(self.size)]
 
 
+def _split_constants(arrays):
+    """Split a grid's fields into ``(constants, columns)``.
+
+    A field whose column is bitwise-constant over every lane goes to
+    the equations as one 0-d float64, which broadcasts to the very
+    values the column holds (IEEE arithmetic is elementwise), so the
+    solver neither gathers nor multiplies lane copies of it.  The test
+    compares ``uint64`` views: a NaN lane or a mix of 0.0 and -0.0
+    keeps the column.  ``busy_ps`` always stays a column -- it sizes
+    the solve.
+    """
+    constants = {}
+    columns = {}
+    for name, column in arrays.items():
+        bits = column.view("uint64")
+        if name != "busy_ps" and bool((bits == bits[0]).all()):
+            constants[name] = column[0]
+        else:
+            columns[name] = column
+    return constants, columns
+
+
 def solve_grid(grid: ModelGrid) -> GridSolution:
     """Solve the whole grid and package per-lane operating points.
 
@@ -425,7 +491,8 @@ def solve_grid(grid: ModelGrid) -> GridSolution:
     GRID_STATS["grid_solves"] += 1
     model = MODEL_FAMILIES[grid.family]
     evaluate = model.latencies
-    arrays = grid.arrays
+    constants, columns = _split_constants(grid.arrays)
+    arrays = {**constants, **columns}
     n = grid.size
 
     if grid.chain_shape is not None:
@@ -437,7 +504,8 @@ def solve_grid(grid: ModelGrid) -> GridSolution:
         guess = None
         for position in range(length):
             lanes = base + position
-            sub = {name: array[lanes] for name, array in arrays.items()}
+            sub = {name: array[lanes] for name, array in columns.items()}
+            sub.update(constants)
             t, c, f = _solve_flat(evaluate, sub, guess)
             time[lanes] = t
             converged[lanes] = c

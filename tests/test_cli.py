@@ -122,6 +122,27 @@ def test_param_axis_errors_are_usage_errors(capsys, verb, axis, message):
     assert f"error: --param ring_clock_ps: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "verb", [("grid", "mp3d"), ("submit", "grid", "mp3d")]
+)
+def test_repeated_param_axis_is_a_usage_error(capsys, verb):
+    # A second --param with the same name would silently replace the
+    # first axis; it is refused like any other malformed axis.
+    with pytest.raises(SystemExit) as excinfo:
+        main(
+            [
+                *verb,
+                "--param", "ring_clock_ps", "2000",
+                "--param", "ring_clock_ps", "4000", "6000",
+            ]
+        )
+    assert excinfo.value.code == 2
+    assert (
+        "error: --param ring_clock_ps: axis given more than once"
+        in capsys.readouterr().err
+    )
+
+
 def test_param_axes_collect_into_one_mapping():
     args = build_parser().parse_args(
         "grid mp3d --param ring_clock_ps 2000 4000 --param block_size 32".split()

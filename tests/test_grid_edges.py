@@ -196,3 +196,78 @@ def test_failed_lanes_keep_counters_deterministic():
         second_solution.time_per_instruction_ps,
         equal_nan=True,
     )
+
+
+@pytest.mark.parametrize(
+    "parameters",
+    [
+        {"ring_clock_ps": []},
+        {"ring_width_bits": [16, 32], "ring_clock_ps": []},
+    ],
+)
+def test_empty_parameter_axis_is_rejected(parameters):
+    # Like an empty point list or cycle axis: an empty axis would make
+    # an empty product, which is an error, not a 0-point grid.
+    config = SystemConfig(num_processors=8, protocol=PROTOCOL)
+    with pytest.raises(ValueError, match="empty parameter axis 'ring_clock_ps'"):
+        grid_engine.ModelGrid.from_product(
+            "ring_snooping", config, _make_inputs(PROTOCOL, 8), parameters=parameters
+        )
+
+
+def test_constant_columns_solve_as_scalars_bit_for_bit(monkeypatch):
+    """A field bitwise-constant over every lane reaches the equations
+    as one 0-d float64; any other column -- constant but for one lane,
+    one NaN lane, a mix of 0.0 and -0.0 -- stays an array, and results
+    and counters equal solving with every column as an array."""
+    config = SystemConfig(num_processors=8, protocol=Protocol.DIRECTORY)
+    inputs = _make_inputs(Protocol.DIRECTORY, 8, dirty_one=0.003, two_cycle=0.001)
+    slower = replace(config, memory=replace(config.memory, access_ps=100_000))
+    points = [
+        (config, inputs, 2_000),
+        (config, inputs, 5_000),
+        (slower, inputs, 5_000),
+        (config, _poisoned_inputs(float("nan")), 10_000),
+        (config, inputs, 20_000),
+    ]
+    grid = grid_engine.ModelGrid.from_points("ring_directory", points)
+    grid.arrays["lookup_ps"][1::2] = -0.0
+
+    seen = []
+    solve_flat = grid_engine._solve_flat
+
+    def recording(evaluate, arrays, guess):
+        seen.append({name: np.ndim(value) for name, value in arrays.items()})
+        return solve_flat(evaluate, arrays, guess)
+
+    monkeypatch.setattr(grid_engine, "_solve_flat", recording)
+    grid_engine.reset_grid_stats()
+    scalars = grid_engine.solve_grid(grid)
+    scalar_stats = dict(grid_engine.GRID_STATS)
+    assert seen[0]["clock_ps"] == 0  # constant in every lane
+    assert seen[0]["f_private"] == 0
+    assert seen[0]["busy_ps"] == 1  # never a scalar
+    assert seen[0]["access_ps"] == 1  # constant but for one lane
+    assert seen[0]["f_remote_clean"] == 1  # one NaN lane
+    assert seen[0]["lookup_ps"] == 1  # 0.0 and -0.0
+    assert scalars.n_failed == 1
+
+    monkeypatch.setattr(
+        grid_engine, "_split_constants", lambda arrays: ({}, dict(arrays))
+    )
+    seen.clear()
+    grid_engine.reset_grid_stats()
+    columns = grid_engine.solve_grid(grid)
+    assert set(seen[0].values()) == {1}
+    assert dict(grid_engine.GRID_STATS) == scalar_stats
+    for name in (
+        "time_per_instruction_ps",
+        "converged",
+        "failed",
+        "processor_utilization",
+        "network_utilization",
+        "bank_utilization",
+        "shared_miss_latency_ns",
+        "upgrade_latency_ns",
+    ):
+        assert getattr(scalars, name).tobytes() == getattr(columns, name).tobytes(), name

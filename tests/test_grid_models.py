@@ -12,6 +12,9 @@ masked iteration follows the scalar one step for step).
 
 from __future__ import annotations
 
+import importlib.util
+import itertools
+import pathlib
 import random
 from dataclasses import replace
 
@@ -372,3 +375,137 @@ def test_unknown_family_rejected():
         )
     with pytest.raises(ValueError):
         grid_engine.ModelGrid.from_points("ring_snooping", [])
+
+
+# ----------------------------------------------------------------------
+# Product construction: the prefix walk against a per-combination build
+# ----------------------------------------------------------------------
+def _per_combination_grid(family, config, inputs, cycles_ns, parameters):
+    """The reference build of ``ModelGrid.from_product``: every axis
+    applied to the base config per combination, one ``config_row`` (and
+    so one ring geometry) per combination."""
+    from repro.core.sensitivity import apply_parameter
+    from repro.models.base import CONFIG_FIELDS, config_row
+
+    names = list(parameters)
+    configs = []
+    for combo in itertools.product(*(parameters[name] for name in names)):
+        variant = config
+        for name, value in zip(names, combo):
+            variant = apply_parameter(variant, name, value)
+        configs.append(variant)
+    rows = [config_row(variant, inputs) for variant in configs]
+    busy = np.array([float(round(c * 1000)) for c in cycles_ns], dtype=np.float64)
+    arrays = {
+        name: np.repeat(
+            np.array([row[name] for row in rows], dtype=np.float64),
+            len(cycles_ns),
+        )
+        for name in CONFIG_FIELDS
+    }
+    arrays["busy_ps"] = np.tile(busy, len(rows))
+    return grid_engine.ModelGrid(
+        family=family, arrays=arrays, chain_shape=(len(rows), len(cycles_ns))
+    )
+
+
+#: Two- and three-axis products; the geometry moves with ring width,
+#: block size and processors, and not at all with cache size.
+PRODUCT_AXES = [
+    {"ring_width_bits": [16, 32, 64], "block_size": [16, 64]},
+    {"num_processors": [4, 16], "cache_size_bytes": [32768, 131072]},
+    {
+        "block_size": [32, 128],
+        "memory_access_ps": [60_000, 140_000, 220_000],
+        "num_processors": [2, 8, 32],
+    },
+    {
+        "cache_size_bytes": [65536],
+        "ring_width_bits": [64, 16],
+        "bus_clock_ps": [10_000, 20_000],
+    },
+]
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("axes", PRODUCT_AXES, ids=lambda axes: "+".join(axes))
+def test_product_build_matches_per_combination_build(family, axes):
+    protocol, _ = FAMILIES[family]
+    config = SystemConfig(num_processors=16, protocol=protocol)
+    inputs = _make_inputs(protocol, 16, forwards=0.004, upgrade_traversals=2.5)
+    cycles = [1.0, 4.0, 20.0]
+    built = grid_engine.ModelGrid.from_product(
+        family, config, inputs, cycles_ns=cycles, parameters=axes
+    )
+    oracle = _per_combination_grid(family, config, inputs, cycles, axes)
+    assert built.chain_shape == oracle.chain_shape
+    assert sorted(built.arrays) == sorted(oracle.arrays)
+    for name, array in oracle.arrays.items():
+        assert built.arrays[name].dtype == array.dtype
+        assert built.arrays[name].tobytes() == array.tobytes(), name
+
+
+@pytest.mark.parametrize(
+    "axes",
+    [
+        {"ring_width_bits": [32, 12]},
+        {"memory_access_ps": [100_000, 140_000], "ring_width_bits": [16, 12, 0]},
+        {"num_processors": [8, 1], "ring_width_bits": [12]},
+        {"ring_width_bits": [32], "bogus_axis": [1]},
+        # The first combination fails on the unknown name before any
+        # later combination reaches the 1-processor value.
+        {"num_processors": [8, 1], "bogus_axis": [1]},
+    ],
+)
+def test_degenerate_value_raises_as_per_combination_build(axes):
+    config = SystemConfig(num_processors=16)
+    inputs = _make_inputs(Protocol.SNOOPING, 16)
+    with pytest.raises(Exception) as expected:
+        _per_combination_grid("ring_snooping", config, inputs, [1.0], axes)
+    with pytest.raises(expected.type) as raised:
+        grid_engine.ModelGrid.from_product(
+            "ring_snooping", config, inputs, cycles_ns=[1.0], parameters=axes
+        )
+    assert str(raised.value) == str(expected.value)
+
+
+def _bench_ring_axes():
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads",
+        pathlib.Path(__file__).resolve().parents[1] / "bench" / "workloads.py",
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.RING_AXES
+
+
+def test_ring_design_space_applies_once_per_prefix(monkeypatch):
+    from repro.core import sensitivity
+
+    axes = _bench_ring_axes()
+    calls = {"apply": 0, "topology": 0}
+    apply_parameter = sensitivity.apply_parameter
+    ring_topology = SystemConfig.ring_topology
+
+    def counting_apply(config, name, value):
+        calls["apply"] += 1
+        return apply_parameter(config, name, value)
+
+    def counting_topology(config):
+        calls["topology"] += 1
+        return ring_topology(config)
+
+    monkeypatch.setattr(sensitivity, "apply_parameter", counting_apply)
+    monkeypatch.setattr(SystemConfig, "ring_topology", counting_topology)
+    config = SystemConfig(num_processors=16)
+    inputs = _make_inputs(Protocol.SNOOPING, 16)
+
+    grid_engine.ModelGrid.from_product(
+        "ring_snooping", config, inputs, parameters=axes
+    )
+    assert calls == {"apply": 1_010, "topology": 30}
+
+    # The per-combination build pays for every axis of every combination.
+    calls.update(apply=0, topology=0)
+    _per_combination_grid("ring_snooping", config, inputs, [1.0], axes)
+    assert calls == {"apply": 2_250, "topology": 750}
