@@ -4,8 +4,8 @@ Three layers, one oracle (:mod:`repro.check.invariants`):
 
 * :mod:`repro.check.explorer` -- exhaustive BFS over the quiescent
   state space of small configurations; symmetry-reduced
-  (:mod:`repro.check.symmetry`), parallelisable, resumable through
-  the result store, with minimal counterexamples.
+  (:mod:`repro.check.symmetry`), parallelisable, with minimal
+  counterexamples.
 * :mod:`repro.check.fuzz` -- seeded random walks over mid-size
   configurations, bit-identical replay from (seed, step);
   :func:`~repro.check.fuzz.fuzz_many` shards independent seeds

@@ -40,20 +40,17 @@ Three mechanisms make the search CI-exhaustive at the
   produce **bit-identical** visited sets, counters and
   counterexamples to serial runs.
 
-Exploration state (visited fingerprints plus the unexpanded frontier)
-checkpoints into the content-addressed :class:`~repro.core.store.
-ResultStore` after every level when a ``store`` is supplied, keyed by
-the protocol/config/alphabet fingerprint: interrupted or truncated
-runs resume instead of restarting, and a completed run is a cached
-proof that later invocations return without re-searching.
+The search is pure: its answer depends only on its arguments, never on
+what ran before.  Every configured search finishes in one run, so no
+partial search is saved; a finished served ``check`` job is cached by
+its job fingerprint in :func:`repro.serve.protocol.run_job` instead.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.check.invariants import InvariantViolation
 from repro.memory.states import IllegalTransition
@@ -65,18 +62,23 @@ from repro.check.state import (
     HarnessImage,
     Ref,
     StepSpec,
+    hierarchy_per_cluster,
 )
 from repro.check.specmode import SpecCheckedHarness, SpecHarness
-from repro.check.symmetry import SYMMETRY_MODES, CanonicalContext
+from repro.check.symmetry import (
+    MAX_GROUP_ORDER,
+    SYMMETRY_MODES,
+    CanonicalContext,
+    group_order,
+)
 
 __all__ = [
     "EXPANSION_MODES",
     "Counterexample",
     "ExploreReport",
-    "alphabet_fingerprint",
     "explore",
-    "explore_fingerprint",
     "step_alphabet",
+    "validate_setup",
 ]
 
 #: Expansion modes: which harness expands frontier states.
@@ -96,12 +98,6 @@ EXPANSION_MODES: Dict[str, type] = {
 
 #: Golden counterexample schema version (tests pin the layout).
 COUNTEREXAMPLE_SCHEMA = 1
-
-#: Checkpoint blob layout version (bump on incompatible change).
-CHECKPOINT_SCHEMA = 1
-
-#: Blob family used in the result store for explorer checkpoints.
-CHECKPOINT_KIND = "explore"
 
 
 @dataclass
@@ -206,8 +202,6 @@ class ExploreReport:
     symmetry: str = "full"
     group_size: int = 1
     jobs: int = 1
-    resumed: bool = False
-    resumed_states: int = 0
     expansion: str = "engine"
     visited_fingerprints: List[str] = field(default_factory=list)
 
@@ -240,16 +234,11 @@ class ExploreReport:
             if self.symmetry != "none"
             else ", no symmetry reduction"
         )
-        resumed = (
-            f", resumed from {self.resumed_states} cached states"
-            if self.resumed
-            else ""
-        )
         base = (
             f"{self.protocol}: {self.states} canonical states, "
             f"{self.steps_applied} transitions explored "
             f"(depth <= {self.max_depth_reached}, "
-            f"alphabet {self.alphabet_size}{reduction}{resumed}), "
+            f"alphabet {self.alphabet_size}{reduction}), "
             f"0 violations"
         )
         if self.complete:
@@ -287,67 +276,39 @@ def step_alphabet(
     return steps
 
 
-# ----------------------------------------------------------------------
-# Script / checkpoint serialisation
-# ----------------------------------------------------------------------
-def _encode_script(script: Sequence[StepSpec]) -> list:
-    return [
-        [
-            [ref.node, ref.line, "w" if ref.is_write else "r"]
-            for ref in step.refs
-        ]
-        for step in script
-    ]
+def validate_setup(
+    protocol: str, nodes: int, lines: int, symmetry: str = "full"
+) -> None:
+    """Refuse a configuration the explorer cannot run, building nothing.
 
-
-def _decode_script(payload: Sequence[Sequence[Sequence]]) -> Tuple[StepSpec, ...]:
-    return tuple(
-        StepSpec(
-            tuple(Ref(node, line, op == "w") for node, line, op in refs)
-        )
-        for refs in payload
-    )
-
-
-def alphabet_fingerprint(alphabet: Sequence[StepSpec]) -> str:
-    """Stable content hash of a step alphabet."""
-    canonical = json.dumps(_encode_script(alphabet), separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-def explore_fingerprint(
-    protocol: str,
-    nodes: int,
-    lines: int,
-    *,
-    races: bool = True,
-    symmetry: str = "full",
-    harness_factory=EngineHarness,
-) -> str:
-    """Checkpoint key: the protocol/config/alphabet fingerprint.
-
-    Everything that shapes the reachable state graph is hashed --
-    protocol, system size, the full step alphabet, the symmetry mode,
-    and the harness type (mutation tests must never share checkpoints
-    with the clean engine).  Search *bounds* are deliberately
-    excluded: a deeper rerun resumes the same checkpoint instead of
-    starting over.
+    Each ``ValueError`` names the offending field.  The symmetry group
+    is sized by formula: ``nodes=12`` would otherwise materialise all
+    12! node permutations before the first state is reached.
     """
-    alphabet = step_alphabet(nodes, lines, races=races)
-    setup = {
-        "schema": CHECKPOINT_SCHEMA,
-        "protocol": protocol,
-        "nodes": nodes,
-        "lines": lines,
-        "races": races,
-        "symmetry": symmetry,
-        "alphabet": alphabet_fingerprint(alphabet),
-        "harness": (
-            f"{harness_factory.__module__}.{harness_factory.__qualname__}"
-        ),
-    }
-    canonical = json.dumps(setup, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    if protocol not in PROTOCOLS:
+        raise ValueError(
+            f"unknown protocol {protocol!r}; "
+            f"expected one of {sorted(PROTOCOLS)}"
+        )
+    if symmetry not in SYMMETRY_MODES:
+        raise ValueError(
+            f"unknown symmetry mode {symmetry!r}; "
+            f"expected one of {SYMMETRY_MODES}"
+        )
+    if nodes < 2:
+        raise ValueError(f"nodes must be >= 2, got {nodes}")
+    if lines < 1:
+        raise ValueError(f"lines must be >= 1, got {lines}")
+    per_cluster = (
+        hierarchy_per_cluster(nodes) if protocol == "hierarchical" else None
+    )
+    order = group_order(nodes, lines, symmetry, per_cluster)
+    if order > MAX_GROUP_ORDER:
+        raise ValueError(
+            f"nodes={nodes}, lines={lines}: symmetry group of order "
+            f"{order} exceeds {MAX_GROUP_ORDER}; check fewer nodes or "
+            f"lines"
+        )
 
 
 @dataclass
@@ -443,8 +404,6 @@ def explore(
     max_states: int = 20_000,
     symmetry: str = "full",
     jobs: int = 1,
-    store=None,
-    resume: bool = True,
     expansion: str = "engine",
     harness_factory=EngineHarness,
 ) -> ExploreReport:
@@ -454,11 +413,7 @@ def explore(
     processor x line relabeling, cluster-respecting on the
     hierarchical ring; ``"none"`` = identity, the raw-space oracle).
     ``jobs > 1`` shards each BFS level across the process pool --
-    results are bit-identical to serial.  ``store`` (a
-    :class:`repro.core.store.ResultStore`) checkpoints the visited
-    set and unexpanded frontier after every level and, with
-    ``resume=True``, continues from (or immediately returns) a
-    previous run of the same setup.
+    results are bit-identical to serial.
 
     ``expansion`` selects what expands frontier states (see
     :data:`EXPANSION_MODES`): the engine alone, the engine
@@ -477,17 +432,11 @@ def explore(
     bounds exist only as safety rails for configs larger than the
     checker's design point, and a bounded clean run reports itself as
     truncated, never as a proof.
+
+    Raises ``ValueError`` (see :func:`validate_setup`) before building
+    anything when the configuration is out of range.
     """
-    if protocol not in PROTOCOLS:
-        raise ValueError(
-            f"unknown protocol {protocol!r}; "
-            f"expected one of {sorted(PROTOCOLS)}"
-        )
-    if symmetry not in SYMMETRY_MODES:
-        raise ValueError(
-            f"unknown symmetry mode {symmetry!r}; "
-            f"expected one of {SYMMETRY_MODES}"
-        )
+    validate_setup(protocol, nodes, lines, symmetry)
     if expansion not in EXPANSION_MODES:
         raise ValueError(
             f"unknown expansion mode {expansion!r}; "
@@ -519,80 +468,11 @@ def explore(
         expansion=expansion,
     )
 
-    checkpoint_key = None
-    if store is not None:
-        checkpoint_key = explore_fingerprint(
-            protocol,
-            nodes,
-            lines,
-            races=races,
-            symmetry=symmetry,
-            harness_factory=harness_factory,
-        )
-
-    visited: Dict[str, int] = {}
-    frontier: List[_Entry] = []
-
-    if checkpoint_key is not None and resume:
-        payload = store.get_blob(CHECKPOINT_KIND, checkpoint_key)
-        if payload is not None and payload.get("schema") == CHECKPOINT_SCHEMA:
-            visited = {
-                fingerprint: depth
-                for fingerprint, depth in payload["visited"].items()
-            }
-            frontier = [
-                _Entry(script=_decode_script(script))
-                for script in payload["frontier"]
-            ]
-            for name in (
-                "states",
-                "steps_applied",
-                "states_expanded",
-                "states_canonicalized",
-                "max_depth_reached",
-            ):
-                setattr(report, name, payload["counters"][name])
-            report.resumed = True
-            report.resumed_states = len(visited)
-            if payload["complete"]:
-                report.complete = True
-                report.visited_fingerprints = sorted(visited)
-                return report
-
-    if not report.resumed:
-        initial = harness_factory(protocol, nodes, lines)
-        fingerprint = context.fingerprint(initial.snapshot())
-        visited[fingerprint] = 0
-        frontier = [_Entry(script=(), image=initial.clone())]
-        report.states = 1
-        report.states_canonicalized = 1
-
-    def save_checkpoint(pending: List[_Entry], complete: bool) -> None:
-        if checkpoint_key is None:
-            return
-        store.put_blob(
-            CHECKPOINT_KIND,
-            checkpoint_key,
-            {
-                "schema": CHECKPOINT_SCHEMA,
-                "protocol": protocol,
-                "nodes": nodes,
-                "lines": lines,
-                "complete": complete,
-                "truncated_by": list(report.truncated_by),
-                "counters": {
-                    "states": report.states,
-                    "steps_applied": report.steps_applied,
-                    "states_expanded": report.states_expanded,
-                    "states_canonicalized": report.states_canonicalized,
-                    "max_depth_reached": report.max_depth_reached,
-                },
-                "visited": visited,
-                "frontier": [
-                    _encode_script(entry.script) for entry in pending
-                ],
-            },
-        )
+    initial = harness_factory(protocol, nodes, lines)
+    visited = {context.fingerprint(initial.snapshot())}
+    frontier: List[_Entry] = [_Entry(script=(), image=initial.clone())]
+    report.states = 1
+    report.states_canonicalized = 1
 
     def absorb_state(entry: _Entry, step: StepSpec, fingerprint: str,
                      depth: int, harness) -> None:
@@ -600,7 +480,7 @@ def explore(
         report.states_canonicalized += 1
         if fingerprint in visited:
             return
-        visited[fingerprint] = depth
+        visited.add(fingerprint)
         report.states += 1
         report.max_depth_reached = max(report.max_depth_reached, depth)
         next_frontier.append(
@@ -625,7 +505,6 @@ def explore(
         depth = min(entry.depth for entry in frontier) + 1
         if depth > max_depth:
             report.truncated_by.append("max_depth")
-            save_checkpoint(frontier, complete=False)
             break
         level = [entry for entry in frontier if entry.depth + 1 == depth]
         carried = [entry for entry in frontier if entry.depth + 1 != depth]
@@ -723,16 +602,10 @@ def explore(
             break
         if truncated_at is not None:
             report.truncated_by.append("max_states")
-            save_checkpoint(
-                level[truncated_at:] + carried + next_frontier,
-                complete=False,
-            )
             break
         frontier = carried + next_frontier
-        save_checkpoint(frontier, complete=not frontier)
 
-    # Drained frontier with every bound intact: a full proof.  (The
-    # final in-loop save already checkpointed ``complete=True``.)
+    # Drained frontier with every bound intact: a full proof.
     if report.counterexample is None and not report.truncated_by:
         report.complete = True
 

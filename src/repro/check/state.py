@@ -106,7 +106,7 @@ def hierarchy_per_cluster(nodes: int) -> int:
     """Nodes per local ring at checker scale (and a validity check)."""
     if nodes % HIERARCHY_CLUSTERS:
         raise ValueError(
-            f"hierarchical checking needs an even node count "
+            f"nodes must be even for hierarchical checking "
             f"(got {nodes}: {HIERARCHY_CLUSTERS} equal clusters)"
         )
     return nodes // HIERARCHY_CLUSTERS

@@ -37,14 +37,17 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
+    "MAX_GROUP_ORDER",
     "SYMMETRY_MODES",
     "CanonicalContext",
     "cluster_permutations",
     "encode_state",
+    "group_order",
     "permutation_group",
     "relabel_view",
     "state_fingerprint",
@@ -52,6 +55,12 @@ __all__ = [
 
 #: Accepted values for the explorer's ``symmetry`` knob.
 SYMMETRY_MODES = ("full", "none")
+
+#: Largest permutation group a checker configuration may ask for.  The
+#: group is built as a tuple and every visited state is minimised over
+#: it, so the order bounds both memory and per-state cost; the largest
+#: configuration CI checks (5 nodes, 2 lines) has order 240.
+MAX_GROUP_ORDER = 10_000
 
 #: A node (or line) permutation: ``perm[old_label] == new_label``.
 Perm = Tuple[int, ...]
@@ -86,6 +95,26 @@ def cluster_permutations(nodes: int, per_cluster: int) -> List[Perm]:
                     )
             perms.append(tuple(perm))
     return perms
+
+
+def group_order(
+    nodes: int,
+    lines: int,
+    symmetry: str = "full",
+    per_cluster: Optional[int] = None,
+) -> int:
+    """``len(permutation_group(...))`` by formula, building nothing."""
+    if symmetry == "none":
+        return 1
+    if per_cluster is None:
+        node_order = math.factorial(nodes)
+    else:
+        clusters = nodes // per_cluster
+        node_order = (
+            math.factorial(per_cluster) ** clusters
+            * math.factorial(clusters)
+        )
+    return node_order * math.factorial(lines)
 
 
 @lru_cache(maxsize=64)

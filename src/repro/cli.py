@@ -408,20 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
         "alone ('spec-only', requires --no-races) (default engine)",
     )
     explore.add_argument(
-        "--resume",
-        action="store_true",
-        help="checkpoint visited states and the frontier in the "
-        "result store after every BFS level, and continue from (or "
-        "immediately answer with) a previous run of the same setup",
-    )
-    explore.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="result-store directory for --resume "
-        "(default: $REPRO_CACHE_DIR or ~/.cache/repro)",
-    )
-    explore.add_argument(
         "--require-exhaustive",
         action="store_true",
         help="exit 3 when the search was clean but truncated by "
@@ -1104,11 +1090,6 @@ def _command_check(args: argparse.Namespace) -> int:
     from repro import check
 
     if args.verb == "explore":
-        store = None
-        if args.resume:
-            from repro.core.store import get_result_store
-
-            store = get_result_store()
         report = check.explore(
             args.protocol,
             nodes=args.nodes,
@@ -1118,7 +1099,6 @@ def _command_check(args: argparse.Namespace) -> int:
             max_states=args.max_states,
             symmetry=args.symmetry,
             jobs=args.jobs,
-            store=store,
             expansion=args.expansion,
         )
         print(report.summary())

@@ -364,14 +364,14 @@ class ResultStore:
         return self.results_dir / f"{key}.json"
 
     # ------------------------------------------------------------------
-    # Generic JSON blobs (checkpoints and other derived artifacts)
+    # Generic JSON blobs (served check results and other artifacts)
     # ------------------------------------------------------------------
     def blob_dir(self, kind: str) -> pathlib.Path:
         """Directory for one family of content-addressed JSON blobs.
 
         Simulation results stay under ``results/``; other subsystems
-        persist their own keyed artifacts beside them (the model
-        checker keeps explored-state checkpoints under ``explore/``).
+        persist their own keyed artifacts beside them (the daemon keeps
+        finished ``check`` job payloads under ``check/``).
         The same atomic-write and stale-temp-sweep machinery applies.
         """
         if not kind or "/" in kind or kind.startswith("."):
@@ -535,7 +535,7 @@ class ResultStore:
         """
         removed = 0
         if self.directory.is_dir():
-            # Blob families (e.g. explore/ checkpoints) write through
+            # Blob families (e.g. check/ results) write through
             # the same temp-then-rename protocol as results/, so the
             # sweep covers every immediate subdirectory.
             cutoff = time.time() - min_age_seconds

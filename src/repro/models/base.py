@@ -37,6 +37,7 @@ from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 from repro.core.config import Protocol, SystemConfig
 from repro.core.metrics import MissClass
 from repro.core.results import ModelInputs, OperatingPoint, SweepResult
+from repro.ring.topology import RingTopology
 
 __all__ = [
     "CONFIG_FIELDS",
@@ -361,13 +362,15 @@ def system_values(config: SystemConfig) -> Tuple[float, ...]:
 def geometry_values(config: SystemConfig) -> Tuple[float, ...]:
     """The :data:`GEOMETRY_FIELDS` of ``config``, in that order.
 
-    Goes through ``ring_layout()``/``ring_topology()``, so degenerate
-    geometries are rejected at model-construction time.  The values
-    depend only on ``(config.ring, config.block_size,
+    Builds the frame layout once and the topology from it, so
+    degenerate geometries are rejected at model-construction time.
+    The values depend only on ``(config.ring, config.block_size,
     config.num_processors)``.
     """
     layout = config.ring_layout()
-    topology = config.ring_topology()
+    topology = RingTopology.for_layout(
+        config.num_processors, layout, config.ring.stages_per_node
+    )
     return (
         float(topology.total_stages),
         float(layout.frame_stages),

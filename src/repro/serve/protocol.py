@@ -14,8 +14,10 @@ Job kinds mirror the CLI's experiment families:
   plus the analytical model's cycle sweep), the ``repro sweep`` verb.
 * ``simulate`` -- one trace-driven simulation, full result payload
   including telemetry histograms.
-* ``check``    -- an exhaustive coherence exploration, reusing the
-  explorer's store-backed checkpoints.
+* ``check``    -- an exhaustive coherence exploration.  A finished
+  payload is kept as a ``check`` blob in the persistent store, keyed by
+  the job's fingerprint, so a resubmission is answered without a
+  search.
 * ``grid``     -- a vectorized design surface (needs NumPy: without
   it a ``grid`` spec is rejected at validation).
 
@@ -195,7 +197,6 @@ def _parse_check(payload: Dict[str, Any]) -> Dict[str, Any]:
             "max_depth",
             "max_states",
             "symmetry",
-            "resume",
         ),
     )
     protocol = _require(payload, "protocol")
@@ -204,19 +205,24 @@ def _parse_check(payload: Dict[str, Any]) -> Dict[str, Any]:
             f"unknown check protocol {protocol!r}; "
             f"expected one of {CHECK_PROTOCOLS}"
         )
-    symmetry = payload.get("symmetry", "full")
-    if symmetry not in ("full", "none"):
-        raise SpecError(f"symmetry must be 'full' or 'none', got {symmetry!r}")
-    return {
+    params = {
         "protocol": protocol,
         "nodes": _int_field(payload, "nodes", 2),
         "lines": _int_field(payload, "lines", 1),
         "races": _bool_field(payload, "races", True),
         "max_depth": _int_field(payload, "max_depth", 12),
         "max_states": _int_field(payload, "max_states", 20_000),
-        "symmetry": symmetry,
-        "resume": _bool_field(payload, "resume", True),
+        "symmetry": payload.get("symmetry", "full"),
     }
+    from repro.check.explorer import validate_setup
+
+    try:
+        validate_setup(
+            protocol, params["nodes"], params["lines"], params["symmetry"]
+        )
+    except ValueError as exc:
+        raise SpecError(str(exc)) from None
+    return params
 
 
 def _require_grid_engine() -> None:
@@ -395,8 +401,6 @@ def check_payload(report) -> Dict[str, Any]:
         "steps_applied": report.steps_applied,
         "max_depth_reached": report.max_depth_reached,
         "truncated_by": list(report.truncated_by),
-        "resumed": report.resumed,
-        "resumed_states": report.resumed_states,
         "summary": report.summary(),
     }
     if not report.ok:
@@ -447,7 +451,8 @@ def run_job(
     ``progress`` and the ``cancel`` event are handed to it), then
     finish with the library call for the kind: ``sweep_from_result``,
     ``surface_from_result`` or the simulation itself.  ``check`` runs
-    the explorer.  ``telemetry``, when given, receives the extraction's
+    the explorer, unless the store already holds this spec's finished
+    payload.  ``telemetry``, when given, receives the extraction's
     histograms (``sweep`` and ``simulate``).  A ``grid`` job fails
     before any extraction runs when NumPy is missing.
     """
@@ -460,19 +465,24 @@ def run_job(
 
         if cancel is not None and cancel.is_set():
             raise SweepCancelled("cancelled before exploration started")
-        report = check.explore(
-            params["protocol"],
-            nodes=params["nodes"],
-            lines=params["lines"],
-            races=params["races"],
-            max_depth=params["max_depth"],
-            max_states=params["max_states"],
-            symmetry=params["symmetry"],
-            jobs=jobs,
-            store=get_result_store() if params["resume"] else None,
-            resume=params["resume"],
-        )
-        return check_payload(report)
+        store = get_result_store()
+        key = spec_fingerprint(spec, store)
+        payload = store.get_blob("check", key)
+        if payload is None:
+            payload = check_payload(
+                check.explore(
+                    params["protocol"],
+                    nodes=params["nodes"],
+                    lines=params["lines"],
+                    races=params["races"],
+                    max_depth=params["max_depth"],
+                    max_states=params["max_states"],
+                    symmetry=params["symmetry"],
+                    jobs=jobs,
+                )
+            )
+            store.put_blob("check", key, payload)
+        return payload
     if spec.kind == "grid":
         _require_grid_engine()
     (result,) = PointScheduler(

@@ -373,7 +373,7 @@ def test_clone_refuses_mid_transaction_state():
 
 
 # ----------------------------------------------------------------------
-# Outcomes: exhaustive vs truncated, and store-backed resume
+# Outcomes: exhaustive vs truncated, and refused setups
 # ----------------------------------------------------------------------
 def test_truncated_run_reports_itself_as_such():
     report = explore("snooping", nodes=2, lines=1, max_depth=1)
@@ -395,60 +395,56 @@ def test_exhaustive_run_reports_itself_as_such():
     assert failing.outcome == "violation"
 
 
-def fresh_store(tmp_path):
-    from repro.core.store import ResultStore
-
-    return ResultStore(tmp_path / "store")
-
-
-def test_resumed_exploration_matches_an_uninterrupted_run(tmp_path):
-    store = fresh_store(tmp_path)
-    first = explore("snooping", nodes=2, lines=1, max_depth=1, store=store)
-    assert not first.complete and store.blob_stores > 0
-    resumed = explore("snooping", nodes=2, lines=1, store=store)
-    assert resumed.resumed and resumed.resumed_states == first.states
-    assert resumed.complete
-    oneshot = explore("snooping", nodes=2, lines=1)
-    assert resumed.visited_fingerprints == oneshot.visited_fingerprints
-    assert resumed.counters() == oneshot.counters()
+def test_exploration_is_pure():
+    # The answer to one setup never depends on what ran before it: a
+    # bounded run after an exhaustive one is still the bounded answer.
+    fresh = explore("snooping", nodes=2, lines=1, max_depth=1)
+    explore("snooping", nodes=2, lines=1)
+    again = explore("snooping", nodes=2, lines=1, max_depth=1)
+    assert again.outcome == fresh.outcome == "truncated"
+    assert again.summary() == fresh.summary()
+    assert again.counters() == fresh.counters()
+    assert again.visited_fingerprints == fresh.visited_fingerprints
 
 
-def test_completed_checkpoint_short_circuits(tmp_path):
-    store = fresh_store(tmp_path)
-    first = explore("snooping", nodes=2, lines=1, store=store)
-    assert first.complete and not first.resumed
-    cached = explore("snooping", nodes=2, lines=1, store=store)
-    assert cached.complete and cached.resumed
-    assert cached.states_expanded == first.states_expanded
-    assert cached.visited_fingerprints == first.visited_fingerprints
-    # The rerun expanded nothing: it answered from the checkpoint.
-    assert store.blob_hits >= 1
+@pytest.mark.parametrize(
+    "protocol, nodes, lines, field",
+    [
+        ("snooping", 1, 1, "nodes must be >= 2"),
+        ("snooping", 2, 0, "lines must be >= 1"),
+        ("hierarchical", 3, 1, "nodes must be even"),
+        ("snooping", 12, 1, "nodes=12, lines=1: symmetry group of order"),
+        ("snooping", 4, 6, "nodes=4, lines=6: symmetry group of order"),
+    ],
+)
+def test_out_of_range_setups_are_refused_before_building(
+    monkeypatch, protocol, nodes, lines, field
+):
+    import repro.check.explorer as explorer
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("built a harness for a refused setup")
+
+    monkeypatch.setattr(explorer, "CanonicalContext", no_build)
+    with pytest.raises(ValueError, match=field):
+        explore(protocol, nodes=nodes, lines=lines, harness_factory=no_build)
 
 
-def test_checkpoints_do_not_leak_across_setups(tmp_path):
-    store = fresh_store(tmp_path)
-    explore("snooping", nodes=2, lines=1, store=store)
-    other = explore("directory", nodes=2, lines=1, store=store)
-    assert not other.resumed
-    mutant = explore(
-        "snooping",
-        nodes=2,
-        lines=1,
-        store=store,
-        harness_factory=mutant_harness(DroppedInvalidationSnooping),
-    )
-    # The mutant must not reuse the clean engine's proof...
-    assert not mutant.resumed and not mutant.ok
-    # ...and a violation run must never checkpoint as explored.
-    clean = explore("snooping", nodes=2, lines=1, store=store)
-    assert clean.resumed and clean.ok
+def test_group_order_formula_matches_the_built_group():
+    from repro.check.symmetry import group_order, permutation_group
 
-
-def test_resume_can_be_disabled(tmp_path):
-    store = fresh_store(tmp_path)
-    explore("snooping", nodes=2, lines=1, store=store)
-    rerun = explore("snooping", nodes=2, lines=1, store=store, resume=False)
-    assert not rerun.resumed and rerun.complete
+    for nodes, lines, per_cluster in [
+        (2, 1, None), (4, 2, None), (5, 2, None), (3, 3, None),
+        (4, 3, 2), (6, 2, 3), (2, 1, 1),
+    ]:
+        for symmetry in ("full", "none"):
+            built = permutation_group(nodes, lines, symmetry, per_cluster)
+            assert group_order(
+                nodes, lines, symmetry, per_cluster
+            ) == len(built)
+    # Without building it: 12! node permutations.
+    assert group_order(12, 1) == 479_001_600
+    assert group_order(12, 1, "none") == 1
 
 
 # ----------------------------------------------------------------------

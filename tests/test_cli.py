@@ -268,33 +268,13 @@ def test_check_explore_require_exhaustive_rejects_truncation(capsys):
     assert "TRUNCATED" in out
 
 
-def test_check_explore_resume_uses_the_store(capsys, tmp_path):
-    from repro.core.store import configure_result_store, get_result_store
-
-    argv = (
-        "check",
-        "explore",
-        "--protocol",
-        "snooping",
-        "--nodes",
-        "2",
-        "--lines",
-        "1",
-        "--resume",
-        "--cache-dir",
-        str(tmp_path),
-    )
-    previous = get_result_store()
-    try:
-        code, out = run_cli(capsys, *argv)
-        assert code == 0 and "EXHAUSTIVE" in out
-        code, out = run_cli(capsys, *argv)
-        assert code == 0
-        assert "resumed from" in out
-    finally:
-        # --cache-dir reconfigures the process-wide store; put the
-        # session's isolated store back for the tests that follow.
-        configure_result_store(previous.directory, enabled=previous.enabled)
+@pytest.mark.parametrize("option", [["--resume"], ["--cache-dir", "x"]])
+def test_check_explore_keeps_no_store(option):
+    # The explorer is a pure search: no checkpoint to resume, no store.
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(
+            ["check", "explore", "--protocol", "snooping", *option]
+        )
 
 
 def test_check_fuzz_smoke(capsys):

@@ -483,29 +483,29 @@ def test_ring_design_space_applies_once_per_prefix(monkeypatch):
     from repro.core import sensitivity
 
     axes = _bench_ring_axes()
-    calls = {"apply": 0, "topology": 0}
+    calls = {"apply": 0, "layout": 0}
     apply_parameter = sensitivity.apply_parameter
-    ring_topology = SystemConfig.ring_topology
+    ring_layout = SystemConfig.ring_layout
 
     def counting_apply(config, name, value):
         calls["apply"] += 1
         return apply_parameter(config, name, value)
 
-    def counting_topology(config):
-        calls["topology"] += 1
-        return ring_topology(config)
+    def counting_layout(config):
+        calls["layout"] += 1
+        return ring_layout(config)
 
     monkeypatch.setattr(sensitivity, "apply_parameter", counting_apply)
-    monkeypatch.setattr(SystemConfig, "ring_topology", counting_topology)
+    monkeypatch.setattr(SystemConfig, "ring_layout", counting_layout)
     config = SystemConfig(num_processors=16)
     inputs = _make_inputs(Protocol.SNOOPING, 16)
 
     grid_engine.ModelGrid.from_product(
         "ring_snooping", config, inputs, parameters=axes
     )
-    assert calls == {"apply": 1_010, "topology": 30}
+    assert calls == {"apply": 1_010, "layout": 30}
 
     # The per-combination build pays for every axis of every combination.
-    calls.update(apply=0, topology=0)
+    calls.update(apply=0, layout=0)
     _per_combination_grid("ring_snooping", config, inputs, [1.0], axes)
-    assert calls == {"apply": 2_250, "topology": 750}
+    assert calls == {"apply": 2_250, "layout": 750}

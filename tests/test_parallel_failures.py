@@ -213,7 +213,7 @@ def test_map_tasks_wraps_failures_with_the_task(jobs):
 
 
 # ----------------------------------------------------------------------
-# Blob storage (explorer checkpoints ride on this)
+# Blob storage (served check results ride on this)
 # ----------------------------------------------------------------------
 def test_blob_roundtrip_counts_and_persists(tmp_path):
     from repro.core.store import ResultStore

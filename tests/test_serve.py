@@ -7,7 +7,10 @@ and the CI smoke job use.  The contracts pinned here:
 
 * a daemon sweep is **bit-identical** to the synchronous
   :func:`repro.core.hybrid.hybrid_sweep` (JSON floats round-trip
-  exactly, so equality is exact);
+  exactly, so equality is exact), and a served check equals the
+  synchronous :func:`repro.check.explore` report;
+* a finished check is answered from the store when resubmitted, and
+  a spec that differs only in its bounds is searched afresh;
 * two identical concurrent submissions coalesce onto one execution --
   one simulation, two subscribers, both get the result;
 * cancelling one subscriber of a shared execution leaves it running;
@@ -32,6 +35,7 @@ from repro.core.parallel import SweepCancelled
 from repro.serve import ServeClient, ServeDaemon, ServeError
 from repro.serve.protocol import (
     SpecError,
+    check_payload,
     operating_point_row,
     parse_spec,
     spec_fingerprint,
@@ -83,6 +87,9 @@ def _gated_runner(payload=None, run_real=None):
     return runner, entered, gate
 
 
+CHECK_SPEC = {"kind": "check", "protocol": "snooping", "nodes": 2}
+
+
 # ----------------------------------------------------------------------
 # E2E: daemon result == synchronous result, bit for bit
 # ----------------------------------------------------------------------
@@ -115,6 +122,44 @@ def test_resubmission_after_completion_hits_the_store(client):
     stats = client.stats()
     assert stats["executions_started"] == 2  # store-backed, not coalesced
     assert stats["coalesced"] == 0
+
+
+def test_served_check_equals_sync_and_is_cached_by_its_spec(
+    monkeypatch, temp_store, client
+):
+    import repro.check
+
+    real_explore = repro.check.explore
+    searches = []
+
+    def counting_explore(*args, **kwargs):
+        searches.append(kwargs)
+        return real_explore(*args, **kwargs)
+
+    monkeypatch.setattr(repro.check, "explore", counting_explore)
+
+    def served(spec):
+        job = client.wait(client.submit(spec)["job"])
+        assert job["state"] == "done", job
+        return client.result(job["job"])
+
+    payload = served(CHECK_SPEC)
+    assert payload == check_payload(real_explore("snooping", nodes=2))
+    assert "EXHAUSTIVE" in payload["summary"] and len(searches) == 1
+
+    # A second identical submission after completion is a store hit.
+    hits = temp_store.blob_hits
+    assert served(CHECK_SPEC) == payload
+    assert temp_store.blob_hits == hits + 1 and len(searches) == 1
+
+    # The bounds are part of the key: another max_depth is searched.
+    bounded = served({**CHECK_SPEC, "max_depth": 1})
+    assert len(searches) == 2 and searches[-1]["max_depth"] == 1
+    assert bounded == check_payload(
+        real_explore("snooping", nodes=2, max_depth=1)
+    )
+    assert "TRUNCATED" in bounded["summary"]
+    assert temp_store.info()["blobs"] == {"check": 2}
 
 
 # ----------------------------------------------------------------------
@@ -322,12 +367,36 @@ def test_submission_validation_and_conflicts(daemon, client):
         ({"kind": "simulate", "benchmark": "mp3d", "sead": 7}, "sead"),
         ({"kind": "check", "node": 4}, "node"),
         ({"kind": "grid", "benchmark": "mp3d", "parameter": {}}, "parameter"),
+        ({"kind": "check", "resume": True}, "resume"),
     ],
 )
 def test_unknown_fields_are_rejected(spec, field):
     # A misspelt field must not silently run the job with its default.
     with pytest.raises(SpecError, match=f"unknown field.*'{field}'"):
         parse_spec(spec)
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ({"nodes": 1}, "nodes must be >= 2"),
+        ({"protocol": "hierarchical", "nodes": 3}, "nodes must be even"),
+        ({"nodes": 12}, "nodes=12, lines=1: symmetry group of order"),
+        ({"nodes": 4, "lines": 6}, "nodes=4, lines=6: symmetry group"),
+    ],
+)
+def test_out_of_range_check_specs_are_rejected(spec, message):
+    # Refused while parsing: the 12! group is sized, never built.
+    with pytest.raises(SpecError, match=message):
+        parse_spec({**CHECK_SPEC, **spec})
+
+
+def test_out_of_range_check_is_refused_at_submit(client):
+    with pytest.raises(ServeError) as excinfo:
+        client.submit({**CHECK_SPEC, "nodes": 1})
+    assert excinfo.value.status == 400
+    assert "nodes" in str(excinfo.value)
+    assert client.stats()["submitted"] == 0
 
 
 @pytest.fixture
