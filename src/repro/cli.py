@@ -372,6 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
         "explore", help="exhaustive BFS over a tiny configuration"
     )
     add_check_arguments(explore, "explore")
+    explore.set_defaults(usage_error=explore.error)
     explore.add_argument(
         "--max-depth",
         type=int,
@@ -1090,6 +1091,14 @@ def _command_check(args: argparse.Namespace) -> int:
     from repro import check
 
     if args.verb == "explore":
+        from repro.check.explorer import validate_setup
+
+        try:
+            validate_setup(args.protocol, args.nodes, args.lines, args.symmetry)
+        except ValueError as error:
+            # Each message starts with the field it refuses.
+            option = "--lines" if str(error).startswith("lines") else "--nodes"
+            args.usage_error(f"{option}: {error}")
         report = check.explore(
             args.protocol,
             nodes=args.nodes,

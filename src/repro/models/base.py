@@ -6,13 +6,19 @@ latencies gives an estimate of execution time, which gives new event
 rates, which give new contention estimates and therefore new
 latencies, iterating until convergence.
 
-Every model family writes its equations once, as two functions over a
-flat *field row* (:func:`config_row`): ``frequencies(a)`` gives the
-per-instruction event frequencies in solver order, and
-``latencies(a, T, xp)`` gives the latency each event class would see
-when every processor retires one instruction per ``T`` ps.  A row's
-values are either Python floats -- the scalar models below -- or
-NumPy arrays, one lane per design point -- the grid engine,
+Every model family writes its equations once, as three functions over
+a flat *field row* (:func:`config_row`).  ``frequencies(a)`` gives the
+per-instruction event frequencies in solver order (the *mix*).
+``prepare(a, xp)`` returns the row extended with every other term that
+does not depend on the execution time.  ``latencies(p, T, xp)`` does
+only the arithmetic that depends on ``T``: the latency each event
+class would see when every processor retires one instruction per
+``T`` ps, plus the network and bank utilisations.  Hoisting keeps
+every operation's operands and order, so the split changes no bit of
+any result; the mix and the prepared row are built once per model
+(once per grid).  A row's values are
+either Python floats -- the scalar models below -- or NumPy arrays,
+one lane per design point -- the grid engine,
 :mod:`repro.models.grid`.  ``xp`` is the array namespace the equations
 draw ``where``/``minimum``/``maximum`` from: ``numpy`` for the grid,
 :data:`SCALAR` (the same three functions over builtins) here, so the
@@ -22,15 +28,18 @@ The fixed point of
 
     T = cycle + sum_k f_k * L_k(T)
 
-is found by a bracketed secant iteration (:func:`solve_time_per_instruction`
-for one point, :func:`repro.models.grid.solve_grid` for a grid); all
-models converge in a handful of rounds because the latency terms are
-smooth in the offered load.
+is found by a bracketed secant iteration (:func:`fixed_point` for one
+point, :func:`repro.models.grid.solve_grid` for a grid); all models
+converge in a handful of rounds because the latency terms are smooth
+in the offered load.  Every sum over event classes accumulates left to
+right (:func:`ordered_sum`), so results do not depend on the Python
+version's float ``sum()`` (3.12 compensates its rounding).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from types import SimpleNamespace
 from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
@@ -55,16 +64,20 @@ __all__ = [
     "config_row",
     "converged",
     "family_for_protocol",
+    "fixed_point",
     "geometry_values",
     "guarded_ratio",
     "input_values",
+    "latency_weights",
     "md1_wait",
     "mm1_wait",
+    "ordered_sum",
     "reset_solver_stats",
     "slot_wait",
     "solve_time_per_instruction",
     "system_values",
     "weighted_latencies",
+    "weighted_sum",
 ]
 
 
@@ -127,19 +140,40 @@ def converged(residual, span, time_ps, tolerance: float):
     return (abs(residual) <= tolerance * time_ps) | (span <= tolerance * time_ps)
 
 
-def solve_time_per_instruction(
+def ordered_sum(terms):
+    """``sum(terms)`` added strictly left to right from 0.0, for floats
+    and arrays alike.  From 3.12 on the builtin ``sum()`` of floats
+    compensates its rounding, so the model equations never use it on
+    floats: their results must not depend on the Python version."""
+    total = 0.0
+    for term in terms:
+        total = total + term
+    return total
+
+
+def weighted_sum(pairs, values):
+    """``ordered_sum(weight * values[name] for name, weight in pairs)``
+    (the solvers' inner loop, so without the generator)."""
+    total = 0.0
+    for name, weight in pairs:
+        total = total + weight * values[name]
+    return total
+
+
+def fixed_point(
     busy_ps_per_instr: float,
-    event_frequencies: Mapping[str, float],
-    model: LatencyModel,
+    mix: Sequence[Tuple[str, float]],
+    evaluate: Callable[[float], tuple],
     initial_guess_ps: float = DEFAULT_GUESS_PS,
     tolerance: float = TOLERANCE,
     max_iterations: int = MAX_ITERATIONS,
-) -> "tuple[float, LatencyBreakdown]":
+) -> "tuple[float, tuple]":
     """Find T with  T = busy + sum_k f_k * L_k(T).
 
-    ``event_frequencies`` maps class names to events per instruction;
-    ``model(T)`` must return latencies for exactly those names.
-    Returns (T, final breakdown).
+    ``mix`` holds ``(class name, events per instruction)`` pairs in
+    solver order; ``evaluate(T)`` returns a tuple whose first item maps
+    every one of those names to its latency at ``T`` (a family's
+    ``latencies``).  Returns ``(T, evaluate(T))`` for the returned T.
 
     The residual ``g(T) = busy + sum f_k L_k(T) - T`` is strictly
     decreasing in T (longer execution means lighter load means shorter
@@ -156,69 +190,97 @@ def solve_time_per_instruction(
 
     ``initial_guess_ps`` seeds the bracket; sweeps warm-start it with
     the previous operating point, which tightens the initial bracket
-    and saves the doubling walk.
+    and saves the doubling walk.  The work is counted in locals and
+    added to :data:`SOLVER_STATS` on every exit, a raise included.
     """
-    def residual(time_ps: float) -> "tuple[float, LatencyBreakdown]":
-        SOLVER_STATS["model_evals"] += 1
-        breakdown = model(time_ps)
-        implied = busy_ps_per_instr + sum(
-            frequency * breakdown.latencies[name]
-            for name, frequency in event_frequencies.items()
-        )
-        return implied - time_ps, breakdown
+    evals = accelerated = bisections = 0
+    try:
+        low = max(busy_ps_per_instr, 1.0)
+        result = evaluate(low)
+        evals += 1
+        implied = busy_ps_per_instr + weighted_sum(mix, result[0])
+        r_low = implied - low
+        if r_low <= 0.0:
+            # No contention at all: latencies at idle already satisfy T.
+            return implied, evaluate(implied)
+        high = max(initial_guess_ps, 2.0 * low)
+        evals += 1
+        r_high = busy_ps_per_instr + weighted_sum(mix, evaluate(high)[0]) - high
+        doublings = 0
+        while r_high > 0.0:
+            low, r_low = high, r_high
+            high *= 2.0
+            doublings += 1
+            if doublings > 80:
+                raise FixedPointDiverged(
+                    f"residual still positive at T = {high:.3g} ps"
+                )
+            evals += 1
+            r_high = busy_ps_per_instr + weighted_sum(mix, evaluate(high)[0]) - high
+        # Invariant: r(low) > 0 >= r(high).  (t0, r0)/(t1, r1) are the
+        # two most recent evaluations the Aitken step extrapolates
+        # through.
+        t0, r0 = low, r_low
+        t1, r1 = high, r_high
+        for _ in range(max_iterations):
+            denom = r1 - r0
+            if denom != 0.0:
+                candidate = t1 - r1 * (t1 - t0) / denom
+            else:
+                candidate = low  # force the guard below to bisect
+            span = high - low
+            if low < candidate < high and abs(candidate - t1) <= span:
+                accelerated += 1
+            else:
+                # Convergence guard: extrapolation left the bracket (or
+                # stalled on a flat pair); fall back to bisection,
+                # which always halves the bracket.
+                candidate = low + 0.5 * span
+                bisections += 1
+            result = evaluate(candidate)
+            evals += 1
+            r_cand = busy_ps_per_instr + weighted_sum(mix, result[0]) - candidate
+            if converged(r_cand, span, candidate, tolerance):
+                return candidate, result
+            if r_cand > 0.0:
+                low = candidate
+            else:
+                high = candidate
+            t0, r0, t1, r1 = t1, r1, candidate, r_cand
+        mid = 0.5 * (low + high)
+        return mid, evaluate(mid)
+    finally:
+        SOLVER_STATS["solves"] += 1
+        SOLVER_STATS["model_evals"] += evals
+        SOLVER_STATS["accelerated_steps"] += accelerated
+        SOLVER_STATS["bisection_steps"] += bisections
 
-    SOLVER_STATS["solves"] += 1
-    low = max(busy_ps_per_instr, 1.0)
-    r_low, _ = residual(low)
-    if r_low <= 0.0:
-        # No contention at all: latencies at idle already satisfy T.
-        breakdown = model(low)
-        implied = busy_ps_per_instr + sum(
-            frequency * breakdown.latencies[name]
-            for name, frequency in event_frequencies.items()
-        )
-        return implied, model(implied)
-    high = max(initial_guess_ps, 2.0 * low)
-    r_high, _ = residual(high)
-    doublings = 0
-    while r_high > 0.0:
-        low, r_low = high, r_high
-        high *= 2.0
-        doublings += 1
-        if doublings > 80:
-            raise FixedPointDiverged(
-                f"residual still positive at T = {high:.3g} ps"
-            )
-        r_high, _ = residual(high)
-    # Invariant: r(low) > 0 >= r(high).  (t0, r0)/(t1, r1) are the two
-    # most recent evaluations the Aitken step extrapolates through.
-    t0, r0 = low, r_low
-    t1, r1 = high, r_high
-    for _ in range(max_iterations):
-        denom = r1 - r0
-        if denom != 0.0:
-            candidate = t1 - r1 * (t1 - t0) / denom
-        else:
-            candidate = low  # force the guard below to bisect
-        span = high - low
-        if low < candidate < high and abs(candidate - t1) <= span:
-            SOLVER_STATS["accelerated_steps"] += 1
-        else:
-            # Convergence guard: extrapolation left the bracket (or
-            # stalled on a flat pair); fall back to bisection, which
-            # always halves the bracket.
-            candidate = low + 0.5 * span
-            SOLVER_STATS["bisection_steps"] += 1
-        r_cand, breakdown = residual(candidate)
-        if converged(r_cand, span, candidate, tolerance):
-            return candidate, breakdown
-        if r_cand > 0.0:
-            low = candidate
-        else:
-            high = candidate
-        t0, r0, t1, r1 = t1, r1, candidate, r_cand
-    mid = 0.5 * (low + high)
-    return mid, model(mid)
+
+def solve_time_per_instruction(
+    busy_ps_per_instr: float,
+    event_frequencies: Mapping[str, float],
+    model: LatencyModel,
+    initial_guess_ps: float = DEFAULT_GUESS_PS,
+    tolerance: float = TOLERANCE,
+    max_iterations: int = MAX_ITERATIONS,
+) -> "tuple[float, LatencyBreakdown]":
+    """:func:`fixed_point` for a model given as ``model(T) ->``
+    :class:`LatencyBreakdown`, with ``event_frequencies`` mapping class
+    names to events per instruction.  Returns (T, final breakdown)."""
+
+    def evaluate(time_ps: float):
+        breakdown = model(time_ps)
+        return breakdown.latencies, breakdown
+
+    time_ps, (_, breakdown) = fixed_point(
+        busy_ps_per_instr,
+        list(event_frequencies.items()),
+        evaluate,
+        initial_guess_ps,
+        tolerance,
+        max_iterations,
+    )
+    return time_ps, breakdown
 
 
 # ----------------------------------------------------------------------
@@ -264,23 +326,31 @@ def guarded_ratio(numerator, denominator, predicate, xp):
     return xp.where(predicate, numerator / xp.where(predicate, denominator, 1.0), 0.0)
 
 
-def weighted_latencies(latencies, weights, shared_classes, xp):
+def latency_weights(mix, shared_classes):
+    """The ``T``-independent half of :func:`weighted_latencies` for a
+    family's frequency pairs ``mix``: the shared classes' weights and
+    their total, and the ``upgrade*`` classes' weights and theirs."""
+    weights = dict(mix)
+    shared = [(name, weights[name]) for name in shared_classes]
+    upgrades = [(name, weight) for name, weight in mix if name.startswith("upgrade")]
+    shared_total = ordered_sum(weight for _, weight in shared)
+    upgrade_total = ordered_sum(weight for _, weight in upgrades)
+    return shared, shared_total, upgrades, upgrade_total
+
+
+def weighted_latencies(latencies, weights, xp):
     """Shared-miss and upgrade latency at a solved point (the figures'
-    metrics): means over ``shared_classes`` and over the ``upgrade*``
-    classes, weighted by the per-class frequencies ``weights``.  With
-    no upgrades at all, the upgrade latency is the plain mean of the
-    upgrade classes."""
-    total = sum(weights[name] for name in shared_classes)
-    weighted = sum(latencies[name] * weights[name] for name in shared_classes)
+    metrics): means over the shared classes and over the ``upgrade*``
+    classes, weighted by their frequencies (``weights`` from
+    :func:`latency_weights`).  With no upgrades at all, the upgrade
+    latency is the plain mean of the upgrade classes."""
+    shared_pairs, total, upgrades, upgrade_total = weights
+    weighted = weighted_sum(shared_pairs, latencies)
     shared = guarded_ratio(weighted, total, total > 0.0, xp)
 
-    upgrade_names = [name for name in latencies if name.startswith("upgrade")]
-    upgrade_total = sum(weights[name] for name in upgrade_names)
-    upgrade_weighted = sum(
-        latencies[name] * weights[name] for name in upgrade_names
-    )
-    upgrade_mean = sum(latencies[name] for name in upgrade_names) / len(
-        upgrade_names
+    upgrade_weighted = weighted_sum(upgrades, latencies)
+    upgrade_mean = ordered_sum(latencies[name] for name, _ in upgrades) / len(
+        upgrades
     )
     upgrade = xp.where(
         upgrade_total > 0.0,
@@ -443,9 +513,10 @@ class FixedPointModel:
     A family subclass names itself (``family``), its curve label
     (``name`` plus the clock of its ``interconnect``), the miss classes
     its shared-miss latency averages over (``shared_classes``), and its
-    equations (``frequencies``, ``latencies``).  Construction flattens
-    ``(config, inputs)`` to a field row once; every evaluation after
-    that is arithmetic on the row.
+    equations (``frequencies``, ``prepare``, ``latencies``).
+    Construction flattens ``(config, inputs)`` to a field row and
+    prepares it once; every evaluation after that is the ``T``-dependent
+    arithmetic alone.
     """
 
     family: str
@@ -453,20 +524,22 @@ class FixedPointModel:
     interconnect: str = "ring"
     shared_classes: Sequence[str]
     frequencies: Callable
+    prepare: Callable
     latencies: Callable
 
     def __init__(self, config: SystemConfig, inputs: ModelInputs) -> None:
         self.config = config
         self.inputs = inputs
         self.row = config_row(config, inputs)
-        self._frequencies = dict(self.frequencies(self.row))
+        self.prepared = self.prepare(self.row, SCALAR)
+        self.mix = self.frequencies(self.row)
+        self._weights = latency_weights(self.mix, self.shared_classes)
+        self._evaluate = partial(self.latencies, self.prepared, xp=SCALAR)
 
     def breakdown(self, time_per_instruction_ps: float) -> LatencyBreakdown:
         """Per-class latencies when every processor retires one
         instruction per ``time_per_instruction_ps``."""
-        latencies, _, network, bank = self.latencies(
-            self.row, time_per_instruction_ps, SCALAR
-        )
+        latencies, network, bank = self._evaluate(time_per_instruction_ps)
         return LatencyBreakdown(
             latencies=latencies,
             network_utilization=network,
@@ -483,19 +556,17 @@ class FixedPointModel:
         ``initial_guess_ps`` seeds the solver bracket (sweeps pass the
         previous operating point to warm-start the search).
         """
-        time_ps, breakdown = solve_time_per_instruction(
+        time_ps, (latencies, network, _) = fixed_point(
             float(processor_cycle_ps),
-            self._frequencies,
-            self.breakdown,
+            self.mix,
+            self._evaluate,
             DEFAULT_GUESS_PS if initial_guess_ps is None else initial_guess_ps,
         )
-        shared, upgrade = weighted_latencies(
-            breakdown.latencies, self._frequencies, self.shared_classes, SCALAR
-        )
+        shared, upgrade = weighted_latencies(latencies, self._weights, SCALAR)
         return OperatingPoint(
             processor_cycle_ns=processor_cycle_ps / 1000.0,
             processor_utilization=processor_cycle_ps / time_ps,
-            network_utilization=breakdown.network_utilization,
+            network_utilization=network,
             shared_miss_latency_ns=shared / 1000.0,
             upgrade_latency_ns=upgrade / 1000.0,
             time_per_instruction_ps=time_ps,

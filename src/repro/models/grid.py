@@ -6,11 +6,13 @@ axis); a design surface crosses parameter axes and needs thousands to
 hundreds of thousands of them.  This module solves an entire grid of
 configurations at once: configurations live in a struct-of-arrays
 :class:`ModelGrid` (the scalar models' field row, one NumPy column per
-field), the family's equations -- the very functions the scalar models
-evaluate, called with ``xp=numpy`` -- run over every lane at once, and
-:func:`solve_grid` runs the scalar solver's bracketed-secant iteration
-with *convergence masks* -- converged points freeze, divergent points
-are isolated to NaN without poisoning their neighbours.
+field), the family's equations -- the very ``prepare`` and
+``latencies`` functions the scalar models evaluate, called with
+``xp=numpy`` -- run over every lane at once, and :func:`solve_grid`
+prepares the grid once and runs the scalar solver's bracketed-secant
+iteration with *convergence masks* -- converged points freeze,
+divergent points are isolated to NaN without poisoning their
+neighbours.
 
 Equivalence contract
 --------------------
@@ -73,8 +75,10 @@ from repro.models.base import (
     family_for_protocol,
     geometry_values,
     input_values,
+    latency_weights,
     system_values,
     weighted_latencies,
+    weighted_sum,
 )
 
 __all__ = [
@@ -281,7 +285,7 @@ def _check_family(family: str) -> None:
 # ----------------------------------------------------------------------
 # The masked fixed-point solver
 # ----------------------------------------------------------------------
-def _solve_flat(evaluate, arrays, guess):
+def _solve_flat(model, prepared, guess):
     """Solve every lane of a flat grid; returns (time, converged, failed).
 
     The per-lane iterate sequence is exactly the scalar solver's:
@@ -293,16 +297,16 @@ def _solve_flat(evaluate, arrays, guess):
     costs iterations, never accuracy.
     """
     np = require_numpy()
-    busy = arrays["busy_ps"]
+    busy = prepared["busy_ps"]
+    mix = model.frequencies(prepared)
+    evaluate = model.latencies
     n = busy.shape[0]
 
     def residual(T):
         GRID_STATS["grid_evals"] += 1
         with np.errstate(all="ignore"):
-            latencies, freq_pairs, _, _ = evaluate(arrays, T, np)
-            implied = busy + sum(
-                frequency * latencies[name] for name, frequency in freq_pairs
-            )
+            latencies, _, _ = evaluate(prepared, T, np)
+            implied = busy + weighted_sum(mix, latencies)
             return implied - T, implied
 
     time = np.full(n, np.nan)
@@ -481,18 +485,23 @@ def _split_constants(arrays):
 def solve_grid(grid: ModelGrid) -> GridSolution:
     """Solve the whole grid and package per-lane operating points.
 
-    Product grids chain warm starts along the processor-cycle axis
-    (column ``c`` seeds from column ``c-1``'s solved times, exactly the
-    scalar ``sweep()`` strategy); failed lanes reseed their chain from
-    the default guess.  Point batches solve every lane from the default
-    bracket seed, like scalar ``solve()``.
+    The family's ``T``-independent terms are prepared once, over the
+    whole grid.  Product grids chain warm starts along the
+    processor-cycle axis (column ``c`` seeds from column ``c-1``'s
+    solved times, exactly the scalar ``sweep()`` strategy) on the
+    prepared columns gathered at that column's lanes; failed lanes
+    reseed their chain from the default guess.  Point batches solve
+    every lane from the default bracket seed, like scalar ``solve()``.
     """
     np = require_numpy()
     GRID_STATS["grid_solves"] += 1
     model = MODEL_FAMILIES[grid.family]
-    evaluate = model.latencies
     constants, columns = _split_constants(grid.arrays)
-    arrays = {**constants, **columns}
+    with np.errstate(all="ignore"):
+        prepared = model.prepare({**constants, **columns}, np)
+    # Per-lane columns, gathered at each chain position; 0-d constants
+    # pass to every position as they are.
+    lane_fields = [name for name, value in prepared.items() if np.ndim(value)]
     n = grid.size
 
     if grid.chain_shape is not None:
@@ -504,15 +513,15 @@ def solve_grid(grid: ModelGrid) -> GridSolution:
         guess = None
         for position in range(length):
             lanes = base + position
-            sub = {name: array[lanes] for name, array in columns.items()}
-            sub.update(constants)
-            t, c, f = _solve_flat(evaluate, sub, guess)
+            sub = dict(prepared)
+            sub.update((name, prepared[name][lanes]) for name in lane_fields)
+            t, c, f = _solve_flat(model, sub, guess)
             time[lanes] = t
             converged[lanes] = c
             failed[lanes] = f
             guess = np.where(np.isfinite(t), t, DEFAULT_GUESS_PS)
     else:
-        time, converged, failed = _solve_flat(evaluate, arrays, None)
+        time, converged, failed = _solve_flat(model, prepared, None)
 
     GRID_STATS["points_converged"] += int(converged.sum())
     GRID_STATS["points_failed"] += int(failed.sum())
@@ -522,10 +531,9 @@ def solve_grid(grid: ModelGrid) -> GridSolution:
     # returns model(T) evaluated at the T it returns.
     safe_time = np.where(np.isfinite(time) & (time > 0.0), time, 1.0)
     with np.errstate(all="ignore"):
-        latencies, freq_pairs, network, bank = evaluate(arrays, safe_time, np)
-        shared, upgrade = weighted_latencies(
-            latencies, dict(freq_pairs), model.shared_classes, np
-        )
+        latencies, network, bank = model.latencies(prepared, safe_time, np)
+        weights = latency_weights(model.frequencies(prepared), model.shared_classes)
+        shared, upgrade = weighted_latencies(latencies, weights, np)
         nan = np.nan
         solution = GridSolution(
             grid=grid,
@@ -533,7 +541,7 @@ def solve_grid(grid: ModelGrid) -> GridSolution:
             converged=converged,
             failed=failed,
             processor_utilization=np.where(
-                failed, nan, arrays["busy_ps"] / time
+                failed, nan, prepared["busy_ps"] / time
             ),
             network_utilization=np.where(failed, nan, network),
             bank_utilization=np.where(failed, nan, bank),

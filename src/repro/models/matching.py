@@ -26,7 +26,7 @@ from typing import Optional
 from repro.core.config import SystemConfig
 from repro.core.results import ModelInputs
 from repro.models import bus
-from repro.models.base import SCALAR, SOLVER_STATS, config_row
+from repro.models.base import SCALAR, SOLVER_STATS, config_row, weighted_sum
 from repro.models.ring_snooping import SnoopingRingModel
 
 __all__ = ["bus_matches", "matching_bus_clock_ns", "ring_target_utilization"]
@@ -40,17 +40,16 @@ def ring_target_utilization(
     return model.solve(processor_cycle_ps).processor_utilization
 
 
-def bus_matches(a, time_ps, xp):
-    """True where the bus clocked at ``a["bus_clock_ps"]`` retires one
+def bus_matches(p, time_ps, xp):
+    """True where the bus clocked at ``p["bus_clock_ps"]`` retires one
     instruction per ``time_ps`` or faster: the bus residual
     ``g(time_ps) = busy + sum_k f_k L_k(time_ps) - time_ps`` is <= 0.
-    ``a`` is a bus field row carrying ``busy_ps`` (elementwise for
-    arrays; a NaN lane never matches)."""
-    latencies, mix, _, _ = bus.latencies(a, time_ps, xp)
-    implied = a["busy_ps"] + sum(
-        frequency * latencies[name] for name, frequency in mix
-    )
-    return implied <= time_ps
+    ``p`` is a bus field row carrying ``busy_ps``, prepared by
+    :func:`repro.models.bus.prepare` (elementwise for arrays; a NaN
+    lane never matches)."""
+    latencies, _, _ = bus.latencies(p, time_ps, xp)
+    mix = bus.BusModel.frequencies(p)
+    return p["busy_ps"] + weighted_sum(mix, latencies) <= time_ps
 
 
 def matching_bus_clock_ns(
@@ -88,7 +87,7 @@ def matching_bus_clock_ns(
     def matches(clock_ns: float) -> bool:
         SOLVER_STATS["model_evals"] += 1
         row["bus_clock_ps"] = float(max(1, round(clock_ns * 1000)))
-        return bus_matches(row, ring_time_ps, SCALAR)
+        return bus_matches(bus.prepare(row, SCALAR), ring_time_ps, SCALAR)
 
     low, high = low_ns, high_ns
     if not matches(low):

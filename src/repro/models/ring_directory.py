@@ -19,8 +19,8 @@ Per-class latency structure (section 3.2 / Figure 5 of the paper):
 
 from __future__ import annotations
 
+from repro.models import ring_common
 from repro.models.base import FixedPointModel
-from repro.models.ring_common import contention
 
 __all__ = [
     "DIRECTORY_SHARED_CLASSES",
@@ -28,6 +28,7 @@ __all__ = [
     "class_latencies",
     "frequencies",
     "latencies",
+    "prepare",
 ]
 
 #: Shared-miss class names in the directory model.
@@ -52,34 +53,35 @@ def frequencies(a):
     ]
 
 
-def class_latencies(a, probe_wait, block_wait, bank_wait):
+def prepare(a, xp):
+    """The row plus the ring's ``T``-independent terms."""
+    p = ring_common.prepare(a, xp)
+    p["two_probe_drain"] = 2.0 * p["probe_drain"]
+    p["two_ring_ps"] = 2.0 * p["ring_ps"]
+    return p
+
+
+def class_latencies(p, probe_wait, block_wait, bank_wait):
     """Per-class latencies given the slot and bank waits."""
-    clock = a["clock_ps"]
-    ring_ps = a["ring_cycles"] * clock
-    probe_drain = a["probe_stages"] * clock
-    block_drain = a["block_stages"] * clock
-    bank_total = a["access_ps"] + bank_wait
-    lookup = a["lookup_ps"]
-    cache_response = a["cache_response_ps"]
+    ring_ps = p["ring_ps"]
+    block_drain = p["block_drain"]
+    bank_total = p["access_ps"] + bank_wait
+    lookup = p["lookup_ps"]
+    cache_response = p["cache_response_ps"]
 
     clean_one = (
         probe_wait
-        + probe_drain
+        + p["probe_drain"]
         + lookup
         + bank_total
         + block_wait
         + block_drain
         + ring_ps
     )
-    dirty_one = (
-        2.0 * probe_wait
-        + 2.0 * probe_drain
-        + lookup
-        + cache_response
-        + block_wait
-        + block_drain
-        + ring_ps
-    )
+    # Two probe acquisitions, two probe drains and the lookup: the
+    # common head of every multi-hop class below.
+    two_hops = 2.0 * probe_wait + p["two_probe_drain"] + lookup
+    dirty_one = two_hops + cache_response + block_wait + block_drain + ring_ps
     # Two traversals, a mix of two shapes with the same cost
     # skeleton: (a) dirty node between requester and home -- three
     # hops spanning 2S with a cache response; (b) write requiring a
@@ -91,15 +93,9 @@ def class_latencies(a, probe_wait, block_wait, bank_wait):
     # data sources.
     response_mix = (cache_response + bank_total) / 2.0
     two_cycle = (
-        2.0 * probe_wait
-        + 2.0 * probe_drain
-        + lookup
-        + response_mix
-        + block_wait
-        + block_drain
-        + 2.0 * ring_ps
+        two_hops + response_mix + block_wait + block_drain + p["two_ring_ps"]
     )
-    upgrade_without = 2.0 * probe_wait + 2.0 * probe_drain + lookup + ring_ps
+    upgrade_without = two_hops + ring_ps
     upgrade_with = upgrade_without + probe_wait + ring_ps
 
     return {
@@ -113,13 +109,13 @@ def class_latencies(a, probe_wait, block_wait, bank_wait):
     }
 
 
-def latencies(a, T, xp):
-    """Per-class latencies, frequencies, ring and bank utilisation."""
+def latencies(p, T, xp):
+    """Per-class latencies, ring and bank utilisation."""
     probe_wait, block_wait, bank_wait, ring_utilization, bank_utilization = (
-        contention(a, T, xp)
+        ring_common.contention(p, T, xp)
     )
-    classes = class_latencies(a, probe_wait, block_wait, bank_wait)
-    return classes, frequencies(a), ring_utilization, bank_utilization
+    classes = class_latencies(p, probe_wait, block_wait, bank_wait)
+    return classes, ring_utilization, bank_utilization
 
 
 class DirectoryRingModel(FixedPointModel):
@@ -129,4 +125,5 @@ class DirectoryRingModel(FixedPointModel):
     name = "directory ring"
     shared_classes = DIRECTORY_SHARED_CLASSES
     frequencies = staticmethod(frequencies)
+    prepare = staticmethod(prepare)
     latencies = staticmethod(latencies)

@@ -22,51 +22,51 @@ geometry, event classes) is shared with the full-map directory model.
 
 from __future__ import annotations
 
-from repro.models import ring_directory
+from repro.models import ring_common, ring_directory
 from repro.models.base import FixedPointModel, guarded_ratio
-from repro.models.ring_common import contention
 
-__all__ = ["LinkedListRingModel", "latencies"]
+__all__ = ["LinkedListRingModel", "latencies", "prepare"]
 
 
-def latencies(a, T, xp):
-    """Directory latencies plus head-forwarding and purge-walk costs."""
-    probe_wait, block_wait, bank_wait, ring_utilization, bank_utilization = (
-        contention(a, T, xp)
-    )
-    classes = ring_directory.class_latencies(a, probe_wait, block_wait, bank_wait)
-    clock = a["clock_ps"]
-    probe_step = probe_wait + a["probe_stages"] * clock
-    ring_ps = a["ring_cycles"] * clock
-
+def prepare(a, xp):
+    """The directory model's prepared row plus the forwarded share of
+    clean misses and the purge walk's extra traversals."""
+    p = ring_directory.prepare(a, xp)
     # Clean misses: the forwarded share pays an extra probe hop and
     # a cache response instead of the home's memory access.
     f_clean = a["f_remote_clean"]
     f_dirtyish = a["f_dirty_one"] + a["f_two_cycle"]
     clean_forwards = xp.maximum(0.0, a["f_forwards"] - f_dirtyish)
-    forward_share = xp.minimum(
+    p["forward_share"] = xp.minimum(
         1.0, guarded_ratio(clean_forwards, f_clean, f_clean > 0.0, xp)
     )
-    bank_total = a["access_ps"] + bank_wait
-    response_delta = a["cache_response_ps"] - bank_total
-    classes["remote_clean"] = classes["remote_clean"] + (
-        forward_share * (probe_step + response_delta)
-    )
-
     # Upgrades: a purge walk of mean ``T`` traversals needs about
     # one probe acquisition per wrap plus the wire time, after the
     # initial pointer round to the home.
-    traversals = xp.maximum(1.0, a["mean_upgrade_traversals"])
-    purge = (traversals - 1.0) * (probe_step + ring_ps)
+    p["purge_walks"] = xp.maximum(1.0, a["mean_upgrade_traversals"]) - 1.0
+    return p
+
+
+def latencies(p, T, xp):
+    """Directory latencies plus head-forwarding and purge-walk costs."""
+    probe_wait, block_wait, bank_wait, ring_utilization, bank_utilization = (
+        ring_common.contention(p, T, xp)
+    )
+    classes = ring_directory.class_latencies(p, probe_wait, block_wait, bank_wait)
+    probe_step = probe_wait + p["probe_drain"]
+    ring_ps = p["ring_ps"]
+
+    bank_total = p["access_ps"] + bank_wait
+    response_delta = p["cache_response_ps"] - bank_total
+    classes["remote_clean"] = classes["remote_clean"] + (
+        p["forward_share"] * (probe_step + response_delta)
+    )
+
+    purge = p["purge_walks"] * (probe_step + ring_ps)
     classes["upgrade_with"] = (
         classes["upgrade_without"] + probe_step + purge + ring_ps
     )
-    return (
-        classes,
-        ring_directory.frequencies(a),
-        ring_utilization,
-        bank_utilization,
-    )
+    return classes, ring_utilization, bank_utilization
 
 
 class LinkedListRingModel(FixedPointModel):
@@ -76,4 +76,5 @@ class LinkedListRingModel(FixedPointModel):
     name = "linked-list ring"
     shared_classes = ring_directory.DIRECTORY_SHARED_CLASSES
     frequencies = staticmethod(ring_directory.frequencies)
+    prepare = staticmethod(prepare)
     latencies = staticmethod(latencies)

@@ -15,10 +15,15 @@ frame).
 
 from __future__ import annotations
 
+from repro.models import ring_common
 from repro.models.base import FixedPointModel
-from repro.models.ring_common import contention
 
-__all__ = ["SNOOPING_SHARED_CLASSES", "SnoopingRingModel", "frequencies", "latencies"]
+__all__ = [
+    "SNOOPING_SHARED_CLASSES",
+    "SnoopingRingModel",
+    "frequencies",
+    "latencies",
+]
 
 #: Shared-miss class names in the snooping model.
 SNOOPING_SHARED_CLASSES = ("local_clean", "remote_clean", "remote_dirty")
@@ -35,27 +40,24 @@ def frequencies(a):
     ]
 
 
-def latencies(a, T, xp):
-    """Per-class latencies, frequencies, ring and bank utilisation."""
+def latencies(p, T, xp):
+    """Per-class latencies, ring and bank utilisation."""
     probe_wait, block_wait, bank_wait, ring_utilization, bank_utilization = (
-        contention(a, T, xp)
+        ring_common.contention(p, T, xp)
     )
-    clock = a["clock_ps"]
-    ring_ps = a["ring_cycles"] * clock
-    probe_drain = a["probe_stages"] * clock
-    block_drain = a["block_stages"] * clock
-    frame_ps = a["frame_stages"] * clock
-    bank_total = a["access_ps"] + bank_wait
+    ring_ps = p["ring_ps"]
+    probe_drain = p["probe_drain"]
+    bank_total = p["access_ps"] + bank_wait
 
-    remote_base = probe_wait + probe_drain + ring_ps + block_wait + block_drain
+    remote_base = probe_wait + probe_drain + ring_ps + block_wait + p["block_drain"]
     classes = {
         "private": bank_total,
         "local_clean": bank_total,
         "remote_clean": remote_base + bank_total,
-        "remote_dirty": remote_base + a["cache_response_ps"],
-        "upgrade": probe_wait + ring_ps + frame_ps + probe_drain,
+        "remote_dirty": remote_base + p["cache_response_ps"],
+        "upgrade": probe_wait + ring_ps + p["frame_ps"] + probe_drain,
     }
-    return classes, frequencies(a), ring_utilization, bank_utilization
+    return classes, ring_utilization, bank_utilization
 
 
 class SnoopingRingModel(FixedPointModel):
@@ -65,4 +67,5 @@ class SnoopingRingModel(FixedPointModel):
     name = "snooping ring"
     shared_classes = SNOOPING_SHARED_CLASSES
     frequencies = staticmethod(frequencies)
+    prepare = staticmethod(ring_common.prepare)
     latencies = staticmethod(latencies)

@@ -323,6 +323,42 @@ def test_check_fuzz_sharded_seeds(capsys):
     assert "base seed 9" in out
 
 
+@pytest.mark.parametrize(
+    "protocol, nodes, reason",
+    [
+        ("snooping", "1", "nodes must be >= 2"),
+        ("hierarchical", "3", "nodes must be even"),
+        ("snooping", "12", "symmetry group of order"),
+    ],
+)
+def test_check_explore_refuses_a_bad_setup_as_a_usage_error(
+    capsys, monkeypatch, protocol, nodes, reason
+):
+    import repro.check
+
+    def never(*args, **kwargs):
+        raise AssertionError("explore ran on a refused setup")
+
+    # Refused before the search: nothing is built, not even the
+    # symmetry group that --nodes 12 would otherwise materialise.
+    monkeypatch.setattr(repro.check, "explore", never)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["check", "explore", "--protocol", protocol, "--nodes", nodes])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage: repro check explore" in err
+    assert "--nodes" in err
+    assert reason in err
+    assert "Traceback" not in err
+
+
+def test_check_explore_refuses_zero_lines_naming_lines(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["check", "explore", "--protocol", "snooping", "--lines", "0"])
+    assert exit_info.value.code == 2
+    assert "error: --lines: lines must be >= 1" in capsys.readouterr().err
+
+
 def test_check_requires_a_verb():
     with pytest.raises(SystemExit):
         main(["check"])
