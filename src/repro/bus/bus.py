@@ -30,7 +30,11 @@ from repro.core.config import Protocol, SystemConfig
 from repro.core.metrics import CoherenceStats, MissClass
 from repro.memory.address import AddressMap
 from repro.memory.bank import MemoryBank, build_banks
-from repro.memory.cache import AccessOutcome, DirectMappedCache
+from repro.memory.cache import (
+    AccessOutcome,
+    DirectMappedCache,
+    sharers_other_than,
+)
 from repro.memory.directory_store import DirtyBitDirectory
 from repro.memory.states import CacheState
 from repro.sim.kernel import Simulator
@@ -236,7 +240,7 @@ class BusSystem:
         yield from self._hold_bus(self.config.bus.request_cycles, "request")
         self.stats.probes_sent += 1
         if is_write:
-            for sharer in self._sharers_other_than(address, node):
+            for sharer in sharers_other_than(self.caches, address, node):
                 self.caches[sharer].snoop_invalidate(address)
 
         owner = owner_snapshot if dirty else home
@@ -269,7 +273,7 @@ class BusSystem:
 
     def _upgrade(self, node: int, address: int, start_ps: int) -> Step:
         block = self.address_map.block_of(address)
-        sharers = self._sharers_other_than(address, node)
+        sharers = sharers_other_than(self.caches, address, node)
         yield from self._hold_bus(self.config.bus.request_cycles, "request")
         self.stats.probes_sent += 1
         for sharer in sharers:
@@ -294,13 +298,6 @@ class BusSystem:
         elif state is CacheState.INV:
             self._prepare_victim(node, address)
             self._fill(node, address, True)
-
-    def _sharers_other_than(self, address: int, node: int) -> List[int]:
-        return [
-            other
-            for other, cache in enumerate(self.caches)
-            if other != node and cache.contains(address)
-        ]
 
     def _prepare_victim(self, node: int, address: int) -> None:
         victim = self.caches[node].victim_for(address)

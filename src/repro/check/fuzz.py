@@ -21,13 +21,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
+from repro.check.explorer import validate_setup
 from repro.check.invariants import InvariantViolation
-from repro.check.state import PROTOCOLS, EngineHarness, Ref, StepSpec
+from repro.check.state import EngineHarness, Ref, StepSpec
 from repro.memory.states import IllegalTransition
 from repro.ring.base import ProtocolError
 from repro.sim.rng import DeterministicRng
 
-__all__ = ["FuzzBatchReport", "FuzzReport", "fuzz", "fuzz_many"]
+__all__ = [
+    "FuzzBatchReport",
+    "FuzzReport",
+    "fuzz",
+    "fuzz_many",
+    "validate_walks",
+]
 
 
 @dataclass
@@ -87,6 +94,22 @@ def _random_step(
     return StepSpec((first,))
 
 
+def validate_walks(
+    protocol: str, nodes: int, lines: int, steps: int, num_seeds: int = 1
+) -> None:
+    """Refuse a campaign the fuzzer cannot run, building nothing.
+
+    The explorer's checks without a symmetry group (a walk needs none),
+    plus at least one step and one walk.  Each ``ValueError`` starts
+    with the field it refuses.
+    """
+    validate_setup(protocol, nodes, lines, "none")
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
+    if num_seeds < 1:
+        raise ValueError(f"num_seeds must be >= 1, got {num_seeds}")
+
+
 def fuzz(
     protocol: str,
     nodes: int = 8,
@@ -106,11 +129,7 @@ def fuzz(
     run every step).  The failing script prefix is kept in the report,
     so a violation replays without re-deriving the walk.
     """
-    if protocol not in PROTOCOLS:
-        raise ValueError(
-            f"unknown protocol {protocol!r}; "
-            f"expected one of {sorted(PROTOCOLS)}"
-        )
+    validate_walks(protocol, nodes, lines, steps)
     rng = DeterministicRng(seed)
     harness = harness_factory(protocol, nodes, lines)
     report = FuzzReport(
@@ -220,8 +239,7 @@ def fuzz_many(
     """
     from repro.core.parallel import derive_seed, map_tasks
 
-    if num_seeds < 1:
-        raise ValueError(f"num_seeds must be >= 1, got {num_seeds}")
+    validate_walks(protocol, nodes, lines, steps, num_seeds)
     payloads = [
         (
             ("protocol", protocol),

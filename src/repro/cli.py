@@ -6,7 +6,7 @@ Commands mirror the library's layers:
 * ``sweep``     -- hybrid methodology curves for one configuration.
 * ``compare``   -- snooping vs directory (Figure 3/4 style panels).
 * ``ringbus``   -- ring vs bus (Figure 6 style panels).
-* ``grid``      -- vectorized design surface (needs NumPy).
+* ``grid``      -- vectorized design surface.
 * ``validate``  -- model-vs-simulation error report.
 * ``snooprate`` -- the closed-form Table 3.
 * ``benchmarks``-- list available workload configurations.
@@ -209,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     grid = commands.add_parser(
         "grid",
-        help="vectorized design surface (needs NumPy)",
+        help="vectorized design surface",
         description=(
             "Cross one or more machine-parameter axes with the "
             "processor-cycle sweep and solve the whole surface in one "
@@ -336,6 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     verbs = check.add_subparsers(dest="verb", required=True)
 
     def add_check_arguments(sub: argparse.ArgumentParser, verb: str) -> None:
+        sub.set_defaults(usage_error=sub.error)
         sub.add_argument(
             "--protocol",
             choices=(
@@ -372,7 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
         "explore", help="exhaustive BFS over a tiny configuration"
     )
     add_check_arguments(explore, "explore")
-    explore.set_defaults(usage_error=explore.error)
     explore.add_argument(
         "--max-depth",
         type=int,
@@ -1089,16 +1089,23 @@ def _command_bench(args: argparse.Namespace) -> int:
 
 def _command_check(args: argparse.Namespace) -> int:
     from repro import check
+    from repro.check.explorer import validate_setup
+    from repro.check.fuzz import validate_walks
+
+    try:
+        if args.verb == "explore":
+            validate_setup(args.protocol, args.nodes, args.lines, args.symmetry)
+        else:
+            validate_walks(
+                args.protocol, args.nodes, args.lines, args.steps, args.num_seeds
+            )
+    except ValueError as error:
+        # Each message starts with the field it refuses ("nodes=12,
+        # lines=3: symmetry group ..." refuses the node count).
+        field = str(error).split()[0].split("=")[0]
+        args.usage_error(f"--{field.replace('_', '-')}: {error}")
 
     if args.verb == "explore":
-        from repro.check.explorer import validate_setup
-
-        try:
-            validate_setup(args.protocol, args.nodes, args.lines, args.symmetry)
-        except ValueError as error:
-            # Each message starts with the field it refuses.
-            option = "--lines" if str(error).startswith("lines") else "--nodes"
-            args.usage_error(f"{option}: {error}")
         report = check.explore(
             args.protocol,
             nodes=args.nodes,

@@ -116,8 +116,8 @@ def sweep_from_result(
     """The model half of a hybrid sweep, from a finished extraction.
 
     A curve is one configuration along the cycle axis, so the scalar
-    models solve it (no NumPy needed); :func:`surface_from_result` is
-    the grid counterpart for parameter cross-products.
+    models solve it; :func:`surface_from_result` is the grid
+    counterpart for parameter cross-products.
     """
     base = _target_config(num_processors, protocol, config)
     cycles = list(cycles_ns) if cycles_ns else list(PAPER_CYCLE_SWEEP_NS)
@@ -137,7 +137,7 @@ def surface_from_result(
     Crosses every ``parameters`` axis (names from
     ``repro.core.sensitivity.SUPPORTED_PARAMETERS``) with the processor
     cycle sweep and solves it all in one vectorized pass
-    (:func:`repro.models.grid.solve_grid`, needs NumPy).
+    (:func:`repro.models.grid.solve_grid`).
     """
     from repro.models import grid as grid_engine
 

@@ -14,11 +14,17 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.memory.states import CacheState, assert_transition
 
-__all__ = ["AccessOutcome", "CacheLine", "DirectMappedCache", "CacheStats"]
+__all__ = [
+    "AccessOutcome",
+    "CacheLine",
+    "DirectMappedCache",
+    "CacheStats",
+    "sharers_other_than",
+]
 
 
 class AccessOutcome(enum.Enum):
@@ -267,3 +273,15 @@ class DirectMappedCache:
             block = line.tag * self.num_lines + index
             result[block * self.block_size] = line.state
         return result
+
+
+def sharers_other_than(
+    caches: Sequence[DirectMappedCache], address: int, node: int
+) -> List[int]:
+    """Nodes (excluding ``node``) whose caches hold the block, in node
+    order.  Every engine's sharer query."""
+    return [
+        other
+        for other, cache in enumerate(caches)
+        if other != node and cache.contains(address)
+    ]

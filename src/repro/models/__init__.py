@@ -3,10 +3,9 @@
 Each model family's equations are written once (in its own module,
 over floats or NumPy arrays -- see :mod:`repro.models.base`); the
 scalar models below solve them point by point, the vectorized grid
-engine (``repro.models.grid``) a whole design grid at once.  The
-scalar models import eagerly and stay dependency-free.  The grid
-engine needs NumPy, so its names are re-exported lazily via module
-``__getattr__`` -- importing ``repro.models`` never pulls in NumPy.
+engine (``repro.models.grid``) a whole design grid at once.  The grid
+engine is the only NumPy user and is not imported here, so importing
+``repro.models`` never pulls in NumPy.
 """
 
 from repro.models.base import (
@@ -77,33 +76,4 @@ __all__ = [
     "TABLE3_WIDTHS",
     "snoop_interarrival_ns",
     "snoop_rate_table",
-    # Lazy re-exports from repro.models.grid (need NumPy to *use*,
-    # not to import this package -- see __getattr__ below).
-    "ModelGrid",
-    "GridSolution",
-    "solve_grid",
-    "grid_available",
-    "GRID_STATS",
-    "reset_grid_stats",
 ]
-
-_GRID_EXPORTS = frozenset(
-    (
-        "ModelGrid",
-        "GridSolution",
-        "solve_grid",
-        "grid_available",
-        "GRID_STATS",
-        "reset_grid_stats",
-    )
-)
-
-
-def __getattr__(name: str):
-    if name in _GRID_EXPORTS:
-        from repro.models import grid
-
-        return getattr(grid, name)
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}"
-    )

@@ -48,16 +48,21 @@ equations as one 0-d float64.  Broadcasting hands every lane the value
 its column holds, so results stay bit-identical, and the solver no
 longer gathers or multiplies lane copies of it.
 
-NumPy stays optional: everything here imports it lazily through
-:func:`require_numpy`, so the scalar models run without it.  The
-simulation hot paths never import NumPy -- the AST lint in
-``tests/test_obs.py`` enforces that.
+NumPy is imported here, at module level, and nowhere else.  Only grid
+users (``repro grid``, served ``grid`` jobs, the ``grid.solve`` bench
+workload and the ``design`` benchmark) import this module, so NumPy's
+import time (over 0.1 s) stays out of every other command.  The scalar
+models and the simulation hot paths never import NumPy --
+``tests/test_models.py`` and the AST lint in ``tests/test_obs.py``
+enforce that.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.config import SystemConfig
 from repro.core.results import ModelInputs, OperatingPoint
@@ -87,8 +92,6 @@ __all__ = [
     "GridSolution",
     "ModelGrid",
     "family_for_protocol",
-    "grid_available",
-    "require_numpy",
     "reset_grid_stats",
     "solve_grid",
 ]
@@ -112,30 +115,6 @@ def reset_grid_stats() -> None:
     """Zero :data:`GRID_STATS` (start of a measured workload)."""
     for key in GRID_STATS:
         GRID_STATS[key] = 0
-
-
-# ----------------------------------------------------------------------
-# Lazy NumPy
-# ----------------------------------------------------------------------
-def require_numpy():
-    """Return the numpy module or raise ImportError with guidance."""
-    try:
-        import numpy
-    except ImportError as error:
-        raise ImportError(
-            "repro.models.grid needs numpy; install it (pip install "
-            "numpy) or stay on the scalar models"
-        ) from error
-    return numpy
-
-
-def grid_available() -> bool:
-    """True when the vectorized engine can run in this process."""
-    try:
-        require_numpy()
-    except ImportError:
-        return False
-    return True
 
 
 # ----------------------------------------------------------------------
@@ -172,7 +151,6 @@ class ModelGrid:
         """Grid from explicit ``(config, inputs, processor_cycle_ps)``
         triples (no chain structure; every point solves from the
         default bracket seed, like scalar ``solve()``)."""
-        np = require_numpy()
         _check_family(family)
         points = list(points)
         if not points:
@@ -208,7 +186,6 @@ class ModelGrid:
         distinct ``(ring, block size, processors)``, and ``inputs`` is
         flattened once.  An empty axis raises ``ValueError``.
         """
-        np = require_numpy()
         _check_family(family)
         cycles = [
             float(c) for c in (cycles_ns if cycles_ns is not None else range(1, 21))
@@ -296,7 +273,6 @@ def _solve_flat(model, prepared, guess):
     state is masked out of every later update), so one slow corner
     costs iterations, never accuracy.
     """
-    np = require_numpy()
     busy = prepared["busy_ps"]
     mix = model.frequencies(prepared)
     evaluate = model.latencies
@@ -493,7 +469,6 @@ def solve_grid(grid: ModelGrid) -> GridSolution:
     reseed their chain from the default guess.  Point batches solve
     every lane from the default bracket seed, like scalar ``solve()``.
     """
-    np = require_numpy()
     GRID_STATS["grid_solves"] += 1
     model = MODEL_FAMILIES[grid.family]
     constants, columns = _split_constants(grid.arrays)

@@ -7,9 +7,8 @@ Three suites cover the hot paths of the reproduction:
   large-machine configuration where the scheduler fast path matters
   most;
 * ``models`` -- analytical-model fixed-point sweeps (the accelerated
-  solver of :mod:`repro.models.base`), plus -- when NumPy is
-  available -- the vectorized grid engine (``grid.solve``, gated on
-  its ``grid_evals`` counter);
+  solver of :mod:`repro.models.base`), plus the vectorized grid
+  engine (``grid.solve``, gated on its ``grid_evals`` counter);
 * ``check`` -- symmetry-reduced exhaustive state exploration
   (``explore.bfs.*``), gated on canonical state and transition
   counts: those are exact properties of the protocol's reachable
@@ -264,33 +263,31 @@ def _models_workloads(quick: bool):
 
     from repro.models import grid as grid_engine
 
-    if grid_engine.grid_available():
-        # The vectorized engine's counters are deterministic too: the
-        # same grid always takes the same number of vectorized
-        # residual evaluations (each counted once however many points
-        # it covers), so eval growth gates algorithmic regressions in
-        # the masked solver exactly like model_evals does for the
-        # scalar one.
-        def grid_solve() -> Dict[str, int]:
-            clock_step = 200 if quick else 50
-            clocks = list(range(1_000, 6_000, clock_step))
-            config = SystemConfig(
-                num_processors=_EXTRACTION_PROCESSORS,
-                protocol=Protocol.SNOOPING,
-            )
-            grid_engine.reset_grid_stats()
-            grid = grid_engine.ModelGrid.from_product(
-                "ring_snooping",
-                config,
-                snoop.inputs,
-                parameters={"ring_clock_ps": clocks},
-            )
-            solution = grid_engine.solve_grid(grid)
-            counters = dict(grid_engine.GRID_STATS)
-            counters["points"] = solution.size
-            return counters
+    # The vectorized engine's counters are deterministic too: the same
+    # grid always takes the same number of vectorized residual
+    # evaluations (each counted once however many points it covers), so
+    # eval growth gates algorithmic regressions in the masked solver
+    # exactly like model_evals does for the scalar one.
+    def grid_solve() -> Dict[str, int]:
+        clock_step = 200 if quick else 50
+        clocks = list(range(1_000, 6_000, clock_step))
+        config = SystemConfig(
+            num_processors=_EXTRACTION_PROCESSORS,
+            protocol=Protocol.SNOOPING,
+        )
+        grid_engine.reset_grid_stats()
+        grid = grid_engine.ModelGrid.from_product(
+            "ring_snooping",
+            config,
+            snoop.inputs,
+            parameters={"ring_clock_ps": clocks},
+        )
+        solution = grid_engine.solve_grid(grid)
+        counters = dict(grid_engine.GRID_STATS)
+        counters["points"] = solution.size
+        return counters
 
-        yield "grid.solve", grid_solve, ("grid_evals",)
+    yield "grid.solve", grid_solve, ("grid_evals",)
 
 
 # ----------------------------------------------------------------------
@@ -435,14 +432,6 @@ def check_against_baseline(
     for name, entry in recorded.items():
         workload = current.get(name)
         if workload is None:
-            if name == "grid.solve":
-                from repro.models.grid import grid_available
-
-                if not grid_available():
-                    # Baselines are generated with NumPy present; a
-                    # scalar-only environment legitimately skips the
-                    # grid workload (and only that one).
-                    continue
             problems.append(f"{name}: workload missing from this run")
             continue
         for counter in entry.get("gate", []):

@@ -268,14 +268,6 @@ class RingSystemBase:
         yield from self.wait_until_cycle(at_cycle)
         self.caches[node].snoop_downgrade(address)
 
-    def sharers_other_than(self, address: int, node: int) -> List[int]:
-        """Nodes (excluding ``node``) whose caches hold the block."""
-        return [
-            other
-            for other, cache in enumerate(self.caches)
-            if other != node and cache.contains(address)
-        ]
-
     # ------------------------------------------------------------------
     # Fills and victim write-backs
     # ------------------------------------------------------------------

@@ -41,7 +41,11 @@ from repro.core.config import Protocol, SystemConfig
 from repro.core.metrics import CoherenceStats, MissClass
 from repro.memory.address import AddressMap
 from repro.memory.bank import MemoryBank, build_banks
-from repro.memory.cache import AccessOutcome, DirectMappedCache
+from repro.memory.cache import (
+    AccessOutcome,
+    DirectMappedCache,
+    sharers_other_than,
+)
 from repro.memory.directory_store import DirtyBitDirectory
 from repro.memory.states import CacheState
 from repro.ring.scheduler import SlotGrant, SlotScheduler
@@ -225,20 +229,13 @@ class HierarchicalRingSystem:
     # ------------------------------------------------------------------
     # Snoop side effects
     # ------------------------------------------------------------------
-    def _sharers_other_than(self, address: int, node: int) -> List[int]:
-        return [
-            other
-            for other, cache in enumerate(self.caches)
-            if other != node and cache.contains(address)
-        ]
-
     def _invalidate_cluster(self, cluster: int, address: int, node: int) -> Step:
         """One local invalidation sweep: broadcast a probe on the
         cluster's ring, invalidating resident copies at passage."""
         grant = yield from self._local_broadcast(
             cluster, self.iri_position, address
         )
-        for sharer in self._sharers_other_than(address, node):
+        for sharer in sharers_other_than(self.caches, address, node):
             if self.cluster_of(sharer) != cluster:
                 continue
             passage = grant.grab_cycle + self.local_topology.distance(
@@ -445,7 +442,7 @@ class HierarchicalRingSystem:
         if is_write:
             # Invalidate local sharers at probe passage; remote
             # clusters are swept below.
-            for sharer in self._sharers_other_than(address, node):
+            for sharer in sharers_other_than(self.caches, address, node):
                 if self.cluster_of(sharer) == cluster:
                     passage = grant.grab_cycle + self.local_topology.distance(
                         self.local_position(node),
@@ -547,7 +544,7 @@ class HierarchicalRingSystem:
         sharer_clusters = sorted(
             {
                 self.cluster_of(sharer)
-                for sharer in self._sharers_other_than(address, node)
+                for sharer in sharers_other_than(self.caches, address, node)
             }
             - {home_cluster}
         )
@@ -569,7 +566,7 @@ class HierarchicalRingSystem:
     def _upgrade(self, node: int, address: int, start_ps: int) -> Step:
         block = self.address_map.block_of(address)
         cluster = self.cluster_of(node)
-        sharers = self._sharers_other_than(address, node)
+        sharers = sharers_other_than(self.caches, address, node)
         remote = any(self.cluster_of(s) != cluster for s in sharers)
         home_cluster = self.cluster_of(self.address_map.home_of(address))
 

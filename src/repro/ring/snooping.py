@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from repro.core.config import Protocol, SystemConfig
 from repro.core.metrics import MissClass
-from repro.memory.cache import AccessOutcome
+from repro.memory.cache import AccessOutcome, sharers_other_than
 from repro.memory.directory_store import DirtyBitDirectory
 from repro.memory.states import CacheState
 from repro.ring.base import ProtocolError, RingSystemBase, Step
@@ -148,7 +148,7 @@ class SnoopingRingSystem(RingSystemBase):
         copies -- without presence bits the home cannot know)."""
         block = self.address_map.block_of(address)
         grant = yield from self.broadcast_probe(node, address)
-        for sharer in self.sharers_other_than(address, node):
+        for sharer in sharers_other_than(self.caches, address, node):
             self.schedule_invalidate(
                 sharer, address, self.passage_cycle(grant, node, sharer)
             )
@@ -186,7 +186,7 @@ class SnoopingRingSystem(RingSystemBase):
 
         # Snoop side effects as the probe sweeps the ring.
         if is_write:
-            for sharer in self.sharers_other_than(address, node):
+            for sharer in sharers_other_than(self.caches, address, node):
                 self.schedule_invalidate(
                     sharer, address, self.passage_cycle(grant, node, sharer)
                 )
@@ -247,7 +247,7 @@ class SnoopingRingSystem(RingSystemBase):
             raise ProtocolError(
                 f"upgrade of {address:#x} while dirty elsewhere"
             )
-        sharers = self.sharers_other_than(address, node)
+        sharers = sharers_other_than(self.caches, address, node)
         grant = yield from self.broadcast_probe(node, address)
         for sharer in sharers:
             self.schedule_invalidate(

@@ -18,8 +18,7 @@ Job kinds mirror the CLI's experiment families:
   payload is kept as a ``check`` blob in the persistent store, keyed by
   the job's fingerprint, so a resubmission is answered without a
   search.
-* ``grid``     -- a vectorized design surface (needs NumPy: without
-  it a ``grid`` spec is rejected at validation).
+* ``grid``     -- a vectorized design surface.
 
 **Coalescing fingerprints.**  A submission is identified by a content
 hash: for simulation-backed kinds, the :meth:`ResultStore.key_for`
@@ -225,21 +224,10 @@ def _parse_check(payload: Dict[str, Any]) -> Dict[str, Any]:
     return params
 
 
-def _require_grid_engine() -> None:
-    from repro.models.grid import grid_available
-
-    if not grid_available():
-        raise SpecError(
-            "grid engine unavailable: NumPy is not installed; sweep "
-            "jobs solve the same models on the scalar path"
-        )
-
-
 def _parse_grid(payload: Dict[str, Any]) -> Dict[str, Any]:
     from repro.core.sensitivity import SUPPORTED_PARAMETERS
 
     _check_fields(payload, _WORKLOAD_FIELDS + ("cycles_ns", "parameters"))
-    _require_grid_engine()
     params = _workload_params(payload)
     params["cycles_ns"] = _cycles_field(payload)
     axes = payload.get("parameters")
@@ -453,8 +441,7 @@ def run_job(
     ``surface_from_result`` or the simulation itself.  ``check`` runs
     the explorer, unless the store already holds this spec's finished
     payload.  ``telemetry``, when given, receives the extraction's
-    histograms (``sweep`` and ``simulate``).  A ``grid`` job fails
-    before any extraction runs when NumPy is missing.
+    histograms (``sweep`` and ``simulate``).
     """
     from repro.core.parallel import PointScheduler, SweepCancelled
 
@@ -483,8 +470,6 @@ def run_job(
             )
             store.put_blob("check", key, payload)
         return payload
-    if spec.kind == "grid":
-        _require_grid_engine()
     (result,) = PointScheduler(
         points_for(spec),
         jobs=jobs,

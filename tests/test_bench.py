@@ -29,9 +29,7 @@ def test_models_suite_reports_deterministic_counters(tmp_path):
             assert workload.counters["model_evals"] > 0
         assert all(name in workload.counters for name in workload.gate)
 
-    from repro.models.grid import grid_available
-
-    assert ("grid.solve" in names) == grid_available()
+    assert "grid.solve" in names
 
     # Round trip through the baseline file format.
     path = bench.write_baseline(first, tmp_path)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.check import fuzz, fuzz_many
-from repro.check.fuzz import FuzzReport
+from repro.check.fuzz import FuzzReport, validate_walks
 from repro.core.parallel import derive_seed
 from tests.test_check_explorer import (
     DroppedInvalidationSnooping,
@@ -71,6 +71,33 @@ def test_fuzz_catches_the_seeded_mutant_and_pins_the_step():
 def test_fuzz_rejects_unknown_protocol():
     with pytest.raises(ValueError):
         fuzz("hypercube", steps=1)
+
+
+@pytest.mark.parametrize(
+    "protocol, kwargs, field",
+    [
+        ("snooping", {"nodes": 1}, "nodes"),
+        ("hierarchical", {"nodes": 3}, "nodes"),
+        ("snooping", {"lines": 0}, "lines"),
+        ("snooping", {"steps": -3}, "steps"),
+    ],
+)
+def test_fuzz_refuses_a_walk_it_cannot_run(protocol, kwargs, field):
+    def never(*args):
+        raise AssertionError("a harness was built for a refused walk")
+
+    for run in (fuzz, fuzz_many):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            run(protocol, **kwargs, harness_factory=never)
+
+
+@pytest.mark.parametrize(
+    "protocol", ("snooping", "directory", "linkedlist", "bus", "hierarchical")
+)
+@pytest.mark.parametrize("nodes, lines", [(8, 24), (16, 48)])
+def test_fuzz_accepts_machines_beyond_the_explorer_group_cap(protocol, nodes, lines):
+    # A walk canonicalises nothing, so the CI campaign sizes pass.
+    validate_walks(protocol, nodes, lines, steps=1, num_seeds=4)
 
 
 # ----------------------------------------------------------------------

@@ -153,7 +153,6 @@ def test_param_axes_collect_into_one_mapping():
 def test_submit_renders_a_grid_result(capsys):
     # A served grid prints the table 'repro grid' prints: titled by the
     # job's workload and metric, without a MIPS column.
-    pytest.importorskip("numpy")
     import json
 
     from repro.cli import _print_job_result
@@ -198,8 +197,6 @@ def test_verb_defaults_equal_the_served_defaults(argv, served):
     # 'repro sweep' and 'repro grid' build their job with the function
     # 'repro submit' uses: their argparse defaults and the daemon's
     # defaults describe one job.
-    if argv[0] == "grid":
-        pytest.importorskip("numpy")
     from repro.cli import _submit_spec
     from repro.serve.protocol import parse_spec
 
@@ -357,6 +354,39 @@ def test_check_explore_refuses_zero_lines_naming_lines(capsys):
         main(["check", "explore", "--protocol", "snooping", "--lines", "0"])
     assert exit_info.value.code == 2
     assert "error: --lines: lines must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, option, reason",
+    [
+        (["--protocol", "snooping", "--nodes", "1"], "--nodes", "nodes must be >= 2"),
+        (["--protocol", "hierarchical", "--nodes", "3"], "--nodes", "nodes must be even"),
+        (["--protocol", "snooping", "--lines", "0"], "--lines", "lines must be >= 1"),
+        (["--protocol", "snooping", "--steps", "-3"], "--steps", "steps must be >= 1"),
+        (
+            ["--protocol", "snooping", "--num-seeds", "0"],
+            "--num-seeds",
+            "num_seeds must be >= 1",
+        ),
+    ],
+)
+def test_check_fuzz_refuses_a_bad_campaign_as_a_usage_error(
+    capsys, monkeypatch, argv, option, reason
+):
+    import repro.check
+
+    def never(*args, **kwargs):
+        raise AssertionError("fuzz ran on a refused campaign")
+
+    monkeypatch.setattr(repro.check, "fuzz", never)
+    monkeypatch.setattr(repro.check, "fuzz_many", never)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["check", "fuzz", *argv])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage: repro check fuzz" in err
+    assert f"error: {option}: {reason}" in err
+    assert "Traceback" not in err
 
 
 def test_check_requires_a_verb():

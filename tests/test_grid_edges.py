@@ -14,9 +14,8 @@ import math
 import pathlib
 from dataclasses import replace
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from repro.core.config import Protocol, SystemConfig
 from repro.core.metrics import MissClass
@@ -39,10 +38,6 @@ def _oracle_helpers():
 _helpers = _oracle_helpers()
 _assert_matches = _helpers._assert_matches
 _make_inputs = _helpers._make_inputs
-
-pytestmark = pytest.mark.skipif(
-    not grid_engine.grid_available(), reason="grid engine disabled"
-)
 
 PROTOCOL = Protocol.SNOOPING
 

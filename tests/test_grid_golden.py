@@ -17,8 +17,6 @@ from dataclasses import replace
 
 import pytest
 
-pytest.importorskip("numpy")
-
 from repro.analysis.figures import render_sweeps
 from repro.core.config import Protocol, SystemConfig
 from repro.core.experiment import run_simulation_cached
@@ -27,10 +25,6 @@ from repro.core.sweep import ring_vs_bus
 from repro.models import MODEL_FAMILIES, family_for_protocol
 from repro.models import grid as grid_engine
 from repro.models.matching import matching_bus_clock_ns
-
-pytestmark = pytest.mark.skipif(
-    not grid_engine.grid_available(), reason="grid engine disabled"
-)
 
 BENCH_DIR = pathlib.Path(__file__).parent.parent / "benchmarks"
 OUTPUT_DIR = BENCH_DIR / "output"

@@ -18,9 +18,8 @@ import pathlib
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from repro.core.config import Protocol, SystemConfig
 from repro.core.metrics import MissClass
@@ -30,10 +29,6 @@ from repro.models.bus import BusModel
 from repro.models.ring_directory import DirectoryRingModel
 from repro.models.ring_linkedlist import LinkedListRingModel
 from repro.models.ring_snooping import SnoopingRingModel
-
-pytestmark = pytest.mark.skipif(
-    not grid_engine.grid_available(), reason="grid engine disabled"
-)
 
 #: The equivalence contract: every finite grid metric within this
 #: relative tolerance of the scalar oracle.

@@ -14,17 +14,9 @@ import pathlib
 import time
 from dataclasses import replace
 
-import pytest
-
-np = pytest.importorskip("numpy")
-
 from repro.core.config import Protocol, SystemConfig
 from repro.models import grid as grid_engine
 from repro.models.ring_snooping import SnoopingRingModel
-
-pytestmark = pytest.mark.skipif(
-    not grid_engine.grid_available(), reason="grid engine disabled"
-)
 
 
 def _make_inputs():

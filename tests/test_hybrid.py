@@ -52,7 +52,6 @@ def test_bus_curve_names_bus_protocol_on_both_solvers():
     scalar curve says ``bus``, and the grid surface solves the ``bus``
     family to the same points."""
     from repro.core.hybrid import surface_from_result
-    from repro.models.grid import grid_available
     from tests.test_models import make_inputs
 
     class Extraction:
@@ -62,12 +61,9 @@ def test_bus_curve_names_bus_protocol_on_both_solvers():
     sweep = sweep_from_result(Extraction(), 4, Protocol.BUS, cycles_ns=cycles)
     assert sweep.protocol is Protocol.BUS
     assert sweep.label == "bus 50 MHz"
-    if grid_available():
-        surface = surface_from_result(
-            Extraction(), 4, Protocol.BUS, cycles_ns=cycles
-        )
-        assert surface.grid.family == "bus"
-        assert surface.operating_points() == sweep.points
+    surface = surface_from_result(Extraction(), 4, Protocol.BUS, cycles_ns=cycles)
+    assert surface.grid.family == "bus"
+    assert surface.operating_points() == sweep.points
 
 
 def test_snooping_vs_directory_pair():

@@ -7,8 +7,6 @@ and the configurations are a seeded sample of the design benchmark's
 ring and bus axes, so the digests pin the equations and both solvers
 alone.  A refactor of the equations or of the solvers that keeps
 every operation's operands and order must leave all digests unchanged.
-
-The scalar part needs no NumPy; the grid part skips without it.
 """
 
 from __future__ import annotations
@@ -17,6 +15,7 @@ import hashlib
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from repro.core.config import Protocol, SystemConfig
@@ -24,6 +23,7 @@ from repro.core.metrics import MissClass
 from repro.core.results import ModelInputs
 from repro.core.sensitivity import apply_parameter
 from repro.models import MODEL_FAMILIES
+from repro.models.grid import ModelGrid, solve_grid
 from repro.models.matching import matching_bus_clock_ns
 
 PROCESSORS = 16
@@ -201,9 +201,6 @@ def matching_digest() -> str:
 
 
 def grid_digest(family: str) -> str:
-    from repro.models.grid import ModelGrid, solve_grid
-
-    np = pytest.importorskip("numpy")
     axes = {
         name: [values[0], values[len(values) // 2], values[-1]]
         for name, values in _axes(family).items()

@@ -376,8 +376,9 @@ def test_matching_bus_clock_rejects_a_nan_target():
 _SCALAR_SWEEPS = """
 import sys
 
+import repro.cli, repro.serve.server, repro.serve.protocol, repro.perf.bench
 from repro.core.config import Protocol, SystemConfig
-from repro.core.hybrid import model_for
+from repro.core.hybrid import model_for, sweep_from_result
 from repro.core.metrics import MissClass
 from repro.core.results import ModelInputs
 from repro.models import MODEL_FAMILIES
@@ -400,20 +401,29 @@ for protocol in (Protocol.SNOOPING, Protocol.DIRECTORY, Protocol.LINKED_LIST, Pr
 assert families == set(MODEL_FAMILIES), families
 from repro.models.matching import matching_bus_clock_ns
 assert 0.5 < matching_bus_clock_ns(SystemConfig(num_processors=8), Extraction.inputs, 5_000) < 200.0
-assert "numpy" not in sys.modules, "the scalar models imported numpy"
+curve = sweep_from_result(Extraction, 8, Protocol.SNOOPING, cycles_ns=[10.0, 20.0])
+assert len(curve.points) == 2
+from repro.core.sensitivity import model_sensitivity_sweep
+rows = model_sensitivity_sweep("mp3d", 4, "ring_clock_ps", [2_000, 4_000], data_refs=600)
+assert rows[1]["miss latency (ns)"] > rows[0]["miss latency (ns)"], rows
+assert "numpy" not in sys.modules, "numpy was imported outside the grid engine"
 print("numpy-free")
 """
 
 
-def test_scalar_sweeps_never_import_numpy():
-    """The family equations serve the grid too, but the scalar path
-    must not import NumPy (it would add NumPy's import time to every
-    scalar-only run).  A fresh interpreter proves it."""
+def test_scalar_sweeps_never_import_numpy(tmp_path):
+    """The family equations serve the grid too, but nothing outside the
+    grid engine may import NumPy: its import (over 0.1 s) would land in
+    the start-up of every command.  A fresh interpreter imports the CLI,
+    the daemon and the bench harness, solves curves of every family and
+    a model sensitivity sweep (one small simulation into a throwaway
+    store), and finds no NumPy loaded."""
     source_root = str(pathlib.Path(repro.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, (source_root, env.get("PYTHONPATH")))
     )
+    env["REPRO_CACHE_DIR"] = str(tmp_path)
     completed = subprocess.run(
         [sys.executable, "-c", _SCALAR_SWEEPS],
         env=env,

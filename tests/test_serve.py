@@ -399,25 +399,6 @@ def test_out_of_range_check_is_refused_at_submit(client):
     assert client.stats()["submitted"] == 0
 
 
-@pytest.fixture
-def no_numpy(monkeypatch):
-    import sys
-
-    monkeypatch.setitem(sys.modules, "numpy", None)
-
-
-def test_grid_job_without_numpy_is_rejected_at_submit(
-    no_numpy, daemon, client
-):
-    # Without NumPy a grid job cannot run: it is refused before it gets
-    # a job id, not accepted and failed later.
-    with pytest.raises(ServeError) as excinfo:
-        client.submit({"kind": "grid", "benchmark": "mp3d"})
-    assert excinfo.value.status == 400
-    assert "NumPy" in str(excinfo.value)
-    assert client.stats()["submitted"] == 0
-
-
 @pytest.mark.parametrize(
     "shape",
     [["--cycles", "2", "5"], ["--param", "ring_clock_ps", "2000", "4000"]],
@@ -425,7 +406,6 @@ def test_grid_job_without_numpy_is_rejected_at_submit(
 def test_submitted_grid_prints_what_repro_grid_prints(daemon, capsys, shape):
     # The grid twin of serve-smoke's sweep diff: the served table (or
     # heatmap) minus the status line is the synchronous verb's stdout.
-    pytest.importorskip("numpy")
     from repro.cli import main
 
     job = ["mp3d", "-p", "4", "-r", str(REFS), *shape]
