@@ -49,7 +49,7 @@ from __future__ import annotations
 import enum
 import io
 import pickle
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.config import (
@@ -247,16 +247,13 @@ def _small_config(protocol: Protocol, nodes: int, lines: int) -> SystemConfig:
     # evictions would be driven by private fills the checker never
     # issues, so every state change is a protocol action.
     cache = CacheConfig(size_bytes=1024, block_size=32)
-    config = SystemConfig(
-        num_processors=nodes, protocol=protocol, cache=cache
-    )
+    ring = RingConfig()
     if protocol is Protocol.HIERARCHICAL:
         hierarchy_per_cluster(nodes)  # validates the node count
-        config = replace(
-            config,
-            ring=replace(config.ring, clusters=HIERARCHY_CLUSTERS),
-        )
-    return config
+        ring = RingConfig(clusters=HIERARCHY_CLUSTERS)
+    return SystemConfig(
+        num_processors=nodes, protocol=protocol, ring=ring, cache=cache
+    )
 
 
 class EngineHarness:

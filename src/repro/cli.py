@@ -26,7 +26,13 @@ from typing import Optional, Sequence
 
 from repro.analysis.figures import render_sweeps
 from repro.analysis.tables import render_table
-from repro.core.config import Protocol, SystemConfig
+from repro.core.config import (
+    BusConfig,
+    ProcessorConfig,
+    Protocol,
+    RingConfig,
+    SystemConfig,
+)
 from repro.core.experiment import (
     DEFAULT_DATA_REFS,
     cache_counters,
@@ -113,6 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
             action="store_true",
             help="disable the persistent on-disk result cache",
         )
+        sub.set_defaults(usage_error=sub.error, check_workload=True)
 
     simulate = commands.add_parser(
         "simulate", help="run one trace-driven simulation"
@@ -706,6 +713,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_workload(args: argparse.Namespace) -> None:
+    """Refuse, as a usage error naming the option, a trace length or a
+    system size the simulator would refuse; the size's message is the
+    one :class:`SystemConfig` gives."""
+    if args.refs < 1:
+        args.usage_error(f"-r/--refs: must be >= 1, got {args.refs}")
+    option = "--sizes" if getattr(args, "sizes", None) else "-p/--processors"
+    protocol = _PROTOCOLS[getattr(args, "protocol", Protocol.SNOOPING.value)]
+    ring = RingConfig(clusters=getattr(args, "clusters", RingConfig.clusters))
+    for processors in getattr(args, "sizes", None) or [args.processors]:
+        try:
+            SystemConfig(
+                num_processors=processors, protocol=protocol, ring=ring
+            )
+        except ValueError as error:
+            args.usage_error(f"{option}: {error}")
+
+
 def _configure_execution(args: argparse.Namespace) -> None:
     """Apply --cache-dir / --no-cache to the process-wide store."""
     from repro.core.store import configure_result_store
@@ -760,20 +785,16 @@ def _print_cache_summary(
 
 
 def _system_config(args: argparse.Namespace) -> SystemConfig:
-    from dataclasses import replace
-
-    protocol = _PROTOCOLS[args.protocol]
-    base = SystemConfig(num_processors=args.processors, protocol=protocol)
-    return replace(
-        base,
-        ring=replace(
-            base.ring,
-            clock_ps=round(1e6 / args.ring_mhz),
-            clusters=getattr(args, "clusters", base.ring.clusters),
+    # Built in one step: a hierarchical size is checked against the
+    # cluster count given, not against the default one.
+    return SystemConfig(
+        num_processors=args.processors,
+        protocol=_PROTOCOLS[args.protocol],
+        ring=RingConfig(
+            clock_ps=round(1e6 / args.ring_mhz), clusters=args.clusters
         ),
-        bus=replace(base.bus, clock_ps=round(1e6 / args.bus_mhz)),
-        processor=replace(
-            base.processor,
+        bus=BusConfig(clock_ps=round(1e6 / args.bus_mhz)),
+        processor=ProcessorConfig(
             cycle_ps=round(1e6 / args.mips),
             weak_ordering=args.weak_ordering,
         ),
@@ -1576,6 +1597,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "check_workload", False):
+        _check_workload(args)
     _configure_execution(args)
     return _HANDLERS[args.command](args)
 

@@ -54,6 +54,12 @@ class Protocol(enum.Enum):
         return self is not Protocol.BUS
 
 
+#: ``SystemConfig.__post_init__`` runs at every ``replace()`` of a design
+#: sweep; a module global is read several times faster than the member
+#: through its enum class.
+_HIERARCHICAL = Protocol.HIERARCHICAL
+
+
 @dataclass(frozen=True)
 class RingConfig:
     """Slotted-ring parameters."""
@@ -199,6 +205,15 @@ class SystemConfig:
     def __post_init__(self) -> None:
         if self.num_processors < 2:
             raise ValueError("need at least 2 processors")
+        if self.protocol is _HIERARCHICAL:
+            clusters = self.ring.clusters
+            if clusters < 2:
+                raise ValueError("hierarchy needs at least 2 clusters")
+            if self.num_processors % clusters:
+                raise ValueError(
+                    f"{self.num_processors} processors do not divide "
+                    f"into {clusters} clusters"
+                )
 
     @property
     def block_size(self) -> int:

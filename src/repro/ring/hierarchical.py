@@ -65,14 +65,8 @@ class HierarchicalRingSystem:
     protocol = Protocol.HIERARCHICAL
 
     def __init__(self, sim: Simulator, config: SystemConfig) -> None:
+        # SystemConfig guarantees at least 2 clusters of equal size.
         clusters = config.ring.clusters
-        if clusters < 2:
-            raise ValueError("hierarchy needs at least 2 clusters")
-        if config.num_processors % clusters:
-            raise ValueError(
-                f"{config.num_processors} processors do not divide into "
-                f"{clusters} clusters"
-            )
         self.sim = sim
         self.config = config
         self.num_nodes = config.num_processors

@@ -4,14 +4,19 @@ Thin, synchronous, and dependency-free (``http.client``), so the CLI,
 the tests and the CI smoke job all speak to the daemon the same way.
 Every method raises :class:`ServeError` on a non-2xx status, carrying
 the daemon's ``error`` message; streaming endpoints yield decoded
-NDJSON events until the daemon closes the connection.
+NDJSON events until the stream ends.
+
+Each thread that uses a :class:`ServeClient` gets one persistent
+HTTP/1.1 connection and sends all its requests on it, so one client
+may be shared between threads.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
-from typing import Any, Dict, Iterator, Optional
+import threading
+from typing import Any, Dict, Iterator, Optional, Tuple
 from urllib.parse import urlsplit
 
 __all__ = ["ServeClient", "ServeError"]
@@ -26,6 +31,14 @@ class ServeError(RuntimeError):
         self.message = message
 
 
+def _error(response: http.client.HTTPResponse, raw: bytes) -> ServeError:
+    try:
+        message = json.loads(raw)["error"]
+    except (ValueError, KeyError, TypeError):
+        message = raw.decode("utf-8", "replace")
+    return ServeError(response.status, message)
+
+
 class ServeClient:
     """One daemon endpoint (``http://host:port``), stdlib-only."""
 
@@ -38,37 +51,77 @@ class ServeClient:
         self.host = parts.hostname
         self.port = parts.port or 80
         self.timeout = timeout
+        #: ``connection``: the calling thread's idle connection, if any.
+        self._local = threading.local()
 
     # ------------------------------------------------------------------
+    def _send(
+        self,
+        method: str,
+        path: str,
+        body: Optional[Dict[str, Any]] = None,
+    ) -> Tuple[http.client.HTTPConnection, http.client.HTTPResponse]:
+        """Send one request on this thread's connection; returns it with
+        the response, whose body the caller reads before handing the
+        connection back with :meth:`_release`.
+
+        A reused connection the daemon has closed fails before any
+        response byte arrives; that request is sent once more on a new
+        connection.
+        """
+        payload = None
+        headers = {}
+        if body is not None:
+            payload = json.dumps(body).encode("utf-8")
+            headers["Content-Type"] = "application/json"
+        connection = getattr(self._local, "connection", None)
+        self._local.connection = None
+        if connection is None:
+            connection = http.client.HTTPConnection(
+                self.host, self.port, timeout=self.timeout
+            )
+        # A closed connection reconnects on request(): not a reuse.
+        reused = connection.sock is not None
+        while True:
+            try:
+                connection.request(
+                    method, path, body=payload, headers=headers
+                )
+                return connection, connection.getresponse()
+            # RemoteDisconnected is a ConnectionResetError.
+            except (ConnectionResetError, BrokenPipeError):
+                connection.close()
+                if not reused:
+                    raise
+                reused = False
+            except BaseException:
+                connection.close()
+                raise
+
+    def _release(self, connection: http.client.HTTPConnection) -> None:
+        """Hand back a connection whose last response was read to its
+        end; it becomes this thread's connection for the next request."""
+        displaced = getattr(self._local, "connection", None)
+        self._local.connection = connection
+        if displaced is not None:
+            displaced.close()
+
     def _request(
         self,
         method: str,
         path: str,
         body: Optional[Dict[str, Any]] = None,
     ) -> Any:
-        connection = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout
-        )
+        connection, response = self._send(method, path, body)
         try:
-            payload = None
-            headers = {}
-            if body is not None:
-                payload = json.dumps(body).encode("utf-8")
-                headers["Content-Type"] = "application/json"
-            connection.request(method, path, body=payload, headers=headers)
-            response = connection.getresponse()
             raw = response.read()
-            decoded = json.loads(raw) if raw else None
-            if response.status >= 400:
-                message = (
-                    decoded.get("error", raw.decode("utf-8", "replace"))
-                    if isinstance(decoded, dict)
-                    else raw.decode("utf-8", "replace")
-                )
-                raise ServeError(response.status, message)
-            return decoded
-        finally:
+        except BaseException:
             connection.close()
+            raise
+        self._release(connection)
+        if response.status >= 400:
+            raise _error(response, raw)
+        return json.loads(raw) if raw else None
 
     # ------------------------------------------------------------------
     # Jobs
@@ -93,26 +146,29 @@ class ServeClient:
         return self._request("POST", f"/jobs/{job_id}/cancel")
 
     def events(self, job_id: str) -> Iterator[Dict[str, Any]]:
-        """Stream the job's NDJSON progress events until terminal."""
-        connection = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout
-        )
+        """Stream the job's NDJSON progress events until terminal.
+
+        The stream holds its own connection: requests made while it is
+        open go on another one.  Read to its end, the stream hands its
+        connection back; stopped early, it closes it.
+        """
+        connection, response = self._send("GET", f"/jobs/{job_id}/events")
+        finished = False
         try:
-            connection.request("GET", f"/jobs/{job_id}/events")
-            response = connection.getresponse()
             if response.status >= 400:
                 raw = response.read()
-                try:
-                    message = json.loads(raw)["error"]
-                except (ValueError, KeyError, TypeError):
-                    message = raw.decode("utf-8", "replace")
-                raise ServeError(response.status, message)
+                finished = True
+                raise _error(response, raw)
             for line in response:
                 line = line.strip()
                 if line:
                     yield json.loads(line)
+            finished = True
         finally:
-            connection.close()
+            if finished:
+                self._release(connection)
+            else:
+                connection.close()
 
     def wait(self, job_id: str) -> Dict[str, Any]:
         """Follow the event stream to its end; returns the final job

@@ -36,8 +36,9 @@ import json
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.config import Protocol
+from repro.core.config import Protocol, SystemConfig
 from repro.core.experiment import DEFAULT_DATA_REFS
+from repro.traces.benchmarks import benchmark_spec
 
 __all__ = [
     "JOB_KINDS",
@@ -158,12 +159,25 @@ def _workload_params(payload: Dict[str, Any]) -> Dict[str, Any]:
             f"unknown protocol {protocol!r}; "
             f"expected one of {sorted(_SIM_PROTOCOLS)}"
         )
-    return {
+    params = {
         "benchmark": benchmark,
         "processors": _int_field(payload, "processors", 16),
         "protocol": protocol,
         "data_refs": _int_field(payload, "data_refs", DEFAULT_DATA_REFS),
     }
+    # Build what the simulation would build, so a job it would refuse
+    # is refused now, before it has a job id.
+    try:
+        SystemConfig(
+            num_processors=params["processors"], protocol=Protocol(protocol)
+        )
+    except ValueError as exc:
+        raise SpecError(f"processors: {exc}") from None
+    try:
+        benchmark_spec(benchmark, params["processors"])
+    except KeyError as exc:
+        raise SpecError(f"benchmark: {exc.args[0]}") from None
+    return params
 
 
 def _parse_sweep(payload: Dict[str, Any]) -> Dict[str, Any]:

@@ -1,14 +1,13 @@
 """The sweep-as-a-service daemon: a stdlib asyncio HTTP/JSON server.
 
 One :class:`ServeDaemon` binds a socket, parses a deliberately small
-slice of HTTP/1.1 (request line, headers, ``Content-Length`` body,
-``Connection: close`` responses -- no keep-alive, no chunked bodies),
+slice of HTTP/1.1 (request line, headers, ``Content-Length`` bodies),
 and exposes the :class:`repro.serve.scheduler.JobScheduler` plus the
 persistent result store:
 
 ========================  =============================================
 ``GET  /healthz``         liveness probe
-``GET  /stats``           registry counters (coalescing assertions)
+``GET  /stats``           registry and connection counters
 ``POST /jobs``            submit a job (``202``; body echoes the job)
 ``GET  /jobs``            list all jobs
 ``GET  /jobs/<id>``       one job's state and counters
@@ -21,9 +20,18 @@ persistent result store:
 ``POST /shutdown``        graceful stop: drain executions, close
 ========================  =============================================
 
-Streaming responses carry no ``Content-Length`` and are delimited by
-connection close, which every HTTP client understands -- including the
-stdlib-only :mod:`repro.serve.client`.
+Connections are persistent.  One connection carries request after
+request until the client closes it, sends ``Connection: close`` or
+speaks HTTP/1.0, or posts ``/shutdown``; a client that sends a job's
+four requests (submit, events, job, result) on one connection pays
+for one TCP handshake, not four.  Every JSON response is written in
+one piece with its ``Content-Length``.  The NDJSON event stream is
+sent with ``Transfer-Encoding: chunked``, one chunk per event and the
+zero-length chunk at the end, so the connection is ready for the next
+request when the stream ends; an HTTP/1.0 client gets the bare stream,
+delimited by connection close.  On shutdown the daemon closes every
+connection that is waiting for its next request.  ``/stats`` counts
+``connections_accepted`` and ``requests_served``.
 
 The daemon is loopback-only by default and wholly unauthenticated: it
 is a lab tool for one user's experiment queue, not an internet
@@ -36,10 +44,10 @@ import asyncio
 import json
 import threading
 import traceback
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, NamedTuple, Optional, Set, Tuple
 
 from repro.core.store import configure_result_store, get_result_store
-from repro.serve.jobs import JobState
+from repro.serve.jobs import Job, JobState
 from repro.serve.protocol import SpecError
 from repro.serve.scheduler import JobScheduler
 
@@ -67,6 +75,15 @@ class _HttpError(Exception):
         self.message = message
 
 
+class _Request(NamedTuple):
+    method: str
+    path: str
+    body: Any
+    http11: bool
+    #: The client sent ``Connection: close``.
+    close: bool
+
+
 class ServeDaemon:
     """The serving daemon; see the module docstring for the routes."""
 
@@ -90,6 +107,10 @@ class ServeDaemon:
         #: Set once the socket is bound (thread-helper handshake).
         self.ready = threading.Event()
         self._thread: Optional[threading.Thread] = None
+        #: Connections waiting for their next request.
+        self._idle: Set[asyncio.StreamWriter] = set()
+        self.connections_accepted = 0
+        self.requests_served = 0
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -113,8 +134,15 @@ class ServeDaemon:
             await self._stop.wait()
         finally:
             self._server.close()
-            await self._server.wait_closed()
+            # Since Python 3.12 wait_closed() also waits for every open
+            # connection, so an idle keep-alive one would hold it
+            # forever.  Connections mid-response end on their own: each
+            # stops after its response, and the scheduler's shutdown
+            # ends every event stream.
+            for writer in list(self._idle):
+                writer.close()
             await self.scheduler.shutdown()
+            await self._server.wait_closed()
 
     def stop(self) -> None:
         """Request a graceful stop (safe from any thread)."""
@@ -153,18 +181,22 @@ class ServeDaemon:
     # ------------------------------------------------------------------
     async def _read_request(
         self, reader: asyncio.StreamReader
-    ) -> Tuple[str, str, Any]:
+    ) -> Optional[_Request]:
+        """Read one request; ``None`` when the client closed the
+        connection before sending another."""
         try:
             head = await reader.readuntil(b"\r\n\r\n")
         except asyncio.LimitOverrunError:
             raise _HttpError(413, "request head too large") from None
-        except asyncio.IncompleteReadError:
+        except asyncio.IncompleteReadError as exc:
+            if not exc.partial:
+                return None
             raise _HttpError(400, "truncated request") from None
         if len(head) > _MAX_HEADER:
             raise _HttpError(413, "request head too large")
         lines = head.decode("latin-1").split("\r\n")
         try:
-            method, target, _version = lines[0].split(" ", 2)
+            method, target, version = lines[0].split(" ", 2)
         except ValueError:
             raise _HttpError(400, "malformed request line") from None
         headers: Dict[str, str] = {}
@@ -174,38 +206,62 @@ class ServeDaemon:
             name, _, value = line.partition(":")
             headers[name.strip().lower()] = value.strip()
         body: Any = None
-        length = int(headers.get("content-length", "0") or "0")
+        try:
+            length = int(headers.get("content-length") or "0")
+        except ValueError:
+            raise _HttpError(400, "malformed Content-Length") from None
         if length:
             if length > _MAX_BODY:
                 raise _HttpError(413, "request body too large")
-            raw = await reader.readexactly(length)
+            try:
+                raw = await reader.readexactly(length)
+            except asyncio.IncompleteReadError:
+                raise _HttpError(400, "truncated request") from None
             try:
                 body = json.loads(raw)
             except ValueError:
                 raise _HttpError(400, "request body is not valid JSON") from None
-        return method.upper(), target.split("?", 1)[0], body
+        tokens = headers.get("connection", "").lower().split(",")
+        return _Request(
+            method.upper(),
+            target.split("?", 1)[0],
+            body,
+            http11=version.strip() == "HTTP/1.1",
+            close="close" in (token.strip() for token in tokens),
+        )
 
     @staticmethod
     def _response_head(
-        status: int, content_type: str, length: Optional[int]
+        status: int,
+        content_type: str,
+        framing: Optional[str],
+        keep_alive: bool,
     ) -> bytes:
         lines = [
             f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}",
             f"Content-Type: {content_type}",
-            "Connection: close",
         ]
-        if length is not None:
-            lines.append(f"Content-Length: {length}")
+        if framing is not None:
+            lines.append(framing)
+        if not keep_alive:
+            lines.append("Connection: close")
         return ("\r\n".join(lines) + "\r\n\r\n").encode("ascii")
 
     async def _send_json(
-        self, writer: asyncio.StreamWriter, status: int, payload: Any
+        self,
+        writer: asyncio.StreamWriter,
+        status: int,
+        payload: Any,
+        keep_alive: bool,
     ) -> None:
         body = (json.dumps(payload) + "\n").encode("utf-8")
-        writer.write(
-            self._response_head(status, "application/json", len(body))
+        head = self._response_head(
+            status,
+            "application/json",
+            f"Content-Length: {len(body)}",
+            keep_alive,
         )
-        writer.write(body)
+        writer.write(head + body)
         await writer.drain()
 
     async def _handle(
@@ -213,31 +269,37 @@ class ServeDaemon:
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
     ) -> None:
+        """Serve one connection, request after request, until the
+        client closes it or a response says ``Connection: close``."""
+        self.connections_accepted += 1
         stopping = False
         try:
             try:
-                method, path, body = await self._read_request(reader)
-                stopping = await self._route(method, path, body, writer)
+                while not self._stop.is_set():
+                    # Only a connection waiting for its next request is
+                    # closed by a shutdown; one mid-response finishes.
+                    self._idle.add(writer)
+                    try:
+                        request = await self._read_request(reader)
+                    finally:
+                        self._idle.discard(writer)
+                    if request is None:
+                        break
+                    self.requests_served += 1
+                    stopping = request.method == "POST" and (
+                        request.path == "/shutdown"
+                    )
+                    keep_alive = (
+                        request.http11 and not request.close and not stopping
+                    )
+                    await self._respond(request, writer, keep_alive)
+                    if not keep_alive:
+                        break
             except _HttpError as exc:
+                # The request was not read to its end, so the next one
+                # cannot be found on this connection: answer and close.
                 await self._send_json(
-                    writer, exc.status, {"error": exc.message}
-                )
-            except (ConnectionError, asyncio.CancelledError):
-                raise
-            except Exception as exc:  # route bug: report, don't die
-                await self._send_json(
-                    writer,
-                    500,
-                    {
-                        "error": f"{type(exc).__name__}: {exc}",
-                        # A 500 is a server bug; the client-side
-                        # message alone cannot locate it.
-                        "traceback": "".join(
-                            traceback.format_exception(
-                                type(exc), exc, exc.__traceback__
-                            )
-                        ),
-                    },
+                    writer, exc.status, {"error": exc.message}, False
                 )
         except (ConnectionError, asyncio.CancelledError):
             pass
@@ -250,72 +312,115 @@ class ServeDaemon:
         if stopping:
             self._stop.set()
 
+    async def _respond(
+        self,
+        request: _Request,
+        writer: asyncio.StreamWriter,
+        keep_alive: bool,
+    ) -> None:
+        try:
+            status, payload = self._route(
+                request.method, request.path, request.body
+            )
+        except _HttpError as exc:
+            status, payload = exc.status, {"error": exc.message}
+        except Exception as exc:  # route bug: report, don't die
+            status, payload = 500, {
+                "error": f"{type(exc).__name__}: {exc}",
+                # A 500 is a server bug; the client-side message alone
+                # cannot locate it.
+                "traceback": "".join(
+                    traceback.format_exception(
+                        type(exc), exc, exc.__traceback__
+                    )
+                ),
+            }
+        if isinstance(payload, Job):
+            await self._stream_events(
+                payload, writer, request.http11, keep_alive
+            )
+        else:
+            await self._send_json(writer, status, payload, keep_alive)
+
+    async def _stream_events(
+        self,
+        job: Job,
+        writer: asyncio.StreamWriter,
+        chunked: bool,
+        keep_alive: bool,
+    ) -> None:
+        """The job's NDJSON events, one chunk each, then the zero-length
+        chunk; without chunking (HTTP/1.0) the close ends the stream."""
+        pending = self._response_head(
+            200,
+            "application/x-ndjson",
+            "Transfer-Encoding: chunked" if chunked else None,
+            keep_alive,
+        )
+        async for event in self.scheduler.events(job.execution):
+            line = (json.dumps(event) + "\n").encode("utf-8")
+            if chunked:
+                line = b"%x\r\n%s\r\n" % (len(line), line)
+            writer.write(pending + line)
+            pending = b""
+            await writer.drain()
+        if chunked:
+            pending += b"0\r\n\r\n"
+        writer.write(pending)
+        await writer.drain()
+
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
-    async def _route(
-        self,
-        method: str,
-        path: str,
-        body: Any,
-        writer: asyncio.StreamWriter,
-    ) -> bool:
-        """Dispatch one request; returns True when shutdown was asked."""
+    def _route(self, method: str, path: str, body: Any) -> Tuple[int, Any]:
+        """Answer one request as ``(status, payload)``; a :class:`Job`
+        payload asks for that job's event stream."""
         if path == "/healthz" and method == "GET":
-            await self._send_json(writer, 200, {"ok": True})
-        elif path == "/stats" and method == "GET":
+            return 200, {"ok": True}
+        if path == "/stats" and method == "GET":
             stats = self.scheduler.registry.stats()
             stats["workers"] = self.jobs
-            await self._send_json(writer, 200, stats)
-        elif path == "/jobs" and method == "POST":
-            await self._submit(body, writer)
-        elif path == "/jobs" and method == "GET":
+            stats["connections_accepted"] = self.connections_accepted
+            stats["requests_served"] = self.requests_served
+            return 200, stats
+        if path == "/jobs" and method == "POST":
+            try:
+                job = self.scheduler.submit(body)
+            except SpecError as exc:
+                raise _HttpError(400, str(exc)) from None
+            return 202, job.to_jsonable()
+        if path == "/jobs" and method == "GET":
             jobs = [
                 job.to_jsonable()
                 for job in self.scheduler.registry.jobs.values()
             ]
-            await self._send_json(writer, 200, {"jobs": jobs})
-        elif path.startswith("/jobs/"):
-            await self._job_route(method, path, writer)
-        elif path == "/store/info" and method == "GET":
+            return 200, {"jobs": jobs}
+        if path.startswith("/jobs/"):
+            return self._job_route(method, path)
+        if path == "/store/info" and method == "GET":
             store = get_result_store()
             payload = store.info()
             payload["counters"] = store.counters()
-            await self._send_json(writer, 200, payload)
-        elif path == "/store/cleanup" and method == "POST":
+            return 200, payload
+        if path == "/store/cleanup" and method == "POST":
             min_age = 0.0
             if isinstance(body, dict):
                 min_age = float(body.get("min_age_s", 0.0))
             removed = get_result_store().cleanup_stale_tmp(min_age)
-            await self._send_json(writer, 200, {"removed": removed})
-        elif path == "/store/purge" and method == "POST":
-            purged = get_result_store().purge()
-            await self._send_json(writer, 200, {"purged": purged})
-        elif path == "/shutdown" and method == "POST":
-            await self._send_json(writer, 200, {"ok": True, "stopping": True})
-            return True
-        else:
-            known = path in ("/healthz", "/stats", "/jobs", "/shutdown") or (
-                path.startswith(("/jobs/", "/store/"))
-            )
-            raise _HttpError(
-                405 if known else 404,
-                f"no route for {method} {path}",
-            )
-        return False
+            return 200, {"removed": removed}
+        if path == "/store/purge" and method == "POST":
+            return 200, {"purged": get_result_store().purge()}
+        if path == "/shutdown" and method == "POST":
+            return 200, {"ok": True, "stopping": True}
+        known = path in ("/healthz", "/stats", "/jobs", "/shutdown") or (
+            path.startswith("/store/")
+        )
+        raise _HttpError(
+            405 if known else 404,
+            f"no route for {method} {path}",
+        )
 
-    async def _submit(
-        self, body: Any, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            job = self.scheduler.submit(body)
-        except SpecError as exc:
-            raise _HttpError(400, str(exc)) from None
-        await self._send_json(writer, 202, job.to_jsonable())
-
-    async def _job_route(
-        self, method: str, path: str, writer: asyncio.StreamWriter
-    ) -> None:
+    def _job_route(self, method: str, path: str) -> Tuple[int, Any]:
         parts = path.strip("/").split("/")
         # parts = ["jobs", <id>] or ["jobs", <id>, <verb>]
         if len(parts) == 2:
@@ -324,8 +429,7 @@ class ServeDaemon:
             job_id, verb = parts[1], parts[2]
         else:
             raise _HttpError(404, f"no route for {path}")
-        registry = self.scheduler.registry
-        job = registry.jobs.get(job_id)
+        job = self.scheduler.registry.jobs.get(job_id)
 
         if verb is None and method == "DELETE":
             verb, method = "cancel", "POST"
@@ -333,11 +437,11 @@ class ServeDaemon:
             raise _HttpError(404, f"unknown job {job_id!r}")
 
         if verb is None and method == "GET":
-            await self._send_json(writer, 200, job.to_jsonable())
-        elif verb == "cancel" and method == "POST":
+            return 200, job.to_jsonable()
+        if verb == "cancel" and method == "POST":
             self.scheduler.cancel_job(job_id)
-            await self._send_json(writer, 200, job.to_jsonable())
-        elif verb == "result" and method == "GET":
+            return 200, job.to_jsonable()
+        if verb == "result" and method == "GET":
             if job.state is not JobState.DONE:
                 raise _HttpError(
                     409,
@@ -348,15 +452,7 @@ class ServeDaemon:
                         else ""
                     ),
                 )
-            await self._send_json(writer, 200, job.execution.result)
-        elif verb == "events" and method == "GET":
-            await self._stream_events(job, writer)
-        else:
-            raise _HttpError(405, f"no route for {method} {path}")
-
-    async def _stream_events(self, job, writer: asyncio.StreamWriter):
-        writer.write(self._response_head(200, "application/x-ndjson", None))
-        await writer.drain()
-        async for event in self.scheduler.events(job.execution):
-            writer.write((json.dumps(event) + "\n").encode("utf-8"))
-            await writer.drain()
+            return 200, job.execution.result
+        if verb == "events" and method == "GET":
+            return 200, job
+        raise _HttpError(405, f"no route for {method} {path}")

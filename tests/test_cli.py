@@ -209,6 +209,49 @@ def test_unknown_benchmark_errors(capsys):
         main(["simulate", "nonexistent", "-p", "4", "-r", "100"])
 
 
+def _usage_error(capsys, argv):
+    """Run a command that must end in an argparse usage error (exit 2,
+    no traceback); returns its stderr."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"usage: repro {argv[0]}" in err
+    assert "Traceback" not in err
+    return err
+
+
+def test_simulate_refuses_one_processor_naming_p(capsys):
+    err = _usage_error(capsys, ["simulate", "mp3d", "-p", "1", "-r", "100"])
+    assert "error: -p/--processors: need at least 2 processors" in err
+
+
+def test_sweep_refuses_one_processor_naming_p(capsys):
+    err = _usage_error(capsys, ["sweep", "mp3d", "-p", "1", "-r", "100"])
+    assert "error: -p/--processors: need at least 2 processors" in err
+
+
+def test_validate_refuses_one_processor_naming_p(capsys):
+    err = _usage_error(capsys, ["validate", "mp3d", "-p", "1", "-r", "100"])
+    assert "error: -p/--processors: need at least 2 processors" in err
+
+
+def test_simulate_refuses_an_indivisible_hierarchy_naming_p(capsys):
+    err = _usage_error(
+        capsys,
+        ["simulate", "mp3d", "-p", "3", "--protocol", "hierarchical"],
+    )
+    assert (
+        "error: -p/--processors: 3 processors do not divide into 4 clusters"
+        in err
+    )
+
+
+def test_simulate_refuses_negative_refs(capsys):
+    err = _usage_error(capsys, ["simulate", "mp3d", "-p", "4", "--refs", "-5"])
+    assert "error: -r/--refs: must be >= 1, got -5" in err
+
+
 def test_check_explore_all_protocols(capsys):
     for protocol in ("snooping", "directory", "linkedlist"):
         code, out = run_cli(

@@ -69,6 +69,21 @@ def test_too_few_processors_rejected():
         SystemConfig(num_processors=1)
 
 
+def test_hierarchy_must_split_processors_into_equal_clusters():
+    hierarchical = Protocol.HIERARCHICAL
+    with pytest.raises(ValueError, match="3 processors do not divide into 4"):
+        SystemConfig(num_processors=3, protocol=hierarchical)
+    with pytest.raises(ValueError, match="at least 2 clusters"):
+        SystemConfig(
+            num_processors=8, protocol=hierarchical, ring=RingConfig(clusters=1)
+        )
+    # The cluster count only constrains the hierarchical protocol.
+    assert SystemConfig(num_processors=3).num_processors == 3
+    assert SystemConfig(
+        num_processors=6, protocol=hierarchical, ring=RingConfig(clusters=2)
+    ).ring.clusters == 2
+
+
 def test_ring_layout_respects_slot_mix():
     config = RingConfig(probe_slots=4, block_slots=2)
     layout = config.layout(block_size=16)

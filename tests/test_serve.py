@@ -17,7 +17,12 @@ and the CI smoke job use.  The contracts pinned here:
   cancelling the *last* subscriber cancels the execution itself;
 * the NDJSON event stream is replayable, ordered and terminated;
 * the store endpoints drive ``info``/``cleanup_stale_tmp``/``purge``;
-* shutdown drains in-flight executions and the daemon thread exits.
+* shutdown drains in-flight executions and the daemon thread exits,
+  also with an idle keep-alive connection open;
+* connections are persistent: one client thread's requests share one
+  connection, the event stream is chunked on HTTP/1.1 and
+  close-delimited on HTTP/1.0, and a stream abandoned early does not
+  poison the next request.
 
 Controllable executions use a gated runner substituted into the
 scheduler's per-instance ``_runners`` table -- no sleeps, no races.
@@ -25,6 +30,9 @@ scheduler's per-instance ``_runners`` table -- no sleeps, no races.
 
 from __future__ import annotations
 
+import http.client
+import json
+import socket
 import threading
 
 import pytest
@@ -416,12 +424,42 @@ def test_submitted_grid_prints_what_repro_grid_prints(daemon, capsys, shape):
     assert "".join(served[1:]) == capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "spec, field, reason",
+    [
+        ({"processors": 1}, "processors", "need at least 2 processors"),
+        (
+            {"processors": 3, "protocol": "hierarchical"},
+            "processors",
+            "3 processors do not divide into 4 clusters",
+        ),
+        ({"benchmark": "no-such-benchmark"}, "benchmark", "no benchmark"),
+    ],
+    ids=["one-processor", "hierarchical-three", "unknown-benchmark"],
+)
+def test_unrunnable_workload_is_refused_at_submit(
+    client, spec, field, reason
+):
+    # Refused with a 400 naming the field, before a job id exists --
+    # not a 500 from the fingerprint, nor a job that fails later.
+    with pytest.raises(ServeError) as excinfo:
+        client.submit({**SWEEP_SPEC, **spec})
+    assert excinfo.value.status == 400
+    assert excinfo.value.message.startswith(f"{field}: ")
+    assert reason in excinfo.value.message
+    assert client.stats()["submitted"] == 0
+
+
 def test_failed_execution_reports_the_error(daemon, client):
-    job = client.submit({**SWEEP_SPEC, "benchmark": "no-such-benchmark"})
+    def failing(scheduler, execution):
+        raise RuntimeError("the extraction exploded")
+
+    daemon.scheduler._runners["sweep"] = failing
+    job = client.submit(SWEEP_SPEC)
     events = list(client.events(job["job"]))
     final = client.job(job["job"])
     assert final["state"] == "failed"
-    assert "no-such-benchmark" in final["error"]
+    assert final["error"] == "RuntimeError: the extraction exploded"
     # The runner thread that raised is long gone by the time a client
     # asks what happened; the full traceback must round-trip through
     # the failed NDJSON event and the job record, not just the
@@ -429,7 +467,7 @@ def test_failed_execution_reports_the_error(daemon, client):
     (failed,) = [e for e in events if e.get("event") == "failed"]
     assert failed["error"] == final["error"]
     assert "Traceback (most recent call last)" in failed["traceback"]
-    assert "no-such-benchmark" in failed["traceback"]
+    assert "the extraction exploded" in failed["traceback"]
     assert final["traceback"] == failed["traceback"]
     with pytest.raises(ServeError) as excinfo:
         client.result(job["job"])
@@ -438,9 +476,6 @@ def test_failed_execution_reports_the_error(daemon, client):
 
 
 def test_route_bug_returns_500_with_traceback(daemon):
-    import http.client
-    import json
-
     def boom():
         raise RuntimeError("stats exploded")
 
@@ -496,3 +531,146 @@ def test_shutdown_drains_inflight_executions(daemon, client):
     assert execution.state.value == "cancelled"
     with pytest.raises((ConnectionError, OSError)):
         client.health()
+
+
+def test_shutdown_closes_idle_keep_alive_connections(daemon, client):
+    # Since Python 3.12 the server's wait_closed() waits for every open
+    # connection, so the daemon must close the idle ones itself before
+    # it drains; otherwise this shutdown never finishes.
+    idle = http.client.HTTPConnection(daemon.host, daemon.port, timeout=30)
+    idle.request("GET", "/healthz")
+    assert json.loads(idle.getresponse().read()) == {"ok": True}
+
+    closing_at_drain = []
+    drain = daemon.scheduler.shutdown
+
+    async def observed_drain():
+        closing_at_drain.extend(w.is_closing() for w in daemon._idle)
+        await drain()
+
+    daemon.scheduler.shutdown = observed_drain
+    assert client.shutdown() == {"ok": True, "stopping": True}
+    daemon.join(timeout=10)
+    assert not daemon._thread.is_alive()
+    assert closing_at_drain == [True]
+    assert idle.sock.recv(1) == b""  # the daemon closed it
+    idle.close()
+
+
+# ----------------------------------------------------------------------
+# Persistent connections
+# ----------------------------------------------------------------------
+def _exchange(daemon, request: bytes):
+    """Send one raw request and read until the daemon closes the
+    connection; returns the response's head lines and its body."""
+    with socket.create_connection((daemon.host, daemon.port), timeout=30) as sock:
+        sock.sendall(request)
+        data = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            data += chunk
+    head, _, body = data.partition(b"\r\n\r\n")
+    return head.decode("latin-1").split("\r\n"), body
+
+
+def _dechunk(data: bytes) -> bytes:
+    """The payload of a complete chunked body (zero-length chunk last)."""
+    payload = b""
+    while True:
+        size, _, data = data.partition(b"\r\n")
+        size = int(size, 16)
+        if not size:
+            assert data == b"\r\n"
+            return payload
+        payload += data[:size]
+        assert data[size : size + 2] == b"\r\n"
+        data = data[size + 2 :]
+
+
+def test_a_cached_job_goes_over_one_connection(daemon, client):
+    client.wait(client.submit(SWEEP_SPEC)["job"])  # fill the store
+    worker = ServeClient(daemon.url, timeout=120.0)
+    before = client.stats()
+    job = worker.submit(SWEEP_SPEC)["job"]
+    record = worker.wait(job)  # the event stream, then the job record
+    assert worker.result(job)["kind"] == "sweep"
+    after = client.stats()
+    assert record["simulated"] == 0 and record["cache_hits"] == 1
+    assert after["connections_accepted"] == before["connections_accepted"] + 1
+    # Submit, events, job and result, plus the second stats request.
+    assert after["requests_served"] == before["requests_served"] + 5
+
+
+def test_connection_close_request_gets_a_closing_response(daemon):
+    head, body = _exchange(
+        daemon,
+        b"GET /healthz HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n",
+    )
+    assert head[0] == "HTTP/1.1 200 OK"
+    assert "Connection: close" in head
+    assert json.loads(body) == {"ok": True}
+
+
+def test_http10_event_stream_is_delimited_by_connection_close(
+    daemon, client
+):
+    job = client.submit(SWEEP_SPEC)["job"]
+    events = list(client.events(job))
+    head, body = _exchange(
+        daemon, f"GET /jobs/{job}/events HTTP/1.0\r\n\r\n".encode()
+    )
+    assert head[0] == "HTTP/1.1 200 OK" and "Connection: close" in head
+    assert not [
+        line
+        for line in head
+        if line.lower().startswith(("transfer-encoding", "content-length"))
+    ]
+    assert [json.loads(line) for line in body.splitlines()] == events
+    # HTTP/1.1 frames the same lines in chunks, ended by the empty one.
+    head, chunked = _exchange(
+        daemon,
+        f"GET /jobs/{job}/events HTTP/1.1\r\nHost: test\r\n"
+        "Connection: close\r\n\r\n".encode(),
+    )
+    assert "Transfer-Encoding: chunked" in head
+    assert _dechunk(chunked) == body
+
+
+def test_abandoned_event_stream_does_not_poison_the_next_request(
+    daemon, client
+):
+    runner, entered, gate = _gated_runner(payload={"kind": "sweep"})
+    daemon.scheduler._runners["sweep"] = runner
+    job = client.submit(SWEEP_SPEC)["job"]
+    assert entered.wait(timeout=30)
+    stream = client.events(job)
+    assert next(stream)["event"] == "state"
+    # The open stream holds its own connection; this goes on another.
+    assert client.job(job)["state"] == "running"
+    stream.close()  # stopped early: its connection is closed, not reused
+    assert client.health() == {"ok": True}
+    gate.set()
+    assert client.wait(job)["state"] == "done"
+    assert client.result(job) == {"kind": "sweep"}
+
+
+def test_request_on_a_connection_the_daemon_closed_is_resent(
+    daemon, client
+):
+    assert client.health() == {"ok": True}
+    accepted = client.stats()["connections_accepted"]
+    closed = threading.Event()
+
+    def close_idle():
+        for writer in list(daemon._idle):
+            writer.close()
+        closed.set()
+
+    daemon._loop.call_soon_threadsafe(close_idle)
+    assert closed.wait(timeout=10)
+    # The reused connection fails before any response byte: the request
+    # is sent once more, on a new connection.
+    assert client.health() == {"ok": True}
+    assert client.stats()["connections_accepted"] == accepted + 1
