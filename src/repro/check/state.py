@@ -408,37 +408,15 @@ class EngineHarness:
             )
         )
         views = tuple(
-            (line, self._view_of(address))
+            (
+                line,
+                self.engine.coherence_view(
+                    self.engine.address_map.block_of(address)
+                ),
+            )
             for line, address in enumerate(self.addresses)
         )
         return (caches, views)
-
-    def _view_of(self, address: int) -> tuple:
-        """Canonical metadata for one line, any engine.
-
-        Engines with a ``coherence_view`` report it directly; engines
-        without one (the hierarchical ring keeps per-cluster metadata)
-        fall back to the ownership facts every engine exposes --
-        ``dirty_hint`` plus an ``owned_by`` scan -- under the
-        ``"owner"`` tag, which the symmetry layer relabels like a
-        dirty bit.
-        """
-        view = getattr(self.engine, "coherence_view", None)
-        if view is not None:
-            try:
-                return view(self.engine.address_map.block_of(address))
-            except NotImplementedError:
-                pass
-        dirty = self.engine.dirty_hint(address)
-        owner = next(
-            (
-                node
-                for node in range(self.nodes)
-                if self.engine.owned_by(address, node)
-            ),
-            None,
-        )
-        return ("owner", dirty, owner)
 
     def clone(self) -> HarnessImage:
         """Freeze this *quiescent* harness into a :class:`HarnessImage`.

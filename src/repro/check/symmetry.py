@@ -159,7 +159,7 @@ def relabel_view(view: tuple, node_perm: Perm) -> tuple:
     ``None`` against an ``int`` would raise).
     """
     tag = view[0]
-    if tag in ("dirty-bit", "owner"):
+    if tag == "dirty-bit":
         _, dirty, owner = view
         return (tag, dirty, -1 if owner is None else node_perm[owner])
     if tag == "full-map":

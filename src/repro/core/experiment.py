@@ -215,23 +215,7 @@ def reset_engine_statistics(engine) -> None:
     occupancy) is untouched: this marks the start of a measurement
     window on a warm machine.
     """
-    from repro.core.metrics import CoherenceStats
-    from repro.memory.cache import CacheStats
-
-    engine.stats = CoherenceStats()
-    for cache in engine.caches:
-        cache.stats = CacheStats()
-    for bank in engine.banks:
-        bank.reset_statistics()
-    for attribute in ("scheduler", "global_scheduler"):
-        scheduler = getattr(engine, attribute, None)
-        if scheduler is not None:
-            scheduler.reset_statistics()
-    for scheduler in getattr(engine, "local_schedulers", []):
-        scheduler.reset_statistics()
-    bus = getattr(engine, "bus", None)
-    if bus is not None:
-        bus.reset_statistics()
+    engine.reset_statistics()
 
 
 def _collect(
@@ -247,10 +231,7 @@ def _collect(
         max(p.counters.finished_at_ps for p in processors) - window_start
     )
     stats = engine.stats
-    if config.protocol is Protocol.BUS:
-        network_utilization = engine.bus_utilization(elapsed)
-    else:
-        network_utilization = engine.ring_utilization(elapsed)
+    network_utilization = engine.network_utilization(elapsed)
     instructions = sum(p.counters.instructions for p in processors)
     trace = characterize(spec.name, processors)
     mean_utilization = sum(

@@ -71,23 +71,20 @@ class DirectoryRingSystem(RingSystemBase):
             return ("full-map", False, ())
         return ("full-map", entry.dirty, tuple(sorted(entry.sharers)))
 
+    def release_ownership(self, address: int) -> None:
+        self.directory_for(address).clear(self.address_map.block_of(address))
+
     # ------------------------------------------------------------------
     # Transaction body
     # ------------------------------------------------------------------
     def transact(
         self, node: int, address: int, outcome: AccessOutcome, start_ps: int
     ) -> Step:
-        if not self.address_map.is_shared(address):
-            yield from self.private_miss(
-                node, address, outcome is not AccessOutcome.READ_MISS, start_ps
-            )
-            return
         if outcome is AccessOutcome.UPGRADE:
-            yield from self._upgrade(node, address, start_ps)
-        elif outcome is AccessOutcome.READ_MISS:
-            yield from self._read_miss(node, address, start_ps)
-        else:
-            yield from self._write_miss(node, address, start_ps)
+            return self._upgrade(node, address, start_ps)
+        if outcome is AccessOutcome.READ_MISS:
+            return self._read_miss(node, address, start_ps)
+        return self._write_miss(node, address, start_ps)
 
     # ------------------------------------------------------------------
     # Reads
@@ -127,7 +124,7 @@ class DirectoryRingSystem(RingSystemBase):
                 if kept is CacheState.INV:
                     directory.remove_sharer(block, owner)
                 self.sim.spawn(
-                    self._sharing_writeback(owner, block), name=f"swb:n{owner}"
+                    self.sharing_writeback(owner, block), name=f"swb:n{owner}"
                 )
             directory.add_sharer(block, node)
         else:
@@ -247,7 +244,7 @@ class DirectoryRingSystem(RingSystemBase):
             directory.entry(block).dirty = False
             directory.add_sharer(block, node)
             self.sim.spawn(
-                self._sharing_writeback(node, block), name=f"swb:n{node}"
+                self.sharing_writeback(node, block), name=f"swb:n{node}"
             )
             self.fill(node, address, CacheState.RS)
         self.stats.record_miss(MissClass.LOCAL_CLEAN, self.sim.now - start_ps)
@@ -332,46 +329,3 @@ class DirectoryRingSystem(RingSystemBase):
             self.stats.record_miss(
                 MissClass.REMOTE_CLEAN, latency, traversals
             )
-
-    # ------------------------------------------------------------------
-    # Background block traffic
-    # ------------------------------------------------------------------
-    def writeback(self, node: int, address: int) -> Step:
-        """Write a WE victim back to its home; the home clears the
-        directory entry."""
-        if not self.address_map.is_shared(address):
-            yield self.banks[node].access()
-            return
-        block = self.address_map.block_of(address)
-        home = self.address_map.home_of(address)
-        directory = self.directories[home]
-        lock = self.block_lock(block)
-        yield lock.acquire(exclusive=True)
-        try:
-            entry = directory.peek(block)
-            if entry is None or not entry.dirty or entry.owner != node:
-                return  # ownership moved while queued
-            if self.caches[node].contains(address):
-                return  # the node reclaimed the block from its buffer
-            if home != node:
-                arrival = yield from self.send_block(node, home)
-                yield from self.wait_until_cycle(arrival)
-            yield self.banks[home].access()
-            directory.clear(block)
-            self.stats.writebacks += 1
-        finally:
-            lock.release()
-        monitor = self.sim.monitor
-        if monitor is not None:
-            monitor.on_commit(self, node, address, "WRITEBACK")
-
-    def _sharing_writeback(self, owner: int, block: int) -> Step:
-        """Memory refresh after a dirty block was downgraded (traffic
-        and bank time only; directory state committed under the lock)."""
-        address = block * self.config.block_size
-        home = self.address_map.home_of(address)
-        if home != owner:
-            arrival = yield from self.send_block(owner, home)
-            yield from self.wait_until_cycle(arrival)
-        yield self.banks[home].access()
-        self.stats.sharing_writebacks += 1

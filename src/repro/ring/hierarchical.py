@@ -35,41 +35,31 @@ uniform traffic sees a shorter end-to-end path.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List
-
 from repro.core.config import Protocol, SystemConfig
-from repro.core.metrics import CoherenceStats, MissClass
-from repro.memory.address import AddressMap
-from repro.memory.bank import MemoryBank, build_banks
-from repro.memory.cache import (
-    AccessOutcome,
-    DirectMappedCache,
-    sharers_other_than,
-)
-from repro.memory.directory_store import DirtyBitDirectory
+from repro.core.metrics import MissClass
+from repro.memory.cache import AccessOutcome, sharers_other_than
 from repro.memory.states import CacheState
 from repro.ring.scheduler import SlotGrant, SlotScheduler
 from repro.ring.slots import SlotType
 from repro.ring.topology import RingTopology
+from repro.sim.engine import DirtyBitEngine, Step
 from repro.sim.kernel import Simulator
-from repro.sim.queues import ReadWriteLock
 
 __all__ = ["HierarchicalRingSystem"]
 
-Step = Generator[Any, Any, Any]
 
-
-class HierarchicalRingSystem:
+class HierarchicalRingSystem(DirtyBitEngine):
     """KSR1/Hector-style two-level snooping ring machine."""
 
     protocol = Protocol.HIERARCHICAL
 
+    #: Telemetry component name for this engine's events.
+    trace_category = "ring.hierarchical"
+
     def __init__(self, sim: Simulator, config: SystemConfig) -> None:
+        super().__init__(sim, config)
         # SystemConfig guarantees at least 2 clusters of equal size.
         clusters = config.ring.clusters
-        self.sim = sim
-        self.config = config
-        self.num_nodes = config.num_processors
         self.clusters = clusters
         self.per_cluster = config.num_processors // clusters
         self.layout = config.ring_layout()
@@ -98,20 +88,6 @@ class HierarchicalRingSystem:
             clock_ps=config.ring.clock_ps,
             enforce_fairness=config.ring.enforce_fairness,
         )
-        self.address_map = AddressMap(
-            self.num_nodes, config.block_size, seed=config.seed
-        )
-        self.caches: List[DirectMappedCache] = [
-            DirectMappedCache(config.cache.size_bytes, config.cache.block_size)
-            for _ in range(self.num_nodes)
-        ]
-        self.banks: List[MemoryBank] = build_banks(
-            sim, self.num_nodes, config.memory.access_ps
-        )
-        self.stats = CoherenceStats()
-        self.dirty_bits = DirtyBitDirectory()
-        self._dirty_node: Dict[int, int] = {}
-        self._locks: Dict[int, ReadWriteLock] = {}
         #: Transactions completed without leaving the cluster.
         self.local_transactions = 0
         #: Transactions that crossed the global ring.
@@ -139,31 +115,6 @@ class HierarchicalRingSystem:
     def probe_type_for(self, address: int) -> SlotType:
         return self.layout.probe_type_for_parity(
             self.address_map.parity_of(address)
-        )
-
-    def wait_until_cycle(self, cycle: int) -> Step:
-        target = cycle * self.clock_ps
-        if target > self.sim.now:
-            yield self.sim.timeout(target - self.sim.now)
-
-    # ------------------------------------------------------------------
-    # Locks (same discipline as the flat engines)
-    # ------------------------------------------------------------------
-    def block_lock(self, block: int) -> ReadWriteLock:
-        lock = self._locks.get(block)
-        if lock is None:
-            lock = ReadWriteLock(self.sim, name=f"block:{block:#x}")
-            self._locks[block] = lock
-        return lock
-
-    def dirty_hint(self, address: int) -> bool:
-        return self.dirty_bits.is_dirty(self.address_map.block_of(address))
-
-    def owned_by(self, address: int, node: int) -> bool:
-        block = self.address_map.block_of(address)
-        return (
-            self.dirty_bits.is_dirty(block)
-            and self._dirty_node.get(block) == node
         )
 
     # ------------------------------------------------------------------
@@ -235,155 +186,43 @@ class HierarchicalRingSystem:
             passage = grant.grab_cycle + self.local_topology.distance(
                 self.iri_position, self.local_position(sharer)
             )
-            self.sim.spawn(
-                self._deferred_invalidate(sharer, address, passage),
-                name=f"inv:c{cluster}",
-            )
+            self.schedule_invalidate(sharer, address, passage)
         yield from self.wait_until_cycle(
             grant.grab_cycle + self.local_topology.total_stages
         )
 
-    def _deferred_invalidate(self, node: int, address: int, cycle: int) -> Step:
-        yield from self.wait_until_cycle(cycle)
-        self.caches[node].snoop_invalidate(address)
-
     # ------------------------------------------------------------------
-    # Victims and write-backs
+    # Write-backs and memory updates
     # ------------------------------------------------------------------
-    def _prepare_victim(self, node: int, address: int) -> None:
-        victim = self.caches[node].victim_for(address)
-        if victim is None:
-            return
-        victim_address, state = victim
-        self.caches[node].evict(victim_address)
-        if state is CacheState.WE:
-            self.caches[node].stats.writebacks += 1
-            self.sim.spawn(
-                self.writeback(node, victim_address), name=f"wb:n{node}"
+    def carry_block(self, src: int, dst: int) -> Step:
+        """A block over up to three ring segments: the local ring, or
+        local ring -> IRI -> global ring -> IRI -> local ring."""
+        src_cluster = self.cluster_of(src)
+        dst_cluster = self.cluster_of(dst)
+        if src_cluster == dst_cluster:
+            yield from self._local_block(
+                src_cluster, self.local_position(src), self.local_position(dst)
+            )
+        else:
+            yield from self._local_block(
+                src_cluster, self.local_position(src), self.iri_position
+            )
+            yield from self._global_block(src_cluster, dst_cluster)
+            yield from self._local_block(
+                dst_cluster, self.iri_position, self.local_position(dst)
             )
 
-    def _fill(self, node: int, address: int, state: CacheState) -> None:
-        if self.caches[node].victim_for(address) is not None:
-            self._prepare_victim(node, address)
-        self.caches[node].fill(address, state)
-
-    def writeback(self, node: int, address: int) -> Step:
-        """Write a WE victim back over up to three ring segments."""
-        if not self.address_map.is_shared(address):
-            yield self.banks[node].access()
-            return
-        block = self.address_map.block_of(address)
-        home = self.address_map.home_of(address)
-        lock = self.block_lock(block)
-        yield lock.acquire(exclusive=True)
-        try:
-            if not (
-                self.dirty_bits.is_dirty(block)
-                and self._dirty_node.get(block) == node
-            ):
-                return
-            if self.caches[node].contains(address):
-                return
-            src_cluster = self.cluster_of(node)
-            dst_cluster = self.cluster_of(home)
-            if home != node:
-                if src_cluster == dst_cluster:
-                    arrival = yield from self._local_block(
-                        src_cluster,
-                        self.local_position(node),
-                        self.local_position(home),
-                    )
-                else:
-                    yield from self._local_block(
-                        src_cluster, self.local_position(node), self.iri_position
-                    )
-                    yield from self._global_block(src_cluster, dst_cluster)
-                    arrival = yield from self._local_block(
-                        dst_cluster, self.iri_position, self.local_position(home)
-                    )
-                yield from self.wait_until_cycle(arrival)
-            yield self.banks[home].access()
-            self.dirty_bits.clear_dirty(block)
-            self._dirty_node.pop(block, None)
-            self.stats.writebacks += 1
-        finally:
-            lock.release()
-
-    def _sharing_writeback(self, owner: int, block: int) -> Step:
-        address = block * self.config.block_size
-        home = self.address_map.home_of(address)
-        if home != owner:
-            src, dst = self.cluster_of(owner), self.cluster_of(home)
-            if src == dst:
-                yield from self._local_block(
-                    src, self.local_position(owner), self.local_position(home)
-                )
-            else:
-                yield from self._local_block(
-                    src, self.local_position(owner), self.iri_position
-                )
-                yield from self._global_block(src, dst)
-                yield from self._local_block(
-                    dst, self.iri_position, self.local_position(home)
-                )
-        yield self.banks[home].access()
-        self.stats.sharing_writebacks += 1
-
     # ------------------------------------------------------------------
-    # Transaction entry point
+    # Transactions
     # ------------------------------------------------------------------
-    def miss(self, node: int, address: int, outcome: AccessOutcome) -> Step:
-        start_ps = self.sim.now
-        block = self.address_map.block_of(address)
-        lock = self.block_lock(block)
-        shared_mode = (
-            outcome is AccessOutcome.READ_MISS
-            and not self.owned_by(address, node)
+    def transact(
+        self, node: int, address: int, outcome: AccessOutcome, start_ps: int
+    ) -> Step:
+        if outcome is AccessOutcome.UPGRADE:
+            return self._upgrade(node, address, start_ps)
+        return self._shared_miss(
+            node, address, outcome is AccessOutcome.WRITE_MISS, start_ps
         )
-        yield lock.acquire(exclusive=not shared_mode)
-        try:
-            state = self.caches[node].state_of(address)
-            if outcome is AccessOutcome.UPGRADE and state is CacheState.INV:
-                outcome = AccessOutcome.WRITE_MISS
-            elif outcome is AccessOutcome.WRITE_MISS and state is CacheState.RS:
-                outcome = AccessOutcome.UPGRADE
-            satisfied = (
-                (outcome is AccessOutcome.READ_MISS and state.readable)
-                or (
-                    outcome is not AccessOutcome.READ_MISS
-                    and state is CacheState.WE
-                )
-            )
-            if satisfied:
-                pass
-            elif not self.address_map.is_shared(address):
-                if outcome is AccessOutcome.UPGRADE:
-                    self.caches[node].apply_upgrade(address)
-                else:
-                    self._prepare_victim(node, address)
-                    yield self.banks[node].access()
-                    self._fill(
-                        node,
-                        address,
-                        CacheState.WE
-                        if outcome is AccessOutcome.WRITE_MISS
-                        else CacheState.RS,
-                    )
-                    self.stats.record_miss(
-                        MissClass.PRIVATE, self.sim.now - start_ps
-                    )
-            elif outcome is AccessOutcome.UPGRADE:
-                yield from self._upgrade(node, address, start_ps)
-            else:
-                yield from self._shared_miss(
-                    node,
-                    address,
-                    outcome is AccessOutcome.WRITE_MISS,
-                    start_ps,
-                )
-        finally:
-            lock.release()
-        return self.sim.now - start_ps
 
     # ------------------------------------------------------------------
     # Shared misses
@@ -393,36 +232,20 @@ class HierarchicalRingSystem:
     ) -> Step:
         block = self.address_map.block_of(address)
         home = self.address_map.home_of(address)
-        dirty = self.dirty_bits.is_dirty(block)
-        owner = self._dirty_node.get(block) if dirty else None
-        if dirty and owner is None:
-            dirty = False
-        if dirty and owner == node:
-            # Write-back-buffer reclaim, as in the flat engines.
-            self._prepare_victim(node, address)
-            yield self.sim.timeout(self.config.memory.cache_response_ps)
-            if not is_write:
-                self.dirty_bits.clear_dirty(block)
-                self._dirty_node.pop(block, None)
-                self.sim.spawn(
-                    self._sharing_writeback(node, block), name=f"swb:n{node}"
-                )
-            self._fill(
-                node, address, CacheState.WE if is_write else CacheState.RS
-            )
-            self.stats.record_miss(
-                MissClass.LOCAL_CLEAN, self.sim.now - start_ps
-            )
+        owner = self.dirty_owner(block)
+        dirty = owner is not None
+        if owner == node:
+            yield from self._reclaim_from_buffer(node, address, is_write, start_ps)
             return
 
-        self._prepare_victim(node, address)
+        self.prepare_victim(node, address)
         supplier = owner if dirty else home
         cluster = self.cluster_of(node)
         supplier_cluster = self.cluster_of(supplier)
 
         if not dirty and home == node and not is_write:
             yield self.banks[node].access()
-            self._fill(node, address, CacheState.RS)
+            self.fill(node, address, CacheState.RS)
             self.stats.record_miss(
                 MissClass.LOCAL_CLEAN, self.sim.now - start_ps
             )
@@ -442,10 +265,7 @@ class HierarchicalRingSystem:
                         self.local_position(node),
                         self.local_position(sharer),
                     )
-                    self.sim.spawn(
-                        self._deferred_invalidate(sharer, address, passage),
-                        name=f"inv:n{sharer}",
-                    )
+                    self.schedule_invalidate(sharer, address, passage)
 
         if supplier_cluster == cluster and supplier != node:
             # Cluster-local transaction: flat-ring behaviour at local
@@ -515,18 +335,12 @@ class HierarchicalRingSystem:
             # waits for the slowest sweep (the global probe already
             # notified their IRIs).
             yield from self._remote_invalidations(node, address, cluster)
-            self.dirty_bits.set_dirty(block)
-            self._dirty_node[block] = node
-            self._fill(node, address, CacheState.WE)
+            self.set_owner(block, node)
+            self.fill(node, address, CacheState.WE)
         else:
-            if dirty and self._dirty_node.get(block) == owner:
-                self.dirty_bits.clear_dirty(block)
-                self._dirty_node.pop(block, None)
-                self.sim.spawn(
-                    self._sharing_writeback(owner, block),
-                    name=f"swb:n{owner}",
-                )
-            self._fill(node, address, CacheState.RS)
+            if dirty:
+                self.commit_downgrade(owner, block)
+            self.fill(node, address, CacheState.RS)
 
         klass = MissClass.REMOTE_DIRTY if dirty else MissClass.REMOTE_CLEAN
         self.stats.record_miss(klass, self.sim.now - start_ps, traversals=1)
@@ -572,10 +386,7 @@ class HierarchicalRingSystem:
                 passage = grant.grab_cycle + self.local_topology.distance(
                     self.local_position(node), self.local_position(sharer)
                 )
-                self.sim.spawn(
-                    self._deferred_invalidate(sharer, address, passage),
-                    name=f"inv:n{sharer}",
-                )
+                self.schedule_invalidate(sharer, address, passage)
         completion = (
             grant.grab_cycle
             + self.local_topology.total_stages
@@ -591,13 +402,8 @@ class HierarchicalRingSystem:
             yield from self._remote_invalidations(node, address, cluster)
             yield self.sim.timeout(self.layout.frame_stages * self.clock_ps)
 
-        self.dirty_bits.set_dirty(block)
-        self._dirty_node[block] = node
-        state = self.caches[node].state_of(address)
-        if state is CacheState.RS:
-            self.caches[node].apply_upgrade(address)
-        elif state is CacheState.INV:
-            self._fill(node, address, CacheState.WE)
+        self.set_owner(block, node)
+        self.commit_upgrade(node, address)
         self.stats.record_upgrade(
             self.sim.now - start_ps,
             traversals=1 if not remote else 2,
@@ -607,7 +413,7 @@ class HierarchicalRingSystem:
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
-    def ring_utilization(self, elapsed_ps: int) -> float:
+    def network_utilization(self, elapsed_ps: int) -> float:
         """Stage-weighted mean utilisation over all rings."""
         schedulers = list(self.local_schedulers) + [self.global_scheduler]
         total = sum(
@@ -615,6 +421,14 @@ class HierarchicalRingSystem:
             for scheduler in schedulers
         )
         return total / len(schedulers)
+
+    def reset_statistics(self) -> None:
+        super().reset_statistics()
+        self.global_scheduler.reset_statistics()
+        for scheduler in self.local_schedulers:
+            scheduler.reset_statistics()
+        self.local_transactions = 0
+        self.global_transactions = 0
 
     def global_ring_utilization(self, elapsed_ps: int) -> float:
         return self.global_scheduler.aggregate_utilization(elapsed_ps)
@@ -624,18 +438,3 @@ class HierarchicalRingSystem:
         """Share of ring transactions that stayed inside a cluster."""
         total = self.local_transactions + self.global_transactions
         return self.local_transactions / total if total else 0.0
-
-    def check_invariants(self) -> None:
-        owners: Dict[int, List[int]] = {}
-        sharers: Dict[int, List[int]] = {}
-        for node, cache in enumerate(self.caches):
-            for block_address, state in cache.resident_blocks().items():
-                if state is CacheState.WE:
-                    owners.setdefault(block_address, []).append(node)
-                else:
-                    sharers.setdefault(block_address, []).append(node)
-        for block_address, holding in owners.items():
-            if len(holding) > 1 or block_address in sharers:
-                raise RuntimeError(
-                    f"coherence violation on block {block_address:#x}"
-                )

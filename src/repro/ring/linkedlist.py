@@ -69,23 +69,20 @@ class LinkedListRingSystem(RingSystemBase):
             return ("list", False, ())
         return ("list", entry.dirty, tuple(entry.chain))
 
+    def release_ownership(self, address: int) -> None:
+        self.directory_for(address).clear(self.address_map.block_of(address))
+
     # ------------------------------------------------------------------
     # Transaction body
     # ------------------------------------------------------------------
     def transact(
         self, node: int, address: int, outcome: AccessOutcome, start_ps: int
     ) -> Step:
-        if not self.address_map.is_shared(address):
-            yield from self.private_miss(
-                node, address, outcome is not AccessOutcome.READ_MISS, start_ps
-            )
-            return
         if outcome is AccessOutcome.UPGRADE:
-            yield from self._upgrade(node, address, start_ps)
-        else:
-            yield from self._miss(
-                node, address, outcome is AccessOutcome.WRITE_MISS, start_ps
-            )
+            return self._upgrade(node, address, start_ps)
+        return self._miss(
+            node, address, outcome is AccessOutcome.WRITE_MISS, start_ps
+        )
 
     # ------------------------------------------------------------------
     # Misses
@@ -157,7 +154,7 @@ class LinkedListRingSystem(RingSystemBase):
                 if directory.entry(block).dirty:
                     directory.entry(block).dirty = False
                     self.sim.spawn(
-                        self._sharing_writeback(head, block),
+                        self.sharing_writeback(head, block),
                         name=f"swb:n{head}",
                     )
             directory.prepend_sharer(block, node)
@@ -181,7 +178,7 @@ class LinkedListRingSystem(RingSystemBase):
             entry.dirty = False
             directory.prepend_sharer(block, node)
             self.sim.spawn(
-                self._sharing_writeback(node, block), name=f"swb:n{node}"
+                self.sharing_writeback(node, block), name=f"swb:n{node}"
             )
             self.fill(node, address, CacheState.RS)
         self.stats.record_miss(MissClass.LOCAL_CLEAN, self.sim.now - start_ps)
@@ -290,45 +287,6 @@ class LinkedListRingSystem(RingSystemBase):
             arrival = yield from self.send_probe(node, home, address)
             yield from self.wait_until_cycle(arrival)
         self.directories[home].remove_sharer(block, node)
-
-    # ------------------------------------------------------------------
-    # Background block traffic
-    # ------------------------------------------------------------------
-    def writeback(self, node: int, address: int) -> Step:
-        if not self.address_map.is_shared(address):
-            yield self.banks[node].access()
-            return
-        block = self.address_map.block_of(address)
-        home = self.address_map.home_of(address)
-        directory = self.directories[home]
-        lock = self.block_lock(block)
-        yield lock.acquire(exclusive=True)
-        try:
-            entry = directory.peek(block)
-            if entry is None or not entry.dirty or entry.head != node:
-                return
-            if self.caches[node].contains(address):
-                return  # the node reclaimed the block from its buffer
-            if home != node:
-                arrival = yield from self.send_block(node, home)
-                yield from self.wait_until_cycle(arrival)
-            yield self.banks[home].access()
-            directory.clear(block)
-            self.stats.writebacks += 1
-        finally:
-            lock.release()
-        monitor = self.sim.monitor
-        if monitor is not None:
-            monitor.on_commit(self, node, address, "WRITEBACK")
-
-    def _sharing_writeback(self, owner: int, block: int) -> Step:
-        address = block * self.config.block_size
-        home = self.address_map.home_of(address)
-        if home != owner:
-            arrival = yield from self.send_block(owner, home)
-            yield from self.wait_until_cycle(arrival)
-        yield self.banks[home].access()
-        self.stats.sharing_writebacks += 1
 
     # ------------------------------------------------------------------
     # Recording

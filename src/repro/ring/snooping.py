@@ -18,41 +18,20 @@ Key properties reproduced here:
 
 from __future__ import annotations
 
-from repro.core.config import Protocol, SystemConfig
+from repro.core.config import Protocol
 from repro.core.metrics import MissClass
 from repro.memory.cache import AccessOutcome, sharers_other_than
-from repro.memory.directory_store import DirtyBitDirectory
 from repro.memory.states import CacheState
 from repro.ring.base import ProtocolError, RingSystemBase, Step
-from repro.sim.kernel import Simulator
+from repro.sim.engine import DirtyBitEngine
 
 __all__ = ["SnoopingRingSystem"]
 
 
-class SnoopingRingSystem(RingSystemBase):
+class SnoopingRingSystem(DirtyBitEngine, RingSystemBase):
     """The paper's snooping protocol on the slotted ring."""
 
     protocol = Protocol.SNOOPING
-
-    def __init__(self, sim: Simulator, config: SystemConfig) -> None:
-        super().__init__(sim, config)
-        #: One dirty bit per block, conceptually held at each block's
-        #: home memory (a single container is state-equivalent).
-        self.dirty_bits = DirtyBitDirectory()
-
-    def dirty_hint(self, address: int) -> bool:
-        return self.dirty_bits.is_dirty(self.address_map.block_of(address))
-
-    def owned_by(self, address: int, node: int) -> bool:
-        block = self.address_map.block_of(address)
-        return (
-            self.dirty_bits.is_dirty(block)
-            and self._dirty_node.get(block) == node
-        )
-
-    def coherence_view(self, block: int) -> tuple:
-        dirty = self.dirty_bits.is_dirty(block)
-        return ("dirty-bit", dirty, self._dirty_node.get(block) if dirty else None)
 
     # ------------------------------------------------------------------
     # Transaction body
@@ -60,17 +39,11 @@ class SnoopingRingSystem(RingSystemBase):
     def transact(
         self, node: int, address: int, outcome: AccessOutcome, start_ps: int
     ) -> Step:
-        if not self.address_map.is_shared(address):
-            yield from self.private_miss(
-                node, address, outcome is not AccessOutcome.READ_MISS, start_ps
-            )
-            return
         if outcome is AccessOutcome.UPGRADE:
-            yield from self._upgrade(node, address, start_ps)
-        elif outcome is AccessOutcome.READ_MISS:
-            yield from self._shared_miss(node, address, False, start_ps)
-        else:
-            yield from self._shared_miss(node, address, True, start_ps)
+            return self._upgrade(node, address, start_ps)
+        return self._shared_miss(
+            node, address, outcome is AccessOutcome.WRITE_MISS, start_ps
+        )
 
     # ------------------------------------------------------------------
     # Shared-data misses
@@ -80,18 +53,10 @@ class SnoopingRingSystem(RingSystemBase):
     ) -> Step:
         block = self.address_map.block_of(address)
         home = self.address_map.home_of(address)
-        # Snapshot ownership before the first yield: concurrent shared-
-        # mode readers may transfer it while this transaction is in
-        # flight, in which case the snapshot still names a valid data
-        # supplier (the old owner keeps an RS copy).
-        dirty = self.dirty_bits.is_dirty(block)
-        owner = self._dirty_node.get(block) if dirty else None
-        if dirty and owner is None:
-            # A concurrent reader committed the transfer between our
-            # lock grant and this slice: the home now serves.
-            dirty = False
+        owner = self.dirty_owner(block)
+        dirty = owner is not None
 
-        if dirty and owner == node:
+        if owner == node:
             # The block sits in this node's own write-back buffer (it
             # was evicted and the write-back has not drained yet):
             # reclaim it locally, no ring transaction.
@@ -117,29 +82,6 @@ class SnoopingRingSystem(RingSystemBase):
             node, address, is_write, dirty, owner if dirty else home, start_ps
         )
 
-    def _reclaim_from_buffer(
-        self, node: int, address: int, is_write: bool, start_ps: int
-    ) -> Step:
-        """Re-acquire a block pending in the local write-back buffer.
-
-        A write keeps the dirty ownership (the queued write-back will
-        abort when it finds the new WE copy); a read surrenders it and
-        turns the buffered data into a memory update.
-        """
-        block = self.address_map.block_of(address)
-        self.prepare_victim(node, address)
-        yield self.sim.timeout(self.config.memory.cache_response_ps)
-        if is_write:
-            self.fill(node, address, CacheState.WE)
-        else:
-            self.dirty_bits.clear_dirty(block)
-            self._dirty_node.pop(block, None)
-            self.sim.spawn(
-                self._sharing_writeback(node, block), name=f"swb:n{node}"
-            )
-            self.fill(node, address, CacheState.RS)
-        self.stats.record_miss(MissClass.LOCAL_CLEAN, self.sim.now - start_ps)
-
     def _local_clean_write_miss(
         self, node: int, address: int, start_ps: int
     ) -> Step:
@@ -160,8 +102,7 @@ class SnoopingRingSystem(RingSystemBase):
         )
         yield memory_done
         yield from self.wait_until_cycle(ack_cycle)
-        self.dirty_bits.set_dirty(block)
-        self._dirty_node[block] = node
+        self.set_owner(block, node)
         self.fill(node, address, CacheState.WE)
         self.stats.record_miss(
             MissClass.LOCAL_CLEAN, self.sim.now - start_ps, traversals=None
@@ -207,8 +148,7 @@ class SnoopingRingSystem(RingSystemBase):
         # Commit: bookkeeping mirrors what the home's dirty bit and the
         # new copy's state would be in hardware.
         if is_write:
-            self.dirty_bits.set_dirty(block)
-            self._dirty_node[block] = node
+            self.set_owner(block, node)
             # A write miss must also observe the invalidation ack (the
             # probe completed its traversal before the block arrives in
             # all but degenerate cases; enforce the ordering anyway).
@@ -220,17 +160,8 @@ class SnoopingRingSystem(RingSystemBase):
             yield from self.wait_until_cycle(ack_cycle)
             self.fill(node, address, CacheState.WE)
         else:
-            if dirty and self._dirty_node.get(block) == owner:
-                # Downgrade commit -- gated so that of several
-                # concurrent shared-mode readers of the dirty block,
-                # exactly one clears the home's dirty bit and issues
-                # the off-critical-path memory update.
-                self.dirty_bits.clear_dirty(block)
-                self._dirty_node.pop(block, None)
-                self.sim.spawn(
-                    self._sharing_writeback(owner, block),
-                    name=f"swb:n{owner}",
-                )
+            if dirty:
+                self.commit_downgrade(owner, block)
             self.fill(node, address, CacheState.RS)
 
         klass = MissClass.REMOTE_DIRTY if dirty else MissClass.REMOTE_CLEAN
@@ -259,8 +190,7 @@ class SnoopingRingSystem(RingSystemBase):
             + self.scheduler.ack_delay_cycles()
         )
         yield from self.wait_until_cycle(ack_cycle)
-        self.dirty_bits.set_dirty(block)
-        self._dirty_node[block] = node
+        self.set_owner(block, node)
         self.commit_upgrade(node, address)
         tracer = self.sim.tracer
         if tracer is not None:
@@ -275,61 +205,3 @@ class SnoopingRingSystem(RingSystemBase):
         self.stats.record_upgrade(
             self.sim.now - start_ps, traversals=1, had_sharers=bool(sharers)
         )
-
-    # ------------------------------------------------------------------
-    # Background block traffic
-    # ------------------------------------------------------------------
-    def writeback(self, node: int, address: int) -> Step:
-        """Write a WE victim back to its home and clear the dirty bit."""
-        if not self.address_map.is_shared(address):
-            # Private victim: plain local memory write.
-            yield self.banks[node].access()
-            return
-        block = self.address_map.block_of(address)
-        home = self.address_map.home_of(address)
-        lock = self.block_lock(block)
-        yield lock.acquire(exclusive=True)
-        try:
-            if not (
-                self.dirty_bits.is_dirty(block)
-                and self._dirty_node.get(block) == node
-            ):
-                return  # ownership moved while queued: nothing to do
-            if self.caches[node].contains(address):
-                return  # the node reclaimed the block from its buffer
-            if home != node:
-                arrival = yield from self.send_block(node, home)
-                yield from self.wait_until_cycle(arrival)
-            yield self.banks[home].access()
-            self.dirty_bits.clear_dirty(block)
-            self._dirty_node.pop(block, None)
-            self.stats.writebacks += 1
-        finally:
-            lock.release()
-        monitor = self.sim.monitor
-        if monitor is not None:
-            monitor.on_commit(self, node, address, "WRITEBACK")
-
-    def _sharing_writeback(self, owner: int, block: int) -> Step:
-        """Memory update after a dirty block was downgraded to shared.
-
-        The coherence state change already committed under the block
-        lock; this process only accounts for the block-slot traffic and
-        the memory-write bank time the update costs.
-        """
-        address = block * self.config.block_size
-        home = self.address_map.home_of(address)
-        if home != owner:
-            arrival = yield from self.send_block(owner, home)
-            yield from self.wait_until_cycle(arrival)
-        yield self.banks[home].access()
-        self.stats.sharing_writebacks += 1
-        tracer = self.sim.tracer
-        if tracer is not None:
-            tracer.instant(
-                self.sim.now,
-                self.trace_category,
-                "sharing-writeback",
-                f"node{owner}",
-                block=f"{block:#x}",
-            )

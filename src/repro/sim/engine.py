@@ -1,0 +1,532 @@
+"""The protocol-neutral coherence engine every interconnect builds on.
+
+A protocol engine owns the caches, memory banks and coherence
+bookkeeping for one simulated machine.  Processors call
+:meth:`CoherenceEngine.miss` (a generator to ``yield from``) for every
+reference that does not hit; the engine plays out the whole coherence
+transaction -- arbitration or slot waits, message hops, memory
+accesses, snoop side effects -- and returns when the processor may
+resume.
+
+The flat rings, the two-level ring hierarchy and the split-transaction
+bus run the same three-state write-invalidate machinery and differ only
+in how messages travel.  This module holds that machinery once; an
+engine supplies
+
+* :meth:`~CoherenceEngine.transact` -- the shared-data transaction body
+  (misses and upgrades on shared data);
+* :meth:`~CoherenceEngine.carry_block` -- the transport of one block
+  from a node to another (a ring block slot, a bus hold, or the
+  hierarchy's three-segment route), used by write-backs and memory
+  updates;
+* its ownership state: :meth:`~CoherenceEngine.owned_by`,
+  :meth:`~CoherenceEngine.release_ownership`,
+  :meth:`~CoherenceEngine.dirty_hint` and
+  :meth:`~CoherenceEngine.coherence_view` (:class:`DirtyBitEngine`
+  supplies all four for the snooping engines);
+* :meth:`~CoherenceEngine.network_utilization` and any statistics of
+  its own interconnect (:meth:`~CoherenceEngine.reset_statistics`).
+
+Concurrency discipline
+----------------------
+Transactions on *different* blocks proceed concurrently and contend
+only for the interconnect and memory banks.  Transactions on the *same*
+block are serialised by a per-block lock, which stands in for the
+transient states and NAK/retry mechanisms a hardware implementation
+would use.  Write-backs run as background processes holding the victim
+block's lock; a write-back finding that ownership moved while it waited
+simply aborts (the new owner has the only valid copy).
+"""
+
+from __future__ import annotations
+
+from typing import Any, Dict, Generator, List, Optional
+
+from repro.core.config import SystemConfig
+from repro.core.metrics import CoherenceStats, MissClass
+from repro.memory.address import AddressMap
+from repro.memory.bank import MemoryBank, build_banks
+from repro.memory.cache import AccessOutcome, CacheStats, DirectMappedCache
+from repro.memory.directory_store import DirtyBitDirectory
+from repro.memory.states import CacheState
+from repro.sim.kernel import Simulator
+from repro.sim.queues import ReadWriteLock
+
+__all__ = ["CoherenceEngine", "DirtyBitEngine", "ProtocolError", "Step"]
+
+#: Generator type of every protocol step: yields kernel requests.
+Step = Generator[Any, Any, Any]
+
+
+class ProtocolError(RuntimeError):
+    """A coherence invariant was violated (always a bug)."""
+
+
+class CoherenceEngine:
+    """Caches + banks + the transaction skeleton shared by every protocol."""
+
+    #: Telemetry component name for this engine's events.
+    trace_category: str
+
+    def __init__(self, sim: Simulator, config: SystemConfig) -> None:
+        self.sim = sim
+        self.config = config
+        self.num_nodes = config.num_processors
+        self.address_map = AddressMap(
+            self.num_nodes, config.block_size, seed=config.seed
+        )
+        self.caches: List[DirectMappedCache] = [
+            DirectMappedCache(config.cache.size_bytes, config.cache.block_size)
+            for _ in range(self.num_nodes)
+        ]
+        self.banks: List[MemoryBank] = build_banks(
+            sim, self.num_nodes, config.memory.access_ps
+        )
+        self.stats = CoherenceStats()
+        self._locks: Dict[int, ReadWriteLock] = {}
+
+    # ------------------------------------------------------------------
+    # Timing helpers
+    # ------------------------------------------------------------------
+    @property
+    def clock_ps(self) -> int:
+        """Period of the interconnect clock (subclass provides)."""
+        raise NotImplementedError
+
+    def wait_until_cycle(self, cycle: int) -> Step:
+        """Advance the calling process to interconnect cycle ``cycle``."""
+        target_ps = cycle * self.clock_ps
+        if target_ps > self.sim.now:
+            yield self.sim.timeout(target_ps - self.sim.now)
+
+    # ------------------------------------------------------------------
+    # Per-block serialisation and ownership
+    # ------------------------------------------------------------------
+    def block_lock(self, block: int) -> ReadWriteLock:
+        lock = self._locks.get(block)
+        if lock is None:
+            lock = ReadWriteLock(self.sim, name=f"block:{block:#x}")
+            self._locks[block] = lock
+        return lock
+
+    def dirty_hint(self, address: int) -> bool:
+        """Whether the block is currently write-owned somewhere.
+
+        Subclasses consult their own ownership state (dirty bit,
+        directory entry, or sharing-list head).
+        """
+        raise NotImplementedError
+
+    def owned_by(self, address: int, node: int) -> bool:
+        """Whether ``node`` currently write-owns the block.
+
+        Used to pick the lock mode: read misses take the block lock
+        *shared* -- concurrent read misses pipeline their responses at
+        the owner or home, exactly as probes do in hardware -- unless
+        the requester itself owns the block (write-back-buffer reclaim
+        mutates ownership and needs exclusivity).  Writes, upgrades and
+        write-backs always take the lock exclusive.  A write-back goes
+        ahead only while its node still owns the block.
+        """
+        raise NotImplementedError
+
+    def release_ownership(self, address: int) -> None:
+        """Return a written-back block to its home: memory owns it."""
+        raise NotImplementedError
+
+    def coherence_view(self, block: int) -> tuple:
+        """Canonical, hashable ownership metadata for ``block``.
+
+        The first element tags the directory organisation
+        (``"dirty-bit"``, ``"full-map"`` or ``"list"``); the rest is
+        that organisation's state in a deterministic order.  The
+        ``repro.check`` subsystem uses this both to canonicalize
+        abstract system states and to check directory--cache agreement;
+        it must be cheap and strictly read-only.
+        """
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------
+    # Snoop side effects applied at a later interconnect cycle
+    # ------------------------------------------------------------------
+    def schedule_invalidate(self, node: int, address: int, at_cycle: int) -> None:
+        """Invalidate ``node``'s copy when the probe passes it."""
+        self.sim.spawn(
+            self._deferred_invalidate(node, address, at_cycle),
+            name=f"inv:n{node}",
+        )
+
+    def _deferred_invalidate(self, node: int, address: int, at_cycle: int) -> Step:
+        yield from self.wait_until_cycle(at_cycle)
+        self.caches[node].snoop_invalidate(address)
+
+    def schedule_downgrade(self, node: int, address: int, at_cycle: int) -> None:
+        """Downgrade ``node``'s WE copy to RS when the probe passes."""
+        self.sim.spawn(
+            self._deferred_downgrade(node, address, at_cycle),
+            name=f"dgr:n{node}",
+        )
+
+    def _deferred_downgrade(self, node: int, address: int, at_cycle: int) -> Step:
+        yield from self.wait_until_cycle(at_cycle)
+        self.caches[node].snoop_downgrade(address)
+
+    # ------------------------------------------------------------------
+    # Fills and victims
+    # ------------------------------------------------------------------
+    def prepare_victim(self, node: int, address: int) -> None:
+        """Evict the frame's victim ahead of the fill.
+
+        A WE victim is moved to the node's (conceptual) write-back
+        buffer: the line leaves the cache immediately, and a background
+        process performs the write-back.
+        """
+        victim = self.caches[node].victim_for(address)
+        if victim is None:
+            return
+        victim_address, state = victim
+        self.caches[node].evict(victim_address)
+        self.caches[node].stats.writebacks += state is CacheState.WE
+        if state is CacheState.WE:
+            self.sim.spawn(
+                self.writeback(node, victim_address), name=f"wb:n{node}"
+            )
+        else:
+            self.on_clean_eviction(node, victim_address)
+
+    def on_clean_eviction(self, node: int, address: int) -> None:
+        """Hook for protocols that must react to RS replacements.
+
+        The snooping and full-map protocols replace shared lines
+        silently (stale presence bits are harmless); the linked-list
+        protocol overrides this to roll the node out of the sharing
+        list.
+        """
+
+    def fill(self, node: int, address: int, state: CacheState) -> None:
+        """Install the block; the victim was handled by prepare_victim.
+
+        Under weak ordering a background upgrade may have re-claimed
+        the frame between this transaction's victim handling and its
+        fill; such a late arrival is evicted through the normal victim
+        path (write-back and all).
+        """
+        if self.caches[node].victim_for(address) is not None:
+            self.prepare_victim(node, address)
+        self.caches[node].fill(address, state)
+
+    def commit_upgrade(self, node: int, address: int) -> None:
+        """Commit a granted RS -> WE upgrade at the requester.
+
+        The line is normally still RS, but under weak ordering the
+        processor keeps running and its own conflicting fills may have
+        evicted it mid-transaction; the store buffer's data then
+        re-installs the line WE (the permission was granted either
+        way).
+        """
+        state = self.caches[node].state_of(address)
+        if state is CacheState.RS:
+            self.caches[node].apply_upgrade(address)
+        elif state is CacheState.INV:
+            self.prepare_victim(node, address)
+            self.fill(node, address, CacheState.WE)
+
+    # ------------------------------------------------------------------
+    # Transaction entry point
+    # ------------------------------------------------------------------
+    def miss(self, node: int, address: int, outcome: AccessOutcome) -> Step:
+        """Handle a non-hit reference; returns the latency in ps.
+
+        The tracer's and the monitor's hooks name the outcome the
+        processor asked for; a re-resolved or already-satisfied request
+        is reported under that same name.
+        """
+        start_ps = self.sim.now
+        tracer = self.sim.tracer
+        if tracer is not None:
+            tracer.miss_start(
+                start_ps, self.trace_category, node, address, outcome.name
+            )
+        block = self.address_map.block_of(address)
+        lock = self.block_lock(block)
+        # Read misses run under a shared lock (only the requester's own
+        # buffered ownership forces exclusivity, and only the node's
+        # own transactions can create that state, so the mode cannot be
+        # invalidated while queued).  Ownership-transfer commits in the
+        # read paths are gated so concurrent readers of a dirty block
+        # apply them once.
+        shared_mode = (
+            outcome is AccessOutcome.READ_MISS
+            and not self.owned_by(address, node)
+        )
+        yield lock.acquire(exclusive=not shared_mode)
+        try:
+            effective = self._reresolve(node, address, outcome)
+            if effective is None:
+                pass  # satisfied while queued behind the block lock
+            elif not self.address_map.is_shared(address):
+                if effective is AccessOutcome.UPGRADE:
+                    # Private data needs no coherence: a store to a
+                    # clean private line just sets the dirty state.
+                    self.caches[node].apply_upgrade(address)
+                else:
+                    yield from self.private_miss(
+                        node,
+                        address,
+                        effective is AccessOutcome.WRITE_MISS,
+                        start_ps,
+                    )
+            else:
+                yield from self.transact(node, address, effective, start_ps)
+        finally:
+            lock.release()
+        if tracer is not None:
+            tracer.miss_commit(
+                start_ps,
+                self.sim.now,
+                self.trace_category,
+                node,
+                address,
+                outcome.name,
+            )
+        monitor = self.sim.monitor
+        if monitor is not None:
+            monitor.on_commit(self, node, address, outcome.name)
+        return self.sim.now - start_ps
+
+    def _reresolve(
+        self, node: int, address: int, outcome: AccessOutcome
+    ) -> Optional[AccessOutcome]:
+        """Re-check the local state after the block lock was granted.
+
+        While waiting, a remote transaction may have invalidated the RS
+        copy backing a pending upgrade (it becomes a write miss), or --
+        with weak ordering -- a background upgrade may have satisfied a
+        foreground request for the same block (MSHR-merge behaviour).
+        Returns ``None`` if no action is needed any more.
+        """
+        state = self.caches[node].state_of(address)
+        if outcome is AccessOutcome.UPGRADE:
+            if state is CacheState.RS:
+                return AccessOutcome.UPGRADE
+            if state is CacheState.INV:
+                return AccessOutcome.WRITE_MISS
+            return None  # already WE
+        if outcome is AccessOutcome.READ_MISS and state.readable:
+            return None  # satisfied while queued
+        if outcome is AccessOutcome.WRITE_MISS:
+            if state is CacheState.WE:
+                return None
+            if state is CacheState.RS:
+                return AccessOutcome.UPGRADE
+        if state is not CacheState.INV:
+            raise ProtocolError(
+                f"miss at node {node} for {address:#x} found state {state}"
+            )
+        return outcome
+
+    def transact(
+        self, node: int, address: int, outcome: AccessOutcome, start_ps: int
+    ) -> Step:
+        """Shared-data miss or upgrade body (subclass provides)."""
+        raise NotImplementedError
+
+    def private_miss(
+        self, node: int, address: int, is_write: bool, start_ps: int
+    ) -> Step:
+        """Miss on private data: local bank access, no coherence."""
+        self.prepare_victim(node, address)
+        yield self.banks[node].access()
+        self.fill(node, address, CacheState.WE if is_write else CacheState.RS)
+        self.stats.record_miss(MissClass.PRIVATE, self.sim.now - start_ps)
+
+    # ------------------------------------------------------------------
+    # Background block traffic
+    # ------------------------------------------------------------------
+    def carry_block(self, src: int, dst: int) -> Step:
+        """Move one block message from ``src`` to ``dst`` (``src !=
+        dst``) over the interconnect (subclass provides)."""
+        raise NotImplementedError
+
+    def writeback(self, node: int, address: int) -> Step:
+        """Write a WE victim back to its home and release ownership."""
+        if not self.address_map.is_shared(address):
+            # Private victim: plain local memory write.
+            yield self.banks[node].access()
+            return
+        block = self.address_map.block_of(address)
+        home = self.address_map.home_of(address)
+        lock = self.block_lock(block)
+        yield lock.acquire(exclusive=True)
+        try:
+            if not self.owned_by(address, node):
+                return  # ownership moved while queued: nothing to do
+            if self.caches[node].contains(address):
+                return  # the node reclaimed the block from its buffer
+            if home != node:
+                yield from self.carry_block(node, home)
+            yield self.banks[home].access()
+            self.release_ownership(address)
+            self.stats.writebacks += 1
+        finally:
+            lock.release()
+        monitor = self.sim.monitor
+        if monitor is not None:
+            monitor.on_commit(self, node, address, "WRITEBACK")
+
+    def sharing_writeback(self, owner: int, block: int) -> Step:
+        """Memory update after a dirty block was downgraded to shared.
+
+        The coherence state change already committed under the block
+        lock; this process only accounts for the block traffic and the
+        memory-write bank time the update costs.
+        """
+        address = block * self.config.block_size
+        home = self.address_map.home_of(address)
+        if home != owner:
+            yield from self.carry_block(owner, home)
+        yield self.banks[home].access()
+        self.stats.sharing_writebacks += 1
+        tracer = self.sim.tracer
+        if tracer is not None:
+            tracer.instant(
+                self.sim.now,
+                self.trace_category,
+                "sharing-writeback",
+                f"node{owner}",
+                block=f"{block:#x}",
+            )
+
+    # ------------------------------------------------------------------
+    # Reporting
+    # ------------------------------------------------------------------
+    def network_utilization(self, elapsed_ps: int) -> float:
+        """The paper's network utilisation (subclass provides)."""
+        raise NotImplementedError
+
+    def reset_statistics(self) -> None:
+        """Zero every statistic the engine accumulates, in place.
+
+        Coherence *state* (cache contents, directories, dirty bits,
+        slot occupancy) is untouched: this marks the start of a
+        measurement window on a warm machine.  Engines extend it with
+        their interconnect's counters.
+        """
+        self.stats = CoherenceStats()
+        for cache in self.caches:
+            cache.stats = CacheStats()
+        for bank in self.banks:
+            bank.reset_statistics()
+
+    def check_invariants(self) -> None:
+        """Verify cross-cache coherence invariants (tests call this)."""
+        owners: Dict[int, List[int]] = {}
+        sharers: Dict[int, List[int]] = {}
+        for node, cache in enumerate(self.caches):
+            for block_address, state in cache.resident_blocks().items():
+                if state is CacheState.WE:
+                    owners.setdefault(block_address, []).append(node)
+                else:
+                    sharers.setdefault(block_address, []).append(node)
+        for block_address, holding in owners.items():
+            if len(holding) > 1:
+                raise ProtocolError(
+                    f"block {block_address:#x} WE at nodes {holding}"
+                )
+            if block_address in sharers:
+                raise ProtocolError(
+                    f"block {block_address:#x} WE at {holding} and RS at "
+                    f"{sharers[block_address]}"
+                )
+
+
+class DirtyBitEngine(CoherenceEngine):
+    """Ownership kept as one dirty bit per block at its home.
+
+    The snooping ring, the bus and the ring hierarchy all keep it this
+    way: when the bit is clear the home memory owns the block and
+    answers; when it is set the dirty node does.
+    """
+
+    def __init__(self, sim: Simulator, config: SystemConfig) -> None:
+        super().__init__(sim, config)
+        #: One dirty bit per block, conceptually held at each block's
+        #: home memory (a single container is state-equivalent).
+        self.dirty_bits = DirtyBitDirectory()
+        #: Engine bookkeeping: block -> node currently holding WE
+        #: ownership (valid while the dirty bit is set).  A hardware
+        #: snooper identifies itself; the simulator needs the identity
+        #: to route the response.
+        self._dirty_node: Dict[int, int] = {}
+
+    def dirty_hint(self, address: int) -> bool:
+        return self.dirty_bits.is_dirty(self.address_map.block_of(address))
+
+    def owned_by(self, address: int, node: int) -> bool:
+        block = self.address_map.block_of(address)
+        return (
+            self.dirty_bits.is_dirty(block)
+            and self._dirty_node.get(block) == node
+        )
+
+    def coherence_view(self, block: int) -> tuple:
+        dirty = self.dirty_bits.is_dirty(block)
+        return ("dirty-bit", dirty, self._dirty_node.get(block) if dirty else None)
+
+    def dirty_owner(self, block: int) -> Optional[int]:
+        """The node whose cache owns ``block``, or ``None`` for the home.
+
+        Transactions snapshot this before their first yield: concurrent
+        shared-mode readers may transfer ownership while the
+        transaction is in flight, in which case the snapshot still
+        names a valid data supplier (the old owner keeps an RS copy).
+        A set bit without a recorded owner means a concurrent reader
+        committed the transfer between this transaction's lock grant
+        and its first slice: the home serves.
+        """
+        if not self.dirty_bits.is_dirty(block):
+            return None
+        return self._dirty_node.get(block)
+
+    def set_owner(self, block: int, node: int) -> None:
+        self.dirty_bits.set_dirty(block)
+        self._dirty_node[block] = node
+
+    def release_ownership(self, address: int) -> None:
+        block = self.address_map.block_of(address)
+        self.dirty_bits.clear_dirty(block)
+        self._dirty_node.pop(block, None)
+
+    def commit_downgrade(self, owner: int, block: int) -> None:
+        """Clear ``owner``'s dirty ownership after it served a read.
+
+        Gated so that of several concurrent shared-mode readers of the
+        dirty block, exactly one clears the dirty bit and issues the
+        off-critical-path memory update.
+        """
+        if self._dirty_node.get(block) == owner:
+            self.dirty_bits.clear_dirty(block)
+            self._dirty_node.pop(block, None)
+            self.sim.spawn(
+                self.sharing_writeback(owner, block), name=f"swb:n{owner}"
+            )
+
+    def _reclaim_from_buffer(
+        self, node: int, address: int, is_write: bool, start_ps: int
+    ) -> Step:
+        """Re-acquire a block pending in the local write-back buffer.
+
+        The block was evicted and its write-back has not drained yet:
+        no interconnect transaction is needed.  A write keeps the dirty
+        ownership (the queued write-back will abort when it finds the
+        new WE copy); a read surrenders it and turns the buffered data
+        into a memory update.
+        """
+        self.prepare_victim(node, address)
+        yield self.sim.timeout(self.config.memory.cache_response_ps)
+        if is_write:
+            self.fill(node, address, CacheState.WE)
+        else:
+            self.commit_downgrade(node, self.address_map.block_of(address))
+            self.fill(node, address, CacheState.RS)
+        self.stats.record_miss(MissClass.LOCAL_CLEAN, self.sim.now - start_ps)

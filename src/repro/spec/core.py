@@ -148,7 +148,7 @@ class ProtocolSpec:
     ``actions`` maps the protocol's micro-action names to generic ops
     (keys of :data:`OP_COMMITS`); ``view_style`` names the coherence
     metadata shape the protocol exposes to the checker (``dirty-bit``,
-    ``full-map``, ``list`` or ``owner``).
+    ``full-map`` or ``list``).
     """
 
     protocol: str
@@ -327,7 +327,7 @@ SPECS: Dict[str, ProtocolSpec] = {
     ),
     "hierarchical": _spec(
         "hierarchical",
-        "owner",
+        "dirty-bit",
         {
             "fill-shared": "fill-shared",
             "fill-exclusive": "fill-exclusive",

@@ -6,8 +6,8 @@ coherence metadata (a dirty flag and an ordered sharer chain, newest
 first).  From that single metadata shape every protocol's
 ``coherence_view`` is derived (``view_style``):
 
-* ``dirty-bit`` / ``owner`` -- ``(tag, dirty, owner-if-dirty)``; the
-  owner is the chain head (the last writer).
+* ``dirty-bit`` -- ``(tag, dirty, owner-if-dirty)``; the owner is the
+  chain head (the last writer).
 * ``full-map``  -- ``(tag, dirty, sorted(chain))``: presence bits.
 * ``list``      -- ``(tag, dirty, chain)``: SCI order, head first.
 
@@ -207,7 +207,7 @@ class SpecMachine:
     def view_of(self, line: int) -> tuple:
         meta = self.meta[line]
         style = self.spec.view_style
-        if style in ("dirty-bit", "owner"):
+        if style == "dirty-bit":
             owner = meta.chain[0] if meta.dirty and meta.chain else None
             return (style, meta.dirty, owner)
         if style == "full-map":

@@ -146,7 +146,7 @@ def test_bus_utilization_reported(setup):
     sim, engine = setup
     address = remote_shared_address(engine, 0)
     run_reference(sim, engine, 0, address, False)
-    assert 0.0 < engine.bus_utilization(sim.now) <= 1.0
+    assert 0.0 < engine.network_utilization(sim.now) <= 1.0
 
 
 def test_faster_bus_lowers_latency():

@@ -56,7 +56,7 @@ def permute_snapshot(state, node_perm, line_perm):
 def raw_relabel(view, node_perm):
     """Relabel a view's node ids while keeping the raw (None) encoding."""
     tag = view[0]
-    if tag in ("dirty-bit", "owner"):
+    if tag == "dirty-bit":
         _, dirty, owner = view
         return (tag, dirty, None if owner is None else node_perm[owner])
     if tag == "full-map":
@@ -134,7 +134,6 @@ def test_relabel_view_encodes_missing_owner_as_minus_one():
         True,
         -1,
     )
-    assert relabel_view(("owner", False, 0), (1, 0)) == ("owner", False, 1)
 
 
 def test_relabel_view_sorts_full_map_sharers():
