@@ -277,7 +277,13 @@ def step_alphabet(
 
 
 def validate_setup(
-    protocol: str, nodes: int, lines: int, symmetry: str = "full"
+    protocol: str,
+    nodes: int,
+    lines: int,
+    symmetry: str = "full",
+    *,
+    expansion: str = "engine",
+    races: bool = True,
 ) -> None:
     """Refuse a configuration the explorer cannot run, building nothing.
 
@@ -308,6 +314,17 @@ def validate_setup(
             f"nodes={nodes}, lines={lines}: symmetry group of order "
             f"{order} exceeds {MAX_GROUP_ORDER}; check fewer nodes or "
             f"lines"
+        )
+    if expansion not in EXPANSION_MODES:
+        raise ValueError(
+            f"unknown expansion mode {expansion!r}; "
+            f"expected one of {sorted(EXPANSION_MODES)}"
+        )
+    if expansion == "spec-only" and races:
+        raise ValueError(
+            "expansion=spec-only is exact for races=False only "
+            "(race arbitration belongs to the engine); use "
+            "expansion='spec' to check race steps"
         )
 
 
@@ -436,22 +453,13 @@ def explore(
     Raises ``ValueError`` (see :func:`validate_setup`) before building
     anything when the configuration is out of range.
     """
-    validate_setup(protocol, nodes, lines, symmetry)
-    if expansion not in EXPANSION_MODES:
-        raise ValueError(
-            f"unknown expansion mode {expansion!r}; "
-            f"expected one of {sorted(EXPANSION_MODES)}"
-        )
+    validate_setup(
+        protocol, nodes, lines, symmetry, expansion=expansion, races=races
+    )
     if expansion != "engine":
         if harness_factory is not EngineHarness:
             raise ValueError(
                 "expansion and harness_factory are mutually exclusive"
-            )
-        if expansion == "spec-only" and races:
-            raise ValueError(
-                "spec-only expansion is exact for races=False only "
-                "(race arbitration belongs to the engine); use "
-                "expansion='spec' to check race steps"
             )
         harness_factory = EXPANSION_MODES[expansion]
     alphabet = step_alphabet(nodes, lines, races=races)

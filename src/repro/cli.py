@@ -21,6 +21,7 @@ Commands mirror the library's layers:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Optional, Sequence
 
@@ -784,6 +785,19 @@ def _print_cache_summary(
     )
 
 
+def _period_ps(args: argparse.Namespace, option: str, rate: float) -> int:
+    """The clock period in ps of a rate in MHz (or MIPS); a rate whose
+    period is not a whole number of at least 1 ps is a usage error
+    naming ``option``."""
+    period = 1e6 / rate if rate > 0 else 0.0
+    if not 0.5 < period < math.inf:
+        args.usage_error(
+            f"{option}: must be > 0 with a clock period of at least "
+            f"1 ps, got {rate:g}"
+        )
+    return round(period)
+
+
 def _system_config(args: argparse.Namespace) -> SystemConfig:
     # Built in one step: a hierarchical size is checked against the
     # cluster count given, not against the default one.
@@ -791,11 +805,12 @@ def _system_config(args: argparse.Namespace) -> SystemConfig:
         num_processors=args.processors,
         protocol=_PROTOCOLS[args.protocol],
         ring=RingConfig(
-            clock_ps=round(1e6 / args.ring_mhz), clusters=args.clusters
+            clock_ps=_period_ps(args, "--ring-mhz", args.ring_mhz),
+            clusters=args.clusters,
         ),
-        bus=BusConfig(clock_ps=round(1e6 / args.bus_mhz)),
+        bus=BusConfig(clock_ps=_period_ps(args, "--bus-mhz", args.bus_mhz)),
         processor=ProcessorConfig(
-            cycle_ps=round(1e6 / args.mips),
+            cycle_ps=_period_ps(args, "--mips", args.mips),
             weak_ordering=args.weak_ordering,
         ),
     )
@@ -1115,7 +1130,14 @@ def _command_check(args: argparse.Namespace) -> int:
 
     try:
         if args.verb == "explore":
-            validate_setup(args.protocol, args.nodes, args.lines, args.symmetry)
+            validate_setup(
+                args.protocol,
+                args.nodes,
+                args.lines,
+                args.symmetry,
+                expansion=args.expansion,
+                races=not args.no_races,
+            )
         else:
             validate_walks(
                 args.protocol, args.nodes, args.lines, args.steps, args.num_seeds

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.check import InvariantMonitor, InvariantViolation
-from repro.core.config import CacheConfig, Protocol, SystemConfig
+from repro.core.config import CacheConfig, Protocol, RingConfig, SystemConfig
 from repro.core.experiment import run_simulation
 from repro.core.replication import replicate
 from repro.memory.cache import AccessOutcome
@@ -36,6 +36,24 @@ def test_monitored_simulation_is_clean_and_counts_commits(protocol):
     assert monitor.stats.full_sweeps >= 1  # finalize() at minimum
     assert monitor.last_violation is None
     assert "0 violations" in monitor.summary()
+
+
+@pytest.mark.parametrize("protocol", list(Protocol), ids=lambda p: p.value)
+def test_every_engine_reports_misses_and_writebacks_to_the_monitor(protocol):
+    # Small caches force victims, so every engine's write-back commit
+    # point is exercised; each completed write-back is one commit.
+    monitor = InvariantMonitor(full_check_every=64)
+    config = SystemConfig(
+        num_processors=8,
+        protocol=protocol,
+        ring=RingConfig(clusters=2),
+        cache=CacheConfig(size_bytes=1024),
+    )
+    result = run_simulation("mp3d", config, data_refs=1_500, monitor=monitor)
+    assert monitor.stats.commits > 0
+    assert result.stats.writebacks > 0
+    assert monitor.stats.by_action["WRITEBACK"] == result.stats.writebacks
+    assert monitor.last_violation is None
 
 
 def test_check_invariants_flag_builds_a_monitor():

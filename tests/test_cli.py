@@ -252,6 +252,27 @@ def test_simulate_refuses_negative_refs(capsys):
     assert "error: -r/--refs: must be >= 1, got -5" in err
 
 
+def test_simulate_refuses_zero_mips(capsys):
+    err = _usage_error(
+        capsys, ["simulate", "mp3d", "-p", "4", "-r", "100", "--mips", "0"]
+    )
+    assert "error: --mips: must be > 0" in err
+
+
+def test_simulate_refuses_zero_ring_mhz(capsys):
+    err = _usage_error(
+        capsys, ["simulate", "mp3d", "-p", "4", "-r", "100", "--ring-mhz", "0"]
+    )
+    assert "error: --ring-mhz: must be > 0" in err
+
+
+def test_simulate_refuses_zero_bus_mhz(capsys):
+    err = _usage_error(
+        capsys, ["simulate", "mp3d", "-p", "4", "-r", "100", "--bus-mhz", "0"]
+    )
+    assert "error: --bus-mhz: must be > 0" in err
+
+
 def test_check_explore_all_protocols(capsys):
     for protocol in ("snooping", "directory", "linkedlist"):
         code, out = run_cli(
@@ -389,6 +410,24 @@ def test_check_explore_refuses_a_bad_setup_as_a_usage_error(
     assert "usage: repro check explore" in err
     assert "--nodes" in err
     assert reason in err
+    assert "Traceback" not in err
+
+
+def test_check_explore_refuses_spec_only_with_races_naming_expansion(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(
+            [
+                "check",
+                "explore",
+                "--protocol",
+                "snooping",
+                "--expansion",
+                "spec-only",
+            ]
+        )
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: --expansion: expansion=spec-only is exact for " in err
     assert "Traceback" not in err
 
 

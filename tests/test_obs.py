@@ -21,8 +21,10 @@ import pathlib
 import pytest
 
 import repro
+from repro.core.config import Protocol, RingConfig, SystemConfig
 from repro.core.experiment import run_simulation
 from repro.core.store import result_to_jsonable
+from repro.memory.cache import AccessOutcome
 from repro.obs import Histogram, Histograms, TraceEvent, Tracer
 from tests.conftest import simulation_modules
 
@@ -161,6 +163,25 @@ def test_traced_run_is_bit_identical_to_untraced():
     assert plain.telemetry is not None
     assert plain.telemetry == traced.telemetry
     assert plain.telemetry.miss_latency
+
+
+def test_traced_hierarchical_run_emits_miss_events():
+    tracer = Tracer()
+    config = SystemConfig(
+        num_processors=8,
+        protocol=Protocol.HIERARCHICAL,
+        ring=RingConfig(clusters=2),
+    )
+    run_simulation("mp3d", config, data_refs=REFS, tracer=tracer)
+    misses = [
+        event
+        for event in tracer.events()
+        if event.name == "miss" and event.category == "ring.hierarchical"
+    ]
+    assert misses
+    assert {event.args["outcome"] for event in misses} <= {
+        outcome.name for outcome in AccessOutcome
+    }
 
 
 # ----------------------------------------------------------------------
