@@ -1571,6 +1571,7 @@ def _command_jobs(args: argparse.Namespace) -> int:
         f"submitted={stats['submitted']} coalesced={stats['coalesced']} "
         f"executions_started={stats['executions_started']} "
         f"completed={stats['completed']} failed={stats['failed']} "
+        f"answers_reused={stats['answers_reused']} "
         f"inflight={stats['inflight']}",
         file=sys.stderr,
     )

@@ -120,39 +120,95 @@ class HierarchicalRingSystem(DirtyBitEngine):
     # ------------------------------------------------------------------
     # Ring message primitives
     # ------------------------------------------------------------------
+    def _ring_node(self, cluster: int, position: int) -> int:
+        """The node id a traced message names for a local-ring position:
+        the processing node, or ``P + cluster`` for the cluster's IRI
+        (the global ring's positions are those IRIs)."""
+        if position == self.per_cluster:
+            return self.config.num_processors + cluster
+        return cluster * self.per_cluster + position
+
+    def _trace_message(
+        self,
+        scheduler: SlotScheduler,
+        grant: SlotGrant,
+        cycles: int,
+        kind: str,
+        src: int,
+        dst: int,
+    ) -> None:
+        """Report one ring message to the tracer, as the flat rings'
+        ``send_probe``/``send_block``/``broadcast_probe`` do."""
+        self.sim.tracer.message(
+            scheduler.cycle_to_ps(grant.grab_cycle),
+            scheduler.cycle_to_ps(cycles),
+            self.trace_category,
+            kind,
+            src,
+            dst,
+        )
+
     def _local_broadcast(self, cluster: int, position: int, address: int) -> Step:
         """Broadcast a probe on one local ring; returns the grant."""
-        grant: SlotGrant = yield from self.local_schedulers[cluster].acquire(
+        scheduler = self.local_schedulers[cluster]
+        stages = self.local_topology.total_stages
+        grant: SlotGrant = yield from scheduler.acquire(
             position,
             self.probe_type_for(address),
-            occupancy_cycles=self.local_topology.total_stages,
+            occupancy_cycles=stages,
             removed_by=position,
         )
         self.stats.probes_sent += 1
         self.stats.broadcast_probes += 1
+        if self.sim.tracer is not None:
+            node = self._ring_node(cluster, position)
+            self._trace_message(
+                scheduler, grant, stages, "probe.broadcast", node, node
+            )
         return grant
 
     def _global_broadcast(self, cluster: int, address: int) -> Step:
+        stages = self.global_topology.total_stages
         grant: SlotGrant = yield from self.global_scheduler.acquire(
             cluster,
             self.probe_type_for(address),
-            occupancy_cycles=self.global_topology.total_stages,
+            occupancy_cycles=stages,
             removed_by=cluster,
         )
         self.stats.probes_sent += 1
         self.stats.broadcast_probes += 1
+        if self.sim.tracer is not None:
+            iri = self._ring_node(cluster, self.per_cluster)
+            self._trace_message(
+                self.global_scheduler,
+                grant,
+                stages,
+                "probe.broadcast",
+                iri,
+                iri,
+            )
         return grant
 
     def _local_block(self, cluster: int, src: int, dst: int) -> Step:
         """Block message on a local ring; returns tail-arrival cycle."""
+        scheduler = self.local_schedulers[cluster]
         if src == dst:
-            return self.local_schedulers[cluster].ps_to_next_cycle(self.sim.now)
+            return scheduler.ps_to_next_cycle(self.sim.now)
         distance = self.local_topology.distance(src, dst)
-        grant: SlotGrant = yield from self.local_schedulers[cluster].acquire(
+        grant: SlotGrant = yield from scheduler.acquire(
             src, SlotType.BLOCK, occupancy_cycles=distance, removed_by=dst
         )
         self.stats.blocks_sent += 1
         arrival = grant.grab_cycle + distance + self.layout.block_stages
+        if self.sim.tracer is not None:
+            self._trace_message(
+                scheduler,
+                grant,
+                arrival - grant.grab_cycle,
+                "block",
+                self._ring_node(cluster, src),
+                self._ring_node(cluster, dst),
+            )
         yield from self.wait_until_cycle(arrival)
         return arrival
 
@@ -168,6 +224,15 @@ class HierarchicalRingSystem(DirtyBitEngine):
         )
         self.stats.blocks_sent += 1
         arrival = grant.grab_cycle + distance + self.layout.block_stages
+        if self.sim.tracer is not None:
+            self._trace_message(
+                self.global_scheduler,
+                grant,
+                arrival - grant.grab_cycle,
+                "block",
+                self._ring_node(src_cluster, self.per_cluster),
+                self._ring_node(dst_cluster, self.per_cluster),
+            )
         yield from self.wait_until_cycle(arrival)
         return arrival
 
@@ -414,7 +479,9 @@ class HierarchicalRingSystem(DirtyBitEngine):
     # Reporting
     # ------------------------------------------------------------------
     def network_utilization(self, elapsed_ps: int) -> float:
-        """Stage-weighted mean utilisation over all rings."""
+        """The plain mean of every ring's aggregate utilisation: each
+        local ring and the global ring count once, whatever their
+        number of stages (so this is not a stage-weighted mean)."""
         schedulers = list(self.local_schedulers) + [self.global_scheduler]
         total = sum(
             scheduler.aggregate_utilization(elapsed_ps)

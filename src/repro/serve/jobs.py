@@ -16,9 +16,17 @@ one workload trace across many ring configurations.  Cancelling a job
 detaches its subscription; the shared execution is only cancelled when
 its last subscriber leaves.
 
+Answer reuse is the mapping across time: the registry indexes the last
+finished execution of every fingerprint, and a later execution with
+the same fingerprint hands out that execution's result payload and
+telemetry histograms -- the same objects -- instead of building them
+again.  The index holds only executions the registry keeps anyway.
+
 All registry state is mutated on the daemon's event loop thread only
 (worker threads post mutations through ``call_soon_threadsafe``), so
-there are no locks here.
+there are no locks here.  The one exception is a running execution's
+own ``telemetry``, which its runner sets before the execution is
+finished and indexed.
 """
 
 from __future__ import annotations
@@ -64,6 +72,9 @@ class Execution:
     #: NDJSON event history; late subscribers replay it from index 0.
     events: List[Dict[str, Any]] = field(default_factory=list)
     result: Optional[Dict[str, Any]] = None
+    #: The extraction's telemetry histograms in JSON form (the
+    #: ``telemetry`` event's body), if the job kind has them.
+    telemetry: Optional[Dict[str, Any]] = None
     error: Optional[str] = None
     #: Full formatted traceback of a failed run -- the ``error``
     #: one-liner alone is often useless for diagnosing a runner bug
@@ -139,13 +150,17 @@ class Job:
 
 
 class JobRegistry:
-    """Jobs, executions, and the in-flight coalescing index."""
+    """Jobs, executions, the in-flight coalescing index and the
+    finished-answer index."""
 
     def __init__(self) -> None:
         self.jobs: Dict[str, Job] = {}
         self.executions: Dict[str, Execution] = {}
         #: fingerprint -> execution currently pending/running.
         self.inflight: Dict[str, Execution] = {}
+        #: fingerprint -> the last execution that finished DONE; its
+        #: result and telemetry answer later executions of the key.
+        self.answers: Dict[str, Execution] = {}
         self.counters: Dict[str, int] = {
             "submitted": 0,
             "coalesced": 0,
@@ -154,6 +169,7 @@ class JobRegistry:
             "failed": 0,
             "cancelled_jobs": 0,
             "cancelled_executions": 0,
+            "answers_reused": 0,
         }
         self._next_job = 0
         self._next_execution = 0
@@ -202,13 +218,18 @@ class JobRegistry:
         return True
 
     def finish(self, execution: Execution, state: JobState) -> None:
-        """Move an execution out of the in-flight index, terminally."""
+        """Move an execution out of the in-flight index, terminally; a
+        DONE one becomes its fingerprint's answer."""
         execution.state = state
         execution.finished_s = time.time()
         if self.inflight.get(execution.key) is execution:
             del self.inflight[execution.key]
         if state is JobState.DONE:
             self.counters["completed"] += 1
+            previous = self.answers.get(execution.key)
+            if previous is not None and previous.result is execution.result:
+                self.counters["answers_reused"] += 1
+            self.answers[execution.key] = execution
         elif state is JobState.FAILED:
             self.counters["failed"] += 1
 

@@ -324,7 +324,9 @@ def points_for(spec: JobSpec) -> List["SweepPoint"]:
     return []
 
 
-def spec_fingerprint(spec: JobSpec, store) -> str:
+def spec_fingerprint(
+    spec: JobSpec, store, points: Optional[List["SweepPoint"]] = None
+) -> str:
     """The coalescing key: submissions sharing it share one execution.
 
     Simulation-backed kinds hash the :meth:`ResultStore.key_for`
@@ -335,7 +337,8 @@ def spec_fingerprint(spec: JobSpec, store) -> str:
     parameter axes).  The target protocol is needed because a ``bus``
     job extracts through the same snooping point as a ``snooping`` one
     but answers with the bus model.  ``check`` jobs hash their
-    canonical spec.
+    canonical spec.  ``points``, when given, is ``points_for(spec)``
+    already built by the caller.
     """
     setup: Dict[str, Any] = {"kind": spec.kind}
     if spec.kind == "check":
@@ -345,7 +348,7 @@ def spec_fingerprint(spec: JobSpec, store) -> str:
             store.key_for(
                 point.benchmark, point.data_refs, point.resolved_config()
             )
-            for point in points_for(spec)
+            for point in (points_for(spec) if points is None else points)
         ]
         model_params = {
             key: value
@@ -445,6 +448,8 @@ def run_job(
     progress=None,
     cancel=None,
     telemetry=None,
+    key: Optional[str] = None,
+    answer: Optional[Tuple[Dict[str, Any], Optional[Dict[str, Any]]]] = None,
 ) -> Dict[str, Any]:
     """Run one validated job and return its result payload.
 
@@ -454,8 +459,16 @@ def run_job(
     finish with the library call for the kind: ``sweep_from_result``,
     ``surface_from_result`` or the simulation itself.  ``check`` runs
     the explorer, unless the store already holds this spec's finished
-    payload.  ``telemetry``, when given, receives the extraction's
-    histograms (``sweep`` and ``simulate``).
+    payload under ``key`` (its :func:`spec_fingerprint`, computed here
+    when not given).  ``telemetry``, when given, receives the
+    extraction's histograms (``sweep`` and ``simulate``).
+
+    ``answer`` is an earlier run's ``(payload, histograms)`` for a spec
+    with the same fingerprint.  The points still run through the
+    scheduler, so progress, cancellation and the cache-hit counters
+    are those of this run, but the payload and histograms are handed
+    back as they are instead of being built again; a ``check`` job
+    returns the payload without reading the store.
     """
     from repro.core.parallel import PointScheduler, SweepCancelled
 
@@ -466,8 +479,11 @@ def run_job(
 
         if cancel is not None and cancel.is_set():
             raise SweepCancelled("cancelled before exploration started")
+        if answer is not None:
+            return answer[0]
         store = get_result_store()
-        key = spec_fingerprint(spec, store)
+        if key is None:
+            key = spec_fingerprint(spec, store)
         payload = store.get_blob("check", key)
         if payload is None:
             payload = check_payload(
@@ -491,6 +507,11 @@ def run_job(
         progress=progress,
         cancel=cancel,
     ).run().results
+    if answer is not None:
+        payload, histograms = answer
+        if telemetry is not None and histograms is not None:
+            telemetry(histograms)
+        return payload
     if spec.kind == "grid":
         from repro.core.hybrid import surface_from_result
 

@@ -4,7 +4,13 @@ One :class:`JobScheduler` owns the bridge between the asyncio control
 plane and the blocking experiment machinery:
 
 * submissions are fingerprinted (:func:`repro.serve.protocol.
-  spec_fingerprint`) and coalesced through the :class:`JobRegistry`;
+  spec_fingerprint`, once per distinct canonical spec while the active
+  store and its generation stay the same) and coalesced through the
+  :class:`JobRegistry`;
+* an execution whose fingerprint already has a finished answer in the
+  registry still runs its points (a memo hit, which keeps its progress
+  events and counters), then hands out that answer's payload and
+  histograms instead of building them again;
 * each new execution is driven by one asyncio task that runs the
   job through :func:`repro.serve.protocol.run_job` in a worker thread
   (``asyncio.to_thread``) -- the same executor the CLI verbs call;
@@ -26,17 +32,19 @@ blocks until cancelled) without touching sockets or simulations.
 from __future__ import annotations
 
 import asyncio
+import json
 import threading
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from typing import Any, AsyncIterator, Dict, Optional
+from typing import Any, AsyncIterator, Dict, Optional, Tuple
 
 from repro.core.parallel import SweepCancelled, worker_pool
 from repro.core.store import get_result_store
 from repro.serve.jobs import Execution, Job, JobRegistry, JobState
 from repro.serve.protocol import (
     JOB_KINDS,
+    JobSpec,
     parse_spec,
     points_for,
     run_job,
@@ -49,16 +57,27 @@ __all__ = ["JobScheduler"]
 def _run(scheduler: "JobScheduler", ex: Execution) -> Dict[str, Any]:
     """The runner of every job kind: :func:`run_job` wired to the
     daemon's shared pool, the execution's progress sink, its cancel
-    event and its telemetry event.  Blocking; runs in a worker thread.
+    event, its telemetry event and the fingerprint's finished answer,
+    if there is one.  Blocking; runs in a worker thread.
     """
+    # One dict read; the loop thread alone writes the index.
+    previous = scheduler.registry.answers.get(ex.key)
+
+    def telemetry(histograms):
+        # Set before run_job returns, so before finish() indexes ``ex``.
+        ex.telemetry = histograms
+        scheduler._post(ex, {"event": "telemetry", "histograms": histograms})
+
     return run_job(
         ex.spec,
         jobs=scheduler.jobs,
         pool=None if ex.spec.kind == "check" else scheduler.shared_pool(),
         progress=scheduler._progress_sink(ex),
         cancel=ex.cancel_requested,
-        telemetry=lambda histograms: scheduler._post(
-            ex, {"event": "telemetry", "histograms": histograms}
+        telemetry=telemetry,
+        key=ex.key,
+        answer=(
+            None if previous is None else (previous.result, previous.telemetry)
         ),
     )
 
@@ -76,6 +95,10 @@ class JobScheduler:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_lock = threading.Lock()
+        #: canonical spec JSON -> (fingerprint, point count), valid for
+        #: the store and generation salt in :attr:`_fingerprint_epoch`.
+        self._fingerprints: Dict[str, Tuple[str, int]] = {}
+        self._fingerprint_epoch: Optional[Tuple[Any, str]] = None
 
     # ------------------------------------------------------------------
     # Shared worker pool
@@ -103,14 +126,35 @@ class JobScheduler:
         if self._loop is None:
             self._loop = asyncio.get_running_loop()
         spec = parse_spec(payload)
-        key = spec_fingerprint(spec, get_result_store())
+        key, total_points = self._fingerprint(spec)
         job, created = self.registry.submit(spec, key)
         execution = job.execution
         if created:
             execution.update = asyncio.Event()
-            execution.total_points = len(points_for(spec))
+            execution.total_points = total_points
             execution.task = self._loop.create_task(self._drive(execution))
         return job
+
+    def _fingerprint(self, spec: JobSpec) -> Tuple[str, int]:
+        """``spec``'s fingerprint and point count, computed once per
+        canonical spec.  Simulation fingerprints hash the store's
+        generation salt, so a swapped or invalidated store starts a new
+        epoch: the memo and the finished answers are dropped."""
+        store = get_result_store()
+        epoch = (store, store._salt())
+        if self._fingerprint_epoch != epoch:
+            self._fingerprint_epoch = epoch
+            self._fingerprints.clear()
+            self.registry.answers.clear()
+        canonical = json.dumps(
+            spec.to_jsonable(), sort_keys=True, separators=(",", ":")
+        )
+        entry = self._fingerprints.get(canonical)
+        if entry is None:
+            points = points_for(spec)
+            entry = (spec_fingerprint(spec, store, points), len(points))
+            self._fingerprints[canonical] = entry
+        return entry
 
     def cancel_job(self, job_id: str) -> Optional[Job]:
         """Detach one subscriber; cancel the execution if it was the

@@ -409,6 +409,8 @@ class ServeDaemon:
             removed = get_result_store().cleanup_stale_tmp(min_age)
             return 200, {"removed": removed}
         if path == "/store/purge" and method == "POST":
+            # The next execution of each fingerprint builds its answer.
+            self.scheduler.registry.answers.clear()
             return 200, {"purged": get_result_store().purge()}
         if path == "/shutdown" and method == "POST":
             return 200, {"ok": True, "stopping": True}

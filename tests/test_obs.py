@@ -184,6 +184,28 @@ def test_traced_hierarchical_run_emits_miss_events():
     }
 
 
+def test_traced_hierarchical_run_emits_ring_messages():
+    tracer = Tracer()
+    config = SystemConfig(
+        num_processors=8,
+        protocol=Protocol.HIERARCHICAL,
+        ring=RingConfig(clusters=2),
+    )
+    run_simulation("mp3d", config, data_refs=REFS, tracer=tracer)
+    messages = [
+        event
+        for event in tracer.events()
+        if event.category == "ring.hierarchical"
+        and event.name.startswith("msg.")
+    ]
+    names = {event.name for event in messages}
+    assert names == {"msg.probe.broadcast", "msg.block"}
+    # Processing nodes are 0..7; the two IRIs are named 8 and 9.
+    ends = {event.args[end] for event in messages for end in ("src", "dst")}
+    assert ends <= set(range(10)) and {8, 9} & ends
+    assert all(event.dur_ps > 0 for event in messages)
+
+
 # ----------------------------------------------------------------------
 # Chrome export of a real run
 # ----------------------------------------------------------------------

@@ -9,8 +9,13 @@ and the CI smoke job use.  The contracts pinned here:
   :func:`repro.core.hybrid.hybrid_sweep` (JSON floats round-trip
   exactly, so equality is exact), and a served check equals the
   synchronous :func:`repro.check.explore` report;
-* a finished check is answered from the store when resubmitted, and
-  a spec that differs only in its bounds is searched afresh;
+* a resubmitted job of any kind is answered with the finished
+  execution's payload and histograms, the same objects, with the
+  events a rebuilt answer would have; each distinct spec is
+  fingerprinted once, and store invalidation and purge drop the
+  answers; repeated jobs retain little memory;
+* a finished check is answered from the store by a restarted daemon,
+  and a spec that differs only in its bounds is searched afresh;
 * two identical concurrent submissions coalesce onto one execution --
   one simulation, two subscribers, both get the result;
 * cancelling one subscriber of a shared execution leaves it running;
@@ -155,9 +160,22 @@ def test_served_check_equals_sync_and_is_cached_by_its_spec(
     assert payload == check_payload(real_explore("snooping", nodes=2))
     assert "EXHAUSTIVE" in payload["summary"] and len(searches) == 1
 
-    # A second identical submission after completion is a store hit.
+    # A second identical submission after completion is answered from
+    # the finished execution, without reading the store.
     hits = temp_store.blob_hits
     assert served(CHECK_SPEC) == payload
+    assert temp_store.blob_hits == hits and len(searches) == 1
+    assert client.stats()["answers_reused"] == 1
+
+    # The stored blob answers a restarted daemon without a search.
+    restarted = ServeDaemon(port=0, jobs=1).start_in_thread()
+    try:
+        again = ServeClient(restarted.url, timeout=120.0)
+        job = again.wait(again.submit(CHECK_SPEC)["job"])
+        assert again.result(job["job"]) == payload
+    finally:
+        restarted.stop()
+        restarted.join(timeout=30)
     assert temp_store.blob_hits == hits + 1 and len(searches) == 1
 
     # The bounds are part of the key: another max_depth is searched.
@@ -249,6 +267,153 @@ def test_bus_and_ring_jobs_on_one_extraction_do_not_coalesce(
         operating_point_row(point) for point in expected.points
     ]
     assert bus_payload["points"] != ring_payload["points"]
+
+
+# ----------------------------------------------------------------------
+# Answer reuse
+# ----------------------------------------------------------------------
+REUSED_SPECS = {
+    "sweep": SWEEP_SPEC,
+    "grid": {
+        **SWEEP_SPEC,
+        "kind": "grid",
+        "cycles_ns": [2, 5],
+        "parameters": {"ring_width_bits": [16, 32]},
+    },
+    "simulate": {**SWEEP_SPEC, "kind": "simulate", "seed": 7},
+    "check": CHECK_SPEC,
+}
+
+
+def _without_timing(events):
+    return [
+        {
+            key: value
+            for key, value in event.items()
+            if key not in ("seq", "wall_s")
+        }
+        for event in events
+    ]
+
+
+@pytest.mark.parametrize("kind", sorted(REUSED_SPECS))
+def test_repeat_submissions_reuse_the_first_answer(daemon, client, kind):
+    from repro.serve.protocol import run_job
+
+    spec = REUSED_SPECS[kind]
+    registry = daemon.scheduler.registry
+    executions = []
+    for _ in range(3):
+        job = client.wait(client.submit(spec)["job"])
+        assert job["state"] == "done", job
+        executions.append(registry.jobs[job["job"]].execution)
+    first, second, third = executions
+    assert len({execution.id for execution in executions}) == 3
+    # The repeats hand out the first execution's objects, unchanged.
+    assert second.result is first.result and third.result is first.result
+    assert second.telemetry is first.telemetry
+    assert third.telemetry is first.telemetry
+    assert (first.telemetry is None) == (kind in ("grid", "check"))
+    assert client.stats()["answers_reused"] == 2
+    expected = json.loads(json.dumps(run_job(parse_spec(spec))))
+    assert client.result(third.job_ids[0]) == expected
+    assert json.loads(json.dumps(first.result)) == expected
+    # Progress, telemetry and terminal events are what a rebuilt
+    # answer would have produced.
+    second_events = list(client.events(second.job_ids[0]))
+    third_events = list(client.events(third.job_ids[0]))
+    assert _without_timing(second_events) == _without_timing(third_events)
+    if first.telemetry is not None:
+        (telemetry,) = [e for e in third_events if e["event"] == "telemetry"]
+        assert telemetry["histograms"] == first.telemetry
+
+
+@pytest.fixture
+def fingerprints(monkeypatch):
+    """Count every :func:`spec_fingerprint` call, wherever it is made."""
+    import repro.serve.protocol
+    import repro.serve.scheduler
+
+    calls = []
+
+    def counting(spec, *args, **kwargs):
+        calls.append(spec.kind)
+        return spec_fingerprint(spec, *args, **kwargs)
+
+    monkeypatch.setattr(repro.serve.scheduler, "spec_fingerprint", counting)
+    monkeypatch.setattr(repro.serve.protocol, "spec_fingerprint", counting)
+    return calls
+
+
+def test_fingerprint_runs_once_per_distinct_spec(fingerprints, client):
+    # The explicit default protocol is the same canonical spec.
+    explicit = {**SWEEP_SPEC, "protocol": "snooping"}
+    for spec in (SWEEP_SPEC, SWEEP_SPEC, explicit):
+        client.wait(client.submit(spec)["job"])
+    assert fingerprints == ["sweep"]
+    for _ in range(2):
+        client.wait(client.submit(CHECK_SPEC)["job"])
+    client.wait(client.submit({**SWEEP_SPEC, "protocol": "bus"})["job"])
+    assert fingerprints == ["sweep", "check", "sweep"]
+    record = client.job(client.submit(SWEEP_SPEC)["job"])
+    assert record["total_points"] == 1
+
+
+def test_invalidate_and_purge_drop_the_finished_answers(
+    temp_store, fingerprints, daemon, client
+):
+    registry = daemon.scheduler.registry
+
+    def served():
+        job = client.wait(client.submit(SWEEP_SPEC)["job"])
+        return registry.jobs[job["job"]].execution
+
+    first = served()
+    assert served().result is first.result and fingerprints == ["sweep"]
+
+    # A new store generation re-keys the spec: fingerprinted afresh,
+    # answered afresh.
+    temp_store.invalidate()
+    renewed = served()
+    assert fingerprints == ["sweep", "sweep"]
+    assert renewed.key != first.key
+    assert renewed.result is not first.result
+    assert renewed.result == first.result
+
+    # A purge keeps the fingerprint but drops the answer.
+    assert served().result is renewed.result
+    client.store_purge()
+    rebuilt = served()
+    assert fingerprints == ["sweep", "sweep"]
+    assert rebuilt.key == renewed.key
+    assert rebuilt.result is not renewed.result
+    assert rebuilt.result == renewed.result
+    assert client.stats()["answers_reused"] == 2
+
+
+def test_cached_jobs_retain_little_memory(client):
+    # The registry keeps every job for the daemon's life (it is still
+    # unbounded); what a repeated job adds to it must stay small, since
+    # its payload and histograms are the first execution's.
+    import gc
+    import tracemalloc
+
+    jobs = 200
+    for _ in range(5):  # warm up: fill the store, the memo, the index
+        client.wait(client.submit(SWEEP_SPEC)["job"])
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(jobs):
+            job = client.submit(SWEEP_SPEC)["job"]
+            client.wait(job)
+            client.result(job)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained / jobs < 8 * 1024, f"{retained / jobs:.0f} B per job"
 
 
 # ----------------------------------------------------------------------
