@@ -29,7 +29,7 @@ into design surfaces).
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import Protocol, SystemConfig
 from repro.core.experiment import DEFAULT_DATA_REFS, run_simulation
@@ -43,56 +43,19 @@ __all__ = [
 ]
 
 
-def _set_cache_size(config: SystemConfig, value: int) -> SystemConfig:
-    return replace(config, cache=replace(config.cache, size_bytes=value))
-
-
-def _set_memory_access(config: SystemConfig, value: int) -> SystemConfig:
-    return replace(config, memory=replace(config.memory, access_ps=value))
-
-
-def _set_ring_width(config: SystemConfig, value: int) -> SystemConfig:
-    return replace(config, ring=replace(config.ring, width_bits=value))
-
-
-def _set_ring_clock(config: SystemConfig, value: int) -> SystemConfig:
-    return replace(config, ring=replace(config.ring, clock_ps=value))
-
-
-def _set_block_size(config: SystemConfig, value: int) -> SystemConfig:
-    return replace(config, cache=replace(config.cache, block_size=value))
-
-
-def _set_num_processors(config: SystemConfig, value: int) -> SystemConfig:
-    return replace(config, num_processors=value)
-
-
-def _set_bus_clock(config: SystemConfig, value: int) -> SystemConfig:
-    return replace(config, bus=replace(config.bus, clock_ps=value))
-
-
-def _set_cache_response(config: SystemConfig, value: int) -> SystemConfig:
-    return replace(
-        config, memory=replace(config.memory, cache_response_ps=value)
-    )
-
-
-def _set_directory_lookup(config: SystemConfig, value: int) -> SystemConfig:
-    return replace(
-        config, memory=replace(config.memory, directory_lookup_ps=value)
-    )
-
-
-SUPPORTED_PARAMETERS: Dict[str, Callable[[SystemConfig, int], SystemConfig]] = {
-    "cache_size_bytes": _set_cache_size,
-    "memory_access_ps": _set_memory_access,
-    "ring_width_bits": _set_ring_width,
-    "ring_clock_ps": _set_ring_clock,
-    "block_size": _set_block_size,
-    "num_processors": _set_num_processors,
-    "bus_clock_ps": _set_bus_clock,
-    "cache_response_ps": _set_cache_response,
-    "directory_lookup_ps": _set_directory_lookup,
+#: Parameter name -> where it lives in a :class:`SystemConfig`, as
+#: ``(part, field)``: ``config.<part>.<field>``, or ``config.<field>``
+#: when ``part`` is None.  The one declaration of every parameter.
+SUPPORTED_PARAMETERS: Dict[str, Tuple[Optional[str], str]] = {
+    "cache_size_bytes": ("cache", "size_bytes"),
+    "memory_access_ps": ("memory", "access_ps"),
+    "ring_width_bits": ("ring", "width_bits"),
+    "ring_clock_ps": ("ring", "clock_ps"),
+    "block_size": ("cache", "block_size"),
+    "num_processors": (None, "num_processors"),
+    "bus_clock_ps": ("bus", "clock_ps"),
+    "cache_response_ps": ("memory", "cache_response_ps"),
+    "directory_lookup_ps": ("memory", "directory_lookup_ps"),
 }
 
 
@@ -101,13 +64,17 @@ def apply_parameter(
 ) -> SystemConfig:
     """A copy of ``config`` with one supported parameter changed."""
     try:
-        setter = SUPPORTED_PARAMETERS[parameter]
+        part, name = SUPPORTED_PARAMETERS[parameter]
     except KeyError:
         options = ", ".join(sorted(SUPPORTED_PARAMETERS))
         raise KeyError(
             f"unknown parameter {parameter!r}; supported: {options}"
         ) from None
-    return setter(config, value)
+    if part is None:
+        return replace(config, **{name: value})
+    return replace(
+        config, **{part: replace(getattr(config, part), **{name: value})}
+    )
 
 
 def sensitivity_sweep(

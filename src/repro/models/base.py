@@ -61,6 +61,7 @@ __all__ = [
     "SCALAR",
     "SOLVER_STATS",
     "SYSTEM_FIELDS",
+    "SYSTEM_PATHS",
     "config_row",
     "converged",
     "family_for_protocol",
@@ -370,17 +371,23 @@ def weighted_latencies(latencies, weights, xp):
 #: piece once per distinct value; :func:`config_row` joins all three
 #: for one point.  All values are exactly representable in float64
 #: (small ints and ps quantities far below 2**53).
-SYSTEM_FIELDS = (
-    "processors",
-    "clock_ps",
-    "access_ps",
-    "cache_response_ps",
-    "lookup_ps",
-    "bus_clock_ps",
-    "bus_request_cycles",
-    "bus_reply_cycles",
-    "bus_writeback_cycles",
-)
+#:
+#: Each system field with where :func:`system_values` reads it, as
+#: ``(part, field)`` in the form of
+#: ``repro.core.sensitivity.SUPPORTED_PARAMETERS``: the grid engine
+#: matches a parameter axis to the columns it sets by this path.
+SYSTEM_PATHS = {
+    "processors": (None, "num_processors"),
+    "clock_ps": ("ring", "clock_ps"),
+    "access_ps": ("memory", "access_ps"),
+    "cache_response_ps": ("memory", "cache_response_ps"),
+    "lookup_ps": ("memory", "directory_lookup_ps"),
+    "bus_clock_ps": ("bus", "clock_ps"),
+    "bus_request_cycles": ("bus", "request_cycles"),
+    "bus_reply_cycles": ("bus", "reply_cycles"),
+    "bus_writeback_cycles": ("bus", "writeback_cycles"),
+}
+SYSTEM_FIELDS = tuple(SYSTEM_PATHS)
 GEOMETRY_FIELDS = (
     "ring_cycles",
     "frame_stages",
@@ -413,7 +420,9 @@ CONFIG_FIELDS = SYSTEM_FIELDS + GEOMETRY_FIELDS + INPUT_FIELDS
 
 
 def system_values(config: SystemConfig) -> Tuple[float, ...]:
-    """The :data:`SYSTEM_FIELDS` of ``config``, in that order."""
+    """The :data:`SYSTEM_FIELDS` of ``config``, in that order (read
+    attribute by attribute, not through :data:`SYSTEM_PATHS`: every
+    scalar model construction calls this)."""
     memory = config.memory
     bus = config.bus
     return (

@@ -59,6 +59,8 @@ enforce that.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -74,6 +76,7 @@ from repro.models.base import (
     INPUT_FIELDS,
     MAX_ITERATIONS,
     SYSTEM_FIELDS,
+    SYSTEM_PATHS,
     TOLERANCE,
     config_row,
     converged as has_converged,
@@ -180,11 +183,11 @@ class ModelGrid:
         processor-cycle sweep (default: the paper's 1-20 ns axis).
 
         Layout is configuration-major, so each configuration's cycle
-        sweep is one contiguous warm-start chain.  The build does per
-        distinct value what it can: each axis value is applied once per
-        prefix of the earlier axes, the ring geometry is built once per
-        distinct ``(ring, block size, processors)``, and ``inputs`` is
-        flattened once.  An empty axis raises ``ValueError``.
+        sweep is one contiguous warm-start chain.  The columns are laid
+        out from the axes (:func:`_product_table`), not from one
+        configuration per combination, and ``inputs`` is flattened
+        once.  An empty axis raises ``ValueError``; a combination that
+        cannot be built raises what building it alone would.
         """
         _check_family(family)
         cycles = [
@@ -196,24 +199,11 @@ class ModelGrid:
         for name, values in axes:
             if not values:
                 raise ValueError(f"empty parameter axis {name!r}")
-        configs = _product_configs(config, axes)
+        table = _product_table(config, axes)
 
-        # One row of system and geometry fields per configuration; the
-        # ring geometry is built once per distinct value of everything
-        # it depends on, in product order (so the first degenerate
-        # combination raises, as a per-combination build would).
-        geometries: Dict[Tuple[Any, int, int], Tuple[float, ...]] = {}
-        rows = []
-        for variant in configs:
-            key = (variant.ring, variant.block_size, variant.num_processors)
-            geometry = geometries.get(key)
-            if geometry is None:
-                geometry = geometries[key] = geometry_values(variant)
-            rows.append(system_values(variant) + geometry)
-        table = np.array(rows, dtype=np.float64)
-
+        n_configs = table.shape[0]
         n_cycles = len(cycles)
-        n = len(configs) * n_cycles
+        n = n_configs * n_cycles
         arrays = {
             name: np.repeat(table[:, column], n_cycles)
             for column, name in enumerate(SYSTEM_FIELDS + GEOMETRY_FIELDS)
@@ -225,31 +215,114 @@ class ModelGrid:
             [float(round(cycle_ns * 1000)) for cycle_ns in cycles],
             dtype=np.float64,
         )
-        arrays["busy_ps"] = np.tile(busy, len(configs))
+        arrays["busy_ps"] = np.tile(busy, n_configs)
         return cls(
-            family=family, arrays=arrays, chain_shape=(len(configs), n_cycles)
+            family=family, arrays=arrays, chain_shape=(n_configs, n_cycles)
         )
 
 
-def _product_configs(config: SystemConfig, axes) -> List[SystemConfig]:
-    """``config`` with every combination of ``axes`` (``[(name,
-    values), ...]``) applied, in ``itertools.product`` order.
+def _structural(path) -> bool:
+    """Whether a parameter on ``path`` (``(part, field)``, None if
+    unknown) moves something ``geometry_values`` or
+    ``SystemConfig.__post_init__`` reads: the ring, the block size or
+    the processor count."""
+    return path is not None and (
+        path[0] == "ring"
+        or path in (("cache", "block_size"), (None, "num_processors"))
+    )
 
-    A depth-first walk: each axis value is applied once per prefix of
-    the earlier axes, and every combination still sees the setters in
-    axis order, so the configurations -- and the first one that fails
-    to apply -- are those of applying every axis per combination.
+
+def _product_table(config: SystemConfig, axes) -> np.ndarray:
+    """The :data:`SYSTEM_FIELDS` and :data:`GEOMETRY_FIELDS` of
+    ``config`` with every combination of ``axes`` (``[(name, values),
+    ...]``) applied: one float64 row per combination, in
+    ``itertools.product`` order.
+
+    * Each axis value is applied to ``config`` once.  The system
+      columns the axis sets (its parameter's path in
+      :data:`SYSTEM_PATHS`) take that configuration's values; a column
+      no axis sets holds ``config``'s.
+    * The geometry is built once per combination of the *structural*
+      axes (:func:`_structural`), in product order, on a real
+      configuration with those axes applied.
+    * Each row gathers its values by index arithmetic.
+
+    No two parameters share a field, and of them only the processor
+    count reaches ``SystemConfig.__post_init__``.  So a value that
+    fails to apply fails in every combination that holds it, and so
+    does a value or a geometry that fails to flatten.  The build marks
+    those combinations and then builds the first of them alone, as the
+    per-combination build does, which raises that build's exception.
+    That build applies every combination's axes before it flattens
+    any, so a combination that fails to apply comes first.
     """
-    if not axes:
-        return [config]
-    from repro.core.sensitivity import apply_parameter
+    from repro.core.sensitivity import SUPPORTED_PARAMETERS, apply_parameter
 
-    (name, values), rest = axes[0], axes[1:]
-    return [
-        leaf
-        for value in values
-        for leaf in _product_configs(apply_parameter(config, name, value), rest)
-    ]
+    shape = tuple(len(values) for _, values in axes)
+    n = math.prod(shape)
+    # index[axis, row]: the position of the row's value on that axis.
+    index = np.indices(shape).reshape(len(shape), n)
+    width = len(SYSTEM_FIELDS)
+    table = np.empty((n, width + len(GEOMETRY_FIELDS)))
+    table[:, :width] = system_values(config)
+    unapplied = np.zeros(n, dtype=bool)
+    unflattened = np.zeros(n, dtype=bool)
+
+    structural = []
+    geometry_of_row = np.zeros(n, dtype=np.intp)
+    for axis, (name, values) in enumerate(axes):
+        path = SUPPORTED_PARAMETERS.get(name)
+        rows = np.empty((len(values), width))
+        applied = np.zeros(len(values), dtype=bool)
+        flattened = np.zeros(len(values), dtype=bool)
+        for position, value in enumerate(values):
+            try:
+                variant = apply_parameter(config, name, value)
+            except Exception:
+                continue
+            applied[position] = True
+            try:
+                rows[position] = system_values(variant)
+            except Exception:
+                continue
+            flattened[position] = True
+        positions = index[axis]
+        unapplied |= ~applied[positions]
+        unflattened |= ~flattened[positions]
+        for column, field_path in enumerate(SYSTEM_PATHS.values()):
+            if field_path == path:
+                table[:, column] = rows[positions, column]
+        if _structural(path):
+            structural.append(axis)
+            geometry_of_row = geometry_of_row * len(values) + positions
+
+    geometries = np.empty(
+        (math.prod(shape[axis] for axis in structural), len(GEOMETRY_FIELDS))
+    )
+    built = np.zeros(geometries.shape[0], dtype=bool)
+    combinations = itertools.product(*(axes[axis][1] for axis in structural))
+    for number, combination in enumerate(combinations):
+        variant = config
+        try:
+            for axis, value in zip(structural, combination):
+                variant = apply_parameter(variant, axes[axis][0], value)
+            geometries[number] = geometry_values(variant)
+        except Exception:
+            continue
+        built[number] = True
+    table[:, width:] = geometries[geometry_of_row]
+    unflattened |= ~built[geometry_of_row]
+
+    for failed in (unapplied, unflattened):
+        if failed.any():
+            first = int(np.argmax(failed))
+            variant = config
+            for (name, values), position in zip(axes, index[:, first]):
+                variant = apply_parameter(variant, name, values[position])
+            system_values(variant)
+            geometry_values(variant)
+            raise AssertionError(f"combination {first} was marked but builds")
+    return table
 
 
 def _check_family(family: str) -> None:

@@ -87,11 +87,21 @@ class Execution:
     cache_hits: int = 0
     #: Set (from any thread) when the last subscriber cancels; the
     #: runner's point scheduler polls it as its own cancel flag.
-    cancel_requested: threading.Event = field(default_factory=threading.Event)
+    #: This, ``task`` and ``update`` serve a live execution only and
+    #: are None once its terminal event is appended (:meth:`release`).
+    cancel_requested: Optional[threading.Event] = field(
+        default_factory=threading.Event
+    )
     #: The asyncio task driving this execution.
     task: Any = None
     #: Replaced-and-set on every event append; streamers wait on it.
     update: Any = None
+
+    def release(self) -> None:
+        """Drop what only a live execution needs.  A terminal one is
+        never cancelled, driven or waited on again, and the registry
+        keeps it for the daemon's life."""
+        self.cancel_requested = self.task = self.update = None
 
     def to_jsonable(self) -> Dict[str, Any]:
         return {

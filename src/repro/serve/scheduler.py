@@ -219,12 +219,17 @@ class JobScheduler:
     # Events: thread-safe posting, loop-side application, streaming
     # ------------------------------------------------------------------
     def _append_event(self, execution: Execution, event: Dict[str, Any]):
-        """Loop thread only: append one event and wake streamers."""
+        """Loop thread only: append one event and wake streamers.  The
+        event after ``finish()`` is the terminal one, the last; it
+        releases the execution's live-only handles."""
         event = dict(event)
         event["seq"] = len(execution.events)
         execution.events.append(event)
         waiter = execution.update
-        execution.update = asyncio.Event()
+        if execution.state.terminal:
+            execution.release()
+        else:
+            execution.update = asyncio.Event()
         waiter.set()
 
     def _post(self, execution: Execution, event: Dict[str, Any]) -> None:

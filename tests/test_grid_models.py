@@ -373,7 +373,7 @@ def test_unknown_family_rejected():
 
 
 # ----------------------------------------------------------------------
-# Product construction: the prefix walk against a per-combination build
+# Product construction: the column build against a per-combination build
 # ----------------------------------------------------------------------
 def _per_combination_grid(family, config, inputs, cycles_ns, parameters):
     """The reference build of ``ModelGrid.from_product``: every axis
@@ -404,8 +404,22 @@ def _per_combination_grid(family, config, inputs, cycles_ns, parameters):
     )
 
 
+def _bench_workloads():
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads",
+        pathlib.Path(__file__).resolve().parents[1] / "bench" / "workloads.py",
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+BENCH = _bench_workloads()
+
 #: Two- and three-axis products; the geometry moves with ring width,
-#: block size and processors, and not at all with cache size.
+#: block size and processors, and not at all with cache size.  Then the
+#: ``design`` benchmark's two spaces, a lone one-value structural axis
+#: and a cache-size axis, which moves no field at all.
 PRODUCT_AXES = [
     {"ring_width_bits": [16, 32, 64], "block_size": [16, 64]},
     {"num_processors": [4, 16], "cache_size_bytes": [32768, 131072]},
@@ -419,15 +433,20 @@ PRODUCT_AXES = [
         "ring_width_bits": [64, 16],
         "bus_clock_ps": [10_000, 20_000],
     },
+    BENCH.RING_AXES,
+    BENCH.BUS_AXES,
+    {"block_size": [32]},
+    {"cache_size_bytes": [16384, 65536, 262144]},
 ]
 
 
-@pytest.mark.parametrize("family", sorted(FAMILIES))
-@pytest.mark.parametrize("axes", PRODUCT_AXES, ids=lambda axes: "+".join(axes))
-def test_product_build_matches_per_combination_build(family, axes):
-    protocol, _ = FAMILIES[family]
-    config = SystemConfig(num_processors=16, protocol=protocol)
-    inputs = _make_inputs(protocol, 16, forwards=0.004, upgrade_traversals=2.5)
+def _assert_product_matches(family, config, axes):
+    inputs = _make_inputs(
+        config.protocol,
+        config.num_processors,
+        forwards=0.004,
+        upgrade_traversals=2.5,
+    )
     cycles = [1.0, 4.0, 20.0]
     built = grid_engine.ModelGrid.from_product(
         family, config, inputs, cycles_ns=cycles, parameters=axes
@@ -440,6 +459,42 @@ def test_product_build_matches_per_combination_build(family, axes):
         assert built.arrays[name].tobytes() == array.tobytes(), name
 
 
+def _assert_same_error(config, axes):
+    inputs = _make_inputs(config.protocol, config.num_processors)
+    family = grid_engine.family_for_protocol(config.protocol)
+    with pytest.raises(Exception) as expected:
+        _per_combination_grid(family, config, inputs, [1.0], axes)
+    with pytest.raises(expected.type) as raised:
+        grid_engine.ModelGrid.from_product(
+            family, config, inputs, cycles_ns=[1.0], parameters=axes
+        )
+    assert str(raised.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("axes", PRODUCT_AXES, ids=lambda axes: "+".join(axes))
+def test_product_build_matches_per_combination_build(family, axes):
+    protocol, _ = FAMILIES[family]
+    _assert_product_matches(
+        family, SystemConfig(num_processors=16, protocol=protocol), axes
+    )
+
+
+@pytest.mark.parametrize(
+    "axes",
+    [
+        {"num_processors": [8, 16, 64], "ring_width_bits": [16, 64]},
+        {"memory_access_ps": [60_000, 140_000], "num_processors": [32, 4]},
+    ],
+    ids=lambda axes: "+".join(axes),
+)
+def test_hierarchical_product_build_matches_per_combination_build(axes):
+    # Hierarchical bases check that every processor count divides into
+    # the ring's clusters; the count is a structural axis here.
+    config = SystemConfig(num_processors=16, protocol=Protocol.HIERARCHICAL)
+    _assert_product_matches("ring_directory", config, axes)
+
+
 @pytest.mark.parametrize(
     "axes",
     [
@@ -450,57 +505,96 @@ def test_product_build_matches_per_combination_build(family, axes):
         # The first combination fails on the unknown name before any
         # later combination reaches the 1-processor value.
         {"num_processors": [8, 1], "bogus_axis": [1]},
+        # ... and here on the 1-processor value before the name.
+        {"num_processors": [1], "bogus_axis": [1]},
     ],
 )
 def test_degenerate_value_raises_as_per_combination_build(axes):
-    config = SystemConfig(num_processors=16)
-    inputs = _make_inputs(Protocol.SNOOPING, 16)
-    with pytest.raises(Exception) as expected:
-        _per_combination_grid("ring_snooping", config, inputs, [1.0], axes)
-    with pytest.raises(expected.type) as raised:
-        grid_engine.ModelGrid.from_product(
-            "ring_snooping", config, inputs, cycles_ns=[1.0], parameters=axes
-        )
-    assert str(raised.value) == str(expected.value)
+    _assert_same_error(SystemConfig(num_processors=16), axes)
 
 
-def _bench_ring_axes():
-    spec = importlib.util.spec_from_file_location(
-        "bench_workloads",
-        pathlib.Path(__file__).resolve().parents[1] / "bench" / "workloads.py",
+@pytest.mark.parametrize(
+    "axes",
+    [
+        # Every combination is applied before any geometry is built, so
+        # 6 processors (not a multiple of 4 clusters) fails before the
+        # 12-bit ring of the first combination does.
+        {"num_processors": [8, 6], "ring_width_bits": [12]},
+        {"ring_width_bits": [32, 12], "num_processors": [10, 8]},
+        {"num_processors": [16, 8, 1, 6]},
+        {"memory_access_ps": [60_000], "num_processors": [8, 18]},
+    ],
+    ids=lambda axes: "+".join(axes),
+)
+def test_hierarchical_degenerate_count_raises_as_per_combination_build(axes):
+    _assert_same_error(
+        SystemConfig(num_processors=16, protocol=Protocol.HIERARCHICAL), axes
     )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.RING_AXES
 
 
-def test_ring_design_space_applies_once_per_prefix(monkeypatch):
+def test_system_paths_name_what_system_values_reads():
+    from repro.models.base import SYSTEM_FIELDS, SYSTEM_PATHS, system_values
+
+    base = SystemConfig(num_processors=16)
+    distinct = {path: 3 + number for number, path in enumerate(SYSTEM_PATHS.values())}
+    config = base
+    for (part, name), value in distinct.items():
+        if part is None:
+            config = replace(config, **{name: value})
+        else:
+            config = replace(
+                config, **{part: replace(getattr(config, part), **{name: value})}
+            )
+    assert tuple(SYSTEM_PATHS) == SYSTEM_FIELDS
+    assert system_values(config) == tuple(
+        float(value) for value in distinct.values()
+    )
+
+
+def test_design_spaces_build_each_geometry_once(monkeypatch):
     from repro.core import sensitivity
 
-    axes = _bench_ring_axes()
-    calls = {"apply": 0, "layout": 0}
+    calls = {"apply": 0, "config": 0, "layout": 0}
     apply_parameter = sensitivity.apply_parameter
+    post_init = SystemConfig.__post_init__
     ring_layout = SystemConfig.ring_layout
 
     def counting_apply(config, name, value):
         calls["apply"] += 1
         return apply_parameter(config, name, value)
 
+    def counting_post_init(config):
+        calls["config"] += 1
+        post_init(config)
+
     def counting_layout(config):
         calls["layout"] += 1
         return ring_layout(config)
 
     monkeypatch.setattr(sensitivity, "apply_parameter", counting_apply)
+    monkeypatch.setattr(SystemConfig, "__post_init__", counting_post_init)
     monkeypatch.setattr(SystemConfig, "ring_layout", counting_layout)
-    config = SystemConfig(num_processors=16)
+    ring = SystemConfig(num_processors=16)
+    bus = SystemConfig(num_processors=16, protocol=Protocol.BUS)
     inputs = _make_inputs(Protocol.SNOOPING, 16)
 
+    # The ring space: each of its 10 + 25 + 3 values applied once, then
+    # the 10 x 3 ring combinations applied (two axes each) and their
+    # geometry built.
+    calls.update(apply=0, config=0, layout=0)
     grid_engine.ModelGrid.from_product(
-        "ring_snooping", config, inputs, parameters=axes
+        "ring_snooping", ring, inputs, parameters=BENCH.RING_AXES
     )
-    assert calls == {"apply": 1_010, "layout": 30}
+    assert calls == {"apply": 98, "config": 98, "layout": 30}
+
+    # The bus space moves no geometry: one build, of the base config.
+    calls.update(apply=0, config=0, layout=0)
+    grid_engine.ModelGrid.from_product(
+        "bus", bus, inputs, parameters=BENCH.BUS_AXES
+    )
+    assert calls == {"apply": 38, "config": 38, "layout": 1}
 
     # The per-combination build pays for every axis of every combination.
-    calls.update(apply=0, layout=0)
-    _per_combination_grid("ring_snooping", config, inputs, [1.0], axes)
-    assert calls == {"apply": 2_250, "layout": 750}
+    calls.update(apply=0, config=0, layout=0)
+    _per_combination_grid("ring_snooping", ring, inputs, [1.0], BENCH.RING_AXES)
+    assert calls == {"apply": 2_250, "config": 2_250, "layout": 750}

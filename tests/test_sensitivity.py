@@ -38,6 +38,20 @@ def test_apply_parameter_returns_modified_copy():
     assert apply_parameter(base, "block_size", 32).cache.block_size == 32
 
 
+def test_every_parameter_sets_its_declared_path():
+    base = SystemConfig(num_processors=4)
+    for parameter, (part, name) in SUPPORTED_PARAMETERS.items():
+
+        def read(config):
+            owner = config if part is None else getattr(config, part)
+            return getattr(owner, name)
+
+        changed = apply_parameter(base, parameter, 48)
+        assert read(changed) == 48, parameter
+        # Setting the old value back gives the base: nothing else moved.
+        assert apply_parameter(changed, parameter, read(base)) == base
+
+
 def test_unknown_parameter_lists_options():
     with pytest.raises(KeyError) as excinfo:
         apply_parameter(SystemConfig(num_processors=4), "nonsense", 1)

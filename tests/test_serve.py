@@ -13,7 +13,8 @@ and the CI smoke job use.  The contracts pinned here:
   execution's payload and histograms, the same objects, with the
   events a rebuilt answer would have; each distinct spec is
   fingerprinted once, and store invalidation and purge drop the
-  answers; repeated jobs retain little memory;
+  answers; repeated jobs retain little memory, and a finished
+  execution drops its cancel flag, wake-up event and task;
 * a finished check is answered from the store by a restarted daemon,
   and a spec that differs only in its bounds is searched afresh;
 * two identical concurrent submissions coalesce onto one execution --
@@ -414,6 +415,44 @@ def test_cached_jobs_retain_little_memory(client):
     finally:
         tracemalloc.stop()
     assert retained / jobs < 8 * 1024, f"{retained / jobs:.0f} B per job"
+
+
+def test_finished_executions_release_their_live_handles(daemon, client):
+    # The registry keeps a terminal execution for the daemon's life; its
+    # cancel flag, its streamers' wake-up event and its driving task are
+    # dropped with the terminal event, whichever way it ended.
+    registry = daemon.scheduler.registry
+
+    def finished(job):
+        client.wait(job["job"])
+        return registry.jobs[job["job"]].execution
+
+    done = finished(client.submit(SWEEP_SPEC))
+
+    def failing(scheduler, execution):
+        raise RuntimeError("the extraction exploded")
+
+    daemon.scheduler._runners["sweep"] = failing
+    failed = finished(client.submit(SWEEP_SPEC))
+
+    runner, entered, _gate = _gated_runner(payload={"kind": "sweep"})
+    daemon.scheduler._runners["sweep"] = runner
+    job = client.submit(SWEEP_SPEC)
+    assert entered.wait(timeout=30)
+    client.cancel(job["job"])
+    cancelled = finished(job)
+
+    states = [execution.state.value for execution in (done, failed, cancelled)]
+    assert states == ["done", "failed", "cancelled"]
+    for execution in (done, failed, cancelled):
+        assert execution.cancel_requested is None
+        assert execution.update is None
+        assert execution.task is None
+        assert list(client.events(execution.job_ids[0]))[-1]["event"] in (
+            "done",
+            "failed",
+            "cancelled",
+        )
 
 
 # ----------------------------------------------------------------------
