@@ -27,7 +27,6 @@ from __future__ import annotations
 from repro.core.config import Protocol, SystemConfig
 from repro.core.metrics import MissClass
 from repro.memory.cache import AccessOutcome, sharers_other_than
-from repro.memory.states import CacheState
 from repro.sim.engine import DirtyBitEngine, Step
 from repro.sim.kernel import Simulator
 from repro.sim.queues import Resource
@@ -39,6 +38,7 @@ class BusSystem(DirtyBitEngine):
     """Split-transaction bus machine with snooping caches."""
 
     protocol = Protocol.BUS
+    spec_name = "bus"
 
     #: Telemetry component name for this engine's events.
     trace_category = "bus"
@@ -89,24 +89,15 @@ class BusSystem(DirtyBitEngine):
     def _miss(
         self, node: int, address: int, is_write: bool, start_ps: int
     ) -> Step:
-        block = self.address_map.block_of(address)
         home = self.address_map.home_of(address)
         # Snapshot ownership before the first yield (see dirty_owner).
-        owner = self.dirty_owner(block)
+        owner = self.dirty_owner(self.address_map.block_of(address))
         dirty = owner is not None
-        if owner == node:
-            yield from self._reclaim_from_buffer(node, address, is_write, start_ps)
-            return
 
         self.prepare_victim(node, address)
 
         if not dirty and home == node and not is_write:
-            # Local clean read miss: served entirely by the local bank.
-            yield self.banks[node].access()
-            self.fill(node, address, CacheState.RS)
-            self.stats.record_miss(
-                MissClass.LOCAL_CLEAN, self.sim.now - start_ps
-            )
+            yield from self.local_clean_read(node, address, start_ps)
             return
 
         # Request phase: address + command on the bus, snooped by all.
@@ -129,23 +120,18 @@ class BusSystem(DirtyBitEngine):
             yield from self._hold_bus(self.config.bus.reply_cycles, "reply")
             self.stats.blocks_sent += 1
 
-        if is_write:
-            self.set_owner(block, node)
-        elif dirty:
-            self.commit_downgrade(owner, block)
-        self.fill(node, address, CacheState.WE if is_write else CacheState.RS)
+        self.commit(node, address, is_write, owner)
         klass = MissClass.REMOTE_DIRTY if dirty else MissClass.REMOTE_CLEAN
         self.stats.record_miss(klass, self.sim.now - start_ps, traversals=1)
 
     def _upgrade(self, node: int, address: int, start_ps: int) -> Step:
-        block = self.address_map.block_of(address)
+        owner = self.dirty_owner(self.address_map.block_of(address))
         sharers = sharers_other_than(self.caches, address, node)
         yield from self._hold_bus(self.config.bus.request_cycles, "request")
         self.stats.probes_sent += 1
         for sharer in sharers:
             self.caches[sharer].snoop_invalidate(address)
-        self.set_owner(block, node)
-        self.commit_upgrade(node, address)
+        self.commit(node, address, True, owner)
         self.stats.record_upgrade(
             self.sim.now - start_ps, traversals=1, had_sharers=bool(sharers)
         )

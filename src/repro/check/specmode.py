@@ -40,7 +40,8 @@ from repro.check.state import (
     StepSpec,
     _Freezer,
 )
-from repro.spec import SpecDivergence, SpecMachine, spec_for
+from repro.spec import spec_for
+from repro.spec.interp import SpecDivergence, SpecMachine
 
 __all__ = ["SpecCheckedHarness", "SpecHarness"]
 

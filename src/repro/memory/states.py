@@ -5,11 +5,13 @@ write-back state machine (paper section 3.1): Invalid (INV), Read-Shared
 (RS) and Write-Exclusive (WE).
 
 This module is also the single source of truth for which state
-transitions are *legal*, per coherence action.  The table used to live
-implicitly (and duplicated) in the protocol engines; it now lives here
-as :data:`ALLOWED_TRANSITIONS` so that the cache can assert every
-mutation (:func:`assert_transition`) and the ``repro.check`` model
-checker and runtime monitor can consume the same table as an oracle.
+transitions are *legal*, per coherence action
+(:data:`ALLOWED_TRANSITIONS`): the cache asserts every mutation
+against it (:func:`assert_transition`), and the ``repro.check`` model
+checker and runtime monitor use it as an oracle.  Which transition a
+protocol *takes* is the business of :mod:`repro.spec`, whose rules
+must stay inside this table; the engines commit through tables derived
+from those rules.
 """
 
 from __future__ import annotations

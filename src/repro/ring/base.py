@@ -10,6 +10,7 @@ locks.  A block message is the ring's :meth:`carry_block`.
 from __future__ import annotations
 
 from repro.core.config import SystemConfig
+from repro.core.metrics import MissClass
 from repro.ring.scheduler import SlotGrant, SlotScheduler
 from repro.ring.slots import SlotType
 from repro.sim.engine import CoherenceEngine, ProtocolError, Step
@@ -141,12 +142,60 @@ class RingSystemBase(CoherenceEngine):
             )
         return grant
 
+    def request_home(self, node: int, home: int, address: int) -> Step:
+        """A directory request: a probe to the block's home and the
+        home's directory lookup.  Returns the ring arcs travelled."""
+        arcs = 0
+        if home != node:
+            yield from self.send_probe(node, home, address)
+            arcs = self.topology.distance(node, home)
+        if self.config.memory.directory_lookup_ps:
+            yield self.sim.timeout(self.config.memory.directory_lookup_ps)
+        return arcs
+
     def passage_cycle(self, grant: SlotGrant, src: int, node: int) -> int:
         """Cycle at which ``grant``'s broadcast probe passes ``node``."""
         return grant.grab_cycle + self.topology.distance(src, node)
 
     #: Write-backs and memory updates travel in one block slot.
     carry_block = send_block
+
+    # ------------------------------------------------------------------
+    # Recording by ring arcs (the directory protocols' Table 1 classes)
+    # ------------------------------------------------------------------
+    def _traversals(self, arcs: int) -> int:
+        total = self.topology.total_stages
+        if arcs % total:
+            raise ProtocolError(
+                f"transaction arcs {arcs} not a multiple of ring size {total}"
+            )
+        return arcs // total
+
+    def record_arc_miss(self, dirty: bool, arcs: int, start_ps: int) -> None:
+        """Record a miss that travelled ``arcs`` ring stages."""
+        latency = self.sim.now - start_ps
+        traversals = self._traversals(arcs)
+        if traversals == 0:
+            # Local home, clean block, no invalidations: never left the
+            # node (or used the ring at all).
+            self.stats.record_miss(MissClass.LOCAL_CLEAN, latency)
+        elif traversals >= 2:
+            self.stats.record_miss(MissClass.TWO_CYCLE, latency, traversals)
+        elif dirty:
+            self.stats.record_miss(MissClass.DIRTY_ONE_CYCLE, latency, traversals)
+        else:
+            self.stats.record_miss(MissClass.REMOTE_CLEAN, latency, traversals)
+
+    def record_arc_upgrade(
+        self, arcs: int, start_ps: int, had_sharers: bool
+    ) -> None:
+        """Record an upgrade that travelled ``arcs`` ring stages."""
+        traversals = self._traversals(arcs)
+        self.stats.record_upgrade(
+            self.sim.now - start_ps,
+            traversals=traversals if traversals else None,
+            had_sharers=had_sharers,
+        )
 
     # ------------------------------------------------------------------
     # Reporting

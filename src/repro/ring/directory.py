@@ -28,11 +28,9 @@ from __future__ import annotations
 from typing import List
 
 from repro.core.config import Protocol, SystemConfig
-from repro.core.metrics import MissClass
 from repro.memory.cache import AccessOutcome
 from repro.memory.directory_store import FullMapDirectory
-from repro.memory.states import CacheState
-from repro.ring.base import ProtocolError, RingSystemBase, Step
+from repro.ring.base import RingSystemBase, Step
 from repro.sim.kernel import Simulator
 
 __all__ = ["DirectoryRingSystem"]
@@ -42,6 +40,7 @@ class DirectoryRingSystem(RingSystemBase):
     """The paper's full-map directory protocol on the slotted ring."""
 
     protocol = Protocol.DIRECTORY
+    spec_name = "directory"
 
     def __init__(self, sim: Simulator, config: SystemConfig) -> None:
         super().__init__(sim, config)
@@ -74,6 +73,31 @@ class DirectoryRingSystem(RingSystemBase):
     def release_ownership(self, address: int) -> None:
         self.directory_for(address).clear(self.address_map.block_of(address))
 
+    def track_shared(self, node: int, address: int) -> None:
+        self.directory_for(address).add_sharer(
+            self.address_map.block_of(address), node
+        )
+
+    def track_exclusive(self, node: int, address: int) -> None:
+        self.directory_for(address).set_exclusive(
+            self.address_map.block_of(address), node
+        )
+
+    def memory_writeback(self, owner: int, address: int) -> None:
+        """Clear the dirty bit; the owner keeps its presence bit only
+        if it still caches the block (it keeps an RS copy unless the
+        line already left for its write-back buffer)."""
+        block = self.address_map.block_of(address)
+        directory = self.directory_for(address)
+        entry = directory.entry(block)
+        if entry.dirty:
+            entry.dirty = False
+            if not self.caches[owner].contains(address):
+                directory.remove_sharer(block, owner)
+            self.sim.spawn(
+                self.sharing_writeback(owner, block), name=f"swb:n{owner}"
+            )
+
     # ------------------------------------------------------------------
     # Transaction body
     # ------------------------------------------------------------------
@@ -92,51 +116,28 @@ class DirectoryRingSystem(RingSystemBase):
     def _read_miss(self, node: int, address: int, start_ps: int) -> Step:
         block = self.address_map.block_of(address)
         home = self.address_map.home_of(address)
-        directory = self.directories[home]
-        entry = directory.entry(block)
         # Snapshot ownership before the first yield: read misses run
         # under a shared lock, so a concurrent reader may commit the
         # dirty->shared transition while this one is in flight (the
         # snapshot still names a valid supplier).
-        dirty = entry.dirty
-        owner = entry.owner if dirty else None
-        if dirty and owner == node:
-            yield from self._reclaim_from_buffer(node, address, False, start_ps)
-            return
+        owner = self.directories[home].entry(block).owner
         self.prepare_victim(node, address)
 
-        arcs = 0
-        if home != node:
-            yield from self.send_probe(node, home, address)
-            arcs += self.topology.distance(node, home)
-        if self.config.memory.directory_lookup_ps:
-            yield self.sim.timeout(self.config.memory.directory_lookup_ps)
+        arcs = yield from self.request_home(node, home, address)
 
-        if dirty:
+        if owner is not None:
             arcs += yield from self._fetch_from_owner(home, owner, node, address)
             # Downgrade: the owner keeps an RS copy if it still caches
             # the block; memory is refreshed off the critical path.
-            # Gated commit: of several concurrent readers, exactly one
-            # flips the directory state and issues the memory update.
-            kept = self.caches[owner].snoop_downgrade(address)
-            if directory.entry(block).dirty:
-                directory.entry(block).dirty = False
-                if kept is CacheState.INV:
-                    directory.remove_sharer(block, owner)
-                self.sim.spawn(
-                    self.sharing_writeback(owner, block), name=f"swb:n{owner}"
-                )
-            directory.add_sharer(block, node)
+            self.caches[owner].snoop_downgrade(address)
         else:
             yield self.banks[home].access()
             if home != node:
                 yield from self.send_block(home, node)
                 arcs += self.topology.distance(home, node)
-            directory.add_sharer(block, node)
-            dirty = False
 
-        self.fill(node, address, CacheState.RS)
-        self._record_miss(node, home, dirty, arcs, start_ps)
+        self.commit(node, address, False, owner)
+        self.record_arc_miss(owner is not None, arcs, start_ps)
 
     # ------------------------------------------------------------------
     # Writes
@@ -146,29 +147,15 @@ class DirectoryRingSystem(RingSystemBase):
         home = self.address_map.home_of(address)
         directory = self.directories[home]
         entry = directory.entry(block)
-        if entry.dirty and entry.owner == node:
-            yield from self._reclaim_from_buffer(node, address, True, start_ps)
-            return
         self.prepare_victim(node, address)
 
-        arcs = 0
-        if home != node:
-            yield from self.send_probe(node, home, address)
-            arcs += self.topology.distance(node, home)
-        if self.config.memory.directory_lookup_ps:
-            yield self.sim.timeout(self.config.memory.directory_lookup_ps)
+        arcs = yield from self.request_home(node, home, address)
 
-        if entry.dirty:
-            owner = entry.owner
-            if owner is None or owner == node:
-                raise ProtocolError(
-                    f"write miss on dirty block {block:#x}: bad owner {owner}"
-                )
+        owner = entry.owner
+        if owner is not None:
             arcs += yield from self._fetch_from_owner(home, owner, node, address)
             # Ownership transfer: the old owner invalidates.
             self.caches[owner].snoop_invalidate(address)
-            directory.set_exclusive(block, node)
-            dirty = True
         else:
             targets = directory.invalidation_targets(block, node)
             if targets:
@@ -186,11 +173,9 @@ class DirectoryRingSystem(RingSystemBase):
             if home != node:
                 yield from self.send_block(home, node)
                 arcs += self.topology.distance(home, node)
-            directory.set_exclusive(block, node)
-            dirty = False
 
-        self.fill(node, address, CacheState.WE)
-        self._record_miss(node, home, dirty, arcs, start_ps)
+        self.commit(node, address, True, owner)
+        self.record_arc_miss(owner is not None, arcs, start_ps)
 
     # ------------------------------------------------------------------
     # Upgrades
@@ -199,13 +184,9 @@ class DirectoryRingSystem(RingSystemBase):
         block = self.address_map.block_of(address)
         home = self.address_map.home_of(address)
         directory = self.directories[home]
+        owner = directory.entry(block).owner
 
-        arcs = 0
-        if home != node:
-            yield from self.send_probe(node, home, address)
-            arcs += self.topology.distance(node, home)
-        if self.config.memory.directory_lookup_ps:
-            yield self.sim.timeout(self.config.memory.directory_lookup_ps)
+        arcs = yield from self.request_home(node, home, address)
 
         targets = directory.invalidation_targets(block, node)
         if targets:
@@ -215,40 +196,13 @@ class DirectoryRingSystem(RingSystemBase):
             # The home's reply is a short acknowledgment probe.
             yield from self.send_probe(home, node, address)
             arcs += self.topology.distance(home, node)
-        directory.set_exclusive(block, node)
-        self.commit_upgrade(node, address)
+        self.commit(node, address, True, owner)
 
-        traversals = arcs // self.topology.total_stages
-        self.stats.record_upgrade(
-            self.sim.now - start_ps,
-            traversals=traversals if traversals else None,
-            had_sharers=bool(targets),
-        )
+        self.record_arc_upgrade(arcs, start_ps, bool(targets))
 
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-    def _reclaim_from_buffer(
-        self, node: int, address: int, is_write: bool, start_ps: int
-    ) -> Step:
-        """Re-acquire a block pending in the local write-back buffer."""
-        block = self.address_map.block_of(address)
-        home = self.address_map.home_of(address)
-        directory = self.directories[home]
-        self.prepare_victim(node, address)
-        yield self.sim.timeout(self.config.memory.cache_response_ps)
-        if is_write:
-            directory.set_exclusive(block, node)
-            self.fill(node, address, CacheState.WE)
-        else:
-            directory.entry(block).dirty = False
-            directory.add_sharer(block, node)
-            self.sim.spawn(
-                self.sharing_writeback(node, block), name=f"swb:n{node}"
-            )
-            self.fill(node, address, CacheState.RS)
-        self.stats.record_miss(MissClass.LOCAL_CLEAN, self.sim.now - start_ps)
-
     def _fetch_from_owner(
         self, home: int, owner: int, requester: int, address: int
     ) -> Step:
@@ -304,28 +258,3 @@ class DirectoryRingSystem(RingSystemBase):
         yield from self.wait_until_cycle(
             grant.grab_cycle + self.topology.total_stages
         )
-
-    def _record_miss(
-        self, node: int, home: int, dirty: bool, arcs: int, start_ps: int
-    ) -> None:
-        latency = self.sim.now - start_ps
-        total = self.topology.total_stages
-        traversals = arcs // total
-        if arcs % total:
-            raise ProtocolError(
-                f"transaction arcs {arcs} not a multiple of ring size {total}"
-            )
-        if traversals == 0:
-            # Local home, clean block, no invalidations: never left the
-            # node (or used the ring at all).
-            self.stats.record_miss(MissClass.LOCAL_CLEAN, latency)
-        elif traversals >= 2:
-            self.stats.record_miss(MissClass.TWO_CYCLE, latency, traversals)
-        elif dirty:
-            self.stats.record_miss(
-                MissClass.DIRTY_ONE_CYCLE, latency, traversals
-            )
-        else:
-            self.stats.record_miss(
-                MissClass.REMOTE_CLEAN, latency, traversals
-            )

@@ -38,7 +38,6 @@ from __future__ import annotations
 from repro.core.config import Protocol, SystemConfig
 from repro.core.metrics import MissClass
 from repro.memory.cache import AccessOutcome, sharers_other_than
-from repro.memory.states import CacheState
 from repro.ring.scheduler import SlotGrant, SlotScheduler
 from repro.ring.slots import SlotType
 from repro.ring.topology import RingTopology
@@ -52,6 +51,7 @@ class HierarchicalRingSystem(DirtyBitEngine):
     """KSR1/Hector-style two-level snooping ring machine."""
 
     protocol = Protocol.HIERARCHICAL
+    spec_name = "hierarchical"
 
     #: Telemetry component name for this engine's events.
     trace_category = "ring.hierarchical"
@@ -295,13 +295,9 @@ class HierarchicalRingSystem(DirtyBitEngine):
     def _shared_miss(
         self, node: int, address: int, is_write: bool, start_ps: int
     ) -> Step:
-        block = self.address_map.block_of(address)
         home = self.address_map.home_of(address)
-        owner = self.dirty_owner(block)
+        owner = self.dirty_owner(self.address_map.block_of(address))
         dirty = owner is not None
-        if owner == node:
-            yield from self._reclaim_from_buffer(node, address, is_write, start_ps)
-            return
 
         self.prepare_victim(node, address)
         supplier = owner if dirty else home
@@ -309,11 +305,7 @@ class HierarchicalRingSystem(DirtyBitEngine):
         supplier_cluster = self.cluster_of(supplier)
 
         if not dirty and home == node and not is_write:
-            yield self.banks[node].access()
-            self.fill(node, address, CacheState.RS)
-            self.stats.record_miss(
-                MissClass.LOCAL_CLEAN, self.sim.now - start_ps
-            )
+            yield from self.local_clean_read(node, address, start_ps)
             return
 
         # Local probe sweep (always: the cluster snoops first).
@@ -400,12 +392,7 @@ class HierarchicalRingSystem(DirtyBitEngine):
             # waits for the slowest sweep (the global probe already
             # notified their IRIs).
             yield from self._remote_invalidations(node, address, cluster)
-            self.set_owner(block, node)
-            self.fill(node, address, CacheState.WE)
-        else:
-            if dirty:
-                self.commit_downgrade(owner, block)
-            self.fill(node, address, CacheState.RS)
+        self.commit(node, address, is_write, owner)
 
         klass = MissClass.REMOTE_DIRTY if dirty else MissClass.REMOTE_CLEAN
         self.stats.record_miss(klass, self.sim.now - start_ps, traversals=1)
@@ -437,7 +424,7 @@ class HierarchicalRingSystem(DirtyBitEngine):
     # Upgrades
     # ------------------------------------------------------------------
     def _upgrade(self, node: int, address: int, start_ps: int) -> Step:
-        block = self.address_map.block_of(address)
+        owner = self.dirty_owner(self.address_map.block_of(address))
         cluster = self.cluster_of(node)
         sharers = sharers_other_than(self.caches, address, node)
         remote = any(self.cluster_of(s) != cluster for s in sharers)
@@ -467,8 +454,7 @@ class HierarchicalRingSystem(DirtyBitEngine):
             yield from self._remote_invalidations(node, address, cluster)
             yield self.sim.timeout(self.layout.frame_stages * self.clock_ps)
 
-        self.set_owner(block, node)
-        self.commit_upgrade(node, address)
+        self.commit(node, address, True, owner)
         self.stats.record_upgrade(
             self.sim.now - start_ps,
             traversals=1 if not remote else 2,

@@ -27,7 +27,6 @@ from __future__ import annotations
 from typing import List
 
 from repro.core.config import Protocol, SystemConfig
-from repro.core.metrics import MissClass
 from repro.memory.cache import AccessOutcome
 from repro.memory.directory_store import LinkedListDirectory
 from repro.memory.states import CacheState
@@ -41,6 +40,7 @@ class LinkedListRingSystem(RingSystemBase):
     """SCI-flavoured linked-list directory on the slotted ring."""
 
     protocol = Protocol.LINKED_LIST
+    spec_name = "linkedlist"
 
     def __init__(self, sim: Simulator, config: SystemConfig) -> None:
         super().__init__(sim, config)
@@ -72,6 +72,25 @@ class LinkedListRingSystem(RingSystemBase):
     def release_ownership(self, address: int) -> None:
         self.directory_for(address).clear(self.address_map.block_of(address))
 
+    def track_shared(self, node: int, address: int) -> None:
+        self.directory_for(address).prepend_sharer(
+            self.address_map.block_of(address), node
+        )
+
+    def track_exclusive(self, node: int, address: int) -> None:
+        self.directory_for(address).set_exclusive(
+            self.address_map.block_of(address), node
+        )
+
+    def memory_writeback(self, owner: int, address: int) -> None:
+        block = self.address_map.block_of(address)
+        entry = self.directory_for(address).entry(block)
+        if entry.dirty:
+            entry.dirty = False
+            self.sim.spawn(
+                self.sharing_writeback(owner, block), name=f"swb:n{owner}"
+            )
+
     # ------------------------------------------------------------------
     # Transaction body
     # ------------------------------------------------------------------
@@ -95,10 +114,6 @@ class LinkedListRingSystem(RingSystemBase):
         directory = self.directories[home]
         entry = directory.entry(block)
 
-        if entry.dirty and entry.head == node:
-            # The block sits in this node's own write-back buffer.
-            yield from self._reclaim_from_buffer(node, address, is_write, start_ps)
-            return
         if node in entry.chain:
             # Stale listing: the node's RS copy was replaced and the
             # background detach has not landed yet; merge it now.
@@ -109,16 +124,11 @@ class LinkedListRingSystem(RingSystemBase):
         # themselves (or commit a dirty->shared transition) while this
         # transaction is in flight.
         head = entry.head
-        dirty = entry.dirty
+        owner = head if entry.dirty else None
         chain_snapshot = [sharer for sharer in entry.chain if sharer != node]
 
         arcs = yield from self._rollout_victim(node, address)
-
-        if home != node:
-            yield from self.send_probe(node, home, address)
-            arcs += self.topology.distance(node, home)
-        if self.config.memory.directory_lookup_ps:
-            yield self.sim.timeout(self.config.memory.directory_lookup_ps)
+        arcs += yield from self.request_home(node, home, address)
 
         if head is None:
             # Uncached: the home supplies from memory.
@@ -139,49 +149,16 @@ class LinkedListRingSystem(RingSystemBase):
             arcs += self.topology.distance(head, node)
 
         if is_write:
-            if dirty and head is not None:
+            if owner is not None:
                 # Single dirty owner: invalidated by the forward itself.
-                self.caches[head].snoop_invalidate(address)
+                self.caches[owner].snoop_invalidate(address)
             elif chain_snapshot:
                 arcs += yield from self._purge_walk(node, address, chain_snapshot)
-            directory.set_exclusive(block, node)
-            self.fill(node, address, CacheState.WE)
-        else:
-            if dirty and head is not None:
-                # Gated commit: one of the concurrent readers issues
-                # the downgrade's memory update.
-                self.caches[head].snoop_downgrade(address)
-                if directory.entry(block).dirty:
-                    directory.entry(block).dirty = False
-                    self.sim.spawn(
-                        self.sharing_writeback(head, block),
-                        name=f"swb:n{head}",
-                    )
-            directory.prepend_sharer(block, node)
-            self.fill(node, address, CacheState.RS)
+        elif owner is not None:
+            self.caches[owner].snoop_downgrade(address)
+        self.commit(node, address, is_write, owner)
 
-        self._record_miss(dirty and head is not None, arcs, start_ps)
-
-    def _reclaim_from_buffer(
-        self, node: int, address: int, is_write: bool, start_ps: int
-    ) -> Step:
-        """Re-acquire a block pending in the local write-back buffer."""
-        block = self.address_map.block_of(address)
-        directory = self.directory_for(address)
-        yield from self._rollout_victim(node, address)
-        yield self.sim.timeout(self.config.memory.cache_response_ps)
-        if is_write:
-            directory.set_exclusive(block, node)
-            self.fill(node, address, CacheState.WE)
-        else:
-            entry = directory.entry(block)
-            entry.dirty = False
-            directory.prepend_sharer(block, node)
-            self.sim.spawn(
-                self.sharing_writeback(node, block), name=f"swb:n{node}"
-            )
-            self.fill(node, address, CacheState.RS)
-        self.stats.record_miss(MissClass.LOCAL_CLEAN, self.sim.now - start_ps)
+        self.record_arc_miss(owner is not None, arcs, start_ps)
 
     # ------------------------------------------------------------------
     # Upgrades
@@ -191,8 +168,7 @@ class LinkedListRingSystem(RingSystemBase):
         home = self.address_map.home_of(address)
         directory = self.directories[home]
         entry = directory.entry(block)
-        if entry.dirty:
-            raise ProtocolError(f"upgrade of {block:#x} while dirty")
+        owner = entry.head if entry.dirty else None
 
         arcs = 0
         # Become the head / learn the current list: one probe round to
@@ -204,15 +180,9 @@ class LinkedListRingSystem(RingSystemBase):
         others = [sharer for sharer in entry.chain if sharer != node]
         if others:
             arcs += yield from self._purge_walk(node, address, others)
-        directory.set_exclusive(block, node)
-        self.commit_upgrade(node, address)
+        self.commit(node, address, True, owner)
 
-        traversals = arcs // self.topology.total_stages
-        self.stats.record_upgrade(
-            self.sim.now - start_ps,
-            traversals=traversals if traversals else None,
-            had_sharers=bool(others),
-        )
+        self.record_arc_upgrade(arcs, start_ps, bool(others))
 
     # ------------------------------------------------------------------
     # List walking
@@ -272,6 +242,9 @@ class LinkedListRingSystem(RingSystemBase):
             self.on_clean_eviction(node, victim_address)
         return arcs
 
+    #: A write-back-buffer reclaim makes room the same way.
+    reclaim_victim = _rollout_victim
+
     def on_clean_eviction(self, node: int, address: int) -> None:
         """Background detach of an RS victim from its sharing list."""
         if not self.address_map.is_shared(address):
@@ -287,23 +260,3 @@ class LinkedListRingSystem(RingSystemBase):
             arrival = yield from self.send_probe(node, home, address)
             yield from self.wait_until_cycle(arrival)
         self.directories[home].remove_sharer(block, node)
-
-    # ------------------------------------------------------------------
-    # Recording
-    # ------------------------------------------------------------------
-    def _record_miss(self, dirty: bool, arcs: int, start_ps: int) -> None:
-        latency = self.sim.now - start_ps
-        total = self.topology.total_stages
-        if arcs % total:
-            raise ProtocolError(
-                f"transaction arcs {arcs} not a multiple of ring size {total}"
-            )
-        traversals = arcs // total
-        if traversals == 0:
-            self.stats.record_miss(MissClass.LOCAL_CLEAN, latency)
-        elif traversals >= 2:
-            self.stats.record_miss(MissClass.TWO_CYCLE, latency, traversals)
-        elif dirty:
-            self.stats.record_miss(MissClass.DIRTY_ONE_CYCLE, latency, traversals)
-        else:
-            self.stats.record_miss(MissClass.REMOTE_CLEAN, latency, traversals)

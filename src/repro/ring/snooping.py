@@ -21,8 +21,8 @@ from __future__ import annotations
 from repro.core.config import Protocol
 from repro.core.metrics import MissClass
 from repro.memory.cache import AccessOutcome, sharers_other_than
-from repro.memory.states import CacheState
-from repro.ring.base import ProtocolError, RingSystemBase, Step
+from repro.ring.base import RingSystemBase, Step
+from repro.ring.scheduler import SlotGrant
 from repro.sim.engine import DirtyBitEngine
 
 __all__ = ["SnoopingRingSystem"]
@@ -32,6 +32,7 @@ class SnoopingRingSystem(DirtyBitEngine, RingSystemBase):
     """The paper's snooping protocol on the slotted ring."""
 
     protocol = Protocol.SNOOPING
+    spec_name = "snooping"
 
     # ------------------------------------------------------------------
     # Transaction body
@@ -56,22 +57,10 @@ class SnoopingRingSystem(DirtyBitEngine, RingSystemBase):
         owner = self.dirty_owner(block)
         dirty = owner is not None
 
-        if owner == node:
-            # The block sits in this node's own write-back buffer (it
-            # was evicted and the write-back has not drained yet):
-            # reclaim it locally, no ring transaction.
-            yield from self._reclaim_from_buffer(node, address, is_write, start_ps)
-            return
-
         self.prepare_victim(node, address)
 
         if not dirty and home == node and not is_write:
-            # Local clean read miss: memory access only, no probe.
-            yield self.banks[node].access()
-            self.fill(node, address, CacheState.RS)
-            self.stats.record_miss(
-                MissClass.LOCAL_CLEAN, self.sim.now - start_ps
-            )
+            yield from self.local_clean_read(node, address, start_ps)
             return
 
         if not dirty and home == node and is_write:
@@ -88,22 +77,14 @@ class SnoopingRingSystem(DirtyBitEngine, RingSystemBase):
         """Write miss served by local memory, but the invalidation
         probe must still circle the ring (other caches may hold RS
         copies -- without presence bits the home cannot know)."""
-        block = self.address_map.block_of(address)
         grant = yield from self.broadcast_probe(node, address)
         for sharer in sharers_other_than(self.caches, address, node):
             self.schedule_invalidate(
                 sharer, address, self.passage_cycle(grant, node, sharer)
             )
-        memory_done = self.banks[node].access()
-        ack_cycle = (
-            grant.grab_cycle
-            + self.scheduler.broadcast_cycles()
-            + self.scheduler.ack_delay_cycles()
-        )
-        yield memory_done
-        yield from self.wait_until_cycle(ack_cycle)
-        self.set_owner(block, node)
-        self.fill(node, address, CacheState.WE)
+        yield self.banks[node].access()
+        yield from self._await_ack(grant)
+        self.commit(node, address, True, None)
         self.stats.record_miss(
             MissClass.LOCAL_CLEAN, self.sim.now - start_ps, traversals=None
         )
@@ -120,7 +101,6 @@ class SnoopingRingSystem(DirtyBitEngine, RingSystemBase):
         """Miss whose data comes over the ring (remote home or any
         dirty owner).  One broadcast probe + one block reply; exactly
         one ring traversal end to end."""
-        block = self.address_map.block_of(address)
         home = self.address_map.home_of(address)
         grant = yield from self.broadcast_probe(node, address)
         owner_cycle = self.passage_cycle(grant, node, owner)
@@ -131,7 +111,7 @@ class SnoopingRingSystem(DirtyBitEngine, RingSystemBase):
                 self.schedule_invalidate(
                     sharer, address, self.passage_cycle(grant, node, sharer)
                 )
-        elif dirty and owner != node:
+        elif dirty:
             self.schedule_downgrade(owner, address, owner_cycle)
 
         # The owner's response: memory fetch at the home, or a cache
@@ -145,27 +125,25 @@ class SnoopingRingSystem(DirtyBitEngine, RingSystemBase):
         arrival = yield from self.send_block(owner, node)
         yield from self.wait_until_cycle(arrival)
 
-        # Commit: bookkeeping mirrors what the home's dirty bit and the
-        # new copy's state would be in hardware.
         if is_write:
-            self.set_owner(block, node)
             # A write miss must also observe the invalidation ack (the
             # probe completed its traversal before the block arrives in
             # all but degenerate cases; enforce the ordering anyway).
-            ack_cycle = (
-                grant.grab_cycle
-                + self.scheduler.broadcast_cycles()
-                + self.scheduler.ack_delay_cycles()
-            )
-            yield from self.wait_until_cycle(ack_cycle)
-            self.fill(node, address, CacheState.WE)
-        else:
-            if dirty:
-                self.commit_downgrade(owner, block)
-            self.fill(node, address, CacheState.RS)
+            yield from self._await_ack(grant)
+        self.commit(node, address, is_write, owner if dirty else None)
 
         klass = MissClass.REMOTE_DIRTY if dirty else MissClass.REMOTE_CLEAN
         self.stats.record_miss(klass, self.sim.now - start_ps, traversals=1)
+
+    def _await_ack(self, grant: SlotGrant) -> Step:
+        """Wait for the owner's ack to the broadcast probe of ``grant``:
+        it rides the following probe slot of the same type, one frame
+        behind the probe's full traversal."""
+        yield from self.wait_until_cycle(
+            grant.grab_cycle
+            + self.scheduler.broadcast_cycles()
+            + self.scheduler.ack_delay_cycles()
+        )
 
     # ------------------------------------------------------------------
     # Upgrades (pure invalidations)
@@ -173,25 +151,15 @@ class SnoopingRingSystem(DirtyBitEngine, RingSystemBase):
     def _upgrade(self, node: int, address: int, start_ps: int) -> Step:
         """RS -> WE permission request: broadcast probe, wait for the
         ack in the following probe slot of the same type."""
-        block = self.address_map.block_of(address)
-        if self.dirty_bits.is_dirty(block):
-            raise ProtocolError(
-                f"upgrade of {address:#x} while dirty elsewhere"
-            )
+        owner = self.dirty_owner(self.address_map.block_of(address))
         sharers = sharers_other_than(self.caches, address, node)
         grant = yield from self.broadcast_probe(node, address)
         for sharer in sharers:
             self.schedule_invalidate(
                 sharer, address, self.passage_cycle(grant, node, sharer)
             )
-        ack_cycle = (
-            grant.grab_cycle
-            + self.scheduler.broadcast_cycles()
-            + self.scheduler.ack_delay_cycles()
-        )
-        yield from self.wait_until_cycle(ack_cycle)
-        self.set_owner(block, node)
-        self.commit_upgrade(node, address)
+        yield from self._await_ack(grant)
+        self.commit(node, address, True, owner)
         tracer = self.sim.tracer
         if tracer is not None:
             tracer.instant(

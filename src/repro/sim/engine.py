@@ -24,8 +24,20 @@ engine supplies
   :meth:`~CoherenceEngine.dirty_hint` and
   :meth:`~CoherenceEngine.coherence_view` (:class:`DirtyBitEngine`
   supplies all four for the snooping engines);
+* the three ownership hooks the spec's bookkeeping ops run through:
+  :meth:`~CoherenceEngine.track_shared`,
+  :meth:`~CoherenceEngine.track_exclusive` and
+  :meth:`~CoherenceEngine.memory_writeback`;
 * :meth:`~CoherenceEngine.network_utilization` and any statistics of
   its own interconnect (:meth:`~CoherenceEngine.reset_statistics`).
+
+Commits come from the spec
+--------------------------
+At import this module derives one commit table per protocol from
+:data:`repro.spec.SPECS` (:data:`COMMIT_TABLES`).  A transaction body
+plays out a rule's remote ops (invalidations, downgrades), whose timing
+is the interconnect's, then makes one :meth:`~CoherenceEngine.commit`
+call that runs the rule's requester-side and bookkeeping ops.
 
 Concurrency discipline
 ----------------------
@@ -40,7 +52,7 @@ simply aborts (the new owner has the only valid copy).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Optional
+from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro.core.config import SystemConfig
 from repro.core.metrics import CoherenceStats, MissClass
@@ -51,11 +63,64 @@ from repro.memory.directory_store import DirtyBitDirectory
 from repro.memory.states import CacheState
 from repro.sim.kernel import Simulator
 from repro.sim.queues import ReadWriteLock
+from repro.spec.core import SPECS, ProtocolSpec
 
-__all__ = ["CoherenceEngine", "DirtyBitEngine", "ProtocolError", "Step"]
+__all__ = [
+    "COMMIT_TABLES",
+    "CoherenceEngine",
+    "DirtyBitEngine",
+    "ProtocolError",
+    "Step",
+    "commit_rules",
+]
 
 #: Generator type of every protocol step: yields kernel requests.
 Step = Generator[Any, Any, Any]
+
+#: A protocol's commit table: ``(is_write, requester's line state,
+#: line dirty?)`` -> the ops to run.
+CommitTable = Dict[Tuple[bool, CacheState, bool], Tuple[str, ...]]
+
+#: The spec ops :meth:`CoherenceEngine.commit` runs, in the order it
+#: runs them: the ownership bookkeeping first, then the requester's
+#: line.
+COMMIT_OPS = (
+    "memory-writeback",
+    "track-shared",
+    "track-exclusive",
+    "fill-shared",
+    "fill-exclusive",
+    "upgrade-line",
+)
+
+
+def commit_rules(spec: ProtocolSpec) -> CommitTable:
+    """Derive one protocol's commit table from its spec.
+
+    A miss or upgrade rule fills its cell for each dirty-guard value it
+    is enabled under.  Hits and evictions commit nothing here, so their
+    cells stay empty, as does every cell no rule covers (an upgrade of
+    a dirty line): :meth:`CoherenceEngine.commit` raises on those.
+    """
+    table: CommitTable = {}
+    for rule in spec.rules:
+        bound = {spec.op_of(action) for action in rule.actions}
+        ops = tuple(op for op in COMMIT_OPS if op in bound)
+        if not ops:
+            continue
+        if rule.guard == "always":
+            guards = (False, True)
+        else:
+            guards = (rule.guard == "line-dirty",)
+        for dirty in guards:
+            table[(rule.event == "write", rule.state, dirty)] = ops
+    return table
+
+
+#: One commit table per protocol, keyed like :data:`repro.spec.SPECS`.
+COMMIT_TABLES: Dict[str, CommitTable] = {
+    name: commit_rules(spec) for name, spec in SPECS.items()
+}
 
 
 class ProtocolError(RuntimeError):
@@ -67,6 +132,10 @@ class CoherenceEngine:
 
     #: Telemetry component name for this engine's events.
     trace_category: str
+
+    #: The :data:`repro.spec.SPECS` entry whose commit table this
+    #: engine runs.
+    spec_name: str
 
     def __init__(self, sim: Simulator, config: SystemConfig) -> None:
         self.sim = sim
@@ -146,6 +215,22 @@ class CoherenceEngine:
         """
         raise NotImplementedError
 
+    def track_shared(self, node: int, address: int) -> None:
+        """The ``track-shared`` op: record ``node``'s new RS copy."""
+        raise NotImplementedError
+
+    def track_exclusive(self, node: int, address: int) -> None:
+        """The ``track-exclusive`` op: ``node`` is the dirty owner."""
+        raise NotImplementedError
+
+    def memory_writeback(self, owner: int, address: int) -> None:
+        """The ``memory-writeback`` op: ``owner`` served a read of its
+        dirty block, which goes clean; memory is updated off the
+        critical path.  Gated: of several concurrent shared-mode
+        readers, exactly one clears the dirty state and issues the
+        update."""
+        raise NotImplementedError
+
     # ------------------------------------------------------------------
     # Snoop side effects applied at a later interconnect cycle
     # ------------------------------------------------------------------
@@ -215,21 +300,64 @@ class CoherenceEngine:
             self.prepare_victim(node, address)
         self.caches[node].fill(address, state)
 
-    def commit_upgrade(self, node: int, address: int) -> None:
-        """Commit a granted RS -> WE upgrade at the requester.
+    def commit(
+        self, node: int, address: int, is_write: bool, owner: Optional[int]
+    ) -> None:
+        """Commit a granted miss or upgrade at the requester by the
+        spec's rule for the reference, the line's state now and the
+        dirty guard.
 
-        The line is normally still RS, but under weak ordering the
-        processor keeps running and its own conflicting fills may have
-        evicted it mid-transaction; the store buffer's data then
-        re-installs the line WE (the permission was granted either
-        way).
+        ``owner`` is the dirty owner the transaction found (``None`` if
+        the line was clean): the guard, and the node a
+        ``memory-writeback`` clears.  Under weak ordering the processor
+        keeps running, and its own fills may evict an upgrading line
+        mid-transaction; the write miss's rule then re-installs it WE
+        from the store buffer (the permission was granted either way).
         """
         state = self.caches[node].state_of(address)
-        if state is CacheState.RS:
-            self.caches[node].apply_upgrade(address)
-        elif state is CacheState.INV:
-            self.prepare_victim(node, address)
-            self.fill(node, address, CacheState.WE)
+        dirty = owner is not None
+        ops = COMMIT_TABLES[self.spec_name].get((is_write, state, dirty))
+        if ops is None:
+            raise ProtocolError(
+                f"{self.spec_name}: no rule commits "
+                f"({'write' if is_write else 'read'}, {state.name}, "
+                f"{'line-dirty' if dirty else 'line-clean'}) "
+                f"at node {node} for {address:#x}"
+            )
+        for op in ops:
+            if op == "memory-writeback":
+                self.memory_writeback(owner, address)
+            elif op == "track-shared":
+                self.track_shared(node, address)
+            elif op == "track-exclusive":
+                self.track_exclusive(node, address)
+            elif op == "upgrade-line":
+                self.caches[node].apply_upgrade(address)
+            elif op == "fill-shared":
+                self.fill(node, address, CacheState.RS)
+            else:
+                self.fill(node, address, CacheState.WE)
+
+    def reclaim_victim(self, node: int, address: int) -> Step:
+        """Evict the victim of a write-back-buffer reclaim's fill."""
+        self.prepare_victim(node, address)
+        yield from ()
+
+    def _reclaim_from_buffer(
+        self, node: int, address: int, outcome: AccessOutcome, start_ps: int
+    ) -> Step:
+        """Re-acquire a block pending in the node's own write-back buffer.
+
+        No interconnect transaction: the commit is the dirty miss's
+        rule with the node itself as the owner.  A write keeps the
+        ownership (the queued write-back aborts when it finds the new
+        WE copy); a read turns the buffered data into a memory update.
+        """
+        yield from self.reclaim_victim(node, address)
+        yield self.sim.timeout(self.config.memory.cache_response_ps)
+        is_write = outcome is not AccessOutcome.READ_MISS
+        self.commit(node, address, is_write, node)
+        self.stats.record_miss(MissClass.LOCAL_CLEAN, self.sim.now - start_ps)
 
     # ------------------------------------------------------------------
     # Transaction entry point
@@ -276,6 +404,11 @@ class CoherenceEngine:
                         effective is AccessOutcome.WRITE_MISS,
                         start_ps,
                     )
+            elif self.owned_by(address, node):
+                # Evicted, and its write-back has not drained yet.
+                yield from self._reclaim_from_buffer(
+                    node, address, effective, start_ps
+                )
             else:
                 yield from self.transact(node, address, effective, start_ps)
         finally:
@@ -339,6 +472,13 @@ class CoherenceEngine:
         yield self.banks[node].access()
         self.fill(node, address, CacheState.WE if is_write else CacheState.RS)
         self.stats.record_miss(MissClass.PRIVATE, self.sim.now - start_ps)
+
+    def local_clean_read(self, node: int, address: int, start_ps: int) -> Step:
+        """Read miss on a clean block homed at the requester: a local
+        bank access, no interconnect transaction."""
+        yield self.banks[node].access()
+        self.commit(node, address, False, None)
+        self.stats.record_miss(MissClass.LOCAL_CLEAN, self.sim.now - start_ps)
 
     # ------------------------------------------------------------------
     # Background block traffic
@@ -463,11 +603,7 @@ class DirtyBitEngine(CoherenceEngine):
         return self.dirty_bits.is_dirty(self.address_map.block_of(address))
 
     def owned_by(self, address: int, node: int) -> bool:
-        block = self.address_map.block_of(address)
-        return (
-            self.dirty_bits.is_dirty(block)
-            and self._dirty_node.get(block) == node
-        )
+        return self.dirty_owner(self.address_map.block_of(address)) == node
 
     def coherence_view(self, block: int) -> tuple:
         dirty = self.dirty_bits.is_dirty(block)
@@ -488,7 +624,8 @@ class DirtyBitEngine(CoherenceEngine):
             return None
         return self._dirty_node.get(block)
 
-    def set_owner(self, block: int, node: int) -> None:
+    def track_exclusive(self, node: int, address: int) -> None:
+        block = self.address_map.block_of(address)
         self.dirty_bits.set_dirty(block)
         self._dirty_node[block] = node
 
@@ -497,36 +634,10 @@ class DirtyBitEngine(CoherenceEngine):
         self.dirty_bits.clear_dirty(block)
         self._dirty_node.pop(block, None)
 
-    def commit_downgrade(self, owner: int, block: int) -> None:
-        """Clear ``owner``'s dirty ownership after it served a read.
-
-        Gated so that of several concurrent shared-mode readers of the
-        dirty block, exactly one clears the dirty bit and issues the
-        off-critical-path memory update.
-        """
+    def memory_writeback(self, owner: int, address: int) -> None:
+        block = self.address_map.block_of(address)
         if self._dirty_node.get(block) == owner:
-            self.dirty_bits.clear_dirty(block)
-            self._dirty_node.pop(block, None)
+            self.release_ownership(address)
             self.sim.spawn(
                 self.sharing_writeback(owner, block), name=f"swb:n{owner}"
             )
-
-    def _reclaim_from_buffer(
-        self, node: int, address: int, is_write: bool, start_ps: int
-    ) -> Step:
-        """Re-acquire a block pending in the local write-back buffer.
-
-        The block was evicted and its write-back has not drained yet:
-        no interconnect transaction is needed.  A write keeps the dirty
-        ownership (the queued write-back will abort when it finds the
-        new WE copy); a read surrenders it and turns the buffered data
-        into a memory update.
-        """
-        self.prepare_victim(node, address)
-        yield self.sim.timeout(self.config.memory.cache_response_ps)
-        if is_write:
-            self.fill(node, address, CacheState.WE)
-        else:
-            self.commit_downgrade(node, self.address_map.block_of(address))
-            self.fill(node, address, CacheState.RS)
-        self.stats.record_miss(MissClass.LOCAL_CLEAN, self.sim.now - start_ps)

@@ -2,10 +2,15 @@
 
 One description per protocol -- ``(state, event) -> guard, actions,
 next_state`` records over the :mod:`repro.memory.states` vocabulary --
-validated at import, executed abstractly by
+validated at import, turned into the engines' commit tables by
+:mod:`repro.sim.engine`, executed abstractly by
 :class:`~repro.spec.interp.SpecMachine`, cross-checked against the live
 engines by ``repro check explore --expansion spec``, and
 printed/diffed/verified by the ``repro spec`` CLI verb.
+
+The package exports the tables; the checker imports the interpreter
+from :mod:`repro.spec.interp` itself, so that importing the engines
+does not load it.
 
 See ``docs/SPECS.md`` for the format and a fully worked table.
 """
@@ -26,7 +31,6 @@ from repro.spec.core import (
     spec_for,
     validate_spec,
 )
-from repro.spec.interp import SpecDivergence, SpecMachine, select_rule
 
 __all__ = [
     "EVENTS",
@@ -36,14 +40,11 @@ __all__ = [
     "Commit",
     "GuardedAction",
     "ProtocolSpec",
-    "SpecDivergence",
-    "SpecMachine",
     "SpecValidationError",
     "commit_table",
     "diff_tables",
     "mutate_rule",
     "render_table",
-    "select_rule",
     "spec_for",
     "validate_spec",
 ]

@@ -8,8 +8,11 @@ after, the guard over the line's coherence metadata that enables the
 rule, and the ordered micro-actions (protocol-flavoured names, shared
 generic semantics) the transaction performs.
 
-One description, two consumers:
+One description, three consumers:
 
+* the engines: at import :mod:`repro.sim.engine` derives a commit
+  table from every spec, and each transaction commits through it
+  (:meth:`~repro.sim.engine.CoherenceEngine.commit`);
 * the model checker executes the spec through
   :mod:`repro.spec.interp` and cross-checks every engine step against
   the spec's predicted successors (``repro check explore
@@ -18,8 +21,8 @@ One description, two consumers:
   divergence check.
 
 The module must stay observer-free -- only the standard library and
-:mod:`repro.memory.states` may be imported here -- so that an engine
-module could consume it without breaking the hot-path import lint.
+:mod:`repro.memory.states` may be imported here -- because the engine
+base imports it, and the hot-path import lint must keep holding.
 ``tests/test_spec.py`` pins that with an AST lint.
 
 Every spec in :data:`SPECS` is validated at import by

@@ -19,9 +19,12 @@ layers, each pinned here:
   disagrees with the engine.
 
 Plus the import-direction lints: simulation modules never import
-``repro.spec`` from a function body (the spec never rides the
-simulation path), and ``repro.spec`` itself must stay free of observer
-packages so that a module-level import would keep the hot-path lint.
+``repro.spec`` from a function body (the engines derive their commit
+tables from it at import, never at simulation time), and
+``repro.spec`` itself must stay free of observer packages so that the
+engines' module-level import keeps the hot-path lint.  A last lint
+keeps the transaction bodies under ``ring/`` and ``bus/`` from
+choosing fill states themselves.
 """
 
 from __future__ import annotations
@@ -245,6 +248,41 @@ def test_engine_modules_import_spec_at_module_level_only(relative):
             f"{relative} imports repro.spec inside a function body "
             "(simulation time); only module-level derivation is allowed"
         )
+
+
+TRANSACTION_MODULES = tuple(
+    relative
+    for relative in ENGINE_MODULES
+    if relative.startswith(("ring/", "bus/"))
+)
+
+
+@pytest.mark.parametrize("relative", TRANSACTION_MODULES)
+def test_transaction_bodies_do_not_choose_fill_states(relative):
+    """The engines under ``ring/`` and ``bus/`` commit through the
+    spec's table (``CoherenceEngine.commit``): none of them passes a
+    ``CacheState`` member to ``fill`` itself."""
+    root = pathlib.Path(repro.__file__).parent
+    tree = ast.parse((root / relative).read_text())
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(
+            func, "id", None
+        )
+        if name != "fill":
+            continue
+        for argument in list(node.args) + [kw.value for kw in node.keywords]:
+            for part in ast.walk(argument):
+                assert not (
+                    isinstance(part, ast.Attribute)
+                    and isinstance(part.value, ast.Name)
+                    and part.value.id == "CacheState"
+                ), (
+                    f"{relative}:{node.lineno} passes a CacheState to fill; "
+                    "commit the transaction through the spec instead"
+                )
 
 
 @pytest.mark.parametrize("relative", SPEC_MODULES)
