@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from repro.core.config import Protocol, SystemConfig
 from repro.core.metrics import MissClass
-from repro.memory.cache import AccessOutcome, sharers_other_than
+from repro.memory.cache import sharers_other_than
 from repro.sim.engine import DirtyBitEngine, Step
 from repro.sim.kernel import Simulator
 from repro.sim.queues import Resource
@@ -77,16 +77,7 @@ class BusSystem(DirtyBitEngine):
     # ------------------------------------------------------------------
     # Transactions
     # ------------------------------------------------------------------
-    def transact(
-        self, node: int, address: int, outcome: AccessOutcome, start_ps: int
-    ) -> Step:
-        if outcome is AccessOutcome.UPGRADE:
-            return self._upgrade(node, address, start_ps)
-        return self._miss(
-            node, address, outcome is AccessOutcome.WRITE_MISS, start_ps
-        )
-
-    def _miss(
+    def shared_miss(
         self, node: int, address: int, is_write: bool, start_ps: int
     ) -> Step:
         home = self.address_map.home_of(address)
@@ -124,7 +115,7 @@ class BusSystem(DirtyBitEngine):
         klass = MissClass.REMOTE_DIRTY if dirty else MissClass.REMOTE_CLEAN
         self.stats.record_miss(klass, self.sim.now - start_ps, traversals=1)
 
-    def _upgrade(self, node: int, address: int, start_ps: int) -> Step:
+    def upgrade(self, node: int, address: int, start_ps: int) -> Step:
         owner = self.dirty_owner(self.address_map.block_of(address))
         sharers = sharers_other_than(self.caches, address, node)
         yield from self._hold_bus(self.config.bus.request_cycles, "request")

@@ -108,132 +108,68 @@ def check_block(
         )
 
     tag, dirty, detail = engine.coherence_view(block)
-
     if tag == "dirty-bit":
-        owner: Optional[int] = detail
-        if writing and not (dirty and owner == writing[0]):
+        recorded = [] if detail is None else [detail]
+    elif tag in ("full-map", "list"):
+        recorded = list(detail)
+    else:
+        raise InvariantViolation(
+            "agreement", f"unknown coherence view tag {tag!r}"
+        )
+    if len(recorded) != len(set(recorded)):
+        raise InvariantViolation(
+            "agreement", f"block {block:#x} {tag} lists duplicates: {recorded}"
+        )
+
+    # The dirty owner agrees with the caches, whatever the organisation.
+    if dirty:
+        if len(recorded) != 1:
             raise InvariantViolation(
                 "agreement",
-                f"block {block:#x} WE at {writing[0]} but dirty bit "
-                f"{'set for node ' + str(owner) if dirty else 'clear'}",
+                f"block {block:#x} dirty with recorded owners {recorded}, "
+                f"caches' writers {writing}",
             )
-        if dirty:
-            if owner is None:
-                raise InvariantViolation(
-                    "agreement", f"block {block:#x} dirty without an owner"
-                )
-            if strict and not set(held) <= {owner}:
-                raise InvariantViolation(
-                    "agreement",
-                    f"block {block:#x} dirty at node {owner} but cached "
-                    f"at {sorted(held)}",
-                )
-            if strict and writing != [owner]:
-                raise InvariantViolation(
-                    "agreement",
-                    f"block {block:#x} dirty bit names {owner}, caches "
-                    f"say {writing}",
-                )
-        return
-
-    if tag == "full-map":
-        sharers = set(detail)
-        if dirty:
-            if len(sharers) != 1:
-                raise InvariantViolation(
-                    "agreement",
-                    f"block {block:#x} dirty with sharer set "
-                    f"{sorted(sharers)}",
-                )
-            (owner,) = sharers
-            if writing and writing != [owner]:
-                raise InvariantViolation(
-                    "agreement",
-                    f"block {block:#x} directory owner {owner}, caches "
-                    f"say {writing}",
-                )
-            if strict and not set(held) <= {owner}:
-                raise InvariantViolation(
-                    "agreement",
-                    f"block {block:#x} dirty at node {owner} but cached "
-                    f"at {sorted(held)}",
-                )
-            if strict and writing != [owner]:
-                raise InvariantViolation(
-                    "agreement",
-                    f"block {block:#x} directory owner {owner}, caches "
-                    f"say {writing}",
-                )
-        else:
-            if writing:
-                raise InvariantViolation(
-                    "agreement",
-                    f"block {block:#x} WE at {writing} but directory clean",
-                )
-            # Presence bits may over-approximate at any time (silent RS
-            # replacement) and under-approximate mid-run (the home
-            # clears the bit when the invalidation is *sent*, the cache
-            # drops the line when it *arrives*); only at quiescence
-            # must every holder be visible.
-            if strict and not set(held) <= sharers:
-                raise InvariantViolation(
-                    "agreement",
-                    f"block {block:#x} cached at {sorted(held)} unknown "
-                    f"to directory {sorted(sharers)}",
-                )
-        return
-
-    if tag == "list":
-        chain = list(detail)
-        if len(chain) != len(set(chain)):
+        (owner,) = recorded
+        if (writing or strict) and writing != [owner]:
             raise InvariantViolation(
-                "agreement", f"block {block:#x} sharing list has "
-                f"duplicates: {chain}"
+                "agreement",
+                f"block {block:#x} {tag} owner {owner}, caches' writers "
+                f"{writing}",
             )
-        if dirty:
-            if len(chain) != 1:
-                raise InvariantViolation(
-                    "agreement",
-                    f"block {block:#x} dirty with chain {chain}",
-                )
-            owner = chain[0]
-            if writing and writing != [owner]:
-                raise InvariantViolation(
-                    "agreement",
-                    f"block {block:#x} list head {owner}, caches say "
-                    f"{writing}",
-                )
-            if strict and not set(held) <= {owner}:
-                raise InvariantViolation(
-                    "agreement",
-                    f"block {block:#x} dirty at head {owner} but cached "
-                    f"at {sorted(held)}",
-                )
-            if strict and writing != [owner]:
-                raise InvariantViolation(
-                    "agreement",
-                    f"block {block:#x} list head {owner}, caches say "
-                    f"{writing}",
-                )
-        else:
-            if writing:
-                raise InvariantViolation(
-                    "agreement",
-                    f"block {block:#x} WE at {writing} but list clean",
-                )
-            if strict and set(held) != set(chain):
-                # Rollout-on-replacement keeps the list exact once every
-                # background detach and invalidation has landed.
-                raise InvariantViolation(
-                    "agreement",
-                    f"block {block:#x} chain {chain} vs caches "
-                    f"{sorted(held)}",
-                )
+        if strict and not set(held) <= {owner}:
+            raise InvariantViolation(
+                "agreement",
+                f"block {block:#x} dirty at {tag} owner {owner}, caches' "
+                f"writers {writing}, but cached at {sorted(held)}",
+            )
         return
+    if writing:
+        raise InvariantViolation(
+            "agreement",
+            f"block {block:#x} WE at {writing} but {tag} clean (no owner)",
+        )
 
-    raise InvariantViolation(
-        "agreement", f"unknown coherence view tag {tag!r}"
-    )
+    # Each organisation's own clean state, at quiescence only.
+    if not strict:
+        return
+    if tag == "full-map" and not set(held) <= set(recorded):
+        # Presence bits may over-approximate at any time (silent RS
+        # replacement) and under-approximate mid-run (the home clears
+        # the bit when the invalidation is *sent*, the cache drops the
+        # line when it *arrives*); only at quiescence must every
+        # holder be visible.
+        raise InvariantViolation(
+            "agreement",
+            f"block {block:#x} cached at {sorted(held)} unknown to "
+            f"directory {sorted(recorded)}",
+        )
+    if tag == "list" and set(held) != set(recorded):
+        # Rollout-on-replacement keeps the list exact once every
+        # background detach and invalidation has landed.
+        raise InvariantViolation(
+            "agreement",
+            f"block {block:#x} chain {recorded} vs caches {sorted(held)}",
+        )
 
 
 def check_addresses(

@@ -4,7 +4,6 @@ from repro.memory.address import AddressMap, PAGE_SIZE, PRIVATE_REGION_SIZE, SHA
 from repro.memory.bank import MEMORY_ACCESS_PS, MemoryBank, build_banks
 from repro.memory.cache import AccessOutcome, CacheLine, CacheStats, DirectMappedCache
 from repro.memory.directory_store import (
-    DirtyBitDirectory,
     FullMapDirectory,
     FullMapEntry,
     LinkedListDirectory,
@@ -24,7 +23,6 @@ __all__ = [
     "CacheLine",
     "CacheStats",
     "DirectMappedCache",
-    "DirtyBitDirectory",
     "FullMapDirectory",
     "FullMapEntry",
     "LinkedListDirectory",

@@ -25,139 +25,64 @@ and its return to the home is the acknowledgment.
 
 from __future__ import annotations
 
-from typing import List
-
-from repro.core.config import Protocol, SystemConfig
-from repro.memory.cache import AccessOutcome
+from repro.core.config import Protocol
 from repro.memory.directory_store import FullMapDirectory
 from repro.ring.base import RingSystemBase, Step
-from repro.sim.kernel import Simulator
+from repro.sim.engine import DirectoryEngine
 
 __all__ = ["DirectoryRingSystem"]
 
 
-class DirectoryRingSystem(RingSystemBase):
+class DirectoryRingSystem(DirectoryEngine, RingSystemBase):
     """The paper's full-map directory protocol on the slotted ring."""
 
     protocol = Protocol.DIRECTORY
     spec_name = "directory"
-
-    def __init__(self, sim: Simulator, config: SystemConfig) -> None:
-        super().__init__(sim, config)
-        #: One directory per home node.
-        self.directories: List[FullMapDirectory] = [
-            FullMapDirectory(self.num_nodes) for _ in range(self.num_nodes)
-        ]
-
-    def directory_for(self, address: int) -> FullMapDirectory:
-        return self.directories[self.address_map.home_of(address)]
-
-    def dirty_hint(self, address: int) -> bool:
-        entry = self.directory_for(address).peek(
-            self.address_map.block_of(address)
-        )
-        return entry is not None and entry.dirty
-
-    def owned_by(self, address: int, node: int) -> bool:
-        entry = self.directory_for(address).peek(
-            self.address_map.block_of(address)
-        )
-        return entry is not None and entry.dirty and entry.owner == node
-
-    def coherence_view(self, block: int) -> tuple:
-        entry = self.directory_for(block * self.config.block_size).peek(block)
-        if entry is None:
-            return ("full-map", False, ())
-        return ("full-map", entry.dirty, tuple(sorted(entry.sharers)))
-
-    def release_ownership(self, address: int) -> None:
-        self.directory_for(address).clear(self.address_map.block_of(address))
-
-    def track_shared(self, node: int, address: int) -> None:
-        self.directory_for(address).add_sharer(
-            self.address_map.block_of(address), node
-        )
-
-    def track_exclusive(self, node: int, address: int) -> None:
-        self.directory_for(address).set_exclusive(
-            self.address_map.block_of(address), node
-        )
+    directory_type = FullMapDirectory
 
     def memory_writeback(self, owner: int, address: int) -> None:
-        """Clear the dirty bit; the owner keeps its presence bit only
-        if it still caches the block (it keeps an RS copy unless the
-        line already left for its write-back buffer)."""
+        """The owner keeps its presence bit only if it still caches the
+        block (it keeps an RS copy unless the line already left for its
+        write-back buffer)."""
         block = self.address_map.block_of(address)
         directory = self.directory_for(address)
-        entry = directory.entry(block)
-        if entry.dirty:
-            entry.dirty = False
-            if not self.caches[owner].contains(address):
-                directory.remove_sharer(block, owner)
-            self.sim.spawn(
-                self.sharing_writeback(owner, block), name=f"swb:n{owner}"
-            )
+        dirty = directory.entry(block).dirty
+        super().memory_writeback(owner, address)
+        if dirty and not self.caches[owner].contains(address):
+            directory.remove_sharer(block, owner)
 
     # ------------------------------------------------------------------
-    # Transaction body
+    # Misses
     # ------------------------------------------------------------------
-    def transact(
-        self, node: int, address: int, outcome: AccessOutcome, start_ps: int
+    def shared_miss(
+        self, node: int, address: int, is_write: bool, start_ps: int
     ) -> Step:
-        if outcome is AccessOutcome.UPGRADE:
-            return self._upgrade(node, address, start_ps)
-        if outcome is AccessOutcome.READ_MISS:
-            return self._read_miss(node, address, start_ps)
-        return self._write_miss(node, address, start_ps)
-
-    # ------------------------------------------------------------------
-    # Reads
-    # ------------------------------------------------------------------
-    def _read_miss(self, node: int, address: int, start_ps: int) -> Step:
         block = self.address_map.block_of(address)
         home = self.address_map.home_of(address)
+        directory = self.directories[home]
         # Snapshot ownership before the first yield: read misses run
         # under a shared lock, so a concurrent reader may commit the
         # dirty->shared transition while this one is in flight (the
         # snapshot still names a valid supplier).
-        owner = self.directories[home].entry(block).owner
+        owner = directory.entry(block).owner
         self.prepare_victim(node, address)
 
         arcs = yield from self.request_home(node, home, address)
 
         if owner is not None:
             arcs += yield from self._fetch_from_owner(home, owner, node, address)
-            # Downgrade: the owner keeps an RS copy if it still caches
-            # the block; memory is refreshed off the critical path.
-            self.caches[owner].snoop_downgrade(address)
+            if is_write:
+                # Ownership transfer: the old owner invalidates.
+                self.caches[owner].snoop_invalidate(address)
+            else:
+                # Downgrade: the owner keeps an RS copy if it still
+                # caches the block; memory is refreshed off the
+                # critical path.
+                self.caches[owner].snoop_downgrade(address)
         else:
-            yield self.banks[home].access()
-            if home != node:
-                yield from self.send_block(home, node)
-                arcs += self.topology.distance(home, node)
-
-        self.commit(node, address, False, owner)
-        self.record_arc_miss(owner is not None, arcs, start_ps)
-
-    # ------------------------------------------------------------------
-    # Writes
-    # ------------------------------------------------------------------
-    def _write_miss(self, node: int, address: int, start_ps: int) -> Step:
-        block = self.address_map.block_of(address)
-        home = self.address_map.home_of(address)
-        directory = self.directories[home]
-        entry = directory.entry(block)
-        self.prepare_victim(node, address)
-
-        arcs = yield from self.request_home(node, home, address)
-
-        owner = entry.owner
-        if owner is not None:
-            arcs += yield from self._fetch_from_owner(home, owner, node, address)
-            # Ownership transfer: the old owner invalidates.
-            self.caches[owner].snoop_invalidate(address)
-        else:
-            targets = directory.invalidation_targets(block, node)
+            targets = (
+                directory.invalidation_targets(block, node) if is_write else ()
+            )
             if targets:
                 # Overlap the memory fetch with the multicast round;
                 # the home replies only after both complete.
@@ -174,13 +99,13 @@ class DirectoryRingSystem(RingSystemBase):
                 yield from self.send_block(home, node)
                 arcs += self.topology.distance(home, node)
 
-        self.commit(node, address, True, owner)
+        self.commit(node, address, is_write, owner)
         self.record_arc_miss(owner is not None, arcs, start_ps)
 
     # ------------------------------------------------------------------
     # Upgrades
     # ------------------------------------------------------------------
-    def _upgrade(self, node: int, address: int, start_ps: int) -> Step:
+    def upgrade(self, node: int, address: int, start_ps: int) -> Step:
         block = self.address_map.block_of(address)
         home = self.address_map.home_of(address)
         directory = self.directories[home]

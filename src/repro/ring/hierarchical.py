@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from repro.core.config import Protocol, SystemConfig
 from repro.core.metrics import MissClass
-from repro.memory.cache import AccessOutcome, sharers_other_than
+from repro.memory.cache import sharers_other_than
 from repro.ring.scheduler import SlotGrant, SlotScheduler
 from repro.ring.slots import SlotType
 from repro.ring.topology import RingTopology
@@ -278,21 +278,9 @@ class HierarchicalRingSystem(DirtyBitEngine):
             )
 
     # ------------------------------------------------------------------
-    # Transactions
-    # ------------------------------------------------------------------
-    def transact(
-        self, node: int, address: int, outcome: AccessOutcome, start_ps: int
-    ) -> Step:
-        if outcome is AccessOutcome.UPGRADE:
-            return self._upgrade(node, address, start_ps)
-        return self._shared_miss(
-            node, address, outcome is AccessOutcome.WRITE_MISS, start_ps
-        )
-
-    # ------------------------------------------------------------------
     # Shared misses
     # ------------------------------------------------------------------
-    def _shared_miss(
+    def shared_miss(
         self, node: int, address: int, is_write: bool, start_ps: int
     ) -> Step:
         home = self.address_map.home_of(address)
@@ -423,7 +411,7 @@ class HierarchicalRingSystem(DirtyBitEngine):
     # ------------------------------------------------------------------
     # Upgrades
     # ------------------------------------------------------------------
-    def _upgrade(self, node: int, address: int, start_ps: int) -> Step:
+    def upgrade(self, node: int, address: int, start_ps: int) -> Step:
         owner = self.dirty_owner(self.address_map.block_of(address))
         cluster = self.cluster_of(node)
         sharers = sharers_other_than(self.caches, address, node)

@@ -26,87 +26,26 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.core.config import Protocol, SystemConfig
-from repro.memory.cache import AccessOutcome
+from repro.core.config import Protocol
 from repro.memory.directory_store import LinkedListDirectory
 from repro.memory.states import CacheState
 from repro.ring.base import ProtocolError, RingSystemBase, Step
-from repro.sim.kernel import Simulator
+from repro.sim.engine import DirectoryEngine
 
 __all__ = ["LinkedListRingSystem"]
 
 
-class LinkedListRingSystem(RingSystemBase):
+class LinkedListRingSystem(DirectoryEngine, RingSystemBase):
     """SCI-flavoured linked-list directory on the slotted ring."""
 
     protocol = Protocol.LINKED_LIST
     spec_name = "linkedlist"
-
-    def __init__(self, sim: Simulator, config: SystemConfig) -> None:
-        super().__init__(sim, config)
-        self.directories: List[LinkedListDirectory] = [
-            LinkedListDirectory(self.num_nodes) for _ in range(self.num_nodes)
-        ]
-
-    def directory_for(self, address: int) -> LinkedListDirectory:
-        return self.directories[self.address_map.home_of(address)]
-
-    def dirty_hint(self, address: int) -> bool:
-        entry = self.directory_for(address).peek(
-            self.address_map.block_of(address)
-        )
-        return entry is not None and entry.dirty
-
-    def owned_by(self, address: int, node: int) -> bool:
-        entry = self.directory_for(address).peek(
-            self.address_map.block_of(address)
-        )
-        return entry is not None and entry.dirty and entry.head == node
-
-    def coherence_view(self, block: int) -> tuple:
-        entry = self.directory_for(block * self.config.block_size).peek(block)
-        if entry is None:
-            return ("list", False, ())
-        return ("list", entry.dirty, tuple(entry.chain))
-
-    def release_ownership(self, address: int) -> None:
-        self.directory_for(address).clear(self.address_map.block_of(address))
-
-    def track_shared(self, node: int, address: int) -> None:
-        self.directory_for(address).prepend_sharer(
-            self.address_map.block_of(address), node
-        )
-
-    def track_exclusive(self, node: int, address: int) -> None:
-        self.directory_for(address).set_exclusive(
-            self.address_map.block_of(address), node
-        )
-
-    def memory_writeback(self, owner: int, address: int) -> None:
-        block = self.address_map.block_of(address)
-        entry = self.directory_for(address).entry(block)
-        if entry.dirty:
-            entry.dirty = False
-            self.sim.spawn(
-                self.sharing_writeback(owner, block), name=f"swb:n{owner}"
-            )
-
-    # ------------------------------------------------------------------
-    # Transaction body
-    # ------------------------------------------------------------------
-    def transact(
-        self, node: int, address: int, outcome: AccessOutcome, start_ps: int
-    ) -> Step:
-        if outcome is AccessOutcome.UPGRADE:
-            return self._upgrade(node, address, start_ps)
-        return self._miss(
-            node, address, outcome is AccessOutcome.WRITE_MISS, start_ps
-        )
+    directory_type = LinkedListDirectory
 
     # ------------------------------------------------------------------
     # Misses
     # ------------------------------------------------------------------
-    def _miss(
+    def shared_miss(
         self, node: int, address: int, is_write: bool, start_ps: int
     ) -> Step:
         block = self.address_map.block_of(address)
@@ -114,7 +53,7 @@ class LinkedListRingSystem(RingSystemBase):
         directory = self.directories[home]
         entry = directory.entry(block)
 
-        if node in entry.chain:
+        if node in entry.sharers:
             # Stale listing: the node's RS copy was replaced and the
             # background detach has not landed yet; merge it now.
             directory.remove_sharer(block, node)
@@ -124,8 +63,8 @@ class LinkedListRingSystem(RingSystemBase):
         # themselves (or commit a dirty->shared transition) while this
         # transaction is in flight.
         head = entry.head
-        owner = head if entry.dirty else None
-        chain_snapshot = [sharer for sharer in entry.chain if sharer != node]
+        owner = entry.owner
+        chain_snapshot = [sharer for sharer in entry.sharers if sharer != node]
 
         arcs = yield from self._rollout_victim(node, address)
         arcs += yield from self.request_home(node, home, address)
@@ -163,12 +102,10 @@ class LinkedListRingSystem(RingSystemBase):
     # ------------------------------------------------------------------
     # Upgrades
     # ------------------------------------------------------------------
-    def _upgrade(self, node: int, address: int, start_ps: int) -> Step:
-        block = self.address_map.block_of(address)
+    def upgrade(self, node: int, address: int, start_ps: int) -> Step:
         home = self.address_map.home_of(address)
-        directory = self.directories[home]
-        entry = directory.entry(block)
-        owner = entry.head if entry.dirty else None
+        entry = self.directories[home].entry(self.address_map.block_of(address))
+        owner = entry.owner
 
         arcs = 0
         # Become the head / learn the current list: one probe round to
@@ -177,7 +114,7 @@ class LinkedListRingSystem(RingSystemBase):
             yield from self.send_probe(node, home, address)
             yield from self.send_probe(home, node, address)
             arcs += self.topology.total_stages
-        others = [sharer for sharer in entry.chain if sharer != node]
+        others = [sharer for sharer in entry.sharers if sharer != node]
         if others:
             arcs += yield from self._purge_walk(node, address, others)
         self.commit(node, address, True, owner)

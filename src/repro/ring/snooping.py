@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from repro.core.config import Protocol
 from repro.core.metrics import MissClass
-from repro.memory.cache import AccessOutcome, sharers_other_than
+from repro.memory.cache import sharers_other_than
 from repro.ring.base import RingSystemBase, Step
 from repro.ring.scheduler import SlotGrant
 from repro.sim.engine import DirtyBitEngine
@@ -35,21 +35,9 @@ class SnoopingRingSystem(DirtyBitEngine, RingSystemBase):
     spec_name = "snooping"
 
     # ------------------------------------------------------------------
-    # Transaction body
-    # ------------------------------------------------------------------
-    def transact(
-        self, node: int, address: int, outcome: AccessOutcome, start_ps: int
-    ) -> Step:
-        if outcome is AccessOutcome.UPGRADE:
-            return self._upgrade(node, address, start_ps)
-        return self._shared_miss(
-            node, address, outcome is AccessOutcome.WRITE_MISS, start_ps
-        )
-
-    # ------------------------------------------------------------------
     # Shared-data misses
     # ------------------------------------------------------------------
-    def _shared_miss(
+    def shared_miss(
         self, node: int, address: int, is_write: bool, start_ps: int
     ) -> Step:
         block = self.address_map.block_of(address)
@@ -148,7 +136,7 @@ class SnoopingRingSystem(DirtyBitEngine, RingSystemBase):
     # ------------------------------------------------------------------
     # Upgrades (pure invalidations)
     # ------------------------------------------------------------------
-    def _upgrade(self, node: int, address: int, start_ps: int) -> Step:
+    def upgrade(self, node: int, address: int, start_ps: int) -> Step:
         """RS -> WE permission request: broadcast probe, wait for the
         ack in the following probe slot of the same type."""
         owner = self.dirty_owner(self.address_map.block_of(address))

@@ -13,23 +13,31 @@ bus run the same three-state write-invalidate machinery and differ only
 in how messages travel.  This module holds that machinery once; an
 engine supplies
 
-* :meth:`~CoherenceEngine.transact` -- the shared-data transaction body
-  (misses and upgrades on shared data);
+* :meth:`~CoherenceEngine.shared_miss` and
+  :meth:`~CoherenceEngine.upgrade` -- the transaction bodies for misses
+  and upgrades on shared data, which :meth:`~CoherenceEngine.miss`
+  calls directly;
 * :meth:`~CoherenceEngine.carry_block` -- the transport of one block
   from a node to another (a ring block slot, a bus hold, or the
   hierarchy's three-segment route), used by write-backs and memory
   updates;
-* its ownership state: :meth:`~CoherenceEngine.owned_by`,
-  :meth:`~CoherenceEngine.release_ownership`,
-  :meth:`~CoherenceEngine.dirty_hint` and
-  :meth:`~CoherenceEngine.coherence_view` (:class:`DirtyBitEngine`
-  supplies all four for the snooping engines);
-* the three ownership hooks the spec's bookkeeping ops run through:
-  :meth:`~CoherenceEngine.track_shared`,
-  :meth:`~CoherenceEngine.track_exclusive` and
-  :meth:`~CoherenceEngine.memory_writeback`;
 * :meth:`~CoherenceEngine.network_utilization` and any statistics of
   its own interconnect (:meth:`~CoherenceEngine.reset_statistics`).
+
+Ownership state lives in one of two layers below the engines, which
+supply the ownership queries (:meth:`~CoherenceEngine.owned_by`,
+:meth:`~CoherenceEngine.dirty_hint`,
+:meth:`~CoherenceEngine.coherence_view`) and the hooks the spec's
+bookkeeping ops run through (:meth:`~CoherenceEngine.track_shared`,
+:meth:`~CoherenceEngine.track_exclusive`,
+:meth:`~CoherenceEngine.memory_writeback`,
+:meth:`~CoherenceEngine.release_ownership`):
+
+* :class:`DirtyBitEngine` -- one ``block -> dirty owner`` map, for the
+  snooping ring, the bus and the ring hierarchy;
+* :class:`DirectoryEngine` -- one
+  :class:`~repro.memory.directory_store.HomeDirectory` per home node,
+  for the full map and the linked list.
 
 Commits come from the spec
 --------------------------
@@ -52,14 +60,14 @@ simply aborts (the new owner has the only valid copy).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import Any, Dict, Generator, List, Optional, Tuple, Type
 
 from repro.core.config import SystemConfig
 from repro.core.metrics import CoherenceStats, MissClass
 from repro.memory.address import AddressMap
 from repro.memory.bank import MemoryBank, build_banks
 from repro.memory.cache import AccessOutcome, CacheStats, DirectMappedCache
-from repro.memory.directory_store import DirtyBitDirectory
+from repro.memory.directory_store import HomeDirectory
 from repro.memory.states import CacheState
 from repro.sim.kernel import Simulator
 from repro.sim.queues import ReadWriteLock
@@ -68,6 +76,7 @@ from repro.spec.core import SPECS, ProtocolSpec
 __all__ = [
     "COMMIT_TABLES",
     "CoherenceEngine",
+    "DirectoryEngine",
     "DirtyBitEngine",
     "ProtocolError",
     "Step",
@@ -409,8 +418,15 @@ class CoherenceEngine:
                 yield from self._reclaim_from_buffer(
                     node, address, effective, start_ps
                 )
+            elif effective is AccessOutcome.UPGRADE:
+                yield from self.upgrade(node, address, start_ps)
             else:
-                yield from self.transact(node, address, effective, start_ps)
+                yield from self.shared_miss(
+                    node,
+                    address,
+                    effective is AccessOutcome.WRITE_MISS,
+                    start_ps,
+                )
         finally:
             lock.release()
         if tracer is not None:
@@ -458,10 +474,14 @@ class CoherenceEngine:
             )
         return outcome
 
-    def transact(
-        self, node: int, address: int, outcome: AccessOutcome, start_ps: int
+    def shared_miss(
+        self, node: int, address: int, is_write: bool, start_ps: int
     ) -> Step:
-        """Shared-data miss or upgrade body (subclass provides)."""
+        """Shared-data read or write miss body (subclass provides)."""
+        raise NotImplementedError
+
+    def upgrade(self, node: int, address: int, start_ps: int) -> Step:
+        """Shared-data RS -> WE upgrade body (subclass provides)."""
         raise NotImplementedError
 
     def private_miss(
@@ -590,24 +610,22 @@ class DirtyBitEngine(CoherenceEngine):
 
     def __init__(self, sim: Simulator, config: SystemConfig) -> None:
         super().__init__(sim, config)
-        #: One dirty bit per block, conceptually held at each block's
-        #: home memory (a single container is state-equivalent).
-        self.dirty_bits = DirtyBitDirectory()
-        #: Engine bookkeeping: block -> node currently holding WE
-        #: ownership (valid while the dirty bit is set).  A hardware
-        #: snooper identifies itself; the simulator needs the identity
-        #: to route the response.
-        self._dirty_node: Dict[int, int] = {}
+        #: block -> the node holding it WE.  A block's presence here is
+        #: its dirty bit, conceptually held at its home memory (one map
+        #: is state-equivalent).  A hardware snooper recognises itself
+        #: as the owner; the simulator needs the identity to route the
+        #: response.
+        self.dirty_owners: Dict[int, int] = {}
 
     def dirty_hint(self, address: int) -> bool:
-        return self.dirty_bits.is_dirty(self.address_map.block_of(address))
+        return self.address_map.block_of(address) in self.dirty_owners
 
     def owned_by(self, address: int, node: int) -> bool:
-        return self.dirty_owner(self.address_map.block_of(address)) == node
+        return self.dirty_owners.get(self.address_map.block_of(address)) == node
 
     def coherence_view(self, block: int) -> tuple:
-        dirty = self.dirty_bits.is_dirty(block)
-        return ("dirty-bit", dirty, self._dirty_node.get(block) if dirty else None)
+        owner = self.dirty_owners.get(block)
+        return ("dirty-bit", owner is not None, owner)
 
     def dirty_owner(self, block: int) -> Optional[int]:
         """The node whose cache owns ``block``, or ``None`` for the home.
@@ -616,28 +634,80 @@ class DirtyBitEngine(CoherenceEngine):
         shared-mode readers may transfer ownership while the
         transaction is in flight, in which case the snapshot still
         names a valid data supplier (the old owner keeps an RS copy).
-        A set bit without a recorded owner means a concurrent reader
-        committed the transfer between this transaction's lock grant
-        and its first slice: the home serves.
         """
-        if not self.dirty_bits.is_dirty(block):
-            return None
-        return self._dirty_node.get(block)
+        return self.dirty_owners.get(block)
 
     def track_exclusive(self, node: int, address: int) -> None:
-        block = self.address_map.block_of(address)
-        self.dirty_bits.set_dirty(block)
-        self._dirty_node[block] = node
+        self.dirty_owners[self.address_map.block_of(address)] = node
 
     def release_ownership(self, address: int) -> None:
-        block = self.address_map.block_of(address)
-        self.dirty_bits.clear_dirty(block)
-        self._dirty_node.pop(block, None)
+        self.dirty_owners.pop(self.address_map.block_of(address), None)
 
     def memory_writeback(self, owner: int, address: int) -> None:
         block = self.address_map.block_of(address)
-        if self._dirty_node.get(block) == owner:
-            self.release_ownership(address)
+        if self.dirty_owners.get(block) == owner:
+            del self.dirty_owners[block]
+            self.sim.spawn(
+                self.sharing_writeback(owner, block), name=f"swb:n{owner}"
+            )
+
+
+class DirectoryEngine(CoherenceEngine):
+    """Ownership kept in a home directory at every node.
+
+    The full-map and linked-list engines keep it this way: the home's
+    entry for a block names its sharers and, while the block is dirty,
+    its single owner.  The engine picks the directory kind; the sharer
+    container and how a sharer is added are the directory's.
+    """
+
+    #: The home-directory kind every node keeps.
+    directory_type: Type[HomeDirectory]
+
+    def __init__(self, sim: Simulator, config: SystemConfig) -> None:
+        super().__init__(sim, config)
+        #: One directory per home node.
+        self.directories: List[HomeDirectory] = [
+            self.directory_type(self.num_nodes) for _ in range(self.num_nodes)
+        ]
+
+    def directory_for(self, address: int) -> HomeDirectory:
+        return self.directories[self.address_map.home_of(address)]
+
+    def dirty_hint(self, address: int) -> bool:
+        entry = self.directory_for(address).peek(
+            self.address_map.block_of(address)
+        )
+        return entry is not None and entry.dirty
+
+    def owned_by(self, address: int, node: int) -> bool:
+        entry = self.directory_for(address).peek(
+            self.address_map.block_of(address)
+        )
+        return entry is not None and entry.owner == node
+
+    def coherence_view(self, block: int) -> tuple:
+        return self.directory_for(block * self.config.block_size).view(block)
+
+    def release_ownership(self, address: int) -> None:
+        self.directory_for(address).clear(self.address_map.block_of(address))
+
+    def track_shared(self, node: int, address: int) -> None:
+        self.directory_for(address).add_sharer(
+            self.address_map.block_of(address), node
+        )
+
+    def track_exclusive(self, node: int, address: int) -> None:
+        self.directory_for(address).set_exclusive(
+            self.address_map.block_of(address), node
+        )
+
+    def memory_writeback(self, owner: int, address: int) -> None:
+        """Clear the dirty bit; the owner stays a sharer."""
+        block = self.address_map.block_of(address)
+        entry = self.directory_for(address).entry(block)
+        if entry.dirty:
+            entry.dirty = False
             self.sim.spawn(
                 self.sharing_writeback(owner, block), name=f"swb:n{owner}"
             )

@@ -130,7 +130,7 @@ def test_writeback_uses_bus(setup):
     run_reference(sim, engine, 0, addr_b, False)
     sim.run()
     block_a = engine.address_map.block_of(addr_a)
-    assert not engine.dirty_bits.is_dirty(block_a)
+    assert block_a not in engine.dirty_owners
     assert engine.bus.grants > grants_before
 
 

@@ -208,14 +208,16 @@ def test_writeback_clears_directory(setup):
     assert entry is None or not entry.dirty
 
 
-def test_reclaim_from_buffer_preserves_directory(setup):
+def test_write_miss_after_completed_writeback_sets_directory(setup):
+    """The evicted block's write-back drains before the next reference,
+    so writing it again is a plain write miss."""
     sim, engine = setup
     num_lines = engine.caches[0].num_lines
     addr_a = shared_address(engine, 0)
     addr_b = engine.address_map.shared_block_address(num_lines)
     run_reference(sim, engine, 0, addr_a, True)
     run_reference(sim, engine, 0, addr_b, False)
-    run_reference(sim, engine, 0, addr_a, True)  # reclaim
+    run_reference(sim, engine, 0, addr_a, True)  # write miss
     sim.run()
     entry = directory_entry(engine, addr_a)
     assert entry.dirty

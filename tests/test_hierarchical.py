@@ -87,7 +87,7 @@ def test_cross_cluster_dirty_read_downgrades():
     assert engine.caches[0].state_of(address) is CacheState.RS
     assert engine.caches[6].state_of(address) is CacheState.RS
     block = engine.address_map.block_of(address)
-    assert not engine.dirty_bits.is_dirty(block)
+    assert block not in engine.dirty_owners
     engine.check_invariants()
 
 
@@ -137,7 +137,7 @@ def test_cross_cluster_writeback_round_trip():
     run_reference(sim, engine, 0, conflict, False)
     sim.run()
     block = engine.address_map.block_of(address)
-    assert not engine.dirty_bits.is_dirty(block)
+    assert block not in engine.dirty_owners
     engine.check_invariants()
 
 

@@ -101,9 +101,9 @@ def assert_agreement(engine, protocol: Protocol, address: int) -> None:
         )
 
     if protocol is Protocol.SNOOPING:
-        dirty = engine.dirty_bits.is_dirty(block)
+        dirty = block in engine.dirty_owners
         if dirty:
-            owner = engine._dirty_node.get(block)
+            owner = engine.dirty_owners.get(block)
             assert writing == [owner], (
                 f"block {block}: dirty bit names {owner}, caches say "
                 f"{writing}"
@@ -116,11 +116,7 @@ def assert_agreement(engine, protocol: Protocol, address: int) -> None:
 
     directory = engine.directory_for(address)
     entry = directory.peek(block)
-    sharers = (
-        set(entry.chain)
-        if protocol is Protocol.LINKED_LIST
-        else set(entry.sharers)
-    ) if entry is not None else set()
+    sharers = set(entry.sharers) if entry is not None else set()
     dirty = bool(entry.dirty) if entry is not None else False
 
     # Every actual holder must be visible to the home.
@@ -130,7 +126,7 @@ def assert_agreement(engine, protocol: Protocol, address: int) -> None:
     )
     if protocol is Protocol.LINKED_LIST:
         # Rollout on replacement keeps the list exact and duplicate-free.
-        assert entry is None or len(entry.chain) == len(set(entry.chain))
+        assert entry is None or len(entry.sharers) == len(set(entry.sharers))
         assert sharers == set(held), (
             f"block {block}: chain {sharers} vs caches {set(held)}"
         )
@@ -285,3 +281,42 @@ def test_eviction_pressure_keeps_directories_consistent(protocol):
         cache.stats.writebacks for cache in engine.caches
     )
     assert total_writebacks > 0
+
+
+# ----------------------------------------------------------------------
+# The checker's dirty-owner agreement, on every organisation
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("protocol", list(Protocol), ids=lambda p: p.value)
+def test_check_block_catches_dirty_owner_disagreement(protocol):
+    """The three dirty-owner checks ``check_block`` writes once fire on
+    the dirty-bit, full-map and list views alike."""
+    from repro.check.invariants import InvariantViolation, check_block
+
+    def disagreement(**kwargs):
+        with pytest.raises(InvariantViolation) as raised:
+            check_block(engine, address, **kwargs)
+        assert raised.value.kind == "agreement"
+        return str(raised.value)
+
+    sim, engine = fresh_engine(protocol)
+    address = engine.address_map.shared_block_address(5)
+    block = f"{engine.address_map.block_of(address):#x}"
+    drive(sim, engine, 0, address, True)
+    check_block(engine, address, strict=True)
+
+    # A writer that is not the recorded owner.
+    engine.track_exclusive(1, address)
+    message = disagreement()
+    assert block in message and "owner 1" in message and "[0]" in message
+
+    # A writer while the metadata says clean.
+    engine.release_ownership(address)
+    message = disagreement()
+    assert block in message and "[0]" in message
+
+    # At quiescence the dirty owner must itself hold the block WE.
+    engine.track_exclusive(0, address)
+    engine.caches[0].snoop_downgrade(address)
+    check_block(engine, address)
+    message = disagreement(strict=True)
+    assert block in message and "owner 0" in message and "[]" in message

@@ -33,7 +33,7 @@ def test_readers_prepend_newest_first(setup):
     address = shared_address(engine)
     for node in (0, 1, 2):
         run_reference(sim, engine, node, address, False)
-    assert entry_for(engine, address).chain == [2, 1, 0]
+    assert entry_for(engine, address).sharers == [2, 1, 0]
     assert entry_for(engine, address).head == 2
 
 
@@ -44,7 +44,7 @@ def test_write_collapses_list(setup):
         run_reference(sim, engine, node, address, False)
     run_reference(sim, engine, 3, address, True)
     entry = entry_for(engine, address)
-    assert entry.chain == [3]
+    assert entry.sharers == [3]
     assert entry.dirty
     for node in (0, 1, 2):
         assert engine.caches[node].state_of(address) is CacheState.INV
@@ -58,7 +58,7 @@ def test_upgrade_purges_rest_of_list(setup):
         run_reference(sim, engine, node, address, False)
     run_reference(sim, engine, 1, address, True)  # upgrade from mid-list
     entry = entry_for(engine, address)
-    assert entry.chain == [1]
+    assert entry.sharers == [1]
     assert entry.dirty
     assert engine.caches[0].state_of(address) is CacheState.INV
     assert engine.caches[2].state_of(address) is CacheState.INV
@@ -73,7 +73,7 @@ def test_read_of_dirty_block_forwards_to_head(setup):
     entry = entry_for(engine, address)
     assert not entry.dirty
     assert entry.head == 3  # new reader prepends
-    assert 1 in entry.chain
+    assert 1 in entry.sharers
     assert engine.caches[1].state_of(address) is CacheState.RS
 
 
@@ -106,10 +106,10 @@ def test_rs_eviction_triggers_background_detach(setup):
     addr_a = shared_address(engine, 0)
     addr_b = engine.address_map.shared_block_address(num_lines)
     run_reference(sim, engine, 1, addr_a, False)
-    assert 1 in entry_for(engine, addr_a).chain
+    assert 1 in entry_for(engine, addr_a).sharers
     run_reference(sim, engine, 1, addr_b, False)
     sim.run()  # detach drains
-    assert 1 not in entry_for(engine, addr_a).chain
+    assert 1 not in entry_for(engine, addr_a).sharers
 
 
 def test_stale_head_merged_on_remiss(setup):
@@ -124,19 +124,21 @@ def test_stale_head_merged_on_remiss(setup):
     run_reference(sim, engine, 1, addr_a, False)  # immediate re-miss
     sim.run()
     entry = entry_for(engine, addr_a)
-    assert entry.chain.count(1) == 1
+    assert entry.sharers.count(1) == 1
     assert engine.caches[1].state_of(addr_a) is CacheState.RS
     engine.check_invariants()
 
 
-def test_dirty_victim_reclaim(setup):
+def test_write_miss_after_completed_writeback_heads_list(setup):
+    """The evicted block's write-back drains before the next reference,
+    so writing it again is a plain write miss."""
     sim, engine = setup
     num_lines = engine.caches[0].num_lines
     addr_a = shared_address(engine, 0)
     addr_b = engine.address_map.shared_block_address(num_lines)
     run_reference(sim, engine, 0, addr_a, True)
     run_reference(sim, engine, 0, addr_b, False)
-    run_reference(sim, engine, 0, addr_a, True)  # reclaim from buffer
+    run_reference(sim, engine, 0, addr_a, True)  # write miss
     sim.run()
     entry = entry_for(engine, addr_a)
     assert entry.dirty and entry.head == 0

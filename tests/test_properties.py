@@ -69,8 +69,8 @@ def test_snooping_invariants_under_random_traffic(accesses):
             if state is CacheState.WE and engine.address_map.is_shared(
                 block_address
             ):
-                assert engine.dirty_bits.is_dirty(block)
-                assert engine._dirty_node[block] == node
+                assert block in engine.dirty_owners
+                assert engine.dirty_owners[block] == node
 
 
 @given(st.lists(ACCESS, min_size=1, max_size=40))
@@ -106,13 +106,13 @@ def test_linkedlist_invariants_under_random_traffic(accesses):
                 continue
             block = engine.address_map.block_of(block_address)
             entry = engine.directory_for(block_address).entry(block)
-            assert node in entry.chain
+            assert node in entry.sharers
             if state is CacheState.WE:
                 assert entry.dirty and entry.head == node
     # Sharing lists never contain duplicates.
     for directory in engine.directories:
         for block, entry in directory._entries.items():
-            assert len(entry.chain) == len(set(entry.chain))
+            assert len(entry.sharers) == len(set(entry.sharers))
 
 
 @given(st.lists(ACCESS, min_size=1, max_size=40))

@@ -85,7 +85,7 @@ def test_reset_engine_statistics_clears_counts_keeps_state():
 
     assert engine.caches[0].classify(address, True) is AccessOutcome.HIT
     block = engine.address_map.block_of(address)
-    assert engine.dirty_bits.is_dirty(block)
+    assert block in engine.dirty_owners
 
 
 def test_reset_statistics_hierarchical_and_bus():
