@@ -15,6 +15,11 @@ write-back-buffer reclaims and sharing write-backs all occur.  Every
 run starts from an empty result store with the in-process memo
 cleared, so no stored result can answer for the code under test.
 
+A second set of digests pins the traced event stream of each ring
+engine (snooping, directory, linked list, and the hierarchy as 2
+clusters of 4): every slotted-ring message's name, endpoints, start
+and duration, which the stored result does not record.
+
 A refactor of the engines that keeps every transaction's requests,
 spawns and counter updates in the same order must leave all digests
 unchanged.
@@ -36,6 +41,7 @@ from repro.core.config import (
 )
 from repro.core.experiment import last_kernel_counters, run_simulation
 from repro.core.store import result_to_jsonable
+from repro.obs import Tracer
 
 PROCESSORS = 8
 DATA_REFS = 2000
@@ -155,3 +161,46 @@ def test_engine_results_are_bit_exact(temp_store, workload, protocol, weak):
     assert engine_digest(workload, protocol, weak) == DIGESTS[
         (workload, protocol.value, weak)
     ]
+
+
+# ----------------------------------------------------------------------
+# The traced message stream of every ring engine
+# ----------------------------------------------------------------------
+TRACED_REFS = 1500
+
+#: sha256 over ``Tracer.iter_jsonl()`` of one traced mp3d run per ring
+#: engine: every message's name, endpoints, start and duration, and
+#: every miss, forward and snoop event around them.
+TRACE_DIGESTS = {
+    "snooping": (
+        "18e0013558503693396fc96efb9a7e4476b14aa06635a6cc5371dfc70169c184"
+    ),
+    "directory": (
+        "69d0d7c2785c2475db922b8b2b11f0e13800bc73557309a6c91efdf8215e96de"
+    ),
+    "linked-list": (
+        "4839036e1e87af76a8c0ec37a4f78c8aaa8c0f8159a21fda1174266ec4c4b9f7"
+    ),
+    "hierarchical": (
+        "4c3d7b2f6d9e520613245db22eaa95053ab859eebe9314dcd650206ff0c43185"
+    ),
+}
+
+
+def trace_digest(protocol: Protocol) -> str:
+    tracer = Tracer()
+    run_simulation(
+        "mp3d", _config(protocol, False), data_refs=TRACED_REFS, tracer=tracer
+    )
+    digest = hashlib.sha256()
+    for line in tracer.iter_jsonl():
+        digest.update(line.encode() + b"\n")
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("protocol", sorted(TRACE_DIGESTS))
+def test_traced_message_stream_is_bit_exact(temp_store, protocol):
+    """The ring engines' messages -- names, endpoints (an inter-ring
+    interface is named ``P + cluster``) and times -- are pinned, so a
+    change to the slotted-ring message layer cannot move one."""
+    assert trace_digest(Protocol(protocol)) == TRACE_DIGESTS[protocol]
