@@ -172,8 +172,8 @@ class DirectoryRingSystem(DirectoryEngine, RingSystemBase):
         tracer = self.sim.tracer
         if tracer is not None:
             tracer.complete(
-                self.scheduler.cycle_to_ps(grant.grab_cycle),
-                self.scheduler.cycle_to_ps(self.topology.total_stages),
+                self.rings[0].cycle_to_ps(grant.grab_cycle),
+                self.rings[0].cycle_to_ps(self.topology.total_stages),
                 self.trace_category,
                 "multicast.invalidate",
                 f"node{home}",

@@ -4,8 +4,9 @@ The paper's related-work section describes two machines built this
 way: Hector (hierarchical slotted rings, with the later Farkas et al.
 broadcast-based cache protocol) and the Kendall Square Research KSR1
 (a commercial two-level slotted-ring hierarchy with snooping).  This
-module implements that organisation on top of the same slot machinery
-as the flat ring:
+module implements that organisation on the flat rings' slotted-ring
+layer (:class:`~repro.ring.base.RingSystemBase`): the same message
+primitives, sent on one of several rings:
 
 * ``clusters`` **local rings**, each carrying ``P / clusters``
   processing nodes plus one **inter-ring interface (IRI)**;
@@ -35,10 +36,12 @@ uniform traffic sees a shorter end-to-end path.
 
 from __future__ import annotations
 
+from typing import List
+
 from repro.core.config import Protocol, SystemConfig
 from repro.core.metrics import MissClass
 from repro.memory.cache import sharers_other_than
-from repro.ring.scheduler import SlotGrant, SlotScheduler
+from repro.ring.base import RingSystemBase
 from repro.ring.slots import SlotType
 from repro.ring.topology import RingTopology
 from repro.sim.engine import DirtyBitEngine, Step
@@ -47,51 +50,41 @@ from repro.sim.kernel import Simulator
 __all__ = ["HierarchicalRingSystem"]
 
 
-class HierarchicalRingSystem(DirtyBitEngine):
-    """KSR1/Hector-style two-level snooping ring machine."""
+class HierarchicalRingSystem(DirtyBitEngine, RingSystemBase):
+    """KSR1/Hector-style two-level snooping ring machine.
+
+    ``rings[c]`` is cluster ``c``'s local ring and ``rings[clusters]``
+    the global ring; every message goes through the shared
+    :meth:`~RingSystemBase.send` and :meth:`~RingSystemBase.broadcast`.
+    All local rings share one topology, :attr:`topology`.
+    """
 
     protocol = Protocol.HIERARCHICAL
     spec_name = "hierarchical"
 
-    #: Telemetry component name for this engine's events.
-    trace_category = "ring.hierarchical"
-
     def __init__(self, sim: Simulator, config: SystemConfig) -> None:
         super().__init__(sim, config)
         # SystemConfig guarantees at least 2 clusters of equal size.
-        clusters = config.ring.clusters
-        self.clusters = clusters
-        self.per_cluster = config.num_processors // clusters
-        self.layout = config.ring_layout()
-        # Each local ring carries its nodes plus the IRI (one extra
-        # position, placed last); the global ring carries the IRIs.
-        self.local_topology = RingTopology.for_layout(
-            self.per_cluster + 1, self.layout, config.ring.stages_per_node
-        )
-        self.global_topology = RingTopology.for_layout(
-            max(2, clusters), self.layout, config.ring.stages_per_node
-        )
-        self.local_schedulers = [
-            SlotScheduler(
-                sim,
-                self.local_topology,
-                self.layout,
-                clock_ps=config.ring.clock_ps,
-                enforce_fairness=config.ring.enforce_fairness,
-            )
-            for _ in range(clusters)
-        ]
-        self.global_scheduler = SlotScheduler(
-            sim,
-            self.global_topology,
-            self.layout,
-            clock_ps=config.ring.clock_ps,
-            enforce_fairness=config.ring.enforce_fairness,
-        )
+        self.clusters = config.ring.clusters
+        self.per_cluster = config.num_processors // self.clusters
         #: Transactions completed without leaving the cluster.
         self.local_transactions = 0
         #: Transactions that crossed the global ring.
         self.global_transactions = 0
+
+    def ring_topologies(self) -> List[RingTopology]:
+        """The ``clusters`` local rings, sharing one topology, then the
+        global ring.  Each local ring carries its nodes plus the IRI
+        (one extra position, placed last); the global ring carries the
+        IRIs."""
+        ring = self.config.ring
+        stages = ring.stages_per_node
+        local = RingTopology.for_layout(
+            self.config.num_processors // ring.clusters + 1, self.layout, stages
+        )
+        return [local] * ring.clusters + [
+            RingTopology.for_layout(ring.clusters, self.layout, stages)
+        ]
 
     # ------------------------------------------------------------------
     # Geometry helpers
@@ -109,132 +102,20 @@ class HierarchicalRingSystem(DirtyBitEngine):
         return self.per_cluster
 
     @property
-    def clock_ps(self) -> int:
-        return self.config.ring.clock_ps
+    def global_ring(self) -> int:
+        """The global ring's index in :attr:`rings` (after the local
+        rings); its positions are the clusters."""
+        return self.clusters
 
-    def probe_type_for(self, address: int) -> SlotType:
-        return self.layout.probe_type_for_parity(
-            self.address_map.parity_of(address)
-        )
-
-    # ------------------------------------------------------------------
-    # Ring message primitives
-    # ------------------------------------------------------------------
-    def _ring_node(self, cluster: int, position: int) -> int:
-        """The node id a traced message names for a local-ring position:
-        the processing node, or ``P + cluster`` for the cluster's IRI
-        (the global ring's positions are those IRIs)."""
+    def ring_node(self, ring: int, position: int) -> int:
+        """The node a traced message names for a ring position: the
+        processing node, or ``P + cluster`` for a cluster's IRI (the
+        global ring's positions are those IRIs)."""
+        if ring == self.global_ring:
+            return self.config.num_processors + position
         if position == self.per_cluster:
-            return self.config.num_processors + cluster
-        return cluster * self.per_cluster + position
-
-    def _trace_message(
-        self,
-        scheduler: SlotScheduler,
-        grant: SlotGrant,
-        cycles: int,
-        kind: str,
-        src: int,
-        dst: int,
-    ) -> None:
-        """Report one ring message to the tracer, as the flat rings'
-        ``send_probe``/``send_block``/``broadcast_probe`` do."""
-        self.sim.tracer.message(
-            scheduler.cycle_to_ps(grant.grab_cycle),
-            scheduler.cycle_to_ps(cycles),
-            self.trace_category,
-            kind,
-            src,
-            dst,
-        )
-
-    def _local_broadcast(self, cluster: int, position: int, address: int) -> Step:
-        """Broadcast a probe on one local ring; returns the grant."""
-        scheduler = self.local_schedulers[cluster]
-        stages = self.local_topology.total_stages
-        grant: SlotGrant = yield from scheduler.acquire(
-            position,
-            self.probe_type_for(address),
-            occupancy_cycles=stages,
-            removed_by=position,
-        )
-        self.stats.probes_sent += 1
-        self.stats.broadcast_probes += 1
-        if self.sim.tracer is not None:
-            node = self._ring_node(cluster, position)
-            self._trace_message(
-                scheduler, grant, stages, "probe.broadcast", node, node
-            )
-        return grant
-
-    def _global_broadcast(self, cluster: int, address: int) -> Step:
-        stages = self.global_topology.total_stages
-        grant: SlotGrant = yield from self.global_scheduler.acquire(
-            cluster,
-            self.probe_type_for(address),
-            occupancy_cycles=stages,
-            removed_by=cluster,
-        )
-        self.stats.probes_sent += 1
-        self.stats.broadcast_probes += 1
-        if self.sim.tracer is not None:
-            iri = self._ring_node(cluster, self.per_cluster)
-            self._trace_message(
-                self.global_scheduler,
-                grant,
-                stages,
-                "probe.broadcast",
-                iri,
-                iri,
-            )
-        return grant
-
-    def _local_block(self, cluster: int, src: int, dst: int) -> Step:
-        """Block message on a local ring; returns tail-arrival cycle."""
-        scheduler = self.local_schedulers[cluster]
-        if src == dst:
-            return scheduler.ps_to_next_cycle(self.sim.now)
-        distance = self.local_topology.distance(src, dst)
-        grant: SlotGrant = yield from scheduler.acquire(
-            src, SlotType.BLOCK, occupancy_cycles=distance, removed_by=dst
-        )
-        self.stats.blocks_sent += 1
-        arrival = grant.grab_cycle + distance + self.layout.block_stages
-        if self.sim.tracer is not None:
-            self._trace_message(
-                scheduler,
-                grant,
-                arrival - grant.grab_cycle,
-                "block",
-                self._ring_node(cluster, src),
-                self._ring_node(cluster, dst),
-            )
-        yield from self.wait_until_cycle(arrival)
-        return arrival
-
-    def _global_block(self, src_cluster: int, dst_cluster: int) -> Step:
-        if src_cluster == dst_cluster:
-            return self.global_scheduler.ps_to_next_cycle(self.sim.now)
-        distance = self.global_topology.distance(src_cluster, dst_cluster)
-        grant: SlotGrant = yield from self.global_scheduler.acquire(
-            src_cluster,
-            SlotType.BLOCK,
-            occupancy_cycles=distance,
-            removed_by=dst_cluster,
-        )
-        self.stats.blocks_sent += 1
-        arrival = grant.grab_cycle + distance + self.layout.block_stages
-        if self.sim.tracer is not None:
-            self._trace_message(
-                self.global_scheduler,
-                grant,
-                arrival - grant.grab_cycle,
-                "block",
-                self._ring_node(src_cluster, self.per_cluster),
-                self._ring_node(dst_cluster, self.per_cluster),
-            )
-        yield from self.wait_until_cycle(arrival)
-        return arrival
+            return self.config.num_processors + ring
+        return ring * self.per_cluster + position
 
     # ------------------------------------------------------------------
     # Snoop side effects
@@ -242,18 +123,16 @@ class HierarchicalRingSystem(DirtyBitEngine):
     def _invalidate_cluster(self, cluster: int, address: int, node: int) -> Step:
         """One local invalidation sweep: broadcast a probe on the
         cluster's ring, invalidating resident copies at passage."""
-        grant = yield from self._local_broadcast(
-            cluster, self.iri_position, address
-        )
+        grant = yield from self.broadcast(cluster, self.iri_position, address)
         for sharer in sharers_other_than(self.caches, address, node):
             if self.cluster_of(sharer) != cluster:
                 continue
-            passage = grant.grab_cycle + self.local_topology.distance(
+            passage = grant.grab_cycle + self.topology.distance(
                 self.iri_position, self.local_position(sharer)
             )
             self.schedule_invalidate(sharer, address, passage)
         yield from self.wait_until_cycle(
-            grant.grab_cycle + self.local_topology.total_stages
+            grant.grab_cycle + self.topology.total_stages
         )
 
     # ------------------------------------------------------------------
@@ -265,16 +144,27 @@ class HierarchicalRingSystem(DirtyBitEngine):
         src_cluster = self.cluster_of(src)
         dst_cluster = self.cluster_of(dst)
         if src_cluster == dst_cluster:
-            yield from self._local_block(
-                src_cluster, self.local_position(src), self.local_position(dst)
+            yield from self.send(
+                src_cluster,
+                self.local_position(src),
+                self.local_position(dst),
+                SlotType.BLOCK,
             )
         else:
-            yield from self._local_block(
-                src_cluster, self.local_position(src), self.iri_position
+            yield from self.send(
+                src_cluster,
+                self.local_position(src),
+                self.iri_position,
+                SlotType.BLOCK,
             )
-            yield from self._global_block(src_cluster, dst_cluster)
-            yield from self._local_block(
-                dst_cluster, self.iri_position, self.local_position(dst)
+            yield from self.send(
+                self.global_ring, src_cluster, dst_cluster, SlotType.BLOCK
+            )
+            yield from self.send(
+                dst_cluster,
+                self.iri_position,
+                self.local_position(dst),
+                SlotType.BLOCK,
             )
 
     # ------------------------------------------------------------------
@@ -297,7 +187,7 @@ class HierarchicalRingSystem(DirtyBitEngine):
             return
 
         # Local probe sweep (always: the cluster snoops first).
-        grant = yield from self._local_broadcast(
+        grant = yield from self.broadcast(
             cluster, self.local_position(node), address
         )
 
@@ -306,7 +196,7 @@ class HierarchicalRingSystem(DirtyBitEngine):
             # clusters are swept below.
             for sharer in sharers_other_than(self.caches, address, node):
                 if self.cluster_of(sharer) == cluster:
-                    passage = grant.grab_cycle + self.local_topology.distance(
+                    passage = grant.grab_cycle + self.topology.distance(
                         self.local_position(node),
                         self.local_position(sharer),
                     )
@@ -316,7 +206,7 @@ class HierarchicalRingSystem(DirtyBitEngine):
             # Cluster-local transaction: flat-ring behaviour at local
             # ring scale.
             self.local_transactions += 1
-            passage = grant.grab_cycle + self.local_topology.distance(
+            passage = grant.grab_cycle + self.topology.distance(
                 self.local_position(node), self.local_position(supplier)
             )
             yield from self.wait_until_cycle(passage)
@@ -326,31 +216,36 @@ class HierarchicalRingSystem(DirtyBitEngine):
                 yield self.sim.timeout(self.config.memory.cache_response_ps)
             else:
                 yield self.banks[home].access()
-            arrival = yield from self._local_block(
+            arrival = yield from self.send(
                 cluster,
                 self.local_position(supplier),
                 self.local_position(node),
+                SlotType.BLOCK,
             )
             yield from self.wait_until_cycle(arrival)
         else:
             # Three-segment remote transaction via the IRIs.
             self.global_transactions += 1
-            iri_pass = grant.grab_cycle + self.local_topology.distance(
+            iri_pass = grant.grab_cycle + self.topology.distance(
                 self.local_position(node), self.iri_position
             )
             yield from self.wait_until_cycle(iri_pass)
-            global_grant = yield from self._global_broadcast(cluster, address)
+            global_grant = yield from self.broadcast(
+                self.global_ring, cluster, address
+            )
             target_pass = global_grant.grab_cycle + (
-                self.global_topology.distance(cluster, supplier_cluster)
+                self.rings[self.global_ring].topology.distance(
+                    cluster, supplier_cluster
+                )
                 if supplier_cluster != cluster
                 else 0
             )
             yield from self.wait_until_cycle(target_pass)
-            remote_grant = yield from self._local_broadcast(
+            remote_grant = yield from self.broadcast(
                 supplier_cluster, self.iri_position, address
             )
             supplier_pass = remote_grant.grab_cycle + (
-                self.local_topology.distance(
+                self.topology.distance(
                     self.iri_position, self.local_position(supplier)
                 )
                 if supplier != node
@@ -364,14 +259,20 @@ class HierarchicalRingSystem(DirtyBitEngine):
             else:
                 yield self.banks[home].access()
             # Block return: supplier -> its IRI -> our IRI -> us.
-            yield from self._local_block(
+            yield from self.send(
                 supplier_cluster,
                 self.local_position(supplier),
                 self.iri_position,
+                SlotType.BLOCK,
             )
-            yield from self._global_block(supplier_cluster, cluster)
-            arrival = yield from self._local_block(
-                cluster, self.iri_position, self.local_position(node)
+            yield from self.send(
+                self.global_ring, supplier_cluster, cluster, SlotType.BLOCK
+            )
+            arrival = yield from self.send(
+                cluster,
+                self.iri_position,
+                self.local_position(node),
+                SlotType.BLOCK,
             )
             yield from self.wait_until_cycle(arrival)
 
@@ -418,27 +319,22 @@ class HierarchicalRingSystem(DirtyBitEngine):
         remote = any(self.cluster_of(s) != cluster for s in sharers)
         home_cluster = self.cluster_of(self.address_map.home_of(address))
 
-        grant = yield from self._local_broadcast(
+        grant = yield from self.broadcast(
             cluster, self.local_position(node), address
         )
         for sharer in sharers:
             if self.cluster_of(sharer) == cluster:
-                passage = grant.grab_cycle + self.local_topology.distance(
+                passage = grant.grab_cycle + self.topology.distance(
                     self.local_position(node), self.local_position(sharer)
                 )
                 self.schedule_invalidate(sharer, address, passage)
-        completion = (
-            grant.grab_cycle
-            + self.local_topology.total_stages
-            + self.layout.frame_stages
-        )
-        yield from self.wait_until_cycle(completion)
+        yield from self._await_ack(cluster, grant)
 
         if remote or home_cluster != cluster:
             # The upgrade must reach the home (dirty bit) and every
             # sharing cluster: one global sweep plus concurrent local
             # sweeps, acked back through the IRI.
-            yield from self._global_broadcast(cluster, address)
+            yield from self.broadcast(self.global_ring, cluster, address)
             yield from self._remote_invalidations(node, address, cluster)
             yield self.sim.timeout(self.layout.frame_stages * self.clock_ps)
 
@@ -452,27 +348,13 @@ class HierarchicalRingSystem(DirtyBitEngine):
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
-    def network_utilization(self, elapsed_ps: int) -> float:
-        """The plain mean of every ring's aggregate utilisation: each
-        local ring and the global ring count once, whatever their
-        number of stages (so this is not a stage-weighted mean)."""
-        schedulers = list(self.local_schedulers) + [self.global_scheduler]
-        total = sum(
-            scheduler.aggregate_utilization(elapsed_ps)
-            for scheduler in schedulers
-        )
-        return total / len(schedulers)
-
     def reset_statistics(self) -> None:
         super().reset_statistics()
-        self.global_scheduler.reset_statistics()
-        for scheduler in self.local_schedulers:
-            scheduler.reset_statistics()
         self.local_transactions = 0
         self.global_transactions = 0
 
     def global_ring_utilization(self, elapsed_ps: int) -> float:
-        return self.global_scheduler.aggregate_utilization(elapsed_ps)
+        return self.rings[self.global_ring].aggregate_utilization(elapsed_ps)
 
     @property
     def locality_fraction(self) -> float:

@@ -22,7 +22,6 @@ from repro.core.config import Protocol
 from repro.core.metrics import MissClass
 from repro.memory.cache import sharers_other_than
 from repro.ring.base import RingSystemBase, Step
-from repro.ring.scheduler import SlotGrant
 from repro.sim.engine import DirtyBitEngine
 
 __all__ = ["SnoopingRingSystem"]
@@ -71,7 +70,7 @@ class SnoopingRingSystem(DirtyBitEngine, RingSystemBase):
                 sharer, address, self.passage_cycle(grant, node, sharer)
             )
         yield self.banks[node].access()
-        yield from self._await_ack(grant)
+        yield from self._await_ack(0, grant)
         self.commit(node, address, True, None)
         self.stats.record_miss(
             MissClass.LOCAL_CLEAN, self.sim.now - start_ps, traversals=None
@@ -117,21 +116,11 @@ class SnoopingRingSystem(DirtyBitEngine, RingSystemBase):
             # A write miss must also observe the invalidation ack (the
             # probe completed its traversal before the block arrives in
             # all but degenerate cases; enforce the ordering anyway).
-            yield from self._await_ack(grant)
+            yield from self._await_ack(0, grant)
         self.commit(node, address, is_write, owner if dirty else None)
 
         klass = MissClass.REMOTE_DIRTY if dirty else MissClass.REMOTE_CLEAN
         self.stats.record_miss(klass, self.sim.now - start_ps, traversals=1)
-
-    def _await_ack(self, grant: SlotGrant) -> Step:
-        """Wait for the owner's ack to the broadcast probe of ``grant``:
-        it rides the following probe slot of the same type, one frame
-        behind the probe's full traversal."""
-        yield from self.wait_until_cycle(
-            grant.grab_cycle
-            + self.scheduler.broadcast_cycles()
-            + self.scheduler.ack_delay_cycles()
-        )
 
     # ------------------------------------------------------------------
     # Upgrades (pure invalidations)
@@ -146,7 +135,7 @@ class SnoopingRingSystem(DirtyBitEngine, RingSystemBase):
             self.schedule_invalidate(
                 sharer, address, self.passage_cycle(grant, node, sharer)
             )
-        yield from self._await_ack(grant)
+        yield from self._await_ack(0, grant)
         self.commit(node, address, True, owner)
         tracer = self.sim.tracer
         if tracer is not None:

@@ -7,7 +7,7 @@ from repro.core.config import Protocol, SystemConfig
 from repro.core.experiment import build_engine, run_simulation
 from repro.memory.states import CacheState
 from repro.sim.kernel import Simulator
-from tests.conftest import run_reference
+from tests.conftest import make_engine, run_reference
 
 
 def make_hier(num_processors=8, clusters=2):
@@ -38,8 +38,46 @@ def test_geometry():
     assert engine.local_position(5) == 1
     assert engine.iri_position == 4
     # Local rings carry nodes + IRI; global ring carries the IRIs.
-    assert engine.local_topology.num_nodes == 5
-    assert engine.global_topology.num_nodes == 2
+    local_rings, global_ring = engine.rings[:2], engine.rings[2]
+    assert len(engine.rings) == 3
+    assert all(ring.topology is engine.topology for ring in local_rings)
+    assert engine.topology.num_nodes == 5
+    assert global_ring.topology.num_nodes == 2
+
+
+def _drive_mixed_traffic(sim, engine):
+    """Reads then writes to a few shared blocks from every node."""
+    for index in range(4):
+        address = engine.address_map.shared_block_address(index)
+        for node in range(engine.num_nodes):
+            run_reference(sim, engine, node, address, False)
+        run_reference(sim, engine, index, address, True)
+    sim.run()
+    return sim.now
+
+
+@pytest.mark.parametrize(
+    "protocol",
+    [Protocol.SNOOPING, Protocol.DIRECTORY, Protocol.LINKED_LIST],
+)
+def test_flat_network_utilization_is_its_ring_s(protocol):
+    sim, engine = make_engine(protocol, num_processors=8)
+    elapsed = _drive_mixed_traffic(sim, engine)
+    (ring,) = engine.rings
+    utilization = engine.network_utilization(elapsed)
+    assert utilization > 0
+    assert utilization == ring.aggregate_utilization(elapsed)
+
+
+def test_network_utilization_is_plain_mean_over_rings():
+    """Every local ring and the global ring count once, whatever
+    their stage counts: today's arithmetic, pinned bit for bit."""
+    sim, engine = make_hier(8, 2)
+    elapsed = _drive_mixed_traffic(sim, engine)
+    values = [ring.aggregate_utilization(elapsed) for ring in engine.rings]
+    assert len(values) == engine.clusters + 1
+    assert all(values)
+    assert engine.network_utilization(elapsed) == sum(values) / len(values)
 
 
 def test_uneven_clusters_rejected():

@@ -1,5 +1,8 @@
 """Unit tests for the event-driven slot scheduler."""
 
+import ast
+import pathlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -319,3 +322,57 @@ def test_arrival_walk_matches_per_slot_scan(data):
     got = walk_earliest_grabbable(scheduler, node, slot_type)
     assert got[0] == expected[0]
     assert got[1] is expected[1]
+
+
+# ----------------------------------------------------------------------
+# One slotted-ring layer
+# ----------------------------------------------------------------------
+def _slot_scheduler_sites(tree):
+    """Line numbers of ``SlotScheduler(...)`` constructions and of slot
+    acquires.  A slot acquire is the generator ``acquire`` (run with
+    ``yield from``, or given ``occupancy_cycles``); the block locks',
+    bus's and bank queues' acquires return events and are yielded."""
+    delegated = {
+        id(node.value) for node in ast.walk(tree) if isinstance(node, ast.YieldFrom)
+    }
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id == "SlotScheduler":
+            yield node.lineno
+        elif isinstance(func, ast.Attribute) and func.attr == "SlotScheduler":
+            yield node.lineno
+        elif isinstance(func, ast.Attribute) and func.attr == "acquire":
+            if id(node) in delegated or any(
+                keyword.arg == "occupancy_cycles" for keyword in node.keywords
+            ):
+                yield node.lineno
+
+
+def test_slot_schedulers_are_built_and_acquired_only_in_ring_base():
+    """Every ring of every engine is built and sent on in ``ring/base.py``.
+
+    The paper's slotted-ring message -- acquire a slot, count it, trace
+    it, wait for its tail -- is written once there, as ``send`` and
+    ``broadcast`` over ``RingSystemBase.rings``.  A second copy of that
+    sequence (the ring hierarchy kept one) drifts: its messages once
+    missed the invariant monitor and the tracer.  So outside
+    ``ring/base.py`` no module under ``src/repro`` may construct a
+    ``SlotScheduler`` or acquire a slot from one.
+    """
+    import repro
+
+    root = pathlib.Path(repro.__file__).parent
+    offenders = []
+    seen_in_base = []
+    for path in sorted(root.rglob("*.py")):
+        relative = path.relative_to(root).as_posix()
+        sites = list(_slot_scheduler_sites(ast.parse(path.read_text())))
+        if relative == "ring/base.py":
+            seen_in_base = sites
+        else:
+            offenders.extend(f"{relative}:{line}" for line in sites)
+    assert not offenders
+    # The lint sees the layer's own construction and acquires.
+    assert len(seen_in_base) == 3

@@ -129,13 +129,8 @@ def test_warmup_resets_per_slot_counters_with_per_type_tallies(protocol):
         monitor=capture,
     )
     engine = capture.engine
-    schedulers = [
-        getattr(engine, name)
-        for name in ("scheduler", "global_scheduler")
-        if hasattr(engine, name)
-    ] + list(getattr(engine, "local_schedulers", []))
-    assert schedulers
-    for scheduler in schedulers:
+    assert engine.rings
+    for scheduler in engine.rings:
         for slot_type in SlotType:
             slots = scheduler.slots_of(slot_type)
             assert (
@@ -148,6 +143,6 @@ def test_warmup_resets_per_slot_counters_with_per_type_tallies(protocol):
             )
     assert any(
         scheduler.granted_messages[slot_type]
-        for scheduler in schedulers
+        for scheduler in engine.rings
         for slot_type in SlotType
     )
