@@ -1,4 +1,5 @@
-"""The slotted-ring interconnect and its three coherence protocols."""
+"""The slotted-ring interconnect: one slotted-ring layer and the four
+coherence engines on it."""
 
 from repro.ring.base import ProtocolError, RingSystemBase
 from repro.ring.directory import DirectoryRingSystem
