@@ -21,24 +21,24 @@ Three mechanisms make the search CI-exhaustive at the
   (identity-canonicalized) search as the equivalence oracle.
 * **One-step expansions.**  Engine state lives in suspended processes
   *only between* events; at quiescence the whole harness is plain
-  data.  When the search first reaches a state it freezes the harness
-  once into a :class:`~repro.check.state.HarnessImage`, and the
-  frontier entry holds that image, not a live harness.  Expanding the
-  entry thaws one independent child per alphabet step and applies the
-  step -- O(1) steps per expansion -- instead of replaying the entire
-  script (O(depth)).  Scripts are still carried on every frontier
-  entry: a BFS node's script *is* its reproduction recipe, and BFS
-  order guarantees the first violation found has a minimal script
-  within the reduced search.
+  data.  A state is frozen once into a
+  :class:`~repro.check.state.HarnessImage`, and one generator,
+  ``_expand``, expands it: it thaws one independent child per
+  alphabet step, applies and checks the step, and yields the child's
+  canonical fingerprint (or the violation, and stops) -- O(1) steps
+  per expansion instead of replaying the entire script (O(depth)).
+  Scripts are still carried on every frontier entry: a BFS node's
+  script *is* its reproduction recipe, and BFS order guarantees the
+  first violation found has a minimal script within the reduced
+  search.
 * **A sharded frontier** (``jobs > 1``).  Each BFS level is split
   into batches expanded on the :func:`repro.core.parallel.map_tasks`
   process pool.  Images never leave their process, so a worker
-  replays each entry's script once, freezes the result once, thaws
-  one child per alphabet step, and returns ``(entry, step,
-  canonical-fingerprint | violation)`` records.  The coordinator
-  absorbs records in deterministic entry/step order, so parallel runs
-  produce **bit-identical** visited sets, counters and
-  counterexamples to serial runs.
+  rebuilds each entry with the harness's ``replay``, freezes it once
+  and runs the same ``_expand``, returning only the records.  One
+  loop consumes the records of either runner in deterministic
+  entry/step order, so parallel runs produce **bit-identical**
+  visited sets, counters and counterexamples to serial runs.
 
 The search is pure: its answer depends only on its arguments, never on
 what ran before.  Every configured search finishes in one run, so no
@@ -52,12 +52,10 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.check.invariants import InvariantViolation
 from repro.memory.states import IllegalTransition
 from repro.ring.base import ProtocolError
 from repro.check.state import (
     PROTOCOLS,
-    AbstractState,
     EngineHarness,
     HarnessImage,
     Ref,
@@ -330,14 +328,10 @@ def validate_setup(
 
 @dataclass
 class _Entry:
-    """One frontier state: its script, and (when local) its image."""
+    """One frontier state: its script and, on a serial search, its image."""
 
     script: Tuple[StepSpec, ...]
     image: Optional[HarnessImage] = None
-
-    @property
-    def depth(self) -> int:
-        return len(self.script)
 
 
 def _violation_kind(violation: BaseException) -> str:
@@ -351,64 +345,58 @@ def _violation_kind(violation: BaseException) -> str:
     )
 
 
-def _replay_entry(
-    harness_factory, protocol: str, nodes: int, lines: int, script
-):
-    harness = harness_factory(protocol, nodes, lines)
-    for step in script:
-        harness.apply(step)
-    return harness
+def _expand(image: HarnessImage, alphabet, context: CanonicalContext):
+    """Expand one frozen state by every alphabet step, in order.
+
+    Yields ``(step_index, fingerprint, child)`` per step: the canonical
+    fingerprint of the state the step reaches, and the thawed child
+    itself.  A step that breaks an invariant yields ``(step_index,
+    kind, message)`` instead and ends the expansion; its third field
+    is a ``str``, a state's never is.  The generator is lazy, so the
+    consumer tests (and freezes, if new) each child before the next
+    one is thawed.
+    """
+    for step_index, step in enumerate(alphabet):
+        child = image.clone()
+        try:
+            child.apply(step)
+            child.check(strict=True)
+        except (ProtocolError, IllegalTransition) as violation:
+            yield step_index, _violation_kind(violation), str(violation)
+            return
+        yield step_index, context.fingerprint(child.snapshot()), child
 
 
 def _expand_batch(payload):
-    """Worker: expand a batch of frontier entries, one step each.
+    """Worker: expand a batch of frontier scripts through :func:`_expand`.
 
     ``payload`` is ``(protocol, nodes, lines, races, symmetry,
-    harness_factory, entries)`` with ``entries`` a list of ``(position,
-    script)`` pairs.  Each entry's prefix is replayed and frozen once
-    (the only O(depth) cost, amortised over the whole alphabet), then
-    every alphabet step runs on a child thawed from that image.
-    Records come back in deterministic (position, step) order:
-
-    * ``("state", step_index, fingerprint)`` -- canonical fingerprint
-      of the reached state;
-    * ``("violation", step_index, kind, message)`` -- the batch stops
-      at the first violation (later records would be discarded by the
-      coordinator anyway).
+    harness_factory, scripts)``.  Images never leave their process, so
+    each script is rebuilt with the harness's own ``replay`` and frozen
+    once (the only O(depth) cost, amortised over the whole alphabet).
+    The children are dropped: a state's record comes back as
+    ``(step_index, fingerprint, None)``.  Returns ``(records per
+    script, steps replayed)``; the batch stops after its first
+    violating script, where the coordinator stops reading.
     """
-    protocol, nodes, lines, races, symmetry, factory, entries = payload
+    protocol, nodes, lines, races, symmetry, factory, scripts = payload
     alphabet = step_alphabet(nodes, lines, races=races)
     context = CanonicalContext(protocol, nodes, lines, symmetry)
-    results = []
+    expanded = []
     replayed = 0
-    for position, script in entries:
-        image = _replay_entry(factory, protocol, nodes, lines, script).clone()
+    for script in scripts:
+        image = factory.replay(protocol, nodes, lines, script).clone()
         replayed += len(script)
-        records: List[tuple] = []
-        halted = False
-        for step_index, step in enumerate(alphabet):
-            child = image.clone()
-            try:
-                child.apply(step)
-                child.check(strict=True)
-            except (ProtocolError, IllegalTransition) as violation:
-                records.append(
-                    (
-                        "violation",
-                        step_index,
-                        _violation_kind(violation),
-                        str(violation),
-                    )
-                )
-                halted = True
-                break
-            records.append(
-                ("state", step_index, context.fingerprint(child.snapshot()))
+        records = [
+            (step_index, outcome, detail if type(detail) is str else None)
+            for step_index, outcome, detail in _expand(
+                image, alphabet, context
             )
-        results.append((position, records))
-        if halted:
+        ]
+        expanded.append(records)
+        if type(records[-1][2]) is str:
             break
-    return results, replayed
+    return expanded, replayed
 
 
 def explore(
@@ -476,146 +464,87 @@ def explore(
         expansion=expansion,
     )
 
+    def serial_expansions(level: List[_Entry]):
+        for entry in level:
+            # The entry lets go of its image: the expansion holds the
+            # last reference, so each image is freed once expanded.
+            image, entry.image = entry.image, None
+            yield entry, _expand(image, alphabet, context)
+
+    def sharded_expansions(level: List[_Entry]):
+        from repro.core.parallel import map_tasks
+
+        size = -(-len(level) // (report.jobs * 4))
+        outputs = map_tasks(
+            _expand_batch,
+            [
+                (
+                    protocol,
+                    nodes,
+                    lines,
+                    races,
+                    symmetry,
+                    harness_factory,
+                    [entry.script for entry in level[start : start + size]],
+                )
+                for start in range(0, len(level), size)
+            ],
+            jobs=report.jobs,
+        )
+        report.replay_steps += sum(replayed for _, replayed in outputs)
+        # A batch cut short by a violation ends the search at that
+        # entry, so the records line up with the level up to there.
+        return zip(
+            level,
+            (records for expanded, _ in outputs for records in expanded),
+        )
+
+    expansions = sharded_expansions if report.jobs > 1 else serial_expansions
     initial = harness_factory(protocol, nodes, lines)
     visited = {context.fingerprint(initial.snapshot())}
-    frontier: List[_Entry] = [_Entry(script=(), image=initial.clone())]
-    report.states = 1
-    report.states_canonicalized = 1
-
-    def absorb_state(entry: _Entry, step: StepSpec, fingerprint: str,
-                     depth: int, harness) -> None:
-        report.steps_applied += 1
-        report.states_canonicalized += 1
-        if fingerprint in visited:
-            return
-        visited.add(fingerprint)
-        report.states += 1
-        report.max_depth_reached = max(report.max_depth_reached, depth)
-        next_frontier.append(
-            _Entry(
-                script=entry.script + (step,),
-                image=None if harness is None else harness.clone(),
-            )
-        )
-
-    def absorb_violation(entry: _Entry, step: StepSpec, kind: str,
-                         message: str) -> None:
-        report.counterexample = Counterexample(
-            protocol=protocol,
-            nodes=nodes,
-            lines=lines,
-            script=entry.script + (step,),
-            kind=kind,
-            message=message,
-        )
-
-    while frontier and report.counterexample is None:
-        depth = min(entry.depth for entry in frontier) + 1
+    frontier = [_Entry(script=(), image=initial.clone())]
+    # The frontier holds one BFS level at a time.
+    depth = 0
+    while frontier and report.ok and not report.truncated_by:
+        depth += 1
         if depth > max_depth:
             report.truncated_by.append("max_depth")
             break
-        level = [entry for entry in frontier if entry.depth + 1 == depth]
-        carried = [entry for entry in frontier if entry.depth + 1 != depth]
         next_frontier: List[_Entry] = []
-        truncated_at: Optional[int] = None
-
-        if report.jobs > 1:
-            positions = list(range(len(level)))
-            batch_size = max(
-                1, (len(level) + report.jobs * 4 - 1) // (report.jobs * 4)
-            )
-            batches = [
-                positions[start : start + batch_size]
-                for start in range(0, len(positions), batch_size)
-            ]
-            from repro.core.parallel import map_tasks
-
-            outputs = map_tasks(
-                _expand_batch,
-                [
-                    (
-                        protocol,
-                        nodes,
-                        lines,
-                        races,
-                        symmetry,
-                        harness_factory,
-                        [(pos, level[pos].script) for pos in batch],
+        for entry, records in expansions(frontier):
+            if len(visited) >= max_states:
+                report.truncated_by.append("max_states")
+                break
+            report.states_expanded += 1
+            for step_index, outcome, detail in records:
+                if type(detail) is str:
+                    report.counterexample = Counterexample(
+                        protocol=protocol,
+                        nodes=nodes,
+                        lines=lines,
+                        script=entry.script + (alphabet[step_index],),
+                        kind=outcome,
+                        message=detail,
                     )
-                    for batch in batches
-                ],
-                jobs=report.jobs,
-            )
-            records_for: Dict[int, list] = {}
-            for results, replayed in outputs:
-                report.replay_steps += replayed
-                for position, records in results:
-                    records_for[position] = records
-            for position, entry in enumerate(level):
-                if len(visited) >= max_states:
-                    truncated_at = position
                     break
-                report.states_expanded += 1
-                for record in records_for.get(position, ()):
-                    if record[0] == "violation":
-                        _, step_index, kind, message = record
-                        absorb_violation(
-                            entry, alphabet[step_index], kind, message
+                report.steps_applied += 1
+                if outcome not in visited:
+                    visited.add(outcome)
+                    report.max_depth_reached = depth
+                    next_frontier.append(
+                        _Entry(
+                            script=entry.script + (alphabet[step_index],),
+                            image=None if detail is None else detail.clone(),
                         )
-                        break
-                    _, step_index, fingerprint = record
-                    absorb_state(
-                        entry, alphabet[step_index], fingerprint, depth,
-                        harness=None,
                     )
-                if report.counterexample is not None:
-                    break
-        else:
-            for position, entry in enumerate(level):
-                if len(visited) >= max_states:
-                    truncated_at = position
-                    break
-                if entry.image is None:
-                    entry.image = _replay_entry(
-                        harness_factory, protocol, nodes, lines, entry.script
-                    ).clone()
-                    report.replay_steps += len(entry.script)
-                report.states_expanded += 1
-                for step in alphabet:
-                    child = entry.image.clone()
-                    try:
-                        child.apply(step)
-                        child.check(strict=True)
-                    except (
-                        ProtocolError,
-                        IllegalTransition,
-                    ) as violation:
-                        absorb_violation(
-                            entry, step, _violation_kind(violation),
-                            str(violation),
-                        )
-                        break
-                    absorb_state(
-                        entry,
-                        step,
-                        context.fingerprint(child.snapshot()),
-                        depth,
-                        harness=child,
-                    )
-                entry.image = None  # free the image promptly
-                if report.counterexample is not None:
-                    break
-
-        if report.counterexample is not None:
-            break
-        if truncated_at is not None:
-            report.truncated_by.append("max_states")
-            break
-        frontier = carried + next_frontier
+            if not report.ok:
+                break
+        frontier = next_frontier
 
     # Drained frontier with every bound intact: a full proof.
-    if report.counterexample is None and not report.truncated_by:
-        report.complete = True
-
+    report.complete = report.ok and not report.truncated_by
+    report.states = len(visited)
+    # One fingerprint for the initial state, then one per transition.
+    report.states_canonicalized = 1 + report.steps_applied
     report.visited_fingerprints = sorted(visited)
     return report

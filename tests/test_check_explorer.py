@@ -275,23 +275,46 @@ class ParallelMutantHarness(EngineHarness):
         self.engine = mutant
 
 
-def test_parallel_exploration_is_bit_identical_to_serial():
-    serial = explore("snooping", nodes=3, lines=2, jobs=1)
-    parallel = explore("snooping", nodes=3, lines=2, jobs=2)
-    assert serial.ok and serial.complete
-    assert parallel.ok and parallel.complete
+@pytest.mark.parametrize(
+    "bounds, truncated_by",
+    [
+        ({}, []),
+        # Cut before the second level's first entry.
+        ({"max_states": 5}, ["max_states"]),
+        ({"max_depth": 2}, ["max_depth"]),
+    ],
+    ids=["exhaustive", "max-states", "max-depth"],
+)
+def test_parallel_exploration_is_bit_identical_to_serial(
+    bounds, truncated_by
+):
+    serial = explore("snooping", nodes=3, lines=2, jobs=1, **bounds)
+    parallel = explore("snooping", nodes=3, lines=2, jobs=2, **bounds)
+    assert serial.ok and parallel.ok
+    assert serial.truncated_by == parallel.truncated_by == truncated_by
+    assert serial.complete == parallel.complete == (not truncated_by)
     assert serial.visited_fingerprints == parallel.visited_fingerprints
     assert serial.counters() == parallel.counters()
 
 
-def test_parallel_exploration_finds_the_same_counterexample():
+@pytest.mark.parametrize(
+    "races, depth",
+    # Without races the violation sits in the second entry of the
+    # second level, in the second of its batches at jobs=2.
+    [(True, 1), (False, 2)],
+    ids=["races", "no-races"],
+)
+def test_parallel_exploration_finds_the_same_counterexample(races, depth):
     serial = explore(
-        "snooping", 2, 1, jobs=1, harness_factory=ParallelMutantHarness
+        "snooping", 2, 1, jobs=1, races=races,
+        harness_factory=ParallelMutantHarness,
     )
     parallel = explore(
-        "snooping", 2, 1, jobs=2, harness_factory=ParallelMutantHarness
+        "snooping", 2, 1, jobs=2, races=races,
+        harness_factory=ParallelMutantHarness,
     )
     assert not serial.ok and not parallel.ok
+    assert serial.counterexample.depth == depth
     assert serial.counterexample.script == parallel.counterexample.script
     assert serial.counterexample.kind == parallel.counterexample.kind
     assert serial.counters() == parallel.counters()
