@@ -20,7 +20,7 @@ from typing import List
 from repro.core.config import SystemConfig
 from repro.core.metrics import MissClass
 from repro.ring.scheduler import SlotGrant, SlotScheduler
-from repro.ring.slots import SlotType
+from repro.ring.slots import BLOCK_SLOT, SlotType
 from repro.ring.topology import RingTopology
 from repro.sim.engine import CoherenceEngine, ProtocolError, Step
 from repro.sim.kernel import Simulator, Timeout
@@ -92,7 +92,7 @@ class RingSystemBase(CoherenceEngine):
         )
         # Counted through the engine now: a statistics reset replaces
         # ``self.stats``.
-        block = slot_type is SlotType.BLOCK
+        block = slot_type is BLOCK_SLOT
         if block:
             self.stats.blocks_sent += 1
             stages = self.layout.block_stages
@@ -167,7 +167,7 @@ class RingSystemBase(CoherenceEngine):
 
     def send_block(self, src: int, dst: int) -> Step:
         """Unicast a block message on the flat ring (see :meth:`send`)."""
-        return self.send(0, src, dst, SlotType.BLOCK)
+        return self.send(0, src, dst, BLOCK_SLOT)
 
     def broadcast_probe(self, src: int, address: int) -> Step:
         """Broadcast a probe on the flat ring (see :meth:`broadcast`)."""

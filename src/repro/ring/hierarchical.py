@@ -42,7 +42,7 @@ from repro.core.config import Protocol, SystemConfig
 from repro.core.metrics import MissClass
 from repro.memory.cache import sharers_other_than
 from repro.ring.base import RingSystemBase
-from repro.ring.slots import SlotType
+from repro.ring.slots import BLOCK_SLOT
 from repro.ring.topology import RingTopology
 from repro.sim.engine import DirtyBitEngine, Step
 from repro.sim.kernel import Simulator
@@ -148,23 +148,23 @@ class HierarchicalRingSystem(DirtyBitEngine, RingSystemBase):
                 src_cluster,
                 self.local_position(src),
                 self.local_position(dst),
-                SlotType.BLOCK,
+                BLOCK_SLOT,
             )
         else:
             yield from self.send(
                 src_cluster,
                 self.local_position(src),
                 self.iri_position,
-                SlotType.BLOCK,
+                BLOCK_SLOT,
             )
             yield from self.send(
-                self.global_ring, src_cluster, dst_cluster, SlotType.BLOCK
+                self.global_ring, src_cluster, dst_cluster, BLOCK_SLOT
             )
             yield from self.send(
                 dst_cluster,
                 self.iri_position,
                 self.local_position(dst),
-                SlotType.BLOCK,
+                BLOCK_SLOT,
             )
 
     # ------------------------------------------------------------------
@@ -220,7 +220,7 @@ class HierarchicalRingSystem(DirtyBitEngine, RingSystemBase):
                 cluster,
                 self.local_position(supplier),
                 self.local_position(node),
-                SlotType.BLOCK,
+                BLOCK_SLOT,
             )
             yield from self.wait_until_cycle(arrival)
         else:
@@ -263,16 +263,16 @@ class HierarchicalRingSystem(DirtyBitEngine, RingSystemBase):
                 supplier_cluster,
                 self.local_position(supplier),
                 self.iri_position,
-                SlotType.BLOCK,
+                BLOCK_SLOT,
             )
             yield from self.send(
-                self.global_ring, supplier_cluster, cluster, SlotType.BLOCK
+                self.global_ring, supplier_cluster, cluster, BLOCK_SLOT
             )
             arrival = yield from self.send(
                 cluster,
                 self.iri_position,
                 self.local_position(node),
-                SlotType.BLOCK,
+                BLOCK_SLOT,
             )
             yield from self.wait_until_cycle(arrival)
 

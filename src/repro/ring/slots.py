@@ -31,6 +31,7 @@ from typing import List, Tuple
 
 __all__ = [
     "SlotType",
+    "BLOCK_SLOT",
     "FrameLayout",
     "PROBE_PAYLOAD_BYTES",
     "BLOCK_HEADER_BYTES",
@@ -64,6 +65,12 @@ class SlotType(enum.Enum):
     @property
     def is_probe(self) -> bool:
         return self is not SlotType.BLOCK
+
+
+#: ``SlotType.BLOCK`` bound to a module name.  The message paths pass
+#: and test it on every block message, and on Python 3.11 an enum
+#: member read through its class costs about ten times a global name.
+BLOCK_SLOT = SlotType.BLOCK
 
 
 def stages_for_bytes(payload_bytes: int, width_bits: int) -> int:
