@@ -496,10 +496,11 @@ class ResultStore:
         self._generation += 1
 
     def purge(self) -> int:
-        """Delete every stored result file; returns the count removed."""
+        """Delete every stored entry -- results and every blob family
+        alike; returns the count removed."""
         removed = 0
-        if self.results_dir.is_dir():
-            for path in self.results_dir.glob("*.json"):
+        if self.directory.is_dir():
+            for path in self.directory.glob("*/*.json"):
                 try:
                     path.unlink()
                     removed += 1

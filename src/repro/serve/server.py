@@ -16,7 +16,7 @@ persistent result store:
 ``POST /jobs/<id>/cancel``  detach one subscriber (also ``DELETE``)
 ``GET  /store/info``      store layout + hit/miss/lost-write counters
 ``POST /store/cleanup``   remove stale temp files (``min_age_s``)
-``POST /store/purge``     delete every cached result
+``POST /store/purge``     delete every cached result and blob
 ``POST /shutdown``        graceful stop: drain executions, close
 ========================  =============================================
 

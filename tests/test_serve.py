@@ -16,7 +16,8 @@ and the CI smoke job use.  The contracts pinned here:
   answers; repeated jobs retain little memory, and a finished
   execution drops its cancel flag, wake-up event and task;
 * a finished check is answered from the store by a restarted daemon,
-  and a spec that differs only in its bounds is searched afresh;
+  a spec that differs only in its bounds is searched afresh, and a
+  purge deletes the stored check so it is searched again;
 * two identical concurrent submissions coalesce onto one execution --
   one simulation, two subscribers, both get the result;
 * cancelling one subscriber of a shared execution leaves it running;
@@ -138,19 +139,26 @@ def test_resubmission_after_completion_hits_the_store(client):
     assert stats["coalesced"] == 0
 
 
-def test_served_check_equals_sync_and_is_cached_by_its_spec(
-    monkeypatch, temp_store, client
-):
+@pytest.fixture
+def searches(monkeypatch):
+    """Record the keyword arguments of every explorer search."""
     import repro.check
 
     real_explore = repro.check.explore
-    searches = []
+    calls = []
 
     def counting_explore(*args, **kwargs):
-        searches.append(kwargs)
+        calls.append(kwargs)
         return real_explore(*args, **kwargs)
 
     monkeypatch.setattr(repro.check, "explore", counting_explore)
+    return calls
+
+
+def test_served_check_equals_sync_and_is_cached_by_its_spec(
+    searches, temp_store, client
+):
+    from repro.check.explorer import explore as real_explore
 
     def served(spec):
         job = client.wait(client.submit(spec)["job"])
@@ -187,6 +195,25 @@ def test_served_check_equals_sync_and_is_cached_by_its_spec(
     )
     assert "TRUNCATED" in bounded["summary"]
     assert temp_store.info()["blobs"] == {"check": 2}
+
+
+def test_purge_deletes_the_stored_check_blobs(
+    searches, temp_store, daemon, client
+):
+    job = client.wait(client.submit(CHECK_SPEC)["job"])
+    key = daemon.scheduler.registry.jobs[job["job"]].execution.key
+    payload = client.result(job["job"])
+    assert temp_store.get_blob("check", key) == payload
+    assert len(searches) == 1
+
+    # The blob family goes with the results: the next identical check
+    # misses the store and is searched again.
+    assert client.store_purge()["purged"] == 1
+    assert temp_store.get_blob("check", key) is None
+    job = client.wait(client.submit(CHECK_SPEC)["job"])
+    assert client.result(job["job"]) == payload
+    assert len(searches) == 2
+    assert temp_store.get_blob("check", key) == payload
 
 
 # ----------------------------------------------------------------------
