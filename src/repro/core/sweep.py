@@ -11,10 +11,10 @@ from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import Protocol, SystemConfig
-from repro.core.experiment import DEFAULT_DATA_REFS, run_simulation_cached
+from repro.core.experiment import DEFAULT_DATA_REFS
 from repro.core.hybrid import extraction_point, sweep_from_result
 from repro.core.parallel import ProgressCallback, SweepReport, execute_points
-from repro.core.results import SimulationResult, SweepResult
+from repro.core.results import SweepResult
 
 __all__ = [
     "snooping_vs_directory",
@@ -188,25 +188,20 @@ def miss_breakdown(
 
     Returns ``{"mp3d8": {"1-cycle clean": %, "1-cycle dirty": %,
     "2-cycle": %}, ...}`` in configuration order.  ``jobs > 1`` runs
-    the directory simulations in parallel first (priming the cache the
-    serial loop below then hits).
+    the directory simulations in parallel.
     """
     from repro.core.metrics import MissClass
     from repro.core.parallel import SweepPoint
 
-    if jobs > 1:
-        execute_points(
-            [
-                SweepPoint(name, processors, Protocol.DIRECTORY, data_refs)
-                for name, processors in configurations
-            ],
-            jobs=jobs,
-        )
+    report = execute_points(
+        [
+            SweepPoint(name, processors, Protocol.DIRECTORY, data_refs)
+            for name, processors in configurations
+        ],
+        jobs=jobs,
+    )
     breakdown: Dict[str, Dict[str, float]] = {}
-    for name, processors in configurations:
-        result: SimulationResult = run_simulation_cached(
-            name, processors, Protocol.DIRECTORY, data_refs=data_refs
-        )
+    for (name, processors), result in zip(configurations, report.results):
         percentages = result.stats.miss_class_percentages()
         breakdown[f"{name}{processors}"] = {
             "1-cycle clean": percentages.get(MissClass.REMOTE_CLEAN, 0.0),
