@@ -10,14 +10,14 @@ field), the family's equations -- the very ``prepare`` and
 ``latencies`` functions the scalar models evaluate, called with
 ``xp=numpy`` -- run over every lane at once, and :func:`solve_grid`
 prepares the grid once and runs the scalar solver's bracketed-secant
-iteration with *convergence masks* -- converged points freeze,
-divergent points are isolated to NaN without poisoning their
-neighbours.
+iteration on every lane at once -- a converged point's time is
+recorded once and its lane never read again, divergent points are
+isolated to NaN without poisoning their neighbours.
 
 Equivalence contract
 --------------------
 Both solvers evaluate the same equations and share the same bracket
-seed, stopping test and iteration budget, and the masked iteration
+seed, stopping test and iteration budget, and every lane's iteration
 follows the scalar one step for step, so elementwise IEEE float64
 arithmetic produces *bit-identical* results
 (``tests/test_grid_models.py`` pins the two solvers together).  Two
@@ -40,13 +40,20 @@ column, each column seeded with the previous column's solved times
 configuration at once).  Failed lanes reseed from the default guess so
 a divergent point never poisons the rest of its chain.
 
-Constant fields
----------------
-A field whose column holds the same bits in every lane (the extracted
-frequencies, and any machine parameter no axis moves) reaches the
-equations as one 0-d float64.  Broadcasting hands every lane the value
-its column holds, so results stay bit-identical, and the solver no
-longer gathers or multiplies lane copies of it.
+Field shapes
+------------
+Each field reaches the equations in the smallest shape that holds its
+bits.  :meth:`ModelGrid.from_product` emits every field no parameter
+axis moves (the extracted frequencies, and any machine parameter no
+axis sets) as one 0-d float64, and :func:`solve_grid` lays each field
+out over the grid's ``(chains, length)`` shape: 0-d when it holds the
+same bits in every lane, ``(chains, 1)`` when it is constant along
+every chain, ``(1, length)`` when every chain holds the same values
+(the processor cycle of a product grid), and the full ``(chains,
+length)`` table otherwise.  Broadcasting hands every lane the value
+its column holds and IEEE arithmetic is elementwise, so results stay
+bit-identical, while ``prepare`` runs once per configuration instead
+of once per lane and each chain position reads column views.
 
 NumPy is imported here, at module level, and nowhere else.  Only grid
 users (``repro grid``, served ``grid`` jobs, the ``grid.solve`` bench
@@ -130,8 +137,10 @@ _FIELDS = ("busy_ps",) + CONFIG_FIELDS
 class ModelGrid:
     """A struct-of-arrays batch of model configurations.
 
-    ``arrays`` maps each field of :data:`_FIELDS` to a float64 vector;
-    all vectors share one flat length.  ``chain_shape`` is
+    ``arrays`` maps each field of :data:`_FIELDS` to a flat float64
+    vector, or to a 0-d float64 that holds the field's value in every
+    lane; the vectors share one flat length, and ``busy_ps`` is always
+    a vector.  ``chain_shape`` is
     ``(n_configs, n_cycles)`` for grids laid out configuration-major
     with a contiguous processor-cycle axis (the warm-start chains); it
     is None for unstructured point batches.
@@ -186,8 +195,10 @@ class ModelGrid:
         sweep is one contiguous warm-start chain.  The columns are laid
         out from the axes (:func:`_product_table`), not from one
         configuration per combination, and ``inputs`` is flattened
-        once.  An empty axis raises ``ValueError``; a combination that
-        cannot be built raises what building it alone would.
+        once.  A field no axis moves (every input, and every column
+        :func:`_product_table` leaves at ``config``'s value) is one 0-d
+        float64.  An empty axis raises ``ValueError``; a combination
+        that cannot be built raises what building it alone would.
         """
         _check_family(family)
         cycles = [
@@ -199,17 +210,20 @@ class ModelGrid:
         for name, values in axes:
             if not values:
                 raise ValueError(f"empty parameter axis {name!r}")
-        table = _product_table(config, axes)
+        table, moved = _product_table(config, axes)
 
         n_configs = table.shape[0]
         n_cycles = len(cycles)
-        n = n_configs * n_cycles
         arrays = {
-            name: np.repeat(table[:, column], n_cycles)
+            name: (
+                np.repeat(table[:, column], n_cycles)
+                if moved[column]
+                else table[0, column]
+            )
             for column, name in enumerate(SYSTEM_FIELDS + GEOMETRY_FIELDS)
         }
         for name, value in zip(INPUT_FIELDS, input_values(inputs)):
-            arrays[name] = np.full(n, value, dtype=np.float64)
+            arrays[name] = np.float64(value)
         # Same quantisation as the scalar sweep(): round(cycle_ns*1000).
         busy = np.array(
             [float(round(cycle_ns * 1000)) for cycle_ns in cycles],
@@ -232,11 +246,13 @@ def _structural(path) -> bool:
     )
 
 
-def _product_table(config: SystemConfig, axes) -> np.ndarray:
+def _product_table(config: SystemConfig, axes) -> Tuple[np.ndarray, np.ndarray]:
     """The :data:`SYSTEM_FIELDS` and :data:`GEOMETRY_FIELDS` of
     ``config`` with every combination of ``axes`` (``[(name, values),
     ...]``) applied: one float64 row per combination, in
-    ``itertools.product`` order.
+    ``itertools.product`` order, and a boolean per column that says
+    whether an axis sets it (the others hold ``config``'s value in
+    every row).
 
     * Each axis value is applied to ``config`` once.  The system
       columns the axis sets (its parameter's path in
@@ -267,6 +283,7 @@ def _product_table(config: SystemConfig, axes) -> np.ndarray:
     table[:, :width] = system_values(config)
     unapplied = np.zeros(n, dtype=bool)
     unflattened = np.zeros(n, dtype=bool)
+    moved = np.zeros(table.shape[1], dtype=bool)
 
     structural = []
     geometry_of_row = np.zeros(n, dtype=np.intp)
@@ -292,6 +309,7 @@ def _product_table(config: SystemConfig, axes) -> np.ndarray:
         for column, field_path in enumerate(SYSTEM_PATHS.values()):
             if field_path == path:
                 table[:, column] = rows[positions, column]
+                moved[column] = True
         if _structural(path):
             structural.append(axis)
             geometry_of_row = geometry_of_row * len(values) + positions
@@ -311,6 +329,7 @@ def _product_table(config: SystemConfig, axes) -> np.ndarray:
             continue
         built[number] = True
     table[:, width:] = geometries[geometry_of_row]
+    moved[width:] = bool(structural)
     unflattened |= ~built[geometry_of_row]
 
     for failed in (unapplied, unflattened):
@@ -322,7 +341,7 @@ def _product_table(config: SystemConfig, axes) -> np.ndarray:
             system_values(variant)
             geometry_values(variant)
             raise AssertionError(f"combination {first} was marked but builds")
-    return table
+    return table, moved
 
 
 def _check_family(family: str) -> None:
@@ -333,30 +352,33 @@ def _check_family(family: str) -> None:
 
 
 # ----------------------------------------------------------------------
-# The masked fixed-point solver
+# The fixed-point solver
 # ----------------------------------------------------------------------
 def _solve_flat(model, prepared, guess):
-    """Solve every lane of a flat grid; returns (time, converged, failed).
+    """Solve one chain position; returns (time, converged, failed).
 
-    The per-lane iterate sequence is exactly the scalar solver's:
-    bracket floor at max(busy, 1), doubling walk while the residual
-    stays positive (cap 80, then the lane *fails* instead of raising),
-    then guarded secant steps that fall back to bisection whenever the
-    extrapolation leaves the bracket.  Lanes that converge freeze (their
-    state is masked out of every later update), so one slow corner
-    costs iterations, never accuracy.
+    ``prepared`` holds the position's fields (0-d or one value per
+    chain) and ``guess`` its bracket seeds, one per lane.  The per-lane
+    iterate sequence is exactly the scalar solver's: bracket floor at
+    max(busy, 1), doubling walk while the residual stays positive (cap
+    80, then the lane *fails* instead of raising), then guarded secant
+    steps that fall back to bisection whenever the extrapolation leaves
+    the bracket.  A lane's time is recorded once, at the step it
+    converges; after that, and for idle and failed lanes, the lane
+    keeps iterating inside its bracket and is never read again, so one
+    slow corner costs iterations, never accuracy.  The caller ignores
+    floating-point errors.
     """
     busy = prepared["busy_ps"]
     mix = model.frequencies(prepared)
     evaluate = model.latencies
-    n = busy.shape[0]
+    n = guess.shape[0]
 
     def residual(T):
         GRID_STATS["grid_evals"] += 1
-        with np.errstate(all="ignore"):
-            latencies, _, _ = evaluate(prepared, T, np)
-            implied = busy + weighted_sum(mix, latencies)
-            return implied - T, implied
+        latencies, _, _ = evaluate(prepared, T, np)
+        implied = busy + weighted_sum(mix, latencies)
+        return implied - T, implied
 
     time = np.full(n, np.nan)
     converged = np.zeros(n, dtype=bool)
@@ -377,11 +399,8 @@ def _solve_flat(model, prepared, guess):
     failed = failed | broken
     solving = ~(idle | broken)
 
-    if guess is None:
-        guess = np.full(n, DEFAULT_GUESS_PS)
     high = np.maximum(guess, 2.0 * low)
-    with np.errstate(all="ignore"):
-        r_high, _ = residual(np.where(solving, high, 1.0))
+    r_high, _ = residual(np.where(solving, high, 1.0))
 
     active = solving & (r_high > 0.0)
     doublings = 0
@@ -401,38 +420,30 @@ def _solve_flat(model, prepared, guess):
         active = active & (r_high > 0.0)
 
     # Invariant per solving lane: r(low) > 0 >= r(high).
-    t0 = low.copy()
-    r0 = r_low.copy()
-    t1 = high.copy()
-    r1 = r_high.copy()
+    t0, r0, t1, r1 = low, r_low, high, r_high
     for _ in range(MAX_ITERATIONS):
         if not bool(solving.any()):
             break
-        with np.errstate(all="ignore"):
-            denom = r1 - r0
-            nonzero = denom != 0.0
-            secant = t1 - r1 * (t1 - t0) / np.where(nonzero, denom, 1.0)
-            candidate = np.where(nonzero, secant, low)
-            span = high - low
-            inside = (
-                (low < candidate)
-                & (candidate < high)
-                & (np.abs(candidate - t1) <= span)
-            )
-            candidate = np.where(inside, candidate, low + 0.5 * span)
-        r_cand, _ = residual(np.where(solving, candidate, 1.0))
-        with np.errstate(all="ignore"):
-            done = solving & has_converged(r_cand, span, candidate, TOLERANCE)
-            time = np.where(done, candidate, time)
-            converged = converged | done
-            solving = solving & ~done
-            positive = r_cand > 0.0
-            low = np.where(solving & positive, candidate, low)
-            high = np.where(solving & ~positive, candidate, high)
-            t0 = np.where(solving, t1, t0)
-            r0 = np.where(solving, r1, r0)
-            t1 = np.where(solving, candidate, t1)
-            r1 = np.where(solving, r_cand, r1)
+        denom = r1 - r0
+        nonzero = denom != 0.0
+        secant = t1 - r1 * (t1 - t0) / np.where(nonzero, denom, 1.0)
+        candidate = np.where(nonzero, secant, low)
+        span = high - low
+        inside = (
+            (low < candidate)
+            & (candidate < high)
+            & (np.abs(candidate - t1) <= span)
+        )
+        candidate = np.where(inside, candidate, low + 0.5 * span)
+        r_cand, _ = residual(candidate)
+        done = solving & has_converged(r_cand, span, candidate, TOLERANCE)
+        time = np.where(done, candidate, time)
+        converged = converged | done
+        solving = solving & ~done
+        positive = r_cand > 0.0
+        low = np.where(positive, candidate, low)
+        high = np.where(positive, high, candidate)
+        t0, r0, t1, r1 = t1, r1, candidate, r_cand
 
     # Iteration budget exhausted: scalar solver returns the bracket
     # midpoint; a lane whose midpoint is not finite failed instead.
@@ -509,91 +520,97 @@ class GridSolution:
         return [self.operating_point(index) for index in range(self.size)]
 
 
-def _split_constants(arrays):
-    """Split a grid's fields into ``(constants, columns)``.
-
-    A field whose column is bitwise-constant over every lane goes to
-    the equations as one 0-d float64, which broadcasts to the very
-    values the column holds (IEEE arithmetic is elementwise), so the
-    solver neither gathers nor multiplies lane copies of it.  The test
-    compares ``uint64`` views: a NaN lane or a mix of 0.0 and -0.0
-    keeps the column.  ``busy_ps`` always stays a column -- it sizes
-    the solve.
-    """
-    constants = {}
-    columns = {}
-    for name, column in arrays.items():
-        bits = column.view("uint64")
-        if name != "busy_ps" and bool((bits == bits[0]).all()):
-            constants[name] = column[0]
+def _layout(arrays, shape):
+    """Each field of a grid in the smallest shape that broadcasts to
+    ``shape`` (``(chains, length)``, configuration-major) and holds the
+    field's bits: 0-d if every lane holds the same bits, ``(chains,
+    1)`` if each chain is constant, ``(1, length)`` if every chain
+    holds the same values, else the full table.  Bits are compared as
+    ``uint64`` views, so a NaN lane or a mix of 0.0 and -0.0 keeps a
+    field wide."""
+    fields = {}
+    for name, value in arrays.items():
+        if np.ndim(value) == 0:
+            fields[name] = value
+            continue
+        table = value.reshape(shape)
+        bits = table.view(np.uint64)
+        if bool((bits == bits[0, 0]).all()):
+            fields[name] = table[0, 0]
+        elif bool((bits == bits[:, :1]).all()):
+            # A copy, so the column every position reads is contiguous.
+            fields[name] = table[:, :1].copy()
+        elif bool((bits == bits[:1]).all()):
+            fields[name] = table[:1]
         else:
-            columns[name] = column
-    return constants, columns
+            fields[name] = table
+    return fields
 
 
 def solve_grid(grid: ModelGrid) -> GridSolution:
     """Solve the whole grid and package per-lane operating points.
 
-    The family's ``T``-independent terms are prepared once, over the
-    whole grid.  Product grids chain warm starts along the
-    processor-cycle axis (column ``c`` seeds from column ``c-1``'s
-    solved times, exactly the scalar ``sweep()`` strategy) on the
-    prepared columns gathered at that column's lanes; failed lanes
-    reseed their chain from the default guess.  Point batches solve
-    every lane from the default bracket seed, like scalar ``solve()``.
+    The fields are laid out over the chain shape (:func:`_layout`; a
+    point batch is ``size`` chains of length 1) and the family's
+    ``T``-independent terms are prepared once, on those shapes.  The
+    chain positions solve in order, each on column views of the
+    prepared fields: position ``c`` seeds from position ``c-1``'s
+    solved times (exactly the scalar ``sweep()`` strategy), failed
+    lanes reseed from the default guess, and position 0 solves from
+    the default bracket seed, like scalar ``solve()``.
     """
     GRID_STATS["grid_solves"] += 1
     model = MODEL_FAMILIES[grid.family]
-    constants, columns = _split_constants(grid.arrays)
+    shape = grid.chain_shape or (grid.size, 1)
+    chains, length = shape
     with np.errstate(all="ignore"):
-        prepared = model.prepare({**constants, **columns}, np)
-    # Per-lane columns, gathered at each chain position; 0-d constants
-    # pass to every position as they are.
-    lane_fields = [name for name, value in prepared.items() if np.ndim(value)]
-    n = grid.size
+        prepared = model.prepare(_layout(grid.arrays, shape), np)
+        # 0-d and (chains, 1) fields read the same at every position.
+        fixed = dict(prepared)
+        moving = []
+        for name, value in prepared.items():
+            if np.ndim(value) == 0:
+                continue
+            if value.shape[1] == 1:
+                fixed[name] = value[:, 0]
+            else:
+                moving.append(name)
 
-    if grid.chain_shape is not None:
-        chains, length = grid.chain_shape
-        time = np.full(n, np.nan)
-        converged = np.zeros(n, dtype=bool)
-        failed = np.zeros(n, dtype=bool)
-        base = np.arange(chains) * length
-        guess = None
+        time = np.empty(shape)
+        converged = np.empty(shape, dtype=bool)
+        failed = np.empty(shape, dtype=bool)
+        guess = np.full(chains, DEFAULT_GUESS_PS)
         for position in range(length):
-            lanes = base + position
-            sub = dict(prepared)
-            sub.update((name, prepared[name][lanes]) for name in lane_fields)
-            t, c, f = _solve_flat(model, sub, guess)
-            time[lanes] = t
-            converged[lanes] = c
-            failed[lanes] = f
+            column = dict(fixed)
+            column.update((name, prepared[name][:, position]) for name in moving)
+            t, c, f = _solve_flat(model, column, guess)
+            time[:, position] = t
+            converged[:, position] = c
+            failed[:, position] = f
             guess = np.where(np.isfinite(t), t, DEFAULT_GUESS_PS)
-    else:
-        time, converged, failed = _solve_flat(model, prepared, None)
 
-    GRID_STATS["points_converged"] += int(converged.sum())
-    GRID_STATS["points_failed"] += int(failed.sum())
+        GRID_STATS["points_converged"] += int(converged.sum())
+        GRID_STATS["points_failed"] += int(failed.sum())
 
-    # One final full-grid evaluation at the solved times reproduces the
-    # scalar solver's returned breakdown exactly: every scalar exit path
-    # returns model(T) evaluated at the T it returns.
-    safe_time = np.where(np.isfinite(time) & (time > 0.0), time, 1.0)
-    with np.errstate(all="ignore"):
+        # One final evaluation at the solved times reproduces the scalar
+        # solver's returned breakdown exactly: every scalar exit path
+        # returns model(T) evaluated at the T it returns.
+        safe_time = np.where(np.isfinite(time) & (time > 0.0), time, 1.0)
         latencies, network, bank = model.latencies(prepared, safe_time, np)
         weights = latency_weights(model.frequencies(prepared), model.shared_classes)
         shared, upgrade = weighted_latencies(latencies, weights, np)
-        nan = np.nan
-        solution = GridSolution(
+
+        def flat(values):
+            return np.where(failed, np.nan, values).reshape(-1)
+
+        return GridSolution(
             grid=grid,
-            time_per_instruction_ps=time,
-            converged=converged,
-            failed=failed,
-            processor_utilization=np.where(
-                failed, nan, prepared["busy_ps"] / time
-            ),
-            network_utilization=np.where(failed, nan, network),
-            bank_utilization=np.where(failed, nan, bank),
-            shared_miss_latency_ns=np.where(failed, nan, shared / 1000.0),
-            upgrade_latency_ns=np.where(failed, nan, upgrade / 1000.0),
+            time_per_instruction_ps=time.reshape(-1),
+            converged=converged.reshape(-1),
+            failed=failed.reshape(-1),
+            processor_utilization=flat(prepared["busy_ps"] / time),
+            network_utilization=flat(network),
+            bank_utilization=flat(bank),
+            shared_miss_latency_ns=flat(shared / 1000.0),
+            upgrade_latency_ns=flat(upgrade / 1000.0),
         )
-    return solution

@@ -456,7 +456,22 @@ def _assert_product_matches(family, config, axes):
     assert sorted(built.arrays) == sorted(oracle.arrays)
     for name, array in oracle.arrays.items():
         assert built.arrays[name].dtype == array.dtype
-        assert built.arrays[name].tobytes() == array.tobytes(), name
+        assert (
+            np.broadcast_to(built.arrays[name], array.shape).tobytes()
+            == array.tobytes()
+        ), name
+    # A field is 0-d exactly when no axis moves it: the system fields
+    # no axis's path names, the geometry unless an axis is structural,
+    # and every input (busy_ps never).
+    from repro.core.sensitivity import SUPPORTED_PARAMETERS
+    from repro.models.base import CONFIG_FIELDS, GEOMETRY_FIELDS, SYSTEM_PATHS
+
+    paths = [SUPPORTED_PARAMETERS.get(name) for name in axes]
+    moved = {name for name, path in SYSTEM_PATHS.items() if path in paths}
+    if any(grid_engine._structural(path) for path in paths):
+        moved.update(GEOMETRY_FIELDS)
+    scalars = {name for name, array in built.arrays.items() if np.ndim(array) == 0}
+    assert scalars == set(CONFIG_FIELDS) - moved
 
 
 def _assert_same_error(config, axes):
