@@ -190,7 +190,6 @@ class ExploreReport:
     steps_applied: int = 0
     states_expanded: int = 0
     states_canonicalized: int = 0
-    replay_steps: int = 0
     max_depth_reached: int = 0
     complete: bool = False
     truncated_by: List[str] = field(default_factory=list)
@@ -375,18 +374,16 @@ def _expand_batch(payload):
     each script is rebuilt with the harness's own ``replay`` and frozen
     once (the only O(depth) cost, amortised over the whole alphabet).
     The children are dropped: a state's record comes back as
-    ``(step_index, fingerprint, None)``.  Returns ``(records per
-    script, steps replayed)``; the batch stops after its first
-    violating script, where the coordinator stops reading.
+    ``(step_index, fingerprint, None)``.  Returns the records per
+    script; the batch stops after its first violating script, where
+    the coordinator stops reading.
     """
     protocol, nodes, lines, races, symmetry, factory, scripts = payload
     alphabet = step_alphabet(nodes, lines, races=races)
     context = CanonicalContext(protocol, nodes, lines, symmetry)
     expanded = []
-    replayed = 0
     for script in scripts:
         image = factory.replay(protocol, nodes, lines, script).clone()
-        replayed += len(script)
         records = [
             (step_index, outcome, detail if type(detail) is str else None)
             for step_index, outcome, detail in _expand(
@@ -396,7 +393,7 @@ def _expand_batch(payload):
         expanded.append(records)
         if type(records[-1][2]) is str:
             break
-    return expanded, replayed
+    return expanded
 
 
 def explore(
@@ -491,12 +488,10 @@ def explore(
             ],
             jobs=report.jobs,
         )
-        report.replay_steps += sum(replayed for _, replayed in outputs)
         # A batch cut short by a violation ends the search at that
         # entry, so the records line up with the level up to there.
         return zip(
-            level,
-            (records for expanded, _ in outputs for records in expanded),
+            level, (records for expanded in outputs for records in expanded)
         )
 
     expansions = sharded_expansions if report.jobs > 1 else serial_expansions

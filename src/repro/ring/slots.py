@@ -32,6 +32,8 @@ from typing import List, Tuple
 __all__ = [
     "SlotType",
     "BLOCK_SLOT",
+    "PROBE_EVEN_SLOT",
+    "PROBE_ODD_SLOT",
     "FrameLayout",
     "PROBE_PAYLOAD_BYTES",
     "BLOCK_HEADER_BYTES",
@@ -67,10 +69,13 @@ class SlotType(enum.Enum):
         return self is not SlotType.BLOCK
 
 
-#: ``SlotType.BLOCK`` bound to a module name.  The message paths pass
-#: and test it on every block message, and on Python 3.11 an enum
-#: member read through its class costs about ten times a global name.
+#: The slot types bound to module names.  The message paths pass and
+#: test ``BLOCK_SLOT`` on every block message and pick a probe type on
+#: every probe, and on Python 3.11 an enum member read through its
+#: class costs about ten times a global name.
 BLOCK_SLOT = SlotType.BLOCK
+PROBE_EVEN_SLOT = SlotType.PROBE_EVEN
+PROBE_ODD_SLOT = SlotType.PROBE_ODD
 
 
 def stages_for_bytes(payload_bytes: int, width_bits: int) -> int:
@@ -173,7 +178,7 @@ class FrameLayout:
 
     def probe_type_for_parity(self, parity: int) -> SlotType:
         """Probe slot type serving blocks of the given address parity."""
-        return SlotType.PROBE_EVEN if parity == 0 else SlotType.PROBE_ODD
+        return PROBE_EVEN_SLOT if parity == 0 else PROBE_ODD_SLOT
 
     def snoop_interarrival_cycles(self) -> int:
         """Minimum ring cycles between probes to one dual-directory bank.
