@@ -25,12 +25,14 @@ Three mechanisms make the search CI-exhaustive at the
   :class:`~repro.check.state.HarnessImage`, and one generator,
   ``_expand``, expands it: it thaws one independent child per
   alphabet step, applies and checks the step, and yields the child's
-  canonical fingerprint (or the violation, and stops) -- O(1) steps
+  canonical encoding (or the violation, and stops) -- O(1) steps
   per expansion instead of replaying the entire script (O(depth)).
   Scripts are still carried on every frontier entry: a BFS node's
   script *is* its reproduction recipe, and BFS order guarantees the
   first violation found has a minimal script within the reduced
-  search.
+  search.  The visited set is keyed by the canonical encodings
+  themselves; each distinct state is hashed to its fingerprint string
+  once, at the end, for ``ExploreReport.visited_fingerprints``.
 * **A sharded frontier** (``jobs > 1``).  Each BFS level is split
   into batches expanded on the :func:`repro.core.parallel.map_tasks`
   process pool.  Images never leave their process, so a worker
@@ -68,6 +70,7 @@ from repro.check.symmetry import (
     SYMMETRY_MODES,
     CanonicalContext,
     group_order,
+    state_fingerprint,
 )
 
 __all__ = [
@@ -347,14 +350,15 @@ def _violation_kind(violation: BaseException) -> str:
 def _expand(image: HarnessImage, alphabet, context: CanonicalContext):
     """Expand one frozen state by every alphabet step, in order.
 
-    Yields ``(step_index, fingerprint, child)`` per step: the canonical
-    fingerprint of the state the step reaches, and the thawed child
-    itself.  A step that breaks an invariant yields ``(step_index,
-    kind, message)`` instead and ends the expansion; its third field
-    is a ``str``, a state's never is.  The generator is lazy, so the
-    consumer tests (and freezes, if new) each child before the next
-    one is thawed.
+    Yields ``(step_index, encoding, child)`` per step: the canonical
+    encoding of the state the step reaches (a tuple, the visited set's
+    key), and the thawed child itself.  A step that breaks an invariant
+    yields ``(step_index, kind, message)`` instead and ends the
+    expansion; its third field is a ``str``, a state's never is.  The
+    generator is lazy, so the consumer tests (and freezes, if new) each
+    child before the next one is thawed.
     """
+    canonical = context.canonical
     for step_index, step in enumerate(alphabet):
         child = image.clone()
         try:
@@ -363,7 +367,7 @@ def _expand(image: HarnessImage, alphabet, context: CanonicalContext):
         except (ProtocolError, IllegalTransition) as violation:
             yield step_index, _violation_kind(violation), str(violation)
             return
-        yield step_index, context.fingerprint(child.snapshot()), child
+        yield step_index, canonical(child.snapshot()), child
 
 
 def _expand_batch(payload):
@@ -374,9 +378,9 @@ def _expand_batch(payload):
     each script is rebuilt with the harness's own ``replay`` and frozen
     once (the only O(depth) cost, amortised over the whole alphabet).
     The children are dropped: a state's record comes back as
-    ``(step_index, fingerprint, None)``.  Returns the records per
-    script; the batch stops after its first violating script, where
-    the coordinator stops reading.
+    ``(step_index, encoding, None)``.  Returns the records per script;
+    the batch stops after its first violating script, where the
+    coordinator stops reading.
     """
     protocol, nodes, lines, races, symmetry, factory, scripts = payload
     alphabet = step_alphabet(nodes, lines, races=races)
@@ -496,7 +500,9 @@ def explore(
 
     expansions = sharded_expansions if report.jobs > 1 else serial_expansions
     initial = harness_factory(protocol, nodes, lines)
-    visited = {context.fingerprint(initial.snapshot())}
+    # Keyed by canonical encoding; each is hashed to its fingerprint
+    # string once, at the end.
+    visited = {context.canonical(initial.snapshot())}
     frontier = [_Entry(script=(), image=initial.clone())]
     # The frontier holds one BFS level at a time.
     depth = 0
@@ -539,7 +545,7 @@ def explore(
     # Drained frontier with every bound intact: a full proof.
     report.complete = report.ok and not report.truncated_by
     report.states = len(visited)
-    # One fingerprint for the initial state, then one per transition.
+    # One canonical form for the initial state, then one per transition.
     report.states_canonicalized = 1 + report.steps_applied
-    report.visited_fingerprints = sorted(visited)
+    report.visited_fingerprints = sorted(map(state_fingerprint, visited))
     return report

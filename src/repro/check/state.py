@@ -27,21 +27,35 @@ a race step the interleaving chosen by the event loop decides which
 write is last, so the oracle resynchronises instead of judging.
 
 **Freeze once, thaw per step.**  At quiescence the whole harness --
-caches, directories, locks, statistics, clock, sequence counter -- is
-plain data.  :meth:`EngineHarness.clone` freezes it once into a
+caches, directories, locks, clock, sequence counter -- is plain data.
+:meth:`EngineHarness.clone` freezes it once into a
 :class:`HarnessImage`: ``pickle`` protocol-5 bytes plus a side table of
 objects the bytes refer to by persistent id instead of copying.  The
 table holds every class object (so harness classes defined inside a
 function, which plain pickle rejects, thaw to that same class), every
-enum member, and the immutable configuration tree (``SystemConfig``
-and its parts, ``FrameLayout``, ``RingTopology``, ``ProtocolSpec``).
-No step mutates those: they are frozen dataclasses, and after
+enum member, the immutable configuration tree (``SystemConfig`` and
+its parts, ``FrameLayout``, ``RingTopology``, ``ProtocolSpec``) and the
+engine's coherence statistics (``CoherenceStats``).  No step mutates
+the configuration: its objects are frozen dataclasses, and after
 construction the only writes to them are ``cached_property`` values
-derived from their own fields.  :meth:`HarnessImage.clone` thaws one
+derived from their own fields.  The statistics are a write-only sink:
+the simulator layers only add to them (``record_*`` calls and ``+=``)
+and nothing in the checker reads them, so the image and all its
+children write into the one object the harness was built with (a lint
+in ``tests/test_check_explorer.py`` keeps both sides of that true).
+Thawing them would cost a third of every thaw.  Each cache's own
+``CacheStats`` stays per child.  :meth:`HarnessImage.clone` thaws one
 independent harness from the image, whose future behaviour is
 bit-identical to replaying the frozen harness's script on a fresh
 engine.  Images live only in the process that froze them; they are
 never stored.
+
+**One cache matrix per step.**  The harness keeps the cache state of
+every (node, line) at its last quiescent point (``matrix``).  An image
+carries it, so a thawed child starts with its "before" matrix already
+built; :meth:`EngineHarness.apply` builds the "after" matrix once, and
+the bystander check, the freshness oracle, :meth:`~EngineHarness.check`
+and :meth:`~EngineHarness.snapshot` all read it.
 """
 
 from __future__ import annotations
@@ -61,6 +75,7 @@ from repro.core.config import (
     RingConfig,
     SystemConfig,
 )
+from repro.core.metrics import CoherenceStats
 from repro.memory.cache import AccessOutcome
 from repro.memory.states import CacheState
 from repro.ring.slots import FrameLayout
@@ -68,7 +83,7 @@ from repro.ring.topology import RingTopology
 from repro.sim.kernel import Simulator
 from repro.spec.core import ProtocolSpec
 
-from repro.check.invariants import InvariantViolation, check_addresses
+from repro.check.invariants import InvariantViolation, check_block
 
 __all__ = [
     "DRAIN_HORIZON_PS",
@@ -168,12 +183,18 @@ AbstractState = Tuple[
 ]
 
 
-#: Immutable configuration objects an image shares with its harness
-#: by reference instead of copying (see the module docstring).
+#: Cache state per node and line, ``matrix[node][line]``.
+CacheMatrix = Tuple[Tuple[CacheState, ...], ...]
+
+
+#: Objects an image shares with its harness by reference instead of
+#: copying: the immutable configuration tree and the write-only
+#: coherence statistics (see the module docstring).
 _SHARED_TYPES = frozenset(
     {
         BusConfig,
         CacheConfig,
+        CoherenceStats,
         FrameLayout,
         MemoryConfig,
         ProcessorConfig,
@@ -195,9 +216,10 @@ class HarnessImage:
 
     ``data`` is the harness pickled at protocol 5, and ``table`` holds
     the objects ``data`` refers to by persistent id: classes, enum
-    members and the immutable configuration tree.  Every thawed child
-    is independent of the image and of every other child; the table's
-    objects are the only ones they share, and no step mutates them.
+    members, the immutable configuration tree and the write-only
+    coherence statistics.  Every thawed child is independent of the
+    image and of every other child; the table's objects are the only
+    ones they share, and the checker reads none that a step mutates.
     """
 
     __slots__ = ("data", "table")
@@ -290,12 +312,17 @@ class EngineHarness:
         self.versions: List[int] = [0] * lines
         #: Version each node's current copy was sourced from.
         self.observed: Dict[Tuple[int, int], int] = {}
+        #: The cache state of every (node, line) at the last quiescent
+        #: point, ``matrix[node][line]``: built once per step, read by
+        #: the bystander check, the freshness oracle, :meth:`check` and
+        #: :meth:`snapshot`.
+        self.matrix: CacheMatrix = self._cache_matrix()
 
     # ------------------------------------------------------------------
     # Step execution
     # ------------------------------------------------------------------
     def apply(self, step: StepSpec) -> None:
-        before = self._cache_matrix()
+        before = self.matrix
         spawned = False
         hits: List[Ref] = []
         for ref in step.refs:
@@ -313,8 +340,9 @@ class EngineHarness:
             spawned = True
         if spawned:
             self._drain(step)
-        self._check_bystanders(step, before)
-        self._account_freshness(step, hits)
+        after = self.matrix = self._cache_matrix()
+        self._check_bystanders(step, before, after)
+        self._account_freshness(step, hits, after)
 
     def _drain(self, step: StepSpec) -> None:
         self.sim.run(until=self.sim.now + DRAIN_HORIZON_PS)
@@ -332,33 +360,37 @@ class EngineHarness:
             )
 
     def _check_bystanders(
-        self, step: StepSpec, before: Dict[Tuple[int, int], CacheState]
+        self, step: StepSpec, before: CacheMatrix, after: CacheMatrix
     ) -> None:
         touched = {(ref.node, ref.line) for ref in step.refs}
-        after = self._cache_matrix()
-        for key, prior in before.items():
-            if key in touched:
+        for node, (prior_row, row) in enumerate(zip(before, after)):
+            if prior_row == row:
                 continue
-            if (prior, after[key]) not in _LEGAL_BYSTANDER:
-                node, line = key
+            for line, (prior, state) in enumerate(zip(prior_row, row)):
+                # An unchanged cell is always legal.
+                if (
+                    prior is state
+                    or (node, line) in touched
+                    or (prior, state) in _LEGAL_BYSTANDER
+                ):
+                    continue
                 raise InvariantViolation(
                     "bystander",
                     f"step {step.label()} moved uninvolved node {node} "
-                    f"line {line} from {prior.name} to {after[key].name}",
+                    f"line {line} from {prior.name} to {state.name}",
                 )
 
     def _account_freshness(
-        self, step: StepSpec, hits: Sequence[Ref]
+        self, step: StepSpec, hits: Sequence[Ref], after: CacheMatrix
     ) -> None:
         if step.is_race:
             # The event loop picked the write order; resynchronise.
             for ref in step.refs:
                 if ref.is_write:
                     self.versions[ref.line] += 1
-            self._resync_observed()
+            self._resync_observed(after)
             return
         (ref,) = step.refs
-        address = self.addresses[ref.line]
         current = self.versions[ref.line]
         if ref in hits:
             # Served entirely from the local copy: it must be current.
@@ -375,21 +407,15 @@ class EngineHarness:
         else:
             self.observed[(ref.node, ref.line)] = current
         # Copies invalidated by this step no longer pin a version.
-        for node in range(self.nodes):
-            if (
-                self.engine.caches[node].state_of(address)
-                is CacheState.INV
-            ):
+        for node, row in enumerate(after):
+            if row[ref.line] is CacheState.INV:
                 self.observed.pop((node, ref.line), None)
 
-    def _resync_observed(self) -> None:
-        for line, address in enumerate(self.addresses):
-            for node in range(self.nodes):
-                if (
-                    self.engine.caches[node].state_of(address)
-                    is not CacheState.INV
-                ):
-                    self.observed[(node, line)] = self.versions[line]
+    def _resync_observed(self, after: CacheMatrix) -> None:
+        for line, version in enumerate(self.versions):
+            for node, row in enumerate(after):
+                if row[line] is not CacheState.INV:
+                    self.observed[(node, line)] = version
                 else:
                     self.observed.pop((node, line), None)
 
@@ -398,14 +424,19 @@ class EngineHarness:
     # ------------------------------------------------------------------
     def check(self, *, strict: bool = True) -> None:
         """Structural invariants over every checked line."""
-        check_addresses(self.engine, self.addresses, strict=strict)
+        for line, address in enumerate(self.addresses):
+            held = {
+                node: row[line]
+                for node, row in enumerate(self.matrix)
+                if row[line] is not CacheState.INV
+            }
+            check_block(self.engine, address, strict=strict, held=held)
 
     def snapshot(self) -> AbstractState:
         caches = tuple(
-            (node, line, state.name)
-            for (node, line), state in sorted(
-                self._cache_matrix().items()
-            )
+            (node, line, state._name_)
+            for node, row in enumerate(self.matrix)
+            for line, state in enumerate(row)
         )
         views = tuple(
             (
@@ -439,12 +470,12 @@ class EngineHarness:
         freezer.dump(self)
         return freezer.image()
 
-    def _cache_matrix(self) -> Dict[Tuple[int, int], CacheState]:
-        return {
-            (node, line): self.engine.caches[node].state_of(address)
-            for node in range(self.nodes)
-            for line, address in enumerate(self.addresses)
-        }
+    def _cache_matrix(self) -> CacheMatrix:
+        addresses = self.addresses
+        return tuple(
+            tuple(map(cache.state_of, addresses))
+            for cache in self.engine.caches
+        )
 
     # ------------------------------------------------------------------
     # Replay

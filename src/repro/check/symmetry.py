@@ -11,15 +11,31 @@ giving up any invariant coverage: every state the reduced search
 visits is a real, concretely reached state, and every counterexample
 is a real failing script.
 
-Canonicalization picks the lexicographically smallest relabeling of a
-state under the configured permutation group:
+The symmetry group is
 
-* flat protocols (``snooping``, ``directory``, ``linkedlist``,
-  ``bus``) use the full product group ``S_nodes x S_lines``;
-* the two-level ``hierarchical`` ring only admits permutations that
+* for flat protocols (``snooping``, ``directory``, ``linkedlist``,
+  ``bus``), the full product group ``S_nodes x S_lines``;
+* for the two-level ``hierarchical`` ring, only the permutations that
   respect the cluster partition (swapping whole clusters, or nodes
   within one cluster) -- relabeling across clusters would move a node
   onto a different local ring.
+
+**Canonical form by sorting.**  The canonical form of a state is the
+encoding of one relabeling of it, chosen without enumerating the
+group.  For each line permutation, every node gets a *signature*: its
+row of cache states, and per line its owner flag (dirty bit), sharer
+flag (full map) or chain position (sharing list), all in the permuted
+line order.  The nodes are relabeled in signature order -- on the
+hierarchy, sorted within each cluster, then whole clusters sorted by
+their sorted signatures -- and the state is encoded under that
+relabeling; the smallest encoding over the line permutations is the
+canonical form.  Nodes with equal signatures are interchangeable
+(swapping them leaves the state unchanged), so the form depends only
+on the orbit, and it is the encoding of a relabeling of the state, so
+distinct orbits never share it.  Its cost grows with ``lines!`` sorts
+of the nodes, not with ``nodes! x lines!`` encodings.  The built
+groups (:func:`permutation_group`, :func:`cluster_permutations`) stay
+as the test oracle: the property tests check the form against them.
 
 Honesty note (also in ``docs/CHECKING.md``): the protocol *logic* is
 exactly symmetric under these relabelings, but transaction *timing*
@@ -38,7 +54,8 @@ import hashlib
 import itertools
 import json
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
@@ -56,10 +73,14 @@ __all__ = [
 #: Accepted values for the explorer's ``symmetry`` knob.
 SYMMETRY_MODES = ("full", "none")
 
-#: Largest permutation group a checker configuration may ask for.  The
-#: group is built as a tuple and every visited state is minimised over
-#: it, so the order bounds both memory and per-state cost; the largest
-#: configuration CI checks (5 nodes, 2 lines) has order 240.
+#: Largest symmetry group a checker configuration may ask for.  The
+#: canonical form never builds the group, but it sorts every state once
+#: per line permutation, and ``lines!`` is a factor of the order, so the
+#: bound caps that per-state cost.  The order also tracks how fast the
+#: raw state space grows with nodes and lines: every configuration past
+#: the bound (7 nodes, or 4 nodes with 6 lines) is far beyond what one
+#: search can finish.  The largest configurations CI checks, 5 nodes by
+#: 2 lines and 4 by 3, have orders 240 and 144.
 MAX_GROUP_ORDER = 10_000
 
 #: A node (or line) permutation: ``perm[old_label] == new_label``.
@@ -124,10 +145,12 @@ def permutation_group(
     symmetry: str = "full",
     per_cluster: Optional[int] = None,
 ) -> Tuple[Tuple[Perm, Perm], ...]:
-    """The (node-perm, line-perm) pairs canonicalization minimises over.
+    """Every (node-perm, line-perm) pair of the symmetry group.
 
-    ``symmetry="none"`` yields the identity group (the oracle path);
-    ``per_cluster`` restricts node permutations to the
+    The test oracle for :class:`CanonicalContext`: the canonical form
+    must be the encoding of one of these relabelings, and equal for
+    every relabeling of a state.  ``symmetry="none"`` yields the
+    identity group; ``per_cluster`` restricts node permutations to the
     cluster-respecting subgroup (hierarchical rings).
     """
     if symmetry not in SYMMETRY_MODES:
@@ -164,11 +187,11 @@ def relabel_view(view: tuple, node_perm: Perm) -> tuple:
         return (tag, dirty, -1 if owner is None else node_perm[owner])
     if tag == "full-map":
         _, dirty, sharers = view
-        return (tag, dirty, tuple(sorted(node_perm[s] for s in sharers)))
+        return (tag, dirty, tuple(sorted([node_perm[s] for s in sharers])))
     if tag == "list":
         # The sharing chain is ordered (head first); relabel in place.
         _, dirty, chain = view
-        return (tag, dirty, tuple(node_perm[n] for n in chain))
+        return (tag, dirty, tuple([node_perm[n] for n in chain]))
     raise ValueError(f"unknown coherence view tag {tag!r}")
 
 
@@ -210,13 +233,36 @@ def state_fingerprint(encoded: tuple) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+def _roles(view: tuple, nodes: int) -> list:
+    """Each node's part in one line's coherence metadata.
+
+    The owner flag (dirty bit), the sharer flag (full map) or the
+    chain position, ``-1`` off the chain (sharing list).  Two nodes
+    with equal roles are interchangeable in the view.
+    """
+    tag, _, detail = view
+    if tag == "dirty-bit":
+        return [node == detail for node in range(nodes)]
+    if tag == "full-map":
+        sharers = set(detail)
+        return [node in sharers for node in range(nodes)]
+    if tag == "list":
+        position = {node: index for index, node in enumerate(detail)}
+        return [position.get(node, -1) for node in range(nodes)]
+    raise ValueError(f"unknown coherence view tag {tag!r}")
+
+
+def _signatures(cluster: list) -> list:
+    return [signature for signature, _ in cluster]
+
+
 class CanonicalContext:
     """Canonicalization bound to one checker configuration.
 
-    Bundles the permutation group for ``(nodes, lines, symmetry)`` --
-    cluster-respecting when the protocol is hierarchical -- and
-    exposes the two operations the explorer needs: the canonical
-    encoded form of a state and its fingerprint.
+    Sorts states into their canonical form for ``(nodes, lines,
+    symmetry)`` -- cluster by cluster when the protocol is
+    hierarchical -- and exposes the two operations the explorer needs:
+    the canonical encoded form of a state and its fingerprint.
     """
 
     def __init__(
@@ -227,6 +273,11 @@ class CanonicalContext:
         symmetry: str = "full",
         per_cluster: Optional[int] = None,
     ) -> None:
+        if symmetry not in SYMMETRY_MODES:
+            raise ValueError(
+                f"unknown symmetry mode {symmetry!r}; "
+                f"expected one of {SYMMETRY_MODES}"
+            )
         if per_cluster is None and protocol == "hierarchical":
             from repro.check.state import hierarchy_per_cluster
 
@@ -235,25 +286,88 @@ class CanonicalContext:
         self.nodes = nodes
         self.lines = lines
         self.symmetry = symmetry
-        self.group = permutation_group(
-            nodes, lines, symmetry, per_cluster=per_cluster
-        )
+        self.per_cluster = per_cluster
+        self.group_size = group_order(nodes, lines, symmetry, per_cluster)
+        #: ``(line order, picker)`` per line permutation: the order
+        #: lists the old lines in their new order, and the picker
+        #: takes a node's per-line cells in that order (``None`` for
+        #: the identity, whose cells are already in order).
+        orders = list(itertools.permutations(range(lines)))
+        self._orders = [(orders[0], None)] + [
+            (order, itemgetter(*order)) for order in orders[1:]
+        ]
+        #: ``(first, stop)`` node labels of each cluster; one cluster
+        #: holding every node on a flat protocol.  Clusters of one node
+        #: admit every node permutation, so they sort as one cluster too.
+        size = nodes if per_cluster in (None, 1) else per_cluster
+        self._clusters = [
+            (start, start + size) for start in range(0, nodes, size)
+        ]
 
-    @property
-    def group_size(self) -> int:
-        return len(self.group)
+    @cached_property
+    def group(self) -> Tuple[Tuple[Perm, Perm], ...]:
+        """The built symmetry group (the tests' oracle; never searched)."""
+        return permutation_group(
+            self.nodes, self.lines, self.symmetry, self.per_cluster
+        )
 
     def canonical(self, state: tuple) -> tuple:
-        """The minimal encoding of ``state`` over the group."""
-        group = self.group
+        """The canonical encoding of ``state`` (see the module docstring).
+
+        ``state`` is an ``AbstractState`` whose cache triples list every
+        (node, line) in row-major order and whose views are in line
+        order, as the harnesses' ``snapshot`` builds them.
+        """
         nodes, lines = self.nodes, self.lines
-        if len(group) == 1:
-            node_perm, line_perm = group[0]
-            return encode_state(state, node_perm, line_perm, nodes, lines)
-        return min(
-            encode_state(state, node_perm, line_perm, nodes, lines)
-            for node_perm, line_perm in group
-        )
+        caches, views = state
+        views = [view for _, view in views]
+        if self.symmetry == "none":
+            identity = range(nodes)
+            return (
+                tuple([cell[2] for cell in caches]),
+                tuple([relabel_view(view, identity) for view in views]),
+            )
+        roles = [_roles(view, nodes) for view in views]
+        # cells[node][line] = (cache-state name, role in the line's view)
+        cells = [
+            tuple(
+                [
+                    (caches[node * lines + line][2], roles[line][node])
+                    for line in range(lines)
+                ]
+            )
+            for node in range(nodes)
+        ]
+        best = None
+        for order, pick in self._orders:
+            signatures = cells if pick is None else list(map(pick, cells))
+            ranked = [
+                sorted(zip(signatures[start:stop], range(start, stop)))
+                for start, stop in self._clusters
+            ]
+            if len(ranked) > 1:
+                # Whole clusters in the order of their sorted signatures.
+                ranked.sort(key=_signatures)
+            perm = [0] * nodes
+            label = 0
+            for cluster in ranked:
+                for _, node in cluster:
+                    perm[node] = label
+                    label += 1
+            encoded = (
+                tuple(
+                    [
+                        name
+                        for cluster in ranked
+                        for signature, _ in cluster
+                        for name, _ in signature
+                    ]
+                ),
+                tuple([relabel_view(views[line], perm) for line in order]),
+            )
+            if best is None or encoded < best:
+                best = encoded
+        return best
 
     def fingerprint(self, state: tuple) -> str:
         return state_fingerprint(self.canonical(state))

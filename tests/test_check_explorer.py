@@ -10,7 +10,9 @@ vacuous.
 
 from __future__ import annotations
 
+import ast
 import json
+import pathlib
 
 import pytest
 
@@ -358,10 +360,73 @@ def test_children_of_one_image_share_no_state():
     image = EngineHarness.replay("directory", 2, 2, _PREFIX).clone()
     first, second = image.clone(), image.clone()
     before = second.snapshot()
+    cache_stats = [repr(cache.stats) for cache in second.engine.caches]
     first.apply(StepSpec((Ref(1, 1, True),)))
     assert first.snapshot() != before
     assert second.snapshot() == before
+    assert [repr(cache.stats) for cache in second.engine.caches] == (
+        cache_stats
+    )
     assert image.clone().snapshot() == before
+
+
+def _stats_uses(tree):
+    """Every ``<expr>.stats.<field>`` node with its parent."""
+    parents = {
+        child: node
+        for node in ast.walk(tree)
+        for child in ast.iter_child_nodes(node)
+    }
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "stats"
+        ):
+            yield node, parents[node]
+
+
+def test_engine_statistics_are_write_only_so_images_may_share_them():
+    """Images share one ``CoherenceStats`` between every child, which is
+    sound only while the simulator layers never read it back and the
+    checker never reads it at all."""
+    import repro
+
+    root = pathlib.Path(repro.__file__).parent
+    for package in ("ring", "bus", "sim", "memory", "proc"):
+        for path in sorted((root / package).rglob("*.py")):
+            for node, parent in _stats_uses(ast.parse(path.read_text())):
+                written = (
+                    isinstance(parent, ast.AugAssign)
+                    and parent.target is node
+                )
+                recorded = (
+                    isinstance(parent, ast.Call)
+                    and parent.func is node
+                    and node.attr.startswith("record_")
+                )
+                assert written or recorded, (
+                    f"{path.relative_to(root)}:{node.lineno} reads "
+                    f".stats.{node.attr}"
+                )
+    for path in sorted((root / "check").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            assert not (
+                isinstance(node, ast.Attribute)
+                and node.attr == "stats"
+                and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "engine"
+            ), f"{path.relative_to(root)}:{node.lineno} reads engine.stats"
+
+
+def test_children_write_into_the_harness_statistics():
+    harness = EngineHarness.replay("snooping", 2, 2, _PREFIX)
+    image = harness.clone()
+    child = image.clone()
+    assert child.engine.stats is harness.engine.stats
+    assert child.engine.caches[0].stats is not (
+        harness.engine.caches[0].stats
+    )
 
 
 def test_a_harness_class_defined_in_a_function_thaws_to_itself():

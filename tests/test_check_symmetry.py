@@ -18,6 +18,8 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.check.state import EngineHarness, Ref, StepSpec
 from repro.check.symmetry import (
@@ -221,3 +223,89 @@ def test_fingerprints_are_stable_hex_digests():
     second = CanonicalContext("snooping", 2, 1, "full").fingerprint(state)
     assert first == second
     assert len(first) == 64 and int(first, 16) >= 0
+
+
+# ----------------------------------------------------------------------
+# The sorted canonical form against the built group
+# ----------------------------------------------------------------------
+_NAMES = ("INV", "RS", "WE")
+
+
+@st.composite
+def abstract_states(draw):
+    """A random abstract state of any view style, or of the hierarchy."""
+    style = draw(st.sampled_from(("dirty-bit", "full-map", "list", "hier")))
+    nodes = draw(st.sampled_from((2, 4)) if style == "hier" else st.integers(2, 4))
+    lines = draw(st.integers(1, 3 if nodes < 4 else 2))
+    tag = "dirty-bit" if style == "hier" else style
+    caches = tuple(
+        (node, line, draw(st.sampled_from(_NAMES)))
+        for node in range(nodes)
+        for line in range(lines)
+    )
+    views = []
+    for line in range(lines):
+        dirty = draw(st.booleans())
+        if tag == "dirty-bit":
+            owner = draw(st.one_of(st.none(), st.integers(0, nodes - 1)))
+            views.append((line, (tag, dirty, owner)))
+        else:
+            members = draw(
+                st.lists(st.integers(0, nodes - 1), unique=True, max_size=nodes)
+            )
+            detail = tuple(sorted(members)) if tag == "full-map" else tuple(members)
+            views.append((line, (tag, dirty, detail)))
+    protocol = {"dirty-bit": "snooping", "full-map": "directory",
+                "list": "linkedlist", "hier": "hierarchical"}[style]
+    return protocol, nodes, lines, (caches, tuple(views))
+
+
+@settings(max_examples=300, deadline=None)
+@given(abstract_states(), st.data())
+def test_sorted_form_is_an_orbit_invariant_relabeling(case, data):
+    protocol, nodes, lines, state = case
+    context = CanonicalContext(protocol, nodes, lines, "full")
+    node_perm, line_perm = data.draw(st.sampled_from(context.group))
+    canonical = context.canonical(state)
+    relabeled = permute_snapshot(state, node_perm, line_perm)
+    assert context.canonical(relabeled) == canonical
+    # The form is one relabeling's encoding, so distinct orbits never
+    # share it.
+    assert canonical in {
+        encode_state(state, g_nodes, g_lines, nodes, lines)
+        for g_nodes, g_lines in context.group
+    }
+
+
+class GroupMinimumContext(CanonicalContext):
+    """The built-group minimum: the canonical form before sorting."""
+
+    def canonical(self, state):
+        return min(
+            encode_state(state, node_perm, line_perm, self.nodes, self.lines)
+            for node_perm, line_perm in self.group
+        )
+
+
+@pytest.mark.parametrize(
+    "protocol, nodes",
+    [("snooping", 3), ("directory", 3), ("linkedlist", 3), ("bus", 3),
+     ("hierarchical", 4)],
+)
+def test_sorted_search_matches_the_group_minimum_search(
+    monkeypatch, protocol, nodes
+):
+    import repro.check.explorer as explorer
+
+    # The hierarchy needs an even node count; its 4-node search runs
+    # without race steps to stay quick.
+    sorted_form = explorer.explore(protocol, nodes, 2, races=nodes < 4)
+    monkeypatch.setattr(explorer, "CanonicalContext", GroupMinimumContext)
+    oracle = explorer.explore(protocol, nodes, 2, races=nodes < 4)
+    assert sorted_form.ok and oracle.ok
+    assert sorted_form.complete and oracle.complete
+    assert (
+        sorted_form.states,
+        sorted_form.steps_applied,
+        sorted_form.max_depth_reached,
+    ) == (oracle.states, oracle.steps_applied, oracle.max_depth_reached)
