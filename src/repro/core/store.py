@@ -35,6 +35,7 @@ The store directory resolves, in order: explicit argument, the
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -144,6 +145,25 @@ def _normalize_key_scalars(value: Any) -> Any:
     return value
 
 
+@functools.lru_cache(maxsize=256)
+def _canonical_config_json(config: SystemConfig) -> str:
+    """The normalised config as canonical JSON, memoised per config.
+
+    ``asdict`` and the normalisation are most of a fingerprint's cost,
+    and a cold simulation fingerprints its config twice (the missed
+    ``get``, then the ``put``).  Frozen configs that compare equal
+    share one entry: their fields are equal value for value, which
+    :func:`_normalize_key_scalars` already renders alike -- except a
+    ``bool`` field given as ``1`` or ``0``, which then keys as whichever
+    spelling this process saw first.
+    """
+    return json.dumps(
+        _normalize_key_scalars(config_to_jsonable(config)),
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+
+
 def result_fingerprint(
     benchmark: str,
     data_refs: int,
@@ -158,6 +178,12 @@ def result_fingerprint(
     so numerically identical setups share a key no matter how their
     numbers were spelled.
 
+    The hashed text is the canonical JSON (sorted keys, no spaces) of
+    ``{"schema", "benchmark", "data_refs", "config"}`` plus ``"salt"``
+    when one is given.  It is assembled around the memoised config
+    text (:func:`_canonical_config_json`) in that sorted key order; the
+    salt stays outside the memo.
+
     Two setups share a key exactly when :func:`repro.core.experiment.
     run_simulation` would produce identical results for them only for
     configs that :func:`repro.core.experiment.run_simulation_cached`
@@ -165,15 +191,13 @@ def result_fingerprint(
     use (``bus`` for the rings, ``ring`` for the bus) before keying, so
     the hash itself need not know which sub-config an engine reads.
     """
-    setup = {
-        "schema": SCHEMA_VERSION,
-        "benchmark": benchmark,
-        "data_refs": data_refs,
-        "config": _normalize_key_scalars(config_to_jsonable(config)),
-    }
-    if salt:
-        setup["salt"] = salt
-    canonical = json.dumps(setup, sort_keys=True, separators=(",", ":"))
+    salted = f'"salt":{json.dumps(salt)},' if salt else ""
+    canonical = (
+        f'{{"benchmark":{json.dumps(benchmark)},'
+        f'"config":{_canonical_config_json(config)},'
+        f'"data_refs":{json.dumps(data_refs)},'
+        f'{salted}"schema":{SCHEMA_VERSION}}}'
+    )
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 

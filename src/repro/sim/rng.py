@@ -6,14 +6,20 @@ a single integer seed.  Each processor's trace generator receives an
 independent substream derived from (seed, stream id); results are
 therefore invariant to process interleaving and to how many processors
 are simulated.
+
+The cumulative Zipf weights are seed-free: one running-sum table per
+exponent (:func:`zipf_prefix_table`) serves every pool size, since the
+table for ``n`` ranks is the bit-exact prefix of any longer one.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import threading
+from array import array
 from bisect import bisect_left
-from typing import List, Sequence
+from typing import Dict, List, Sequence
 
 __all__ = ["DeterministicRng", "substream_seed"]
 
@@ -72,26 +78,65 @@ class DeterministicRng:
         draw = int(math.log1p(-u) / math.log1p(-p)) + 1
         return min(draw, 1_000_000)
 
-    def zipf_index(self, size: int, weights: List[float]) -> int:
-        """Index in [0, size) drawn with the given cumulative weights."""
-        u = self.source.random() * weights[-1]
+    def zipf_index(self, size: int, weights: Sequence[float]) -> int:
+        """Index in [0, size) drawn with the given cumulative weights.
+
+        Only ``weights[:size]`` is read, and the total is
+        ``weights[size - 1]``: a longer running-sum table such as
+        :func:`zipf_prefix_table`'s draws exactly as the exact-size
+        list would.
+        """
+        u = self.source.random() * weights[size - 1]
         return bisect_left(weights, u, 0, size - 1)
+
+
+#: exponent -> the longest running-sum table built so far.
+_PREFIX_TABLES: Dict[float, array] = {}
+_PREFIX_LOCK = threading.Lock()
+
+
+def zipf_prefix_table(size: int, exponent: float) -> array:
+    """A shared running-sum table of at least ``size`` Zipf ranks.
+
+    Entry ``i`` is ``sum(1 / r ** exponent for r in 1..i+1)`` summed
+    left to right, so the table for ``n`` ranks is the bit-exact prefix
+    of the table for any longer ``m``: extending it continues the same
+    sum from the same last value.  One table per exponent therefore
+    serves every pool size, and a generator built for a new seed reads
+    it instead of summing its pools again.
+
+    A table grows by copying into a longer one under a lock; a
+    published table is never written again, so readers on other
+    threads need no lock.  Each distinct exponent holds its longest
+    table (8 bytes a rank) for the life of the process.
+    """
+    table = _PREFIX_TABLES.get(exponent)
+    if table is not None and len(table) >= size:
+        return table
+    with _PREFIX_LOCK:
+        table = _PREFIX_TABLES.get(exponent)
+        if table is None:
+            table = array("d")
+        elif len(table) >= size:
+            return table
+        grown = array("d", table)
+        total = grown[-1] if grown else 0.0
+        for rank in range(len(grown) + 1, size + 1):
+            total += 1.0 / (rank ** exponent)
+            grown.append(total)
+        _PREFIX_TABLES[exponent] = grown
+        return grown
 
 
 def zipf_cumulative_weights(size: int, exponent: float) -> List[float]:
     """Cumulative Zipf(exponent) weights for ``size`` ranks.
 
-    Precomputed once per generator; combined with
-    :meth:`DeterministicRng.zipf_index` this gives O(log n) skewed
-    block selection, which is how the synthetic traces model temporal
-    locality inside a working set.
+    The first ``size`` entries of :func:`zipf_prefix_table`, as a
+    list.  Combined with :meth:`DeterministicRng.zipf_index` this gives
+    O(log n) skewed block selection, which is how the synthetic traces
+    model temporal locality inside a working set.
     """
-    weights: List[float] = []
-    total = 0.0
-    for rank in range(1, size + 1):
-        total += 1.0 / (rank ** exponent)
-        weights.append(total)
-    return weights
+    return zipf_prefix_table(size, exponent)[: max(0, size)].tolist()
 
 
-__all__.append("zipf_cumulative_weights")
+__all__ += ["zipf_cumulative_weights", "zipf_prefix_table"]

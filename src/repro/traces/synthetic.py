@@ -26,7 +26,11 @@ Pools
   capacity-driven clean misses.
 
 The generators are deterministic in (seed, processor id) and
-independent of simulation interleaving.
+independent of simulation interleaving.  Only the draws depend on the
+seed: the pools' cumulative Zipf weights are prefixes of shared tables
+(:func:`repro.sim.rng.zipf_prefix_table`), and the ``instr_before``
+column, a function of the record index alone, is built once per
+generator and copied per node.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from dataclasses import dataclass
 from typing import Iterator, List, Tuple
 
 from repro.memory.address import PAGE_SIZE, AddressMap
-from repro.sim.rng import DeterministicRng, zipf_cumulative_weights
+from repro.sim.rng import DeterministicRng, zipf_prefix_table
 from repro.traces.benchmarks import BenchmarkSpec
 from repro.traces.records import TraceRecord
 
@@ -90,7 +94,10 @@ class SyntheticTraceGenerator:
         self.spec = spec
         self.address_map = address_map
         self.seed = seed
-        self._zipf_private = zipf_cumulative_weights(
+        # The pools' cumulative Zipf weights are prefixes of one shared
+        # table per exponent (``zipf_prefix_table``): they depend on
+        # neither the seed nor the node.
+        self._zipf_private = zipf_prefix_table(
             spec.private_blocks, spec.zipf_exponent
         )
         total_shared = spec.shared_blocks_per_proc * spec.processors
@@ -103,7 +110,7 @@ class SyntheticTraceGenerator:
         self._read_mostly_size = max(
             1, total_shared - self._read_mostly_base
         )
-        self._zipf_read_mostly = zipf_cumulative_weights(
+        self._zipf_read_mostly = zipf_prefix_table(
             self._read_mostly_size, spec.zipf_exponent
         )
         # Migratory blocks are picked uniformly: every block of the hot
@@ -111,10 +118,10 @@ class SyntheticTraceGenerator:
         # reader overlap for invalidations to find shared copies, and
         # it avoids concentrating write serialisation on a single
         # block (a convoy the paper's traces do not exhibit).
-        self._zipf_migratory = zipf_cumulative_weights(
-            self._migratory_blocks, 0.0
-        )
+        self._zipf_migratory = zipf_prefix_table(self._migratory_blocks, 0.0)
         self.pools = self._build_pools()
+        #: ``(length, instr_before column)`` of the last length built.
+        self._instr_template: Tuple[int, array] = (0, array("B"))
 
     # ------------------------------------------------------------------
     # Pool construction
@@ -213,6 +220,30 @@ class SyntheticTraceGenerator:
     # ------------------------------------------------------------------
     # Stream generation
     # ------------------------------------------------------------------
+    def _instr_column(self, data_refs: int) -> array:
+        """A fresh copy of the ``instr_before`` column for ``data_refs``
+        records.
+
+        Record ``i`` carries the integer part of the running sum of
+        ``instr_per_data`` over records ``0..i``, less what earlier
+        records took: a function of the spec and of ``i`` alone, with
+        no draw in it.  So every node and every seed gets the same
+        column, built once per generator and length and copied per
+        node.
+        """
+        length, template = self._instr_template
+        if length != data_refs:
+            instr_per_data = self.spec.instr_per_data
+            template = array("B", [0]) * data_refs
+            instr_carry = 0.0
+            for position in range(data_refs):
+                instr_carry += instr_per_data
+                instr_before = int(instr_carry)
+                instr_carry -= instr_before
+                template[position] = instr_before
+            self._instr_template = (data_refs, template)
+        return template[:]
+
     def columns(self, node: int, data_refs: int) -> Tuple[array, array, array]:
         """The trace for processor ``node`` as three columns.
 
@@ -221,12 +252,15 @@ class SyntheticTraceGenerator:
         (``'B'``, 0 or 1).  They are allocated at that length up front,
         so they hold exactly ``10 * data_refs`` bytes of values.
 
-        One loop, with every draw inlined on the bound methods of the
-        node's generator.  Each inlined draw consumes that generator
-        exactly as the :class:`DeterministicRng` call it stands for:
-        ``randint(low, high)`` is ``low + randrange(high - low + 1)``,
-        and the word offset repeats CPython's ``getrandbits`` rejection
-        loop for ``randint(0, word_slots - 1)``.
+        ``instr_before`` holds no draw and is copied from the
+        generator's one column for this length (:meth:`_instr_column`).
+        The other two come from one episode loop, with every draw
+        inlined on the bound methods of the node's generator.  Each
+        inlined draw consumes that generator exactly as the
+        :class:`DeterministicRng` call it stands for: ``randint(low,
+        high)`` is ``low + randrange(high - low + 1)``, and the word
+        offset repeats CPython's ``getrandbits`` rejection loop for
+        ``randint(0, word_slots - 1)``.
         """
         if not 0 <= node < self.spec.processors:
             raise ValueError(f"node {node} out of range")
@@ -238,7 +272,7 @@ class SyntheticTraceGenerator:
         getrandbits = rng.source.getrandbits
         geometric = rng.geometric
         zipf_index = rng.zipf_index
-        instr_column = array("B", [0]) * data_refs
+        instr_column = self._instr_column(data_refs)
         address_column = array("Q", [0]) * data_refs
         write_column = array("B", [0]) * data_refs
         block_size = amap.block_size
@@ -257,7 +291,6 @@ class SyntheticTraceGenerator:
         # stays spread.
         blocks_per_page = PAGE_SIZE // block_size
         stray = spec.partition_stray_probability
-        instr_per_data = spec.instr_per_data
         # Deficit-stratified pool selection: the next episode goes to
         # the pool whose realised reference share lags its target the
         # most.  Randomness stays in the run lengths and block choices;
@@ -268,7 +301,8 @@ class SyntheticTraceGenerator:
         pools = self.pools
         fractions = [pool.ref_fraction for pool in pools]
         emitted_by_pool = [0] * len(fractions)
-        instr_carry = 0.0
+        # Migratory write bursts are slices of this.
+        ones = array("B", [1]) * data_refs
         emitted = 0
         while emitted < data_refs:
             target = emitted + 1
@@ -318,9 +352,7 @@ class SyntheticTraceGenerator:
                 run = low + randrange(max(low, int(3 * mean / 2)) - low + 1)
             run = min(run, data_refs - emitted)
             end = emitted + run
-            write_fraction = pool.write_fraction
-            migratory = pool.name == "migratory"
-            if migratory:
+            if pool.name == "migratory":
                 # Migratory data follows the textbook read-modify-write
                 # pattern: a read run ending in a write burst.  This
                 # preserves the pool's write fraction while making an
@@ -329,24 +361,25 @@ class SyntheticTraceGenerator:
                 # ("most invalidations need the multicast round") and
                 # Figure 5 dirty-miss shares.
                 first_write = end - self._burst_length(
-                    run, write_fraction, rng
+                    run, pool.write_fraction, rng
                 )
-            for position in range(emitted, end):
-                instr_carry += instr_per_data
-                instr_before = int(instr_carry)
-                instr_carry -= instr_before
-                instr_column[position] = instr_before
-                if migratory:
-                    if position >= first_write:
-                        write_column[position] = 1
-                elif random() < write_fraction:
-                    write_column[position] = 1
-                # The word offset varies within the block so the stream
-                # looks like real addresses, not block ids.
-                word = getrandbits(word_bits)
-                while word >= word_slots:
+                write_column[first_write:end] = ones[first_write:end]
+                for position in range(emitted, end):
+                    # The word offset varies within the block so the
+                    # stream looks like real addresses, not block ids.
                     word = getrandbits(word_bits)
-                address_column[position] = base + word * 4
+                    while word >= word_slots:
+                        word = getrandbits(word_bits)
+                    address_column[position] = base + word * 4
+            else:
+                write_fraction = pool.write_fraction
+                for position in range(emitted, end):
+                    if random() < write_fraction:
+                        write_column[position] = 1
+                    word = getrandbits(word_bits)
+                    while word >= word_slots:
+                        word = getrandbits(word_bits)
+                    address_column[position] = base + word * 4
             emitted = end
             emitted_by_pool[which] += run
         return instr_column, address_column, write_column

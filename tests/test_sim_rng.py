@@ -1,14 +1,19 @@
 """Unit and property tests for the deterministic RNG helpers."""
 
+from array import array
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.sim import rng as rng_module
 from repro.sim.rng import (
     DeterministicRng,
     substream_seed,
     zipf_cumulative_weights,
+    zipf_prefix_table,
 )
+from tests.trace_oracle import reference_weights, reference_zipf_index
 
 
 def test_same_seed_same_stream_reproduces():
@@ -117,3 +122,69 @@ def test_zipf_weights_length_and_positive(size, exponent):
     weights = zipf_cumulative_weights(size, exponent)
     assert len(weights) == size
     assert weights[0] > 0.0
+
+
+# ----------------------------------------------------------------------
+# Shared prefix tables
+# ----------------------------------------------------------------------
+def _bits(values):
+    return array("d", values).tobytes()
+
+
+@given(
+    sizes=st.lists(st.integers(0, 3_000), min_size=1, max_size=8),
+    exponent=st.sampled_from([0.6, 0.0, 1.0, 0.37]),
+)
+@settings(max_examples=40, deadline=None)
+def test_shared_table_grown_in_any_order_keeps_every_prefix(sizes, exponent):
+    """However the sizes arrive, each one's prefix of the shared table
+    is bit for bit the sum the exact-size list always was."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rng_module, "_PREFIX_TABLES", {})
+        tables = []
+        for size in sizes:
+            table = zipf_prefix_table(size, exponent)
+            assert len(table) == max([0] + sizes[: len(tables) + 1])
+            tables.append(table)
+            expected = _bits(reference_weights(size, exponent))
+            assert _bits(table[:size]) == expected
+            assert _bits(zipf_cumulative_weights(size, exponent)) == expected
+        # A published table is never written again.
+        for size, table in zip(sizes, tables):
+            assert _bits(table[:size]) == _bits(
+                reference_weights(size, exponent)
+            )
+
+
+@given(
+    size=st.integers(1, 400),
+    extra=st.integers(0, 2_000),
+    seed=st.integers(0, 2**32),
+    exponent=st.sampled_from([0.6, 0.0]),
+)
+@settings(max_examples=40, deadline=None)
+def test_zipf_index_on_the_longer_table_draws_like_the_exact_list(
+    size, extra, seed, exponent
+):
+    shared = zipf_prefix_table(size + extra, exponent)
+    exact = reference_weights(size, exponent)
+    on_shared = DeterministicRng(seed, stream=3)
+    on_exact = DeterministicRng(seed, stream=3)
+    assert [on_shared.zipf_index(size, shared) for _ in range(60)] == [
+        reference_zipf_index(on_exact.source, size, exact) for _ in range(60)
+    ]
+
+
+def test_size_one_draws_index_zero_and_consumes_one_draw():
+    shared = zipf_prefix_table(50, 0.6)
+    rng = DeterministicRng(5)
+    twin = DeterministicRng(5)
+    assert [rng.zipf_index(1, shared) for _ in range(10)] == [0] * 10
+    for _ in range(10):
+        twin.uniform()
+    assert rng.uniform() == twin.uniform()
+
+
+def test_zipf_cumulative_weights_of_nothing_is_empty():
+    assert zipf_cumulative_weights(0, 0.6) == []
+    assert zipf_cumulative_weights(-3, 0.6) == []

@@ -18,11 +18,16 @@ payload.  These tests pin that down:
 
 from __future__ import annotations
 
+import hashlib
 import json
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import Protocol, SystemConfig
 from repro.core.store import (
     SCHEMA_VERSION,
+    _normalize_key_scalars,
     config_from_jsonable,
     config_to_jsonable,
     result_fingerprint,
@@ -123,3 +128,39 @@ def test_key_payload_contains_only_json_scalars():
 def test_config_payload_roundtrips_exactly():
     config = _fixture_config()
     assert config_from_jsonable(config_to_jsonable(config)) == config
+
+
+@given(
+    benchmark=st.text(max_size=12),
+    data_refs=st.integers(-5, 10**9),
+    salt=st.text(max_size=8),
+    seed=st.integers(0, 2**64),
+    clock_ps=st.one_of(st.integers(1, 10**6), st.floats(1.0, 1e6)),
+    weak_ordering=st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_memoised_fingerprint_hashes_the_plain_canonical_json(
+    benchmark, data_refs, salt, seed, clock_ps, weak_ordering
+):
+    """The key spliced around the memoised config text is the sha256 of
+    the whole setup dumped in one go, salt or no salt."""
+    from dataclasses import replace
+
+    base = _fixture_config()
+    config = replace(
+        base,
+        seed=seed,
+        ring=replace(base.ring, clock_ps=clock_ps),
+        processor=replace(base.processor, weak_ordering=weak_ordering),
+    )
+    setup = {
+        "schema": SCHEMA_VERSION,
+        "benchmark": benchmark,
+        "data_refs": data_refs,
+        "config": _normalize_key_scalars(config_to_jsonable(config)),
+    }
+    if salt:
+        setup["salt"] = salt
+    canonical = json.dumps(setup, sort_keys=True, separators=(",", ":"))
+    expected = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    assert result_fingerprint(benchmark, data_refs, config, salt) == expected

@@ -1,6 +1,8 @@
 """Unit and property tests for the synthetic workload generators."""
 
 import hashlib
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,9 @@ from repro.traces.benchmarks import (
     benchmark_spec,
 )
 from repro.traces.records import TraceRecord
+from repro.sim import rng as rng_module
 from repro.traces.synthetic import SyntheticTraceGenerator, generate_trace
+from tests.trace_oracle import reference_columns
 
 
 def make_generator(name="mp3d", processors=8, seed=5):
@@ -206,6 +210,123 @@ def test_stream_always_yields_exactly_n_valid_records(refs, node, seed):
         assert record.instr_before >= 0
         assert record.address >= 0
         assert isinstance(record.is_write, bool)
+
+
+# ----------------------------------------------------------------------
+# The columns against the per-reference loop they replaced
+# ----------------------------------------------------------------------
+def _bytes(columns):
+    return [column.tobytes() for column in columns]
+
+
+@given(
+    configuration=st.sampled_from(available_configurations()),
+    instr_per_data=st.one_of(
+        st.just(0.0),
+        st.floats(0.0, 20.0),
+        st.floats(254.0, 255.0, exclude_max=True),
+    ),
+    lengths=st.tuples(st.integers(1, 400), st.integers(1, 400)),
+    no_migratory=st.booleans(),
+    stray=st.one_of(st.none(), st.floats(0.01, 1.0)),
+    block_size=st.sampled_from([16, 64]),
+    seed=st.integers(0, 2**32),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_columns_match_the_per_reference_loop_byte_for_byte(
+    configuration,
+    instr_per_data,
+    lengths,
+    no_migratory,
+    stray,
+    block_size,
+    seed,
+    data,
+):
+    """Two nodes at two lengths on one generator, so the shared
+    instruction column is reused across nodes and rebuilt for a new
+    length."""
+    name, processors = configuration
+    overrides = {"instr_per_data": instr_per_data}
+    if no_migratory:
+        overrides["migratory_fraction"] = 0.0
+    if stray is not None:
+        overrides["partition_stray_probability"] = stray
+    spec = benchmark_spec(name, processors).scaled(**overrides)
+    amap = AddressMap(processors, block_size, seed=seed)
+    generator = SyntheticTraceGenerator(spec, amap, seed=seed)
+    nodes = data.draw(
+        st.lists(st.integers(0, processors - 1), min_size=2, max_size=2)
+    )
+    for length in lengths:
+        for node in nodes:
+            assert _bytes(generator.columns(node, length)) == _bytes(
+                reference_columns(generator, node, length)
+            )
+
+
+def test_every_node_gets_its_own_instruction_column():
+    _, generator = make_generator()
+    first = generator.columns(0, 300)[0]
+    second = generator.columns(1, 300)[0]
+    assert first == second and first is not second
+    first[0] = 99
+    assert generator.columns(2, 300)[0] == second
+
+
+def test_two_threads_growing_both_tables_build_the_serial_bytes():
+    """Two benchmarks' trace sets built at once from empty tables: both
+    the 0.6 table (private and read-mostly pools) and the 0.0 table
+    (migratory) grow while the other thread reads them."""
+    configurations = [("mp3d", 8), ("water", 32)]
+
+    def build(name, processors):
+        spec = benchmark_spec(name, processors)
+        amap = AddressMap(processors, 16, seed=11)
+        generator = SyntheticTraceGenerator(spec, amap, seed=11)
+        return [
+            _bytes(generator.columns(node, 250))
+            for node in range(processors)
+        ]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rng_module, "_PREFIX_TABLES", {})
+        serial = [build(*configuration) for configuration in configurations]
+        patch.setattr(rng_module, "_PREFIX_TABLES", {})
+        start = threading.Barrier(2)
+        results = [None, None]
+
+        def worker(slot):
+            start.wait()
+            results[slot] = build(*configurations[slot])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(slot,))
+                for slot in range(2)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        tables = rng_module._PREFIX_TABLES
+        assert sorted(tables) == [0.0, 0.6]
+        generators = [
+            SyntheticTraceGenerator(
+                benchmark_spec(name, processors), AddressMap(processors, 16)
+            )
+            for name, processors in configurations
+        ]
+        assert len(tables[0.6]) == max(
+            max(generator.spec.private_blocks, generator._read_mostly_size)
+            for generator in generators
+        )
+    assert results == serial
 
 
 # ----------------------------------------------------------------------
