@@ -15,10 +15,11 @@ write-back-buffer reclaims and sharing write-backs all occur.  Every
 run starts from an empty result store with the in-process memo
 cleared, so no stored result can answer for the code under test.
 
-A second set of digests pins the traced event stream of each ring
-engine (snooping, directory, linked list, and the hierarchy as 2
-clusters of 4): every slotted-ring message's name, endpoints, start
-and duration, which the stored result does not record.
+A second set of digests pins the traced event stream of every engine
+(snooping, directory, linked list, the hierarchy as 2 clusters of 4,
+and the bus): every slotted-ring message's name, endpoints, start and
+duration, or every bus hold's phase, start and duration, which the
+stored result does not record.
 
 A refactor of the engines that keeps every transaction's requests,
 spawns and counter updates in the same order must leave all digests
@@ -168,10 +169,13 @@ def test_engine_results_are_bit_exact(temp_store, workload, protocol, weak):
 # ----------------------------------------------------------------------
 TRACED_REFS = 1500
 
-#: sha256 over ``Tracer.iter_jsonl()`` of one traced mp3d run per ring
-#: engine: every message's name, endpoints, start and duration, and
-#: every miss, forward and snoop event around them.
+#: sha256 over ``Tracer.iter_jsonl()`` of one traced mp3d run per
+#: engine: every message's (or bus hold's) name, endpoints, start and
+#: duration, and every miss, forward and snoop event around them.
 TRACE_DIGESTS = {
+    "bus": (
+        "76520c692cce3cbca25d409b14aeae0e19e49438866e03de764df973b343191e"
+    ),
     "snooping": (
         "18e0013558503693396fc96efb9a7e4476b14aa06635a6cc5371dfc70169c184"
     ),
@@ -200,7 +204,8 @@ def trace_digest(protocol: Protocol) -> str:
 
 @pytest.mark.parametrize("protocol", sorted(TRACE_DIGESTS))
 def test_traced_message_stream_is_bit_exact(temp_store, protocol):
-    """The ring engines' messages -- names, endpoints (an inter-ring
+    """Every engine's messages -- names, endpoints (an inter-ring
     interface is named ``P + cluster``) and times -- are pinned, so a
-    change to the slotted-ring message layer cannot move one."""
+    change to the slotted-ring message layer or the bus phases cannot
+    move one."""
     assert trace_digest(Protocol(protocol)) == TRACE_DIGESTS[protocol]
