@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from repro.core.config import Protocol, SystemConfig
 from repro.core.metrics import MissClass
-from repro.memory.cache import sharers_other_than
 from repro.sim.engine import DirtyBitEngine, Step
 from repro.sim.kernel import Simulator
 from repro.sim.queues import Resource
@@ -94,13 +93,10 @@ class BusSystem(DirtyBitEngine):
         # Request phase: address + command on the bus, snooped by all.
         yield from self._hold_bus(self.config.bus.request_cycles, "request")
         self.stats.probes_sent += 1
-        if is_write:
-            for sharer in sharers_other_than(self.caches, address, node):
-                self.caches[sharer].snoop_invalidate(address)
+        ops = self.remote_ops(is_write, owner)
+        self.snoop_now(address, self.remote_targets(ops, node, address, owner))
 
         if dirty:
-            if not is_write:
-                self.caches[owner].snoop_downgrade(address)
             yield self.sim.timeout(self.config.memory.cache_response_ps)
         else:
             yield self.banks[home].access()
@@ -117,14 +113,14 @@ class BusSystem(DirtyBitEngine):
 
     def upgrade(self, node: int, address: int, start_ps: int) -> Step:
         owner = self.dirty_owner(self.address_map.block_of(address))
-        sharers = sharers_other_than(self.caches, address, node)
+        ops = self.remote_ops(True, owner, upgrade=True)
+        targets = self.remote_targets(ops, node, address, owner)
         yield from self._hold_bus(self.config.bus.request_cycles, "request")
         self.stats.probes_sent += 1
-        for sharer in sharers:
-            self.caches[sharer].snoop_invalidate(address)
+        self.snoop_now(address, targets)
         self.commit(node, address, True, owner)
         self.stats.record_upgrade(
-            self.sim.now - start_ps, traversals=1, had_sharers=bool(sharers)
+            self.sim.now - start_ps, traversals=1, had_sharers=bool(targets[0])
         )
 
     # ------------------------------------------------------------------

@@ -205,6 +205,11 @@ class SystemConfig:
     def __post_init__(self) -> None:
         if self.num_processors < 2:
             raise ValueError("need at least 2 processors")
+        # A result key spells these as given: 1 and True would differ.
+        if type(self.ring.enforce_fairness) is not bool:
+            raise ValueError("ring.enforce_fairness must be a bool")
+        if type(self.processor.weak_ordering) is not bool:
+            raise ValueError("processor.weak_ordering must be a bool")
         if self.protocol is _HIERARCHICAL:
             clusters = self.ring.clusters
             if clusters < 2:

@@ -153,9 +153,8 @@ def _canonical_config_json(config: SystemConfig) -> str:
     and a cold simulation fingerprints its config twice (the missed
     ``get``, then the ``put``).  Frozen configs that compare equal
     share one entry: their fields are equal value for value, which
-    :func:`_normalize_key_scalars` already renders alike -- except a
-    ``bool`` field given as ``1`` or ``0``, which then keys as whichever
-    spelling this process saw first.
+    :func:`_normalize_key_scalars` already renders alike (a ``bool``
+    field only takes a ``bool``, see :class:`SystemConfig`).
     """
     return json.dumps(
         _normalize_key_scalars(config_to_jsonable(config)),

@@ -279,7 +279,7 @@ def sharers_other_than(
     caches: Sequence[DirectMappedCache], address: int, node: int
 ) -> List[int]:
     """Nodes (excluding ``node``) whose caches hold the block, in node
-    order.  Every engine's sharer query."""
+    order: the dirty-bit layer's one sharer query."""
     return [
         other
         for other, cache in enumerate(caches)

@@ -201,3 +201,11 @@ class LinkedListDirectory(HomeDirectory):
             entry.sharers.remove(node)
         entry.sharers.insert(0, node)
         entry.dirty = False
+
+    def invalidation_targets(self, block: int, requester: int) -> List[int]:
+        """A snapshot of the sharing list without ``requester``, in
+        chain order: the purge walk's route."""
+        entry = self._entries.get(block)
+        if entry is None:
+            return []
+        return [node for node in entry.sharers if node != requester]

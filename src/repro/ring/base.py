@@ -22,7 +22,7 @@ from repro.core.metrics import MissClass
 from repro.ring.scheduler import SlotGrant, SlotScheduler
 from repro.ring.slots import BLOCK_SLOT, SlotType
 from repro.ring.topology import RingTopology
-from repro.sim.engine import CoherenceEngine, ProtocolError, Step
+from repro.sim.engine import CoherenceEngine, ProtocolError, Step, Targets
 from repro.sim.kernel import Simulator, Timeout
 
 __all__ = ["RingSystemBase", "ProtocolError"]
@@ -58,6 +58,14 @@ class RingSystemBase(CoherenceEngine):
         """The node a traced message names for ``position`` on ``ring``
         (on a flat ring, the node at that position)."""
         return position
+
+    def cluster_of(self, node: int) -> int:
+        """The ring ``node`` sits on (a flat ring is ring 0)."""
+        return 0
+
+    def local_position(self, node: int) -> int:
+        """``node``'s position on its ring (on a flat ring, ``node``)."""
+        return node
 
     @property
     def clock_ps(self) -> int:
@@ -184,9 +192,21 @@ class RingSystemBase(CoherenceEngine):
             yield self.sim.timeout(self.config.memory.directory_lookup_ps)
         return arcs
 
-    def passage_cycle(self, grant: SlotGrant, src: int, node: int) -> int:
-        """Cycle at which ``grant``'s broadcast probe passes ``node``."""
-        return grant.grab_cycle + self.topology.distance(src, node)
+    def snoop_passing(
+        self, grant: SlotGrant, ring: int, src: int, address: int, targets: Targets
+    ) -> None:
+        """Deliver remote ops as ``grant``'s broadcast probe from
+        position ``src`` passes each target on ``ring``; targets on
+        other rings are left to the engine's other deliveries."""
+        for nodes, schedule in zip(
+            targets, (self.schedule_invalidate, self.schedule_downgrade)
+        ):
+            for target in nodes:
+                if self.cluster_of(target) == ring:
+                    passage = grant.grab_cycle + self.topology.distance(
+                        src, self.local_position(target)
+                    )
+                    schedule(target, address, passage)
 
     #: Write-backs and memory updates travel in one block slot.
     carry_block = send_block

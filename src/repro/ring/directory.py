@@ -57,37 +57,29 @@ class DirectoryRingSystem(DirectoryEngine, RingSystemBase):
     def shared_miss(
         self, node: int, address: int, is_write: bool, start_ps: int
     ) -> Step:
-        block = self.address_map.block_of(address)
         home = self.address_map.home_of(address)
-        directory = self.directories[home]
         # Snapshot ownership before the first yield: read misses run
         # under a shared lock, so a concurrent reader may commit the
         # dirty->shared transition while this one is in flight (the
         # snapshot still names a valid supplier).
-        owner = directory.entry(block).owner
+        owner = self.directories[home].entry(self.address_map.block_of(address)).owner
         self.prepare_victim(node, address)
 
         arcs = yield from self.request_home(node, home, address)
+        ops = self.remote_ops(is_write, owner)
+        targets = self.remote_targets(ops, node, address, owner)
 
         if owner is not None:
             arcs += yield from self._fetch_from_owner(home, owner, node, address)
-            if is_write:
-                # Ownership transfer: the old owner invalidates.
-                self.caches[owner].snoop_invalidate(address)
-            else:
-                # Downgrade: the owner keeps an RS copy if it still
-                # caches the block; memory is refreshed off the
-                # critical path.
-                self.caches[owner].snoop_downgrade(address)
+            # The owner snoops the forwarded request (a downgraded owner
+            # keeps an RS copy; memory is refreshed off the critical path).
+            self.snoop_now(address, targets)
         else:
-            targets = (
-                directory.invalidation_targets(block, node) if is_write else ()
-            )
-            if targets:
+            if targets[0]:
                 # Overlap the memory fetch with the multicast round;
                 # the home replies only after both complete.
                 multicast = self.sim.spawn(
-                    self._multicast_invalidate(home, address, targets),
+                    self._multicast_invalidate(home, address, targets[0]),
                     name=f"mcast:n{home}",
                 )
                 yield self.banks[home].access()
@@ -106,16 +98,15 @@ class DirectoryRingSystem(DirectoryEngine, RingSystemBase):
     # Upgrades
     # ------------------------------------------------------------------
     def upgrade(self, node: int, address: int, start_ps: int) -> Step:
-        block = self.address_map.block_of(address)
         home = self.address_map.home_of(address)
-        directory = self.directories[home]
-        owner = directory.entry(block).owner
+        owner = self.directories[home].entry(self.address_map.block_of(address)).owner
 
         arcs = yield from self.request_home(node, home, address)
 
-        targets = directory.invalidation_targets(block, node)
-        if targets:
-            yield from self._multicast_invalidate(home, address, targets)
+        ops = self.remote_ops(True, owner, upgrade=True)
+        invalidated, _ = self.remote_targets(ops, node, address, owner)
+        if invalidated:
+            yield from self._multicast_invalidate(home, address, invalidated)
             arcs += self.topology.total_stages
         if home != node:
             # The home's reply is a short acknowledgment probe.
@@ -123,7 +114,7 @@ class DirectoryRingSystem(DirectoryEngine, RingSystemBase):
             arcs += self.topology.distance(home, node)
         self.commit(node, address, True, owner)
 
-        self.record_arc_upgrade(arcs, start_ps, bool(targets))
+        self.record_arc_upgrade(arcs, start_ps, bool(invalidated))
 
     # ------------------------------------------------------------------
     # Helpers
@@ -157,17 +148,15 @@ class DirectoryRingSystem(DirectoryEngine, RingSystemBase):
         return arcs
 
     def _multicast_invalidate(
-        self, home: int, address: int, targets: "set[int]"
+        self, home: int, address: int, targets: "list[int]"
     ) -> Step:
         """One broadcast probe from the home sweeping the whole ring;
         sharers invalidate as it passes, its return is the ack."""
         block = self.address_map.block_of(address)
         directory = self.directories[home]
         grant = yield from self.broadcast_probe(home, address)
+        self.snoop_passing(grant, 0, home, address, (targets, ()))
         for target in targets:
-            self.schedule_invalidate(
-                target, address, self.passage_cycle(grant, home, target)
-            )
             directory.remove_sharer(block, target)
         tracer = self.sim.tracer
         if tracer is not None:

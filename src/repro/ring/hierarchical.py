@@ -36,15 +36,14 @@ uniform traffic sees a shorter end-to-end path.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional
 
 from repro.core.config import Protocol, SystemConfig
 from repro.core.metrics import MissClass
-from repro.memory.cache import sharers_other_than
 from repro.ring.base import RingSystemBase
 from repro.ring.slots import BLOCK_SLOT
 from repro.ring.topology import RingTopology
-from repro.sim.engine import DirtyBitEngine, Step
+from repro.sim.engine import DirtyBitEngine, Ops, Step
 from repro.sim.kernel import Simulator
 
 __all__ = ["HierarchicalRingSystem"]
@@ -118,22 +117,36 @@ class HierarchicalRingSystem(DirtyBitEngine, RingSystemBase):
         return ring * self.per_cluster + position
 
     # ------------------------------------------------------------------
-    # Snoop side effects
+    # Delivery of remote ops
     # ------------------------------------------------------------------
-    def _invalidate_cluster(self, cluster: int, address: int, node: int) -> Step:
-        """One local invalidation sweep: broadcast a probe on the
-        cluster's ring, invalidating resident copies at passage."""
-        grant = yield from self.broadcast(cluster, self.iri_position, address)
-        for sharer in sharers_other_than(self.caches, address, node):
-            if self.cluster_of(sharer) != cluster:
-                continue
-            passage = grant.grab_cycle + self.topology.distance(
-                self.iri_position, self.local_position(sharer)
+    def _sweep_other_clusters(
+        self, ops: Ops, node: int, address: int, owner: Optional[int]
+    ) -> Step:
+        """Sweep every other cluster holding copies, concurrently;
+        return when the slowest sweep does."""
+        invalidated, _ = self.remote_targets(ops, node, address, owner)
+        clusters = set(map(self.cluster_of, invalidated)) - {self.cluster_of(node)}
+        sweeps = [
+            self.sim.spawn(
+                self._sweep_cluster(cluster, ops, node, address, owner),
+                name=f"sweep:c{cluster}",
             )
-            self.schedule_invalidate(sharer, address, passage)
-        yield from self.wait_until_cycle(
-            grant.grab_cycle + self.topology.total_stages
+            for cluster in sorted(clusters)
+        ]
+        for sweep in sweeps:
+            yield sweep.done
+
+    def _sweep_cluster(
+        self, cluster: int, ops: Ops, node: int, address: int, owner: Optional[int]
+    ) -> Step:
+        """One local invalidation sweep: a broadcast probe from the
+        cluster's IRI, invalidating resident copies at passage."""
+        grant = yield from self.broadcast(cluster, self.iri_position, address)
+        invalidated, _ = self.remote_targets(ops, node, address, owner)
+        self.snoop_passing(
+            grant, cluster, self.iri_position, address, (invalidated, ())
         )
+        yield from self.wait_until_cycle(grant.grab_cycle + self.topology.total_stages)
 
     # ------------------------------------------------------------------
     # Write-backs and memory updates
@@ -187,42 +200,24 @@ class HierarchicalRingSystem(DirtyBitEngine, RingSystemBase):
             return
 
         # Local probe sweep (always: the cluster snoops first).
+        ops = self.remote_ops(is_write, owner)
         grant = yield from self.broadcast(
             cluster, self.local_position(node), address
         )
-
-        if is_write:
-            # Invalidate local sharers at probe passage; remote
-            # clusters are swept below.
-            for sharer in sharers_other_than(self.caches, address, node):
-                if self.cluster_of(sharer) == cluster:
-                    passage = grant.grab_cycle + self.topology.distance(
-                        self.local_position(node),
-                        self.local_position(sharer),
-                    )
-                    self.schedule_invalidate(sharer, address, passage)
+        # Invalidate local copies at probe passage; remote clusters are
+        # swept before the commit.  A downgrade reaches the supplier.
+        invalidated, downgraded = self.remote_targets(ops, node, address, owner)
+        self.snoop_passing(
+            grant, cluster, self.local_position(node), address, (invalidated, ())
+        )
 
         if supplier_cluster == cluster and supplier != node:
             # Cluster-local transaction: flat-ring behaviour at local
             # ring scale.
             self.local_transactions += 1
-            passage = grant.grab_cycle + self.topology.distance(
+            supplier_pass = grant.grab_cycle + self.topology.distance(
                 self.local_position(node), self.local_position(supplier)
             )
-            yield from self.wait_until_cycle(passage)
-            if dirty:
-                if not is_write:
-                    self.caches[supplier].snoop_downgrade(address)
-                yield self.sim.timeout(self.config.memory.cache_response_ps)
-            else:
-                yield self.banks[home].access()
-            arrival = yield from self.send(
-                cluster,
-                self.local_position(supplier),
-                self.local_position(node),
-                BLOCK_SLOT,
-            )
-            yield from self.wait_until_cycle(arrival)
         else:
             # Three-segment remote transaction via the IRIs.
             self.global_transactions += 1
@@ -251,63 +246,34 @@ class HierarchicalRingSystem(DirtyBitEngine, RingSystemBase):
                 if supplier != node
                 else 0
             )
-            yield from self.wait_until_cycle(supplier_pass)
-            if dirty:
-                if not is_write and supplier != node:
-                    self.caches[supplier].snoop_downgrade(address)
-                yield self.sim.timeout(self.config.memory.cache_response_ps)
-            else:
-                yield self.banks[home].access()
-            # Block return: supplier -> its IRI -> our IRI -> us.
+        yield from self.wait_until_cycle(supplier_pass)
+        if dirty:
+            self.snoop_now(address, ((), downgraded))
+            yield self.sim.timeout(self.config.memory.cache_response_ps)
+        else:
+            yield self.banks[home].access()
+        if supplier != node:
+            # The block returns over the local ring, or supplier -> its
+            # IRI -> our IRI -> us (a send waits for its tail).
+            yield from self.carry_block(supplier, node)
+        else:
+            # The home's own write miss: its block loops through the IRI.
             yield from self.send(
-                supplier_cluster,
-                self.local_position(supplier),
-                self.iri_position,
-                BLOCK_SLOT,
+                cluster, self.local_position(node), self.iri_position, BLOCK_SLOT
             )
             yield from self.send(
-                self.global_ring, supplier_cluster, cluster, BLOCK_SLOT
+                cluster, self.iri_position, self.local_position(node), BLOCK_SLOT
             )
-            arrival = yield from self.send(
-                cluster,
-                self.iri_position,
-                self.local_position(node),
-                BLOCK_SLOT,
-            )
-            yield from self.wait_until_cycle(arrival)
 
-        if is_write:
+        if invalidated:
             # Remote sharing clusters are swept concurrently; commit
             # waits for the slowest sweep (the global probe already
             # notified their IRIs).
-            yield from self._remote_invalidations(node, address, cluster)
+            yield from self._sweep_other_clusters(ops, node, address, owner)
         self.commit(node, address, is_write, owner)
 
         klass = MissClass.REMOTE_DIRTY if dirty else MissClass.REMOTE_CLEAN
         self.stats.record_miss(klass, self.sim.now - start_ps, traversals=1)
-
-    def _remote_invalidations(
-        self, node: int, address: int, home_cluster: int
-    ) -> Step:
-        """Sweep every other cluster holding copies, concurrently."""
-        sharer_clusters = sorted(
-            {
-                self.cluster_of(sharer)
-                for sharer in sharers_other_than(self.caches, address, node)
-            }
-            - {home_cluster}
-        )
-        if not sharer_clusters:
-            return
-        sweeps = [
-            self.sim.spawn(
-                self._invalidate_cluster(cluster, address, node),
-                name=f"sweep:c{cluster}",
-            )
-            for cluster in sharer_clusters
-        ]
-        for sweep in sweeps:
-            yield sweep.done
 
     # ------------------------------------------------------------------
     # Upgrades
@@ -315,34 +281,32 @@ class HierarchicalRingSystem(DirtyBitEngine, RingSystemBase):
     def upgrade(self, node: int, address: int, start_ps: int) -> Step:
         owner = self.dirty_owner(self.address_map.block_of(address))
         cluster = self.cluster_of(node)
-        sharers = sharers_other_than(self.caches, address, node)
-        remote = any(self.cluster_of(s) != cluster for s in sharers)
+        ops = self.remote_ops(True, owner, upgrade=True)
+        invalidated, _ = self.remote_targets(ops, node, address, owner)
+        crosses = any(self.cluster_of(s) != cluster for s in invalidated)
         home_cluster = self.cluster_of(self.address_map.home_of(address))
 
         grant = yield from self.broadcast(
             cluster, self.local_position(node), address
         )
-        for sharer in sharers:
-            if self.cluster_of(sharer) == cluster:
-                passage = grant.grab_cycle + self.topology.distance(
-                    self.local_position(node), self.local_position(sharer)
-                )
-                self.schedule_invalidate(sharer, address, passage)
+        self.snoop_passing(
+            grant, cluster, self.local_position(node), address, (invalidated, ())
+        )
         yield from self._await_ack(cluster, grant)
 
-        if remote or home_cluster != cluster:
+        if crosses or home_cluster != cluster:
             # The upgrade must reach the home (dirty bit) and every
             # sharing cluster: one global sweep plus concurrent local
             # sweeps, acked back through the IRI.
             yield from self.broadcast(self.global_ring, cluster, address)
-            yield from self._remote_invalidations(node, address, cluster)
+            yield from self._sweep_other_clusters(ops, node, address, owner)
             yield self.sim.timeout(self.layout.frame_stages * self.clock_ps)
 
         self.commit(node, address, True, owner)
         self.stats.record_upgrade(
             self.sim.now - start_ps,
-            traversals=1 if not remote else 2,
-            had_sharers=bool(sharers),
+            traversals=1 if not crosses else 2,
+            had_sharers=bool(invalidated),
         )
 
     # ------------------------------------------------------------------

@@ -64,7 +64,8 @@ class LinkedListRingSystem(DirectoryEngine, RingSystemBase):
         # transaction is in flight.
         head = entry.head
         owner = entry.owner
-        chain_snapshot = [sharer for sharer in entry.sharers if sharer != node]
+        ops = self.remote_ops(is_write, owner)
+        targets = self.remote_targets(ops, node, address, owner)
 
         arcs = yield from self._rollout_victim(node, address)
         arcs += yield from self.request_home(node, home, address)
@@ -87,14 +88,11 @@ class LinkedListRingSystem(DirectoryEngine, RingSystemBase):
             yield from self.send_block(head, node)
             arcs += self.topology.distance(head, node)
 
-        if is_write:
-            if owner is not None:
-                # Single dirty owner: invalidated by the forward itself.
-                self.caches[owner].snoop_invalidate(address)
-            elif chain_snapshot:
-                arcs += yield from self._purge_walk(node, address, chain_snapshot)
-        elif owner is not None:
-            self.caches[owner].snoop_downgrade(address)
+        if owner is not None:
+            # A single dirty owner snoops the forward itself.
+            self.snoop_now(address, targets)
+        elif targets[0]:
+            arcs += yield from self._purge_walk(node, address, targets[0])
         self.commit(node, address, is_write, owner)
 
         self.record_arc_miss(owner is not None, arcs, start_ps)
@@ -104,8 +102,7 @@ class LinkedListRingSystem(DirectoryEngine, RingSystemBase):
     # ------------------------------------------------------------------
     def upgrade(self, node: int, address: int, start_ps: int) -> Step:
         home = self.address_map.home_of(address)
-        entry = self.directories[home].entry(self.address_map.block_of(address))
-        owner = entry.owner
+        owner = self.directories[home].entry(self.address_map.block_of(address)).owner
 
         arcs = 0
         # Become the head / learn the current list: one probe round to
@@ -114,12 +111,13 @@ class LinkedListRingSystem(DirectoryEngine, RingSystemBase):
             yield from self.send_probe(node, home, address)
             yield from self.send_probe(home, node, address)
             arcs += self.topology.total_stages
-        others = [sharer for sharer in entry.sharers if sharer != node]
-        if others:
-            arcs += yield from self._purge_walk(node, address, others)
+        ops = self.remote_ops(True, owner, upgrade=True)
+        invalidated, _ = self.remote_targets(ops, node, address, owner)
+        if invalidated:
+            arcs += yield from self._purge_walk(node, address, invalidated)
         self.commit(node, address, True, owner)
 
-        self.record_arc_upgrade(arcs, start_ps, bool(others))
+        self.record_arc_upgrade(arcs, start_ps, bool(invalidated))
 
     # ------------------------------------------------------------------
     # List walking

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from repro.core.config import Protocol
 from repro.core.metrics import MissClass
-from repro.memory.cache import sharers_other_than
 from repro.ring.base import RingSystemBase, Step
 from repro.sim.engine import DirtyBitEngine
 
@@ -39,9 +38,11 @@ class SnoopingRingSystem(DirtyBitEngine, RingSystemBase):
     def shared_miss(
         self, node: int, address: int, is_write: bool, start_ps: int
     ) -> Step:
-        block = self.address_map.block_of(address)
+        """One broadcast probe, snooped as it passes; unless local
+        memory serves the miss, one block reply: exactly one ring
+        traversal end to end."""
         home = self.address_map.home_of(address)
-        owner = self.dirty_owner(block)
+        owner = self.dirty_owner(self.address_map.block_of(address))
         dirty = owner is not None
 
         self.prepare_victim(node, address)
@@ -50,74 +51,41 @@ class SnoopingRingSystem(DirtyBitEngine, RingSystemBase):
             yield from self.local_clean_read(node, address, start_ps)
             return
 
-        if not dirty and home == node and is_write:
-            yield from self._local_clean_write_miss(node, address, start_ps)
+        grant = yield from self.broadcast_probe(node, address)
+        ops = self.remote_ops(is_write, owner)
+        targets = self.remote_targets(ops, node, address, owner)
+        self.snoop_passing(grant, 0, node, address, targets)
+
+        if not dirty and home == node:
+            # A write miss served by local memory: the probe still circles
+            # the ring (the home keeps no presence bits).
+            yield self.banks[node].access()
+            yield from self._await_ack(0, grant)
+            self.commit(node, address, True, None)
+            self.stats.record_miss(
+                MissClass.LOCAL_CLEAN, self.sim.now - start_ps, traversals=None
+            )
             return
 
-        yield from self._remote_sourced_miss(
-            node, address, is_write, dirty, owner if dirty else home, start_ps
-        )
-
-    def _local_clean_write_miss(
-        self, node: int, address: int, start_ps: int
-    ) -> Step:
-        """Write miss served by local memory, but the invalidation
-        probe must still circle the ring (other caches may hold RS
-        copies -- without presence bits the home cannot know)."""
-        grant = yield from self.broadcast_probe(node, address)
-        for sharer in sharers_other_than(self.caches, address, node):
-            self.schedule_invalidate(
-                sharer, address, self.passage_cycle(grant, node, sharer)
-            )
-        yield self.banks[node].access()
-        yield from self._await_ack(0, grant)
-        self.commit(node, address, True, None)
-        self.stats.record_miss(
-            MissClass.LOCAL_CLEAN, self.sim.now - start_ps, traversals=None
-        )
-
-    def _remote_sourced_miss(
-        self,
-        node: int,
-        address: int,
-        is_write: bool,
-        dirty: bool,
-        owner: int,
-        start_ps: int,
-    ) -> Step:
-        """Miss whose data comes over the ring (remote home or any
-        dirty owner).  One broadcast probe + one block reply; exactly
-        one ring traversal end to end."""
-        home = self.address_map.home_of(address)
-        grant = yield from self.broadcast_probe(node, address)
-        owner_cycle = self.passage_cycle(grant, node, owner)
-
-        # Snoop side effects as the probe sweeps the ring.
-        if is_write:
-            for sharer in sharers_other_than(self.caches, address, node):
-                self.schedule_invalidate(
-                    sharer, address, self.passage_cycle(grant, node, sharer)
-                )
-        elif dirty:
-            self.schedule_downgrade(owner, address, owner_cycle)
-
-        # The owner's response: memory fetch at the home, or a cache
+        # The supplier's response: memory fetch at the home, or a cache
         # (or write-back buffer) access at the dirty node.
-        yield from self.wait_until_cycle(owner_cycle)
+        supplier = owner if dirty else home
+        yield from self.wait_until_cycle(
+            grant.grab_cycle + self.topology.distance(node, supplier)
+        )
         if dirty:
             yield self.sim.timeout(self.config.memory.cache_response_ps)
         else:
             yield self.banks[home].access()
 
-        arrival = yield from self.send_block(owner, node)
-        yield from self.wait_until_cycle(arrival)
+        yield from self.send_block(supplier, node)  # waits for its tail
 
         if is_write:
             # A write miss must also observe the invalidation ack (the
             # probe completed its traversal before the block arrives in
             # all but degenerate cases; enforce the ordering anyway).
             yield from self._await_ack(0, grant)
-        self.commit(node, address, is_write, owner if dirty else None)
+        self.commit(node, address, is_write, owner)
 
         klass = MissClass.REMOTE_DIRTY if dirty else MissClass.REMOTE_CLEAN
         self.stats.record_miss(klass, self.sim.now - start_ps, traversals=1)
@@ -129,12 +97,10 @@ class SnoopingRingSystem(DirtyBitEngine, RingSystemBase):
         """RS -> WE permission request: broadcast probe, wait for the
         ack in the following probe slot of the same type."""
         owner = self.dirty_owner(self.address_map.block_of(address))
-        sharers = sharers_other_than(self.caches, address, node)
+        ops = self.remote_ops(True, owner, upgrade=True)
+        targets = self.remote_targets(ops, node, address, owner)
         grant = yield from self.broadcast_probe(node, address)
-        for sharer in sharers:
-            self.schedule_invalidate(
-                sharer, address, self.passage_cycle(grant, node, sharer)
-            )
+        self.snoop_passing(grant, 0, node, address, targets)
         yield from self._await_ack(0, grant)
         self.commit(node, address, True, owner)
         tracer = self.sim.tracer
@@ -145,8 +111,8 @@ class SnoopingRingSystem(DirtyBitEngine, RingSystemBase):
                 "upgrade.ack",
                 f"node{node}",
                 address=f"{address:#x}",
-                sharers=len(sharers),
+                sharers=len(targets[0]),
             )
         self.stats.record_upgrade(
-            self.sim.now - start_ps, traversals=1, had_sharers=bool(sharers)
+            self.sim.now - start_ps, traversals=1, had_sharers=bool(targets[0])
         )

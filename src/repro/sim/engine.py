@@ -39,13 +39,15 @@ bookkeeping ops run through (:meth:`~CoherenceEngine.track_shared`,
   :class:`~repro.memory.directory_store.HomeDirectory` per home node,
   for the full map and the linked list.
 
-Commits come from the spec
---------------------------
-At import this module derives one commit table per protocol from
+Transactions come from the spec
+-------------------------------
+At import this module derives one table per protocol from
 :data:`repro.spec.SPECS` (:data:`COMMIT_TABLES`).  A transaction body
-plays out a rule's remote ops (invalidations, downgrades), whose timing
-is the interconnect's, then makes one :meth:`~CoherenceEngine.commit`
-call that runs the rule's requester-side and bookkeeping ops.
+reads its cell's remote ops (:meth:`~CoherenceEngine.remote_ops`: whom
+to invalidate or downgrade), the ownership layer names their nodes
+(:meth:`~CoherenceEngine.remote_targets`, ``sharer_targets``), and the
+interconnect only delivers them, with its own timing.  Then one
+:meth:`~CoherenceEngine.commit` runs the rule's other ops.
 
 Concurrency discipline
 ----------------------
@@ -60,13 +62,18 @@ simply aborts (the new owner has the only valid copy).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Optional, Tuple, Type
+from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple, Type
 
 from repro.core.config import SystemConfig
 from repro.core.metrics import CoherenceStats, MissClass
 from repro.memory.address import AddressMap
 from repro.memory.bank import MemoryBank, build_banks
-from repro.memory.cache import AccessOutcome, CacheStats, DirectMappedCache
+from repro.memory.cache import (
+    AccessOutcome,
+    CacheStats,
+    DirectMappedCache,
+    sharers_other_than,
+)
 from repro.memory.directory_store import HomeDirectory
 from repro.memory.states import CacheState
 from repro.sim.kernel import Simulator
@@ -86,9 +93,18 @@ __all__ = [
 #: Generator type of every protocol step: yields kernel requests.
 Step = Generator[Any, Any, Any]
 
+#: Spec ops, in the order they run.
+Ops = Tuple[str, ...]
+
 #: A protocol's commit table: ``(is_write, requester's line state,
-#: line dirty?)`` -> the ops to run.
-CommitTable = Dict[Tuple[bool, CacheState, bool], Tuple[str, ...]]
+#: line dirty?)`` -> ``(remote ops, commit ops)``.
+CommitTable = Dict[Tuple[bool, CacheState, bool], Tuple[Ops, Ops]]
+
+#: The spec ops a body delivers to other caches before it commits.
+REMOTE_OPS = ("invalidate-sharers", "invalidate-owner", "downgrade-owner")
+
+#: The nodes a cell's remote ops reach: ``(invalidated, downgraded)``.
+Targets = Tuple[Sequence[int], Sequence[int]]
 
 #: The spec ops :meth:`CoherenceEngine.commit` runs, in the order it
 #: runs them: the ownership bookkeeping first, then the requester's
@@ -107,22 +123,24 @@ def commit_rules(spec: ProtocolSpec) -> CommitTable:
     """Derive one protocol's commit table from its spec.
 
     A miss or upgrade rule fills its cell for each dirty-guard value it
-    is enabled under.  Hits and evictions commit nothing here, so their
-    cells stay empty, as does every cell no rule covers (an upgrade of
-    a dirty line): :meth:`CoherenceEngine.commit` raises on those.
+    is enabled under: its remote ops in spec order, then its commit ops.
+    Hits and evictions commit nothing here, so their cells stay empty,
+    as does every cell no rule covers (an upgrade of a dirty line):
+    :meth:`CoherenceEngine.commit` raises on those.
     """
     table: CommitTable = {}
     for rule in spec.rules:
-        bound = {spec.op_of(action) for action in rule.actions}
+        bound = [spec.op_of(action) for action in rule.actions]
         ops = tuple(op for op in COMMIT_OPS if op in bound)
         if not ops:
             continue
+        remote = tuple(op for op in bound if op in REMOTE_OPS)
         if rule.guard == "always":
             guards = (False, True)
         else:
             guards = (rule.guard == "line-dirty",)
         for dirty in guards:
-            table[(rule.event == "write", rule.state, dirty)] = ops
+            table[(rule.event == "write", rule.state, dirty)] = remote, ops
     return table
 
 
@@ -241,29 +259,59 @@ class CoherenceEngine:
         raise NotImplementedError
 
     # ------------------------------------------------------------------
-    # Snoop side effects applied at a later interconnect cycle
+    # Remote ops: the spec names them, the ownership layer names their
+    # nodes, the interconnect delivers them
     # ------------------------------------------------------------------
+    def remote_ops(
+        self, is_write: bool, owner: Optional[int], upgrade: bool = False
+    ) -> Ops:
+        """The remote ops, in spec order, of the cell for a miss (or an
+        upgrade) of a block dirty at ``owner`` (``None``: clean).  A
+        cell no rule covers has none; :meth:`commit` raises on it."""
+        state = CacheState.RS if upgrade else CacheState.INV
+        cell = COMMIT_TABLES[self.spec_name].get((is_write, state, owner is not None))
+        return () if cell is None else cell[0]
+
+    def remote_targets(
+        self, ops: Ops, node: int, address: int, owner: Optional[int]
+    ) -> Targets:
+        """The nodes ``ops`` reach, ``(invalidated, downgraded)``: the
+        sharers the ownership layer names (``sharer_targets``), or the
+        owner -- to invalidate, only while its cache holds the line (an
+        owner whose line left for its write-back buffer has none)."""
+        invalidated: List[int] = []
+        downgraded: List[int] = []
+        for op in ops:
+            if op == "invalidate-sharers":
+                invalidated.extend(self.sharer_targets(node, address))
+            elif op == "downgrade-owner":
+                downgraded.append(owner)
+            elif self.caches[owner].contains(address):
+                invalidated.append(owner)
+        return invalidated, downgraded
+
+    def snoop_now(self, address: int, targets: Targets) -> None:
+        """Deliver remote ops at once: each target's cache snoops now
+        (a no-op where the line is absent)."""
+        invalidated, downgraded = targets
+        for target in invalidated:
+            self.caches[target].snoop_invalidate(address)
+        for target in downgraded:
+            self.caches[target].snoop_downgrade(address)
+
     def schedule_invalidate(self, node: int, address: int, at_cycle: int) -> None:
         """Invalidate ``node``'s copy when the probe passes it."""
-        self.sim.spawn(
-            self._deferred_invalidate(node, address, at_cycle),
-            name=f"inv:n{node}",
-        )
-
-    def _deferred_invalidate(self, node: int, address: int, at_cycle: int) -> Step:
-        yield from self.wait_until_cycle(at_cycle)
-        self.caches[node].snoop_invalidate(address)
+        snoop = self.caches[node].snoop_invalidate
+        self.sim.spawn(self._at_cycle(at_cycle, snoop, address), name=f"inv:n{node}")
 
     def schedule_downgrade(self, node: int, address: int, at_cycle: int) -> None:
         """Downgrade ``node``'s WE copy to RS when the probe passes."""
-        self.sim.spawn(
-            self._deferred_downgrade(node, address, at_cycle),
-            name=f"dgr:n{node}",
-        )
+        snoop = self.caches[node].snoop_downgrade
+        self.sim.spawn(self._at_cycle(at_cycle, snoop, address), name=f"dgr:n{node}")
 
-    def _deferred_downgrade(self, node: int, address: int, at_cycle: int) -> Step:
-        yield from self.wait_until_cycle(at_cycle)
-        self.caches[node].snoop_downgrade(address)
+    def _at_cycle(self, cycle: int, snoop: Callable[[int], Any], address: int) -> Step:
+        yield from self.wait_until_cycle(cycle)
+        snoop(address)
 
     # ------------------------------------------------------------------
     # Fills and victims
@@ -325,15 +373,15 @@ class CoherenceEngine:
         """
         state = self.caches[node].state_of(address)
         dirty = owner is not None
-        ops = COMMIT_TABLES[self.spec_name].get((is_write, state, dirty))
-        if ops is None:
+        cell = COMMIT_TABLES[self.spec_name].get((is_write, state, dirty))
+        if cell is None:
             raise ProtocolError(
                 f"{self.spec_name}: no rule commits "
                 f"({'write' if is_write else 'read'}, {state.name}, "
                 f"{'line-dirty' if dirty else 'line-clean'}) "
                 f"at node {node} for {address:#x}"
             )
-        for op in ops:
+        for op in cell[1]:
             if op == "memory-writeback":
                 self.memory_writeback(owner, address)
             elif op == "track-shared":
@@ -637,6 +685,11 @@ class DirtyBitEngine(CoherenceEngine):
         """
         return self.dirty_owners.get(block)
 
+    def sharer_targets(self, node: int, address: int) -> List[int]:
+        """With no presence bits, a probe reaches every other cache that
+        holds the block: the dirty-bit layer's one sharer query."""
+        return sharers_other_than(self.caches, address, node)
+
     def track_exclusive(self, node: int, address: int) -> None:
         self.dirty_owners[self.address_map.block_of(address)] = node
 
@@ -691,6 +744,13 @@ class DirectoryEngine(CoherenceEngine):
 
     def release_ownership(self, address: int) -> None:
         self.directory_for(address).clear(self.address_map.block_of(address))
+
+    def sharer_targets(self, node: int, address: int) -> Sequence[int]:
+        """The home entry's sharers but ``node``: presence bits, or the
+        sharing list in chain order."""
+        return self.directory_for(address).invalidation_targets(
+            self.address_map.block_of(address), node
+        )
 
     def track_shared(self, node: int, address: int) -> None:
         self.directory_for(address).add_sharer(

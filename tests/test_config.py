@@ -84,6 +84,26 @@ def test_hierarchy_must_split_processors_into_equal_clusters():
     ).ring.clusters == 2
 
 
+@pytest.mark.parametrize("value", [1, 0, "yes", None])
+def test_bool_fields_refuse_other_values(value):
+    # 1 == True, so a config spelled with 1 would compare equal to one
+    # spelled with True and yet key its stored result differently.
+    with pytest.raises(ValueError, match="ring.enforce_fairness"):
+        SystemConfig(ring=RingConfig(enforce_fairness=value))
+    with pytest.raises(ValueError, match="processor.weak_ordering"):
+        SystemConfig(processor=ProcessorConfig(weak_ordering=value))
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_bool_fields_take_either_bool(value):
+    config = SystemConfig(
+        ring=RingConfig(enforce_fairness=value),
+        processor=ProcessorConfig(weak_ordering=value),
+    )
+    assert config.ring.enforce_fairness is value
+    assert config.processor.weak_ordering is value
+
+
 def test_ring_layout_respects_slot_mix():
     config = RingConfig(probe_slots=4, block_slots=2)
     layout = config.layout(block_size=16)

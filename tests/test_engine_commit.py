@@ -11,11 +11,15 @@ table's cell.  Pinned here:
 * an empty cell is a :class:`ProtocolError` naming the protocol,
   event, state and guard, on all five engines;
 * swapping in a mutant spec's table changes what the engines do: the
-  exhaustive search finds the bug it plants.
+  exhaustive search finds the bug it plants, in the bookkeeping ops
+  and in the remote ops (who is invalidated or downgraded);
+* an AST lint: under ``ring/`` and ``bus/``, only the interconnects'
+  named delivery hooks snoop a cache or scan for sharers.
 """
 
 from __future__ import annotations
 
+import ast
 import os
 import pathlib
 import subprocess
@@ -23,15 +27,21 @@ import sys
 
 import pytest
 
+import repro
 from repro import check
 from repro.core.config import Protocol
 from repro.core.metrics import MissClass
 from repro.memory.cache import AccessOutcome
 from repro.memory.states import CacheState
 from repro.sim import engine as engine_module
-from repro.sim.engine import COMMIT_TABLES, ProtocolError, commit_rules
+from repro.sim.engine import (
+    COMMIT_TABLES,
+    REMOTE_OPS,
+    ProtocolError,
+    commit_rules,
+)
 from repro.spec import SPECS, mutate_rule, spec_for
-from tests.conftest import make_engine, run_reference
+from tests.conftest import make_engine, run_reference, simulation_modules
 
 ALL_PROTOCOLS = list(Protocol)
 
@@ -75,8 +85,27 @@ def test_table_has_no_hit_or_dirty_upgrade_cell(protocol):
         assert (False, CacheState.WE, dirty) not in table
         assert (True, CacheState.WE, dirty) not in table
     assert (True, CacheState.RS, True) not in table
-    assert table[(True, CacheState.RS, False)][-1] == "upgrade-line"
-    assert table[(False, CacheState.INV, True)][0] == "memory-writeback"
+    assert table[(True, CacheState.RS, False)][1][-1] == "upgrade-line"
+    assert table[(False, CacheState.INV, True)][1][0] == "memory-writeback"
+
+
+#: Each miss or upgrade cell's remote ops, the same for every protocol:
+#: the protocols differ only in how they deliver them.
+REMOTE_CELLS = {
+    (False, CacheState.INV, False): (),
+    (False, CacheState.INV, True): ("downgrade-owner",),
+    (True, CacheState.RS, False): ("invalidate-sharers",),
+    (True, CacheState.INV, False): ("invalidate-sharers",),
+    (True, CacheState.INV, True): ("invalidate-owner",),
+}
+
+
+@pytest.mark.parametrize("protocol", list(SPECS))
+def test_table_cells_carry_their_remote_ops(protocol):
+    table = COMMIT_TABLES[protocol]
+    assert set(table) == set(REMOTE_CELLS)
+    for key, remote in REMOTE_CELLS.items():
+        assert table[key][0] == remote
 
 
 # ----------------------------------------------------------------------
@@ -187,3 +216,106 @@ def test_mutant_table_changes_engine_behaviour(
     report = check.explore(protocol, nodes=2, lines=1, expansion="engine")
     assert not report.ok
     assert report.counterexample.kind == "agreement"
+
+
+#: Every protocol's remote action in each rule that has one: the
+#: engines take whom to invalidate or downgrade from the table too.
+REMOTE_MUTANTS = [
+    (protocol, rule.name, action)
+    for protocol, spec in SPECS.items()
+    for rule in spec.rules
+    for action in rule.actions
+    if spec.op_of(action) in REMOTE_OPS
+]
+
+
+def test_every_miss_and_upgrade_rule_has_a_remote_mutant():
+    assert len(REMOTE_MUTANTS) == 4 * len(SPECS)
+    assert {rule for _, rule, _ in REMOTE_MUTANTS} == {
+        "write-miss-clean",
+        "write-miss-dirty",
+        "read-miss-dirty",
+        "upgrade-clean",
+    }
+
+
+@pytest.mark.parametrize(
+    "protocol,rule,action", REMOTE_MUTANTS, ids=lambda value: str(value)
+)
+def test_mutant_remote_op_changes_engine_behaviour(
+    monkeypatch, protocol, rule, action
+):
+    mutant = mutate_rule(spec_for(protocol), rule, drop_action=action)
+    monkeypatch.setitem(
+        engine_module.COMMIT_TABLES, protocol, commit_rules(mutant)
+    )
+    report = check.explore(protocol, nodes=2, lines=1, expansion="engine")
+    assert not report.ok
+
+
+# ----------------------------------------------------------------------
+# The interconnects only deliver
+# ----------------------------------------------------------------------
+#: The cache snoops and the dirty-bit sharer scan.
+REMOTE_CALLS = {
+    "snoop_invalidate",
+    "snoop_downgrade",
+    "schedule_invalidate",
+    "schedule_downgrade",
+    "sharers_other_than",
+}
+
+#: The named delivery hooks under ``ring/`` and ``bus/`` that may use
+#: them: the passage delivery (snooping, the hierarchy's rings and the
+#: directory's multicast) and the list's purge walk.  The immediate
+#: snoop and the sharer scan live in ``sim/engine.py``.
+DELIVERY_HOOKS = {
+    "ring/base.py": {"snoop_passing"},
+    "ring/linkedlist.py": {"_purge_walk"},
+}
+
+
+def _remote_calls(tree):
+    """``(enclosing function, name, line)`` for every mention of a
+    :data:`REMOTE_CALLS` name."""
+    stack = [(tree, None)]
+    while stack:
+        node, function = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, ast.FunctionDef) else function
+            if isinstance(child, ast.Attribute):
+                name = child.attr
+            elif isinstance(child, ast.Name):
+                name = child.id
+            elif isinstance(child, ast.alias):
+                name = child.name
+            else:
+                name = None
+            if name in REMOTE_CALLS:
+                yield inner, name, getattr(child, "lineno", node.lineno)
+            stack.append((child, inner))
+
+
+@pytest.mark.parametrize(
+    "relative",
+    [
+        relative
+        for relative in simulation_modules()
+        if relative.startswith(("ring/", "bus/"))
+    ],
+)
+def test_only_delivery_hooks_snoop_or_scan_for_sharers(relative):
+    """The bodies take whom to invalidate or downgrade from the spec's
+    table; under ``ring/`` and ``bus/`` a snoop or a sharer scan
+    appears only inside the module's named delivery hooks."""
+    root = pathlib.Path(repro.__file__).parent
+    tree = ast.parse((root / relative).read_text())
+    hooks = DELIVERY_HOOKS.get(relative, set())
+    used = set()
+    for function, name, line in _remote_calls(tree):
+        assert function in hooks, (
+            f"{relative}:{line} names {name} outside a delivery hook "
+            f"({sorted(hooks)}); take the remote ops from the table"
+        )
+        used.add(function)
+    assert used == hooks, f"{relative}: unused delivery hooks {hooks - used}"
