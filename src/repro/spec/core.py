@@ -10,9 +10,9 @@ generic semantics) the transaction performs.
 
 One description, three consumers:
 
-* the engines: at import :mod:`repro.sim.engine` derives a commit
-  table from every spec, and each transaction commits through it
-  (:meth:`~repro.sim.engine.CoherenceEngine.commit`);
+* the engines: at import :mod:`repro.sim.engine` derives a table from
+  every spec; each transaction takes its remote ops from it and commits
+  through it (:meth:`~repro.sim.engine.CoherenceEngine.commit`);
 * the model checker executes the spec through
   :mod:`repro.spec.interp` and cross-checks every engine step against
   the spec's predicted successors (``repro check explore
